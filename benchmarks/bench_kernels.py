@@ -72,18 +72,24 @@ def run_micro() -> None:
 def run_end_to_end() -> None:
     code = (
         "import time\n"
+        "from treelayout.catalog import AssetCatalog\n"
         "from treelayout.kernels import BACKEND\n"
         "from treelayout.model import SearchConfig\n"
         "from treelayout.oracle.deterministic import DeterministicOracle\n"
         "from treelayout.pipeline import generate_scene\n"
+        "catalog = AssetCatalog.default()\n"
         "t0 = time.perf_counter()\n"
         "for seed in range(30):\n"
         "    generate_scene('A mid-century living room with retro furniture',\n"
         "                   SearchConfig(seed=seed, p_adv=0.35),\n"
-        "                   DeterministicOracle(seed=seed, p_adv=0.35))\n"
+        "                   DeterministicOracle(seed=seed, p_adv=0.35, catalog=catalog),\n"
+        "                   catalog)\n"
         "print(f'{BACKEND}: {(time.perf_counter() - t0) / 30 * 1000:.1f} ms/generation')\n"
     )
     for backend in ("python", "cython"):
+        if backend == "cython" and _fast is None:
+            print("cython: n/a (extension not built)")
+            continue
         env = dict(os.environ, TREELAYOUT_KERNELS=backend)
         proc = subprocess.run([sys.executable, "-c", code], env=env,
                               capture_output=True, text=True)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
@@ -76,7 +77,10 @@ class AssetCatalog:
         return cls._parse(json.loads(Path(path).read_text("utf-8")))
 
     @classmethod
+    @lru_cache(maxsize=1)
     def default(cls) -> "AssetCatalog":
+        """The shipped catalog, parsed once per process and shared by
+        every caller (the catalog is immutable)."""
         text = resources.files("treelayout.data").joinpath("catalog.json").read_text("utf-8")
         return cls._parse(json.loads(text))
 

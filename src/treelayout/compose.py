@@ -54,7 +54,8 @@ def compose(
     )
 
 
-def _rotate_local(dx: float, dy: float, yaw: Yaw) -> tuple[float, float]:
+def rotate_local(dx: float, dy: float, yaw: Yaw) -> tuple[float, float]:
+    """Offset in a supporter's local frame, rotated into the room frame by its yaw."""
     if yaw is Yaw.DEG_0:
         return dx, dy
     if yaw is Yaw.DEG_90:
@@ -84,7 +85,7 @@ def attach_supported(
         for p in locals_:
             dx = p.x - sup_dims.length / 2.0
             dy = p.y - sup_dims.depth / 2.0
-            rx, ry = _rotate_local(dx, dy, sup_placed.yaw)
+            rx, ry = rotate_local(dx, dy, sup_placed.yaw)
             moved = PlacedObject(
                 p.spec_id,
                 q4(sup_placed.x + rx),

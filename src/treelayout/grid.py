@@ -350,17 +350,38 @@ def relation_satisfied(
     half-plane) with edge gap at most ``d_beside``.  around: center
     distance at most ``d_around``.
     """
-    anchor_aabb = anchor.aabb(anchor_dims)
-    cx, cy = candidate_aabb.center
-    dx, dy = cx - anchor.x, cy - anchor.y
-    fx, fy = anchor.yaw.facing
+    a = anchor.aabb(anchor_dims)
+    c = candidate_aabb
+    return relation_holds(
+        rel, c.x0, c.y0, c.x1, c.y1, (a.x0, a.y0, a.x1, a.y1), anchor.x, anchor.y,
+        anchor.yaw.facing, d_front, d_beside, d_around,
+    )
+
+
+def relation_holds(
+    rel: SpatialRelation,
+    x0: float, y0: float, x1: float, y1: float,
+    anchor_box: tuple[float, float, float, float],
+    anchor_x: float,
+    anchor_y: float,
+    facing: tuple[int, int],
+    d_front: float,
+    d_beside: float,
+    d_around: float,
+) -> bool:
+    """Float-level core of :func:`relation_satisfied` for a candidate box
+    ``(x0, y0, x1, y1)``; callers that test many boxes against one anchor
+    pass the anchor's box, center and facing vector precomputed."""
+    ax0, ay0, ax1, ay1 = anchor_box
+    dx, dy = (x0 + x1) / 2.0 - anchor_x, (y0 + y1) / 2.0 - anchor_y
+    fx, fy = facing
     along = dx * fx + dy * fy
     perp = dx * fy - dy * fx
     if rel is SpatialRelation.PLACE_AROUND:
         return math.hypot(dx, dy) <= d_around
-    gap = anchor_aabb.gap_to(candidate_aabb)
+    gap = math.hypot(max(x0 - ax1, ax0 - x1, 0.0), max(y0 - ay1, ay0 - y1, 0.0))
     if rel is SpatialRelation.PLACE_FRONT:
-        facing_edge = anchor_aabb.width if fy != 0 else anchor_aabb.height
+        facing_edge = ax1 - ax0 if fy != 0 else ay1 - ay0
         return along > 0 and abs(perp) <= facing_edge / 2.0 + LENGTH_EPS and gap <= d_front
     if rel is SpatialRelation.PLACE_BESIDE:
         return abs(perp) >= abs(along) - LENGTH_EPS and abs(perp) > LENGTH_EPS and gap <= d_beside

@@ -18,6 +18,7 @@ import json
 import math
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from treelayout.catalog import AssetCatalog
@@ -48,7 +49,12 @@ from treelayout.oracle.templates import template_version
 NO_LEGAL_OPTION = "none available"
 
 
+@lru_cache(maxsize=1)
 def load_room_templates() -> dict:
+    """The shipped room templates, parsed once per process.
+
+    Every caller gets the same dict; callers must not mutate it.
+    """
     text = resources.files("treelayout.data").joinpath("room_templates.json").read_text("utf-8")
     return json.loads(text)
 

@@ -11,6 +11,24 @@ Scoring is defined in brute-force-checkable terms:
   Runs are ranked by the distance of their center to the anchor along
   their axis, ties toward the lower start index.
 
+All three questions read one table per (context, side), built on first
+use.  It holds the side's candidate cells and spans; the invariants of
+the legality test (region bounds, placed boxes, anchor box and facing,
+half-extents per yaw); the side score; a summed-area table over the
+candidate mask (Crow, SIGGRAPH 1984), so "every covered cell is a
+candidate" costs four lookups for any rectangle; and a memo of
+completion verdicts per (column start, row start), shared by the
+primary-run and secondary-run questions.
+
+Tables are cached by the context *value*: ``SpatialContext`` is a frozen,
+hashable dataclass that carries everything the policy reads (see its
+``canonical_text``), so equal contexts share a table and a context that
+differs in any field gets its own.  The cache holds the four sides of
+one local step.  A table changes after construction only by filling in
+its summed-area table and its memo, and both come out the same
+whichever thread fills them, so the oracle's thread-safe ``query``
+holds.
+
 ``pose_from_starts`` is the single source of truth for turning a
 (side, column start, row start) triple into a pose; the search uses it
 for oracle-named runs too, so policy legality equals engine acceptance.
@@ -19,19 +37,20 @@ for oracle-named runs too, so policy legality equals engine acceptance.
 from __future__ import annotations
 
 import math
+from functools import cached_property, lru_cache
+from itertools import accumulate
+from operator import add
 
 from treelayout import kernels
 from treelayout.grid import (
-    OccupancyGrid,
+    DegenerateDirection,
     Side,
     candidate_cells,
     orientation_from_rule,
-    relation_satisfied,
+    relation_holds,
     yaw_for_side,
-    DegenerateDirection,
 )
 from treelayout.model import (
-    AABB,
     LENGTH_EPS,
     OVERLAP_EPS,
     OrientationRule,
@@ -40,6 +59,9 @@ from treelayout.model import (
     q4,
 )
 from treelayout.oracle.queries import SpatialContext
+
+#: Lower region bound of the legality test, as ``AABB.contains`` forms it.
+_LOW = 0.0 - LENGTH_EPS
 
 #: Fixed side preference for tie-breaking, led by the anchor-facing side.
 _BASE_ORDER = (Side.RIGHT, Side.LEFT, Side.BOTTOM, Side.TOP)
@@ -73,37 +95,129 @@ def object_spans(ctx: SpatialContext, side: Side) -> tuple[int, int]:
     return span_cells(box.width, ctx.cell_size), span_cells(box.height, ctx.cell_size)
 
 
-def pose_ok(ctx: SpatialContext, cx: float, cy: float, yaw: Yaw) -> bool:
-    box = effective_aabb(ctx.object_dims, yaw, (cx, cy))
-    bounds = AABB(0.0, 0.0, ctx.region_length, ctx.region_width)
-    if not bounds.contains(box):
-        return False
-    if kernels.first_overlap(box.x0, box.y0, box.x1, box.y1, list(ctx.placed_boxes), OVERLAP_EPS) != -1:
-        return False
-    if ctx.relation is not None:
-        return relation_satisfied(
-            ctx.relation, box, ctx.anchor, ctx.anchor_dims,
-            ctx.d_front, ctx.d_beside, ctx.d_around,
+def final_yaw(ctx: SpatialContext, side: Side, center: tuple[float, float]) -> Yaw:
+    """Resolve the definitive yaw once the center is known."""
+    rule = ctx.orientation_rule
+    yaw0 = yaw_for_side(rule, ctx.anchor.yaw, side)
+    if rule in (OrientationRule.FACE_ANCHOR, OrientationRule.BACK_TO_ANCHOR):
+        try:
+            return orientation_from_rule(rule, ctx.anchor.yaw, (ctx.anchor.x, ctx.anchor.y), center)
+        except DegenerateDirection:
+            return yaw0
+    return yaw0
+
+
+def run_center(start: int, span: int, cell_size: float) -> float:
+    """Center coordinate of a run of ``span`` cells beginning at ``start``."""
+    return q4((start + span / 2.0) * cell_size)
+
+
+def pose_from_starts(
+    ctx: SpatialContext, side: Side, col_start: int, row_start: int
+) -> tuple[float, float, Yaw]:
+    """Pose implied by a column run and a row run (starts of each)."""
+    m_cols, m_rows = object_spans(ctx, side)
+    cx = run_center(col_start, m_cols, ctx.cell_size)
+    cy = run_center(row_start, m_rows, ctx.cell_size)
+    return cx, cy, final_yaw(ctx, side, (cx, cy))
+
+
+class _SideTable:
+    """Everything the policy decides about one side of the anchor in one context."""
+
+    def __init__(self, ctx: SpatialContext, side: Side):
+        grid = ctx.grid
+        anchor = ctx.anchor
+        anchor_box = anchor.aabb(ctx.anchor_dims)
+        d = ctx.object_dims
+        self.ctx = ctx
+        self.side = side
+        self.m_cols, self.m_rows = object_spans(ctx, side)
+        # Invariants of the legality test.  Each expression below and in
+        # legal() is the one effective_aabb, AABB.contains and
+        # relation_satisfied evaluate, so the verdicts are bit-identical.
+        self.half = {False: (d.length / 2.0, d.depth / 2.0), True: (d.depth / 2.0, d.length / 2.0)}
+        self.x_max = ctx.region_length + LENGTH_EPS
+        self.y_max = ctx.region_width + LENGTH_EPS
+        self.boxes = list(ctx.placed_boxes)
+        self.relation = ctx.relation
+        self.anchor_box = (anchor_box.x0, anchor_box.y0, anchor_box.x1, anchor_box.y1)
+        self.relation_args = (
+            anchor.x, anchor.y, anchor.yaw.facing, ctx.d_front, ctx.d_beside, ctx.d_around,
         )
-    return True
+        self.cand = candidate_cells(grid, side, anchor_box)
+        if ctx.relation is None:
+            self.score = len(self.cand)
+        else:
+            yaw0 = yaw_for_side(ctx.orientation_rule, anchor.yaw, side)
+            hx, hy = self.half[yaw0.swaps_extents]
+            s = grid.cell_size
+            self.score = sum(
+                1 for r, c in (divmod(idx, grid.cols) for idx in self.cand)
+                if self.legal((c + 0.5) * s, (r + 0.5) * s, hx, hy)
+            )
+        self.memo: dict[tuple[int, int], bool] = {}
+
+    def legal(self, cx: float, cy: float, hx: float, hy: float) -> bool:
+        """The object centered at (cx, cy) with half-extents (hx, hy) is in
+        bounds, satisfies its relation and overlaps no placed box."""
+        x0, y0, x1, y1 = cx - hx, cy - hy, cx + hx, cy + hy
+        if not (x0 >= _LOW and y0 >= _LOW and x1 <= self.x_max and y1 <= self.y_max):
+            return False
+        if self.relation is not None and not relation_holds(
+            self.relation, x0, y0, x1, y1, self.anchor_box, *self.relation_args
+        ):
+            return False
+        return kernels.first_overlap(x0, y0, x1, y1, self.boxes, OVERLAP_EPS) == -1
+
+    @cached_property
+    def sat(self) -> list[list[int]]:
+        """Summed-area table of the candidate mask: ``sat[r][c]`` counts
+        candidates in rows ``< r`` and columns ``< c``."""
+        grid = self.ctx.grid
+        mask = [0] * (grid.rows * grid.cols)
+        for idx in self.cand:
+            mask[idx] = 1
+        sat = [[0] * (grid.cols + 1)]
+        for r in range(grid.rows):
+            prefix = accumulate(mask[r * grid.cols:(r + 1) * grid.cols], initial=0)
+            sat.append(list(map(add, sat[-1], prefix)))
+        return sat
+
+    def covered(self, col_start: int, row_start: int) -> bool:
+        """The object's rectangle at these starts lies in the grid and
+        every cell it covers is a candidate."""
+        grid = self.ctx.grid
+        c1, r1 = col_start + self.m_cols, row_start + self.m_rows
+        if col_start < 0 or row_start < 0 or c1 > grid.cols or r1 > grid.rows:
+            return False
+        sat = self.sat
+        inside = sat[r1][c1] - sat[row_start][c1] - sat[r1][col_start] + sat[row_start][col_start]
+        return inside == self.m_cols * self.m_rows
+
+    def completion_ok(self, col_start: int, row_start: int) -> bool:
+        """Memoised: covered, and legal at the pose ``pose_from_starts`` gives."""
+        key = (col_start, row_start)
+        ok = self.memo.get(key)
+        if ok is None:
+            ok = False
+            if self.covered(col_start, row_start):
+                cell_size = self.ctx.cell_size
+                cx = run_center(col_start, self.m_cols, cell_size)
+                cy = run_center(row_start, self.m_rows, cell_size)
+                yaw = final_yaw(self.ctx, self.side, (cx, cy))
+                ok = self.legal(cx, cy, *self.half[yaw.swaps_extents])
+            self.memo[key] = ok
+        return ok
+
+
+@lru_cache(maxsize=4)
+def _side_table(ctx: SpatialContext, side: Side) -> _SideTable:
+    return _SideTable(ctx, side)
 
 
 def side_scores(ctx: SpatialContext) -> dict[Side, int]:
-    anchor_box = ctx.anchor.aabb(ctx.anchor_dims)
-    scores: dict[Side, int] = {}
-    for side in Side:
-        cells = candidate_cells(ctx.grid, side, anchor_box)
-        if ctx.relation is None:
-            scores[side] = len(cells)
-            continue
-        yaw0 = yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side)
-        n = 0
-        for idx in cells:
-            cx, cy = ctx.grid.cell_center(idx)
-            if pose_ok(ctx, cx, cy, yaw0):
-                n += 1
-        scores[side] = n
-    return scores
+    return {side: _side_table(ctx, side).score for side in Side}
 
 
 def choose_side(ctx: SpatialContext, avoid: tuple[str, ...], adversarial: bool) -> Side | None:
@@ -117,89 +231,27 @@ def choose_side(ctx: SpatialContext, avoid: tuple[str, ...], adversarial: bool) 
     return max(legal, key=lambda s: scores[s])
 
 
-def final_yaw(ctx: SpatialContext, side: Side, center: tuple[float, float]) -> Yaw:
-    """Resolve the definitive yaw once the center is known."""
-    rule = ctx.orientation_rule
-    yaw0 = yaw_for_side(rule, ctx.anchor.yaw, side)
-    if rule in (OrientationRule.FACE_ANCHOR, OrientationRule.BACK_TO_ANCHOR):
-        try:
-            return orientation_from_rule(rule, ctx.anchor.yaw, (ctx.anchor.x, ctx.anchor.y), center)
-        except DegenerateDirection:
-            return yaw0
-    return yaw0
-
-
-def pose_from_starts(
-    ctx: SpatialContext, side: Side, col_start: int, row_start: int
-) -> tuple[float, float, Yaw]:
-    """Pose implied by a column run and a row run (starts of each)."""
-    m_cols, m_rows = object_spans(ctx, side)
-    cx = q4((col_start + m_cols / 2.0) * ctx.cell_size)
-    cy = q4((row_start + m_rows / 2.0) * ctx.cell_size)
-    return cx, cy, final_yaw(ctx, side, (cx, cy))
-
-
-def _rect_cells_ok(
-    grid: OccupancyGrid, cand: set[int], col_start: int, m_cols: int, row_start: int, m_rows: int
-) -> bool:
-    if col_start < 0 or row_start < 0:
-        return False
-    if col_start + m_cols > grid.cols or row_start + m_rows > grid.rows:
-        return False
-    for r in range(row_start, row_start + m_rows):
-        for c in range(col_start, col_start + m_cols):
-            if grid.index(r, c) not in cand:
-                return False
-    return True
-
-
-def _completion_ok(
-    ctx: SpatialContext, cand: set[int], side: Side, col_start: int, row_start: int
-) -> bool:
-    m_cols, m_rows = object_spans(ctx, side)
-    if not _rect_cells_ok(ctx.grid, cand, col_start, m_cols, row_start, m_rows):
-        return False
-    cx, cy, yaw = pose_from_starts(ctx, side, col_start, row_start)
-    return pose_ok(ctx, cx, cy, yaw)
-
-
-def _side_candidates(ctx: SpatialContext, side: Side) -> set[int]:
-    return set(candidate_cells(ctx.grid, side, ctx.anchor.aabb(ctx.anchor_dims)))
-
-
 def feasible_primary_starts(ctx: SpatialContext, side: Side) -> list[int]:
     """Starts of primary-axis runs that admit at least one legal completion.
 
     The primary axis is columns for left/right sides and rows for
     top/bottom sides.
     """
-    cand = _side_candidates(ctx, side)
-    m_cols, m_rows = object_spans(ctx, side)
-    out: list[int] = []
+    t = _side_table(ctx, side)
+    ok = t.completion_ok
+    col_starts = range(ctx.grid.cols - t.m_cols + 1)
+    row_starts = range(ctx.grid.rows - t.m_rows + 1)
     if side.horizontal:
-        for c0 in range(0, ctx.grid.cols - m_cols + 1):
-            if any(_completion_ok(ctx, cand, side, c0, r0) for r0 in range(0, ctx.grid.rows - m_rows + 1)):
-                out.append(c0)
-    else:
-        for r0 in range(0, ctx.grid.rows - m_rows + 1):
-            if any(_completion_ok(ctx, cand, side, c0, r0) for c0 in range(0, ctx.grid.cols - m_cols + 1)):
-                out.append(r0)
-    return out
+        return [c0 for c0 in col_starts if any(ok(c0, r0) for r0 in row_starts)]
+    return [r0 for r0 in row_starts if any(ok(c0, r0) for c0 in col_starts)]
 
 
 def feasible_secondary_starts(ctx: SpatialContext, side: Side, primary_start: int) -> list[int]:
-    cand = _side_candidates(ctx, side)
-    m_cols, m_rows = object_spans(ctx, side)
-    out: list[int] = []
+    t = _side_table(ctx, side)
+    ok = t.completion_ok
     if side.horizontal:
-        for r0 in range(0, ctx.grid.rows - m_rows + 1):
-            if _completion_ok(ctx, cand, side, primary_start, r0):
-                out.append(r0)
-    else:
-        for c0 in range(0, ctx.grid.cols - m_cols + 1):
-            if _completion_ok(ctx, cand, side, c0, primary_start):
-                out.append(c0)
-    return out
+        return [r0 for r0 in range(ctx.grid.rows - t.m_rows + 1) if ok(primary_start, r0)]
+    return [c0 for c0 in range(ctx.grid.cols - t.m_cols + 1) if ok(c0, primary_start)]
 
 
 def _run_distance(ctx: SpatialContext, side: Side, axis: str, start: int) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 
+from treelayout.compose import rotate_local
 from treelayout.model import (
     EventKind,
     Parent,
@@ -26,16 +27,6 @@ MARGIN = 24.0
 
 _POSE_RE = re.compile(r"x=(-?[0-9.]+)\s+y=(-?[0-9.]+)\s+yaw=(\d+)")
 _SCOPE_RE = re.compile(r"scope=(\S+)")
-
-
-def _rotate_local(dx: float, dy: float, yaw: Yaw) -> tuple[float, float]:
-    if yaw is Yaw.DEG_0:
-        return dx, dy
-    if yaw is Yaw.DEG_90:
-        return dy, -dx
-    if yaw is Yaw.DEG_180:
-        return -dx, -dy
-    return -dy, dx
 
 
 def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list[PlacedObject]:
@@ -80,7 +71,7 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
                 continue
             sup_dims = specs[sup_id].dims
             dx, dy = x - sup_dims.length / 2.0, y - sup_dims.depth / 2.0
-            rx, ry = _rotate_local(dx, dy, sup.yaw)
+            rx, ry = rotate_local(dx, dy, sup.yaw)
             out.append(
                 PlacedObject(
                     oid, sup.x + rx, sup.y + ry, sup_dims.height,

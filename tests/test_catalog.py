@@ -28,6 +28,10 @@ class TestCatalog:
         with pytest.raises(UnknownCategory):
             CATALOG.entry("zeppelin")
 
+    def test_shipped_defaults_parsed_once(self):
+        assert AssetCatalog.default() is CATALOG
+        assert load_room_templates() is load_room_templates()
+
     def test_covers_all_template_categories(self):
         templates = load_room_templates()
         refs = set()

@@ -24,6 +24,7 @@ from treelayout.oracle.base import FingerprintMiss, OracleFailure
 from treelayout.oracle.deterministic import NO_LEGAL_OPTION, DeterministicOracle
 from treelayout.oracle.live import LiveConfig, LiveOracle
 from treelayout.oracle.policy import (
+    _side_table,
     choose_run,
     choose_side,
     feasible_primary_starts,
@@ -98,6 +99,86 @@ def brute_of(ctx, anchor_rule="place_along_wall", objects=None):
     return br
 
 
+def brute_obj(ctx):
+    return {
+        "length": ctx.object_dims.length, "depth": ctx.object_dims.depth,
+        "relation": ctx.relation.value if ctx.relation else None,
+        "orientation": ctx.orientation_rule.value if ctx.orientation_rule else None,
+    }
+
+
+def _inside(rng, extent, size):
+    """A center coordinate that keeps a box of ``size`` within [0, extent]."""
+    return min(max(round(rng.uniform(size / 2, extent - size / 2), 2), size / 2), extent - size / 2)
+
+
+def random_context(rng):
+    """Random region, anchor, relation and orientation rule, with up to two
+    blockers placed besides the anchor; about one context in five asks the
+    anchor-facing question (no relation, no orientation rule)."""
+    from treelayout.model import effective_aabb
+
+    length = rng.choice([2.0, 3.0])
+    width = rng.choice([1.5, 2.0])
+    anchor_dims = Dim3(1.0, 0.5, 0.5)
+    anchor_yaw = rng.choice(list(Yaw))
+    box = effective_aabb(anchor_dims, anchor_yaw, (0, 0))
+    extra = []
+    for _ in range(rng.randint(0, 2)):
+        dims = Dim3(rng.choice([0.3, 0.5, 0.8]), rng.choice([0.3, 0.5]), 0.5)
+        yaw = rng.choice(list(Yaw))
+        b = effective_aabb(dims, yaw, (0, 0))
+        extra.append((dims, (_inside(rng, length, b.width), _inside(rng, width, b.height)), yaw))
+    if rng.random() < 0.2:
+        relation, orientation = None, None
+    else:
+        relation = rng.choice(list(SpatialRelation))
+        orientation = rng.choice(list(OrientationRule))
+    return make_context(
+        region_length=length,
+        region_width=width,
+        cell=rng.choice([0.25, 0.5]),
+        anchor_dims=anchor_dims,
+        anchor_pos=(_inside(rng, length, box.width), _inside(rng, width, box.height)),
+        anchor_yaw=anchor_yaw,
+        object_dims=Dim3(rng.choice([0.4, 0.5, 1.0]), rng.choice([0.4, 0.5]), 0.5),
+        relation=relation,
+        orientation=orientation,
+        extra_placed=tuple(extra),
+    )
+
+
+def policy_answers(ctx):
+    """Every answer the policy gives for one context."""
+    primary = {side: feasible_primary_starts(ctx, side) for side in Side}
+    secondary = {
+        (side, p0): feasible_secondary_starts(ctx, side, p0)
+        for side in Side for p0 in primary[side]
+    }
+    return side_scores(ctx), primary, secondary
+
+
+def engine_state(ctx):
+    """The search state whose final check a pose from this context faces."""
+    from treelayout.model import SearchConfig
+    from treelayout.search import GlobalState
+
+    anchor_spec = ObjectSpec("anchor_1", "anchor_obj", ctx.anchor_dims)
+    region = RegionPlan(
+        id="r1", function="test", length=ctx.region_length, width=ctx.region_width,
+        objects=(anchor_spec, ObjectSpec("obj_1", "obj", ctx.object_dims)),
+        anchor_id="anchor_1", anchor_rule=AnchorRule.ALONG_WALL, edges=(),
+    )
+    config = SearchConfig(
+        cell_size=ctx.cell_size, d_front=ctx.d_front, d_beside=ctx.d_beside,
+        d_around=ctx.d_around,
+    )
+    return GlobalState(
+        region=region, order=[anchor_spec], config=config, session=None, scope="r1",
+        wall_sides=frozenset(Side), placed=[ctx.anchor], placed_boxes=list(ctx.placed_boxes),
+    )
+
+
 class TestSidePolicy:
     def test_choice_maximizes_brute_force_score(self):
         from treelayout.model import effective_aabb
@@ -132,6 +213,7 @@ class TestSidePolicy:
                 s: br.side_score(obj, s, list(ctx.placed_boxes), anchor_rect)
                 for s in ("left", "right", "top", "bottom")
             }
+            assert side_scores(ctx) == {Side(s): v for s, v in brute_scores.items()}
             if chosen is None:
                 assert all(v == 0 for v in brute_scores.values())
             else:
@@ -164,6 +246,74 @@ class TestSidePolicy:
         worst = choose_side(ctx, (), adversarial=True)
         assert worst is not None
         assert scores[worst] == min(legal.values())
+
+    def test_scores_match_brute_force_with_blockers(self):
+        rng = random.Random(21)
+        for _ in range(60):
+            ctx = random_context(rng)
+            br = brute_of(ctx)
+            obj = brute_obj(ctx)
+            boxes = list(ctx.placed_boxes)
+            want = {side: br.side_score(obj, side.value, boxes, boxes[0]) for side in Side}
+            assert side_scores(ctx) == want
+
+
+class TestPolicyCache:
+    def test_equal_contexts_share_tables(self):
+        first, second = make_context(), make_context()
+        assert first == second and first is not second
+        _side_table.cache_clear()
+        answers = policy_answers(first)
+        misses = _side_table.cache_info().misses
+        assert policy_answers(second) == answers
+        assert _side_table.cache_info().misses == misses
+
+    @pytest.mark.parametrize("variant", ["placed_box", "object_dims"])
+    def test_differing_contexts_get_their_own_answers(self, variant):
+        from dataclasses import replace
+
+        base = make_context(cell=0.25)
+        if variant == "placed_box":
+            # same grid raster, one placed box moved from the right of the
+            # anchor to its left: only the exact boxes tell the states apart
+            a = replace(base, placed_boxes=base.placed_boxes + ((2.0, 0.0, 2.5, 0.5),))
+            b = replace(base, placed_boxes=base.placed_boxes + ((0.5, 0.0, 1.0, 0.5),))
+        else:
+            a = base
+            b = replace(base, object_dims=Dim3(1.0, 0.5, 0.5))
+        cold = {}
+        for ctx in (a, b):
+            _side_table.cache_clear()
+            cold[id(ctx)] = policy_answers(ctx)
+        assert cold[id(a)] != cold[id(b)]
+        for order in ((a, b), (b, a)):
+            _side_table.cache_clear()
+            for ctx in order:
+                assert policy_answers(ctx) == cold[id(ctx)]
+            for ctx in order:
+                assert policy_answers(ctx) == cold[id(ctx)]
+
+    def test_threads_sharing_tables_match_serial(self):
+        # More contexts than the cache holds, so threads race on eviction,
+        # table construction and the completion memo.
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = random.Random(4)
+        contexts = [random_context(rng) for _ in range(6)]
+        serial = []
+        for ctx in contexts:
+            _side_table.cache_clear()
+            serial.append(policy_answers(ctx))
+        _side_table.cache_clear()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(policy_answers, contexts[i % 6]) for i in range(48)]
+                got = [f.result(timeout=60) for f in futures]
+        finally:
+            sys.setswitchinterval(old)
+        assert got == [serial[i % 6] for i in range(48)]
 
 
 class TestRunPolicy:
@@ -230,6 +380,56 @@ class TestRunPolicy:
                     want2 = br.secondary_starts(obj, side.value, cand, p0, list(ctx.placed_boxes))
                     got2 = feasible_secondary_starts(ctx, side, p0)
                     assert got2 == want2
+
+    def test_feasible_runs_match_brute_force_with_blockers(self):
+        rng = random.Random(33)
+        for _ in range(40):
+            ctx = random_context(rng)
+            br = brute_of(ctx)
+            obj = brute_obj(ctx)
+            boxes = list(ctx.placed_boxes)
+            for side in Side:
+                cand = br.free_side_cells(boxes, boxes[0], side.value)
+                got = feasible_primary_starts(ctx, side)
+                assert got == br.primary_starts(obj, side.value, cand, boxes), side
+                for p0 in range(max(ctx.grid.cols, ctx.grid.rows)):
+                    want2 = br.secondary_starts(obj, side.value, cand, p0, boxes)
+                    assert feasible_secondary_starts(ctx, side, p0) == want2
+
+    def test_policy_legality_equals_engine_acceptance(self):
+        from treelayout.grid import candidate_cells
+        from treelayout.oracle.policy import object_spans, pose_from_starts
+        from treelayout.search import evaluate_thought
+
+        rng = random.Random(57)
+        checked = rejected = 0
+        for _ in range(40):
+            ctx = random_context(rng)
+            state = engine_state(ctx)
+            edge = Edge("obj_1", ctx.relation, ctx.orientation_rule) if ctx.relation else None
+            grid = ctx.grid
+            for side in Side:
+                cand = set(candidate_cells(grid, side, ctx.anchor.aabb(ctx.anchor_dims)))
+                m_cols, m_rows = object_spans(ctx, side)
+                reported = set()
+                for p0 in range(grid.cols if side.horizontal else grid.rows):
+                    for s0 in feasible_secondary_starts(ctx, side, p0):
+                        reported.add((p0, s0) if side.horizontal else (s0, p0))
+                for c0 in range(grid.cols - m_cols + 1):
+                    for r0 in range(grid.rows - m_rows + 1):
+                        covered = all(
+                            grid.index(r, c) in cand
+                            for r in range(r0, r0 + m_rows) for c in range(c0, c0 + m_cols)
+                        )
+                        if not covered:
+                            assert (c0, r0) not in reported
+                            continue
+                        pose = pose_from_starts(ctx, side, c0, r0)
+                        ok, _ = evaluate_thought(pose, ctx.object_dims, state, edge)
+                        assert ok == ((c0, r0) in reported), (side, c0, r0)
+                        checked += 1
+                        rejected += not ok
+        assert checked > 0 and rejected > 0
 
 
 class TestDeterministicOracleReplies:
