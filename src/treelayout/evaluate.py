@@ -137,10 +137,6 @@ class SearchStats:
     attempts_per_layer: dict[tuple[str, int], int]
     wall_events: int
 
-    def max_attempts(self, layer: int) -> int:
-        values = [v for (scope, l), v in self.attempts_per_layer.items() if l == layer]
-        return max(values, default=0)
-
 
 def search_stats(trace: SearchTrace) -> SearchStats:
     """Aggregate a trace: per (scope, layer, visit) attempt maxima are

@@ -127,19 +127,6 @@ class OccupancyGrid:
     def col_of(self, idx: int) -> int:
         return idx % self.cols
 
-    def cell_rect(self, idx: int) -> AABB:
-        r, c = self.row_of(idx), self.col_of(idx)
-        s = self.cell_size
-        return AABB(c * s, r * s, (c + 1) * s, (r + 1) * s)
-
-    def cell_center(self, idx: int) -> tuple[float, float]:
-        r, c = self.row_of(idx), self.col_of(idx)
-        s = self.cell_size
-        return ((c + 0.5) * s, (r + 0.5) * s)
-
-    def is_free(self, idx: int) -> bool:
-        return self.codes[idx] == FREE
-
 
 @dataclass(frozen=True)
 class EmojiMap:
@@ -224,7 +211,7 @@ def candidate_cells(grid: OccupancyGrid, side: Side, anchor_aabb: AABB) -> list[
         grid.cols,
         grid.rows,
         grid.cell_size,
-        list(grid.codes),
+        grid.codes,
         side.kernel_code,
         anchor_aabb.x0,
         anchor_aabb.y0,

@@ -1,10 +1,6 @@
-"""Pure-Python reference implementation of the grid-geometry kernels.
+"""Grid-geometry kernels: the hot inner loops of the engine.
 
-These are the hot inner loops of the engine: per-cell rasterization,
-side filtering, and rectangle overlap scans.  A compiled twin with the
-exact same signatures lives in ``_fast.pyx``; both must produce
-bit-identical results (the arithmetic is restricted to IEEE-754
-multiplication, min/max, and comparisons in a fixed order).
+Per-cell rasterization, side filtering, and rectangle overlap scans.
 
 Cells are indexed row-major: ``index = row * cols + col``; cell (r, c)
 covers ``[c*s, (c+1)*s] x [r*s, (r+1)*s]``.  Occupancy codes: 0 free,
@@ -13,22 +9,9 @@ covers ``[c*s, (c+1)*s] x [r*s, (r+1)*s]``.  Occupancy codes: 0 free,
 
 from __future__ import annotations
 
-BACKEND = "python"
+from collections.abc import Sequence
 
 _EPS = 1e-9
-
-
-def rect_intersection_area(
-    ax0: float, ay0: float, ax1: float, ay1: float,
-    bx0: float, by0: float, bx1: float, by1: float,
-) -> float:
-    w = min(ax1, bx1) - max(ax0, bx0)
-    if w <= 0.0:
-        return 0.0
-    h = min(ay1, by1) - max(ay0, by0)
-    if h <= 0.0:
-        return 0.0
-    return w * h
 
 
 def rasterize_codes(
@@ -63,7 +46,7 @@ def free_cells_on_side(
     cols: int,
     rows: int,
     cell_size: float,
-    codes: list[int],
+    codes: Sequence[int],
     side: int,
     ax0: float, ay0: float, ax1: float, ay1: float,
 ) -> list[int]:

@@ -87,15 +87,9 @@ class LocalThought:
     """Progressively filled decision of the three local steps."""
 
     side: Side | None = None
-    primary_run: list[int] | None = None
-    secondary_run: list[int] | None = None
     pose: tuple[float, float, Yaw] | None = None
     pose_key: PoseKey | None = None
     side_attempt: int = 1
-
-    @property
-    def complete(self) -> bool:
-        return self.pose is not None
 
 
 @dataclass
@@ -110,6 +104,7 @@ class GlobalState:
     wall_sides: frozenset[Side]
     placed: list[PlacedObject] = field(default_factory=list)
     placed_boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
+    unplaced: list[str] = field(default_factory=list)
 
     @property
     def anchor_placed(self) -> PlacedObject:
@@ -366,10 +361,7 @@ def _search_axes(
             if not ok:
                 notes.append(f"{side.value}: {reason}")
                 continue
-            return LocalThought(
-                side=side, primary_run=run_p, secondary_run=run_s,
-                pose=(cx, cy, yaw), pose_key=key,
-            )
+            return LocalThought(side=side, pose=(cx, cy, yaw), pose_key=key)
     return None
 
 
@@ -552,8 +544,6 @@ def plan_region(
         scope=scope if scope is not None else region.id,
         wall_sides=wall_sides,
     )
-    if config.mode is SearchMode.COT:
-        return _plan_region_cot(state)
     return _plan_region_tree(state)
 
 
@@ -574,7 +564,7 @@ def _plan_region_tree(state: GlobalState) -> RegionResult:
         placed, key = result
         state.push(placed, anchor_spec.dims)
         if _solve_from(state, 1):
-            return RegionResult(tuple(state.placed), False, (), trace)
+            return RegionResult(tuple(state.placed), False, tuple(state.unplaced), trace)
         state.pop()
         used.add(key)
         trace.record(
@@ -592,6 +582,7 @@ def _solve_from(state: GlobalState, i: int) -> bool:
     edge = state.region.edge_for(spec.id)
     cfg = state.config
     trace = state.session.trace
+    skip = cfg.mode is SearchMode.COT
     excluded: set[PoseKey] = set()
     round_no = 0
     while True:
@@ -603,12 +594,15 @@ def _solve_from(state: GlobalState, i: int) -> bool:
             if t is None:
                 trace.record(
                     layer, spec.id, attempt, EventKind.REJECTED,
-                    f"scope={state.scope} visit={round_no} {notes}",
+                    f"scope={state.scope} visit={round_no} {'skipped: ' if skip else ''}{notes}",
                 )
                 continue
             thought, used_attempt = t, attempt
             break
         if thought is None:
+            if skip:
+                state.unplaced.append(spec.id)
+                return _solve_from(state, i + 1)
             return False
         cx, cy, yaw = thought.pose
         placed = PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(state.region.id))
@@ -626,43 +620,6 @@ def _solve_from(state: GlobalState, i: int) -> bool:
             layer, spec.id, 0, EventKind.BACKTRACK,
             f"scope={state.scope} visit={round_no} from_layer={layer + 1}",
         )
-
-
-def _plan_region_cot(state: GlobalState) -> RegionResult:
-    region = state.region
-    trace = state.session.trace
-    anchor_spec = state.order[0]
-    result = place_anchor_visit(state, region.anchor_rule, 1, set())
-    if result is None:
-        trace.record(
-            1, anchor_spec.id, 0, EventKind.BACKTRACK,
-            f"scope={state.scope} visit=1 root budget exhausted (no anchor pose)",
-        )
-        return RegionResult((), True, tuple(s.id for s in state.order), trace)
-    placed, _ = result
-    state.push(placed, anchor_spec.dims)
-    unplaced: list[str] = []
-    for i in range(1, len(state.order)):
-        spec = state.order[i]
-        layer = i + 1
-        edge = region.edge_for(spec.id)
-        t, notes = local_place(spec, edge, state, set(), 1, 1, layer)
-        if t is None:
-            trace.record(
-                layer, spec.id, 1, EventKind.REJECTED,
-                f"scope={state.scope} visit=1 skipped: {notes}",
-            )
-            unplaced.append(spec.id)
-            continue
-        cx, cy, yaw = t.pose
-        obj = PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(region.id))
-        trace.record(
-            layer, spec.id, 1, EventKind.ACCEPTED,
-            f"scope={state.scope} visit=1 side={t.side.value} "
-            f"side_attempt={t.side_attempt} x={cx:.4f} y={cy:.4f} yaw={yaw.value}",
-        )
-        state.push(obj, spec.dims)
-    return RegionResult(tuple(state.placed), False, tuple(unplaced), trace)
 
 
 # -- supported objects ----------------------------------------------------------

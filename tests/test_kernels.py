@@ -1,18 +1,9 @@
-"""Kernel backends against the brute-force oracle and against each other."""
+"""Grid kernels against the brute-force oracle."""
 
 import random
 
-import pytest
-
-from treelayout.kernels import _ref
+from treelayout import kernels
 from bruteforce import brute_rasterize, brute_side_cells, rect_area_overlap
-
-try:
-    from treelayout.kernels import _fast
-except ImportError:
-    _fast = None
-
-BACKENDS = [_ref] + ([_fast] if _fast is not None else [])
 
 
 def random_rects(rng, n, span=4.0):
@@ -24,91 +15,36 @@ def random_rects(rng, n, span=4.0):
     return out
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
 class TestAgainstBruteForce:
-    def test_intersection_area(self, impl):
-        rng = random.Random(7)
-        for _ in range(500):
-            (a, b) = random_rects(rng, 2)
-            got = impl.rect_intersection_area(*a, *b)
-            assert got == rect_area_overlap(a, b)
-
-    def test_rasterize(self, impl):
+    def test_rasterize(self):
         rng = random.Random(11)
         for _ in range(100):
             cols, rows = rng.randint(1, 8), rng.randint(1, 8)
             cell = rng.choice([0.25, 0.5, 1.0])
             rects = [r + (rng.choice([1, 2]),) for r in random_rects(rng, rng.randint(0, 3))]
-            got = impl.rasterize_codes(cols, rows, cell, rects)
+            got = kernels.rasterize_codes(cols, rows, cell, rects)
             assert got == brute_rasterize(cols, rows, cell, rects)
 
-    def test_side_filter(self, impl):
+    def test_side_filter(self):
         rng = random.Random(13)
         sides = {"left": 0, "right": 1, "bottom": 2, "top": 3}
         for _ in range(100):
             cols, rows = rng.randint(2, 8), rng.randint(2, 8)
             cell = 0.5
             rects = [r + (1,) for r in random_rects(rng, rng.randint(0, 2), span=2.0)]
-            codes = impl.rasterize_codes(cols, rows, cell, rects)
+            codes = kernels.rasterize_codes(cols, rows, cell, rects)
             anchor = random_rects(rng, 1, span=2.0)[0]
             for name, code in sides.items():
-                got = impl.free_cells_on_side(cols, rows, cell, codes, code, *anchor)
+                got = kernels.free_cells_on_side(cols, rows, cell, codes, code, *anchor)
                 assert got == brute_side_cells(cols, rows, cell, codes, name, anchor)
 
-    def test_first_overlap(self, impl):
+    def test_first_overlap(self):
         rng = random.Random(17)
         for _ in range(300):
             probe = random_rects(rng, 1)[0]
             rects = random_rects(rng, rng.randint(0, 5))
-            got = impl.first_overlap(*probe, rects, 1e-9)
+            got = kernels.first_overlap(*probe, rects, 1e-9)
             want = next(
                 (i for i, r in enumerate(rects) if rect_area_overlap(probe, r) > 1e-9), -1
             )
             assert got == want
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled kernels not built")
-class TestBackendEquivalence:
-    def test_bit_identical(self):
-        rng = random.Random(23)
-        for _ in range(200):
-            cols, rows = rng.randint(1, 10), rng.randint(1, 10)
-            cell = rng.choice([0.2, 0.25, 0.4])
-            rects = [r + (rng.choice([1, 2]),) for r in random_rects(rng, rng.randint(0, 4))]
-            assert _ref.rasterize_codes(cols, rows, cell, rects) == _fast.rasterize_codes(
-                cols, rows, cell, rects
-            )
-            (a, b) = random_rects(rng, 2)
-            assert _ref.rect_intersection_area(*a, *b) == _fast.rect_intersection_area(*a, *b)
-
-
-@pytest.mark.skipif(_fast is None, reason="compiled kernels not built")
-class TestBackendSceneIdentity:
-    def test_scene_files_identical_across_backends(self, tmp_path):
-        import os
-        import subprocess
-        import sys
-
-        code = (
-            "import sys\n"
-            "from treelayout.kernels import BACKEND\n"
-            "from treelayout.model import SearchConfig\n"
-            "from treelayout.oracle.deterministic import DeterministicOracle\n"
-            "from treelayout.pipeline import generate_scene\n"
-            "from treelayout.sceneio import scene_to_text\n"
-            "scene = generate_scene('A mid-century living room with retro furniture',\n"
-            "                       SearchConfig(seed=6, p_adv=0.35),\n"
-            "                       DeterministicOracle(seed=6, p_adv=0.35))\n"
-            "sys.stdout.write(BACKEND + '\\n' + scene_to_text(scene))\n"
-        )
-        outs = {}
-        for backend in ("python", "cython"):
-            env = dict(os.environ, TREELAYOUT_KERNELS=backend)
-            proc = subprocess.run(
-                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                check=True,
-            )
-            header, _, body = proc.stdout.partition("\n")
-            assert header == backend
-            outs[backend] = body
-        assert outs["python"] == outs["cython"]

@@ -1,6 +1,7 @@
 """Tree search: soundness, budgets, backtracking, and oracle equivalence."""
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -237,9 +238,26 @@ class TestBacktracking:
         assert tree_result.trace.count(EventKind.BACKTRACK) >= 1
         assert_sound(region, tree_result.placements, config)
 
+        # CoT gets one more, smaller object after the chair: the chair's
+        # failure is skipped and the search goes on to the lamp.
+        lamp = ObjectSpec("lamp_2", "lamp", Dim3(0.2, 0.2, 0.5))
+        cot_region = replace(
+            region, objects=region.objects + (lamp,),
+            edges=region.edges + (Edge(lamp.id, SpatialRelation.PLACE_AROUND, None),),
+        )
+        failed, later = [s.id for s in layer_order(cot_region)][1:]
+        assert later == lamp.id
         cot_config = SearchConfig(seed=0, mode=SearchMode.COT)
-        cot_result = plan_region(region, cot_config, DeterministicOracle(seed=0))
-        assert len(cot_result.placements) < 2
+        cot_result = plan_region(cot_region, cot_config, DeterministicOracle(seed=0))
+        assert not cot_result.unsat
+        assert failed not in {p.spec_id for p in cot_result.placements}
+        assert cot_result.unplaced.count(failed) == 1
+        rejected = [
+            e for e in cot_result.trace.events
+            if e.object_id == failed and e.kind is EventKind.REJECTED
+        ]
+        assert len(rejected) == 1 and "skipped: " in rejected[0].detail
+        assert any(e.object_id == later for e in cot_result.trace.events)
         assert cot_result.trace.count(EventKind.BACKTRACK) == 0
 
     def test_trace_conservation(self):
