@@ -61,6 +61,8 @@ def load_room_templates() -> dict:
 
 @dataclass
 class DeterministicOracle(PlacementOracle):
+    io_bound = False
+
     seed: int = 0
     p_adv: float = 0.0
     catalog: AssetCatalog | None = None

@@ -1,7 +1,7 @@
 """Transcript record/replay: byte-exact reproduction of oracle-driven runs.
 
 A transcript is a JSONL file: a metadata header line followed by one
-record per oracle call, in call order, each holding the query
+record per oracle call, in serial call order, each holding the query
 fingerprint and the raw reply text.  Replay looks queries up by
 fingerprint; any miss (including a template-version mismatch) raises
 :class:`FingerprintMiss`.
@@ -9,12 +9,14 @@ fingerprint; any miss (including a template-version mismatch) raises
 
 from __future__ import annotations
 
+import bisect
 import json
+import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from treelayout.oracle.base import FingerprintMiss, PlacementOracle
+from treelayout.oracle.base import CALL_PATH, FingerprintMiss, PlacementOracle
 from treelayout.oracle.queries import OracleQuery, OracleReply, fingerprint
 from treelayout.oracle.templates import template_version
 
@@ -49,10 +51,16 @@ class Transcript:
 
 
 class RecordingOracle(PlacementOracle):
-    """Wraps any oracle and captures (fingerprint, reply) pairs in order."""
+    """Wraps any oracle and captures (fingerprint, reply) pairs.
+
+    Safe for concurrent calls.  Records are kept sorted by the caller's
+    :data:`~treelayout.oracle.base.CALL_PATH` key, so a run whose
+    subproblems overlap records them in the order a serial run calls.
+    """
 
     def __init__(self, inner: PlacementOracle, model_id: str = "", seed: int | None = None):
         self.inner = inner
+        self.io_bound = inner.io_bound
         self.transcript = Transcript(
             metadata={
                 "model": model_id,
@@ -62,19 +70,33 @@ class RecordingOracle(PlacementOracle):
             }
         )
         self._seen: set[str] = set()
+        self._keys: list[tuple[int, ...]] = []
+        self._lock = threading.Lock()
 
     def query(self, q: OracleQuery) -> OracleReply:
         fp = fingerprint(q, template_version())
-        if fp in self._seen:
-            raise ValueError(f"duplicate query fingerprint while recording: {fp}")
-        reply = self.inner.query(q)
-        self._seen.add(fp)
-        self.transcript.records.append((fp, reply.text))
+        key = CALL_PATH.get().next_key()
+        with self._lock:
+            if fp in self._seen:
+                raise ValueError(f"duplicate query fingerprint while recording: {fp}")
+            self._seen.add(fp)
+        try:
+            reply = self.inner.query(q)
+        except BaseException:
+            with self._lock:
+                self._seen.discard(fp)
+            raise
+        with self._lock:
+            i = bisect.bisect(self._keys, key)
+            self._keys.insert(i, key)
+            self.transcript.records.insert(i, (fp, reply.text))
         return reply
 
 
 class ReplayOracle(PlacementOracle):
     """Serves replies from a transcript; read-only after load."""
+
+    io_bound = False
 
     def __init__(self, transcript: Transcript):
         recorded = transcript.metadata.get("template_version")

@@ -4,9 +4,9 @@ The global search is a DFS over objects (anchor first, then descending
 footprint area) with a per-layer attempt budget.  Backtracking removes
 the previous object and revisits its layer with a fresh budget; poses
 whose subtree failed are excluded from later visits, and re-proposed
-anchor poses must differ in (wall, yaw) from every earlier visit.  Total
-anchor-layer visits are capped by the anchor budget, which bounds the
-whole search.
+anchor poses must differ in (wall, yaw) and in position from every
+earlier visit.  Total anchor-layer visits are capped by the anchor
+budget, which bounds the whole search.
 
 The local search places one object in three oracle-guided steps: side of
 the anchor, then the grid run on the side's primary axis (columns for
@@ -420,10 +420,14 @@ def place_anchor_visit(
     state: GlobalState,
     rule: AnchorRule,
     visit_no: int,
-    used: set[AnchorKey],
+    used: dict[AnchorKey, tuple[float, float, Yaw]],
 ) -> tuple[PlacedObject, AnchorKey] | None:
     """One visit of the anchor layer: up to the anchor budget of novel
-    proposals, each validated against the region bounds."""
+    proposals, each validated against the region bounds.
+
+    ``used`` maps the key of every earlier visit to its pose.  A proposal
+    is novel when both differ: in a narrow region two corners can give
+    the same pose, whose subtree has already failed."""
     region = state.region
     cfg = state.config
     spec = state.order[0]
@@ -459,7 +463,7 @@ def place_anchor_visit(
         )
         attempt = 0
         for key, cx, cy, yaw in proposals:
-            if key in used:
+            if key in used or (cx, cy, yaw) in used.values():
                 continue
             attempt += 1
             if attempt > cfg.k_global_anchor:
@@ -552,7 +556,7 @@ def _plan_region_tree(state: GlobalState) -> RegionResult:
     cfg = state.config
     trace = state.session.trace
     anchor_spec = state.order[0]
-    used: set[AnchorKey] = set()
+    used: dict[AnchorKey, tuple[float, float, Yaw]] = {}
     for visit in range(1, cfg.k_global_anchor + 1):
         result = place_anchor_visit(state, region.anchor_rule, visit, used)
         if result is None:
@@ -566,7 +570,7 @@ def _plan_region_tree(state: GlobalState) -> RegionResult:
         if _solve_from(state, 1):
             return RegionResult(tuple(state.placed), False, tuple(state.unplaced), trace)
         state.pop()
-        used.add(key)
+        used[key] = (placed.x, placed.y, placed.yaw)
         trace.record(
             1, anchor_spec.id, 0, EventKind.BACKTRACK,
             f"scope={state.scope} visit={visit} from_layer=2",

@@ -390,17 +390,18 @@ class BruteRegion:
         """Does the k-bounded deterministic search place every object?
 
         Mirrors the engine's anchor semantics: only accepted-then-
-        backtracked poses are barred from re-proposal; each visit burns
-        attempts on (possibly repeated) out-of-bounds proposals.
+        backtracked poses are barred from re-proposal, by key and by
+        position; each visit burns attempts on (possibly repeated)
+        out-of-bounds proposals.
         """
         obj0 = self.objects[0]
         proposals = self.anchor_proposals()
-        used: set[tuple] = set()
+        used: dict[tuple, tuple] = {}
         for _visit in range(k_anchor):
             placed = None
             attempt = 0
             for key, cx, cy, yaw in proposals:
-                if key in used:
+                if key in used or (cx, cy, yaw) in used.values():
                     continue
                 attempt += 1
                 if attempt > k_anchor:
@@ -416,7 +417,7 @@ class BruteRegion:
             self.anchor_yaw = yaw
             if self._solve(1, [rect], k_other, k_side, k_axis):
                 return True
-            used.add(key)
+            used[key] = (cx, cy, yaw)
         return False
 
     def _solve(self, i, placed_rects, k_other, k_side, k_axis) -> bool:

@@ -1,8 +1,11 @@
 """Deterministic oracle policies, prompt templates, transcripts, live transport."""
 
+import contextvars
 import random
 import subprocess
 import sys
+import threading
+import time
 
 import pytest
 
@@ -20,7 +23,13 @@ from treelayout.model import (
     SpatialRelation,
     Yaw,
 )
-from treelayout.oracle.base import FingerprintMiss, OracleFailure
+from treelayout.oracle.base import (
+    CALL_PATH,
+    CallPath,
+    FingerprintMiss,
+    OracleFailure,
+    PlacementOracle,
+)
 from treelayout.oracle.deterministic import NO_LEGAL_OPTION, DeterministicOracle
 from treelayout.oracle.live import LiveConfig, LiveOracle
 from treelayout.oracle.policy import (
@@ -33,6 +42,7 @@ from treelayout.oracle.policy import (
 )
 from treelayout.oracle.queries import (
     CellsQuery,
+    OracleReply,
     RoomQuery,
     SideEvalQuery,
     SideQuery,
@@ -635,11 +645,27 @@ class TestLiveOracle:
             LiveOracle(LiveConfig(endpoint="https://example.invalid", model="m"))
 
 
+class SlowOracle(PlacementOracle):
+    """An I/O-bound stand-in: the det oracle behind a short sleep."""
+
+    def __init__(self, delay_s=0.01):
+        self.inner = DeterministicOracle(seed=3)
+        self.delay_s = delay_s
+
+    def query(self, q):
+        time.sleep(self.delay_s)
+        return self.inner.query(q)
+
+
 class TestConcurrency:
     def test_concurrent_queries_match_serial(self):
-        # replies are pure functions of (query, seed): hammering the same
-        # oracle from many threads must reproduce the serial answers
+        # replies are pure functions of (query, seed): hammering the det
+        # oracle, and a replay of it, from many threads must reproduce the
+        # serial answers, over every query kind of a full generation
         from concurrent.futures import ThreadPoolExecutor
+
+        from treelayout.model import SearchConfig
+        from treelayout.pipeline import generate_scene
 
         oracle = DeterministicOracle(seed=2, p_adv=0.35)
         ctx = make_context()
@@ -650,11 +676,108 @@ class TestConcurrency:
                     SideQuery(grid_prompt="G", context=ctx, attempt=attempt, round_no=round_no)
                 )
         queries.append(RoomQuery("a large living room"))
-        serial = [oracle.query(q).text for q in queries]
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            for _ in range(5):
-                parallel = list(pool.map(lambda q: oracle.query(q).text, queries))
-                assert parallel == serial
+
+        class Tap(PlacementOracle):
+            io_bound = False
+
+            def query(self, q):
+                queries.append(q)
+                return oracle.query(q)
+
+        generate_scene("A cozy bedroom with a desk and a reading nook",
+                       SearchConfig(seed=2, p_adv=0.35), Tap())
+        assert {type(q).__name__ for q in queries} >= {
+            "RoomQuery", "RegionQuery", "ObjectsQuery", "SupportedQuery",
+            "SideQuery", "SideEvalQuery", "CellsQuery",
+        }
+        rec = RecordingOracle(oracle)
+        serial = [rec.query(q).text for q in queries]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for answering in (oracle, ReplayOracle(rec.transcript)):
+                    for _ in range(3):
+                        futures = [pool.submit(answering.query, q) for q in queries]
+                        assert [f.result(timeout=60).text for f in futures] == serial
+        finally:
+            sys.setswitchinterval(old)
+
+    def test_io_bound_declared_per_oracle(self):
+        det = DeterministicOracle(seed=0)
+        assert not det.io_bound
+        assert not ReplayOracle(Transcript()).io_bound
+        assert not RecordingOracle(det).io_bound
+        assert RecordingOracle(SlowOracle()).io_bound
+
+    def test_recording_orders_records_by_call_path(self):
+        # Subproblems finish in reverse order; the records must still come
+        # out as a serial run makes the calls: the call before the group,
+        # each subproblem's calls in list order, then the call after it.
+        rec = RecordingOracle(SlowOracle(delay_s=0.0))
+        before, after = RoomQuery("before"), RoomQuery("after")
+        jobs = [[RoomQuery(f"job {j} call {k}") for k in range(3)] for j in range(4)]
+
+        def run(j):
+            time.sleep(0.005 * (len(jobs) - j))
+            for q in jobs[j]:
+                rec.query(q)
+
+        rec.query(before)
+        group = CALL_PATH.get().next_key()
+        threads = []
+        for j in range(len(jobs)):
+            ctx = contextvars.copy_context()
+            ctx.run(CALL_PATH.set, CallPath(group + (j,)))
+            threads.append(threading.Thread(target=ctx.run, args=(run, j)))
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        rec.query(after)
+        order = [before] + [q for calls in jobs for q in calls] + [after]
+        v = template_version()
+        assert [fp for fp, _ in rec.transcript.records] == [fingerprint(q, v) for q in order]
+
+    def test_duplicate_fingerprint_from_two_threads_raises_once(self):
+        rec = RecordingOracle(SlowOracle(delay_s=0.02))
+        q = RoomQuery("a quiet bedroom")
+        start = threading.Barrier(2)
+        raised = []
+
+        def call():
+            start.wait(timeout=10)
+            try:
+                rec.query(q)
+            except ValueError as exc:
+                raised.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(2)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+            assert not t.is_alive()
+        assert len(raised) == 1 and "duplicate query fingerprint" in str(raised[0])
+        assert len(rec.transcript.records) == 1
+
+    def test_failed_call_releases_its_fingerprint(self):
+        class Flaky(PlacementOracle):
+            calls = 0
+
+            def query(self, q):
+                Flaky.calls += 1
+                if Flaky.calls == 1:
+                    raise OracleFailure("transport down")
+                return OracleReply("room_type: bedroom")
+
+        rec = RecordingOracle(Flaky())
+        q = RoomQuery("a quiet bedroom")
+        with pytest.raises(OracleFailure):
+            rec.query(q)
+        assert rec.query(q).text == "room_type: bedroom"
+        assert len(rec.transcript.records) == 1
 
 
 class TestAdversarialReplay:
@@ -673,8 +796,13 @@ class TestAdversarialReplay:
 
 class TestLiveEndToEnd:
     def test_live_transport_reproduces_recorded_scene(self, monkeypatch):
-        """A live oracle fed the fixture's replies in call order must land
-        on the byte-identical scene: transport plumbing adds nothing."""
+        """A live oracle whose transport answers each request with the
+        fixture's reply for the query it renders must land on the
+        byte-identical scene: transport plumbing adds nothing.  Replies are
+        matched by request, not by arrival order, because the live oracle
+        overlaps independent subproblems."""
+        import json as jsonlib
+        from collections import Counter
         from pathlib import Path
 
         from treelayout.model import SearchConfig
@@ -684,7 +812,28 @@ class TestLiveEndToEnd:
 
         fixtures = Path(__file__).parent / "fixtures"
         transcript = Transcript.load(fixtures / "live_transcript.jsonl")
-        replies = [reply for _fp, reply in transcript.records]
+        prompt = transcript.metadata["prompt"]
+        config = SearchConfig(seed=transcript.metadata["config_seed"])
+
+        def request_key(messages):
+            return jsonlib.dumps(messages, sort_keys=True)
+
+        replay = ReplayOracle(transcript)
+        replies: dict[str, str] = {}
+
+        class Tap(PlacementOracle):
+            io_bound = False
+
+            def query(self, q):
+                reply = replay.query(q)
+                key = request_key(render_prompt_templates(q))
+                assert key not in replies
+                replies[key] = reply.text
+                return reply
+
+        generate_scene(prompt, config, Tap())
+        assert len(replies) == len(transcript.records)
+
         monkeypatch.setenv("TREELAYOUT_API_KEY", "k-test")
 
         class FakeResponse:
@@ -696,18 +845,18 @@ class TestLiveEndToEnd:
             def json(self):
                 return {"choices": [{"message": {"content": self._text}}]}
 
-        calls = iter(replies)
+        served: Counter[str] = Counter()
 
         def fake_post(url, headers=None, json=None, timeout=None):
             assert json["messages"][0]["role"] == "system"
-            return FakeResponse(next(calls))
+            key = request_key(json["messages"])
+            served[key] += 1
+            return FakeResponse(replies[key])
 
         monkeypatch.setattr("treelayout.oracle.live.requests.post", fake_post)
         oracle = LiveOracle(LiveConfig(endpoint="https://example.invalid", model="m"))
-        scene = generate_scene(
-            transcript.metadata["prompt"],
-            SearchConfig(seed=transcript.metadata["config_seed"]),
-            oracle,
-        )
+        assert oracle.io_bound
+        scene = generate_scene(prompt, config, oracle)
         golden = (fixtures / "live_scene.json").read_text("utf-8")
         assert scene_to_text(scene) == golden
+        assert served == Counter(replies.keys())

@@ -27,7 +27,14 @@ from treelayout.model import (
     Yaw,
 )
 from treelayout.oracle.deterministic import DeterministicOracle
-from treelayout.search import layer_order, place_supported, plan_region, run_io_mode
+from treelayout.oracle.transcript import RecordingOracle
+from treelayout.search import (
+    _corner_proposals,
+    layer_order,
+    place_supported,
+    plan_region,
+    run_io_mode,
+)
 
 REFERENCE_CONFIG = dict(k_global_anchor=3, k_global_other=1, k_local_side=2, k_local_axis=1)
 
@@ -259,6 +266,32 @@ class TestBacktracking:
         assert len(rejected) == 1 and "skipped: " in rejected[0].detail
         assert any(e.object_id == later for e in cot_result.trace.events)
         assert cot_result.trace.count(EventKind.BACKTRACK) == 0
+
+    def test_repeated_corner_pose_not_revisited(self):
+        # The bed is exactly as long as the region is wide, so the bl/tl and
+        # br/tr corners give the same poses; the block fits nowhere, so every
+        # anchor visit fails downstream.  A repeated pose would re-ask the
+        # same queries, which a recording oracle refuses.
+        region = make_region(
+            "narrow", 3.0, 2.05, ("bed", 2.05, 1.65, "place_at_corner"),
+            [("block", 1.4, 1.4, "place_beside", None)],
+        )
+        config = SearchConfig(seed=0, **REFERENCE_CONFIG)
+        proposals = _corner_proposals(region, region.objects[0].dims)
+        poses = [(cx, cy, yaw) for _key, cx, cy, yaw in proposals]
+        assert poses[0] == poses[2] and poses[1] == poses[3] and poses[0] != poses[1]
+
+        result = plan_region(region, config, RecordingOracle(DeterministicOracle(seed=0)))
+        assert result.unsat
+        anchors = [
+            e.detail.split(" x=", 1)[1] for e in result.trace.events
+            if e.layer == 1 and e.kind is EventKind.ACCEPTED
+        ]
+        assert anchors == ["0.8250 y=1.0250 yaw=90", "2.1750 y=1.0250 yaw=270"]
+        assert to_brute(region, config).search_feasible(
+            config.k_global_anchor, config.k_global_other,
+            config.k_local_side, config.k_local_axis,
+        ) is False
 
     def test_trace_conservation(self):
         region, config = crafted_backtracking_instance()
