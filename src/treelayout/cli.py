@@ -14,6 +14,7 @@ from pathlib import Path
 import click
 
 from treelayout.catalog import AssetCatalog
+from treelayout.compose import CompositionOverlap
 from treelayout.evaluate import ablation_report, format_ablation_table, validity_metrics
 from treelayout.grid import VocabularyExhausted
 from treelayout.model import SearchConfig, SearchMode
@@ -254,11 +255,14 @@ def render(scene_file, step, trace_file, out_file) -> None:
         path = Path(trace_file) if trace_file else Path(scene_file).parent / "trace.jsonl"
         try:
             events = read_trace(path)
-        except OSError as exc:
+        except (OSError, ValueError, KeyError) as exc:
             _fail_config(f"cannot read trace: {exc}")
         if step < 0 or step > len(events):
             _fail_config(f"step {step} outside 0..{len(events)}")
-    svg = render_scene(scene, step=step, events=events)
+    try:
+        svg = render_scene(scene, step=step, events=events)
+    except (CompositionOverlap, KeyError) as exc:
+        _fail_config(f"trace does not match scene: {exc}")
     target = Path(out_file) if out_file else Path(scene_file).with_suffix(".svg")
     target.write_text(svg, "utf-8")
     click.echo(f"wrote {target}")

@@ -8,7 +8,6 @@ those grounds plus the placed-object ratio.
 
 from __future__ import annotations
 
-import re
 import statistics
 from dataclasses import dataclass
 
@@ -126,10 +125,6 @@ def validity_metrics(scene: Scene, config: SearchConfig | None = None) -> Validi
     )
 
 
-_VISIT_RE = re.compile(r"\bvisit=(\d+)")
-_SCOPE_RE = re.compile(r"\bscope=(\S+)")
-
-
 @dataclass(frozen=True)
 class SearchStats:
     oracle_calls: int
@@ -143,11 +138,9 @@ def search_stats(trace: SearchTrace) -> SearchStats:
     collapsed to the per-(scope, layer) maximum over visits."""
     attempts: dict[tuple[str, int, int], int] = {}
     for e in trace.events:
-        m_scope = _SCOPE_RE.search(e.detail)
-        m_visit = _VISIT_RE.search(e.detail)
-        if not (m_scope and m_visit) or e.layer < 1:
+        if e.visit is None or e.layer < 1:
             continue
-        key = (m_scope.group(1), e.layer, int(m_visit.group(1)))
+        key = (e.scope, e.layer, e.visit)
         attempts[key] = max(attempts.get(key, 0), e.attempt_no)
     per_layer: dict[tuple[str, int], int] = {}
     for (scope, layer, _visit), n in attempts.items():
@@ -163,16 +156,11 @@ def search_stats(trace: SearchTrace) -> SearchStats:
 def anchor_visits(trace: SearchTrace, scope: str) -> int:
     """Number of anchor-layer visits in one scope: distinct visit ordinals
     on layer-1 attempt events (backtracks mark the end of a visit)."""
-    seen: set[int] = set()
-    for e in trace.events:
-        if e.layer != 1 or e.kind is EventKind.BACKTRACK:
-            continue
-        if f"scope={scope}" not in e.detail:
-            continue
-        m = _VISIT_RE.search(e.detail)
-        if m:
-            seen.add(int(m.group(1)))
-    return len(seen)
+    return len({
+        e.visit for e in trace.events
+        if e.layer == 1 and e.kind is not EventKind.BACKTRACK
+        and e.scope == scope and e.visit is not None
+    })
 
 
 class MismatchedSeeds(ValueError):

@@ -236,7 +236,7 @@ def _guard_objects(
         if i == anchor_i:
             continue
         if len(kept) >= MAX_REGION_OBJECTS:
-            trace.record(0, spec.id, 0, EventKind.REJECTED, f"scope={scope} object cap")
+            trace.record(0, spec.id, 0, EventKind.REJECTED, "object cap", scope=scope)
             continue
         area = spec.dims.footprint_area
         if total + area > AREA_GUARD_RATIO * region_area:
@@ -245,8 +245,8 @@ def _guard_objects(
                 spec.id,
                 0,
                 EventKind.REJECTED,
-                f"scope={scope} area guard: {total + area:.2f} > "
-                f"{AREA_GUARD_RATIO:.1f} x {region_area:.2f}",
+                f"area guard: {total + area:.2f} > {AREA_GUARD_RATIO:.1f} x {region_area:.2f}",
+                scope=scope,
             )
             continue
         kept.append(i)
@@ -351,7 +351,8 @@ def build_supported_level(
                 p.category,
                 0,
                 EventKind.REJECTED,
-                f"scope={scope} larger than {floor_object.id} top face",
+                f"larger than {floor_object.id} top face",
+                scope=scope,
             )
             continue
         specs.append(

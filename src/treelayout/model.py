@@ -19,6 +19,7 @@ exactly.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -376,23 +377,74 @@ class EventKind(str, Enum):
     BACKTRACK = "backtrack"
 
 
+#: Inverse of :attr:`TraceEvent.detail`.  The pose is tried before the
+#: note, so a pose suffix is never read as note text.
+_DETAIL_RE = re.compile(
+    r"scope=(\S+)(?: visit=(\d+))?(?: (.+?))??"
+    r"(?: x=(-?\d+\.\d{4}) y=(-?\d+\.\d{4}) yaw=(0|90|180|270))?",
+    re.DOTALL,
+)
+
+
 @dataclass(frozen=True)
 class TraceEvent:
-    """One search event; the stable field set of the trace log."""
+    """One search event; the stable field set of the trace log.
+
+    ``scope`` names what the event belongs to: a region id, a supporter
+    top face (``top:<supporter id>``) or ``io``.  ``visit`` is the
+    layer's visit ordinal in the tree search, ``note`` free text, and
+    ``pose`` the region- or supporter-local pose of a proposed or
+    accepted placement, stored rounded to the 4 decimals the trace line
+    carries so that a parsed-back event equals the recorded one.
+    """
 
     layer: int
     object_id: str
     attempt_no: int
     kind: EventKind
-    detail: str
+    scope: str
+    visit: int | None = None
+    note: str = ""
+    pose: tuple[float, float, Yaw] | None = None
+
+    def __post_init__(self) -> None:
+        if self.pose is not None:
+            x, y, yaw = self.pose
+            object.__setattr__(self, "pose", (q4(x), q4(y), yaw))
+
+    @property
+    def detail(self) -> str:
+        """The one-line text form: ``scope=S[ visit=N][ note][ x=X y=Y yaw=D]``."""
+        parts = [f"scope={self.scope}"]
+        if self.visit is not None:
+            parts.append(f"visit={self.visit}")
+        if self.note:
+            parts.append(self.note)
+        if self.pose is not None:
+            x, y, yaw = self.pose
+            parts.append(f"x={x:.4f} y={y:.4f} yaw={yaw.value}")
+        return " ".join(parts)
+
+    @classmethod
+    def from_detail(
+        cls, layer: int, object_id: str, attempt_no: int, kind: EventKind, detail: str
+    ) -> "TraceEvent":
+        """Rebuild an event from its :attr:`detail` line; ValueError outside the grammar."""
+        m = _DETAIL_RE.fullmatch(detail) if isinstance(detail, str) else None
+        if m is None:
+            raise ValueError(f"trace detail outside the grammar: {detail!r}")
+        scope, visit, note, x, y, yaw = m.groups()
+        pose = None if x is None else (float(x), float(y), Yaw(int(yaw)))
+        return cls(layer, object_id, attempt_no, kind, scope,
+                   None if visit is None else int(visit), note or "", pose)
 
 
 class SearchTrace:
     """Append-only event log of one generation run.
 
     Events are recorded in occurrence order.  A Backtrack event at layer
-    L means the object accepted at layer L (within the scope named in its
-    detail) was removed and the layer is being revisited.
+    L means the object accepted at layer L (within the event's scope)
+    was removed and the layer is being revisited.
     """
 
     def __init__(self) -> None:
@@ -400,9 +452,20 @@ class SearchTrace:
         self.oracle_calls: int = 0
 
     def record(
-        self, layer: int, object_id: str, attempt_no: int, kind: EventKind, detail: str
+        self,
+        layer: int,
+        object_id: str,
+        attempt_no: int,
+        kind: EventKind,
+        note: str = "",
+        *,
+        scope: str,
+        visit: int | None = None,
+        pose: tuple[float, float, Yaw] | None = None,
     ) -> None:
-        self.events.append(TraceEvent(layer, object_id, attempt_no, kind, detail))
+        self.events.append(
+            TraceEvent(layer, object_id, attempt_no, kind, scope, visit, note, pose)
+        )
 
     def count(self, kind: EventKind) -> int:
         return sum(1 for e in self.events if e.kind is kind)

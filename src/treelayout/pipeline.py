@@ -113,10 +113,8 @@ def solve_plan(plan: RoomPlan, config: SearchConfig, oracle: PlacementOracle,
 
         def solve_supporter(sup_id: str, sup_trace: SearchTrace) -> list[PlacedObject]:
             if sup_id not in placed:
-                sup_trace.record(
-                    0, sup_id, 0, EventKind.REJECTED,
-                    f"scope={region.id} supporter unplaced, supported set dropped",
-                )
+                sup_trace.record(0, sup_id, 0, EventKind.REJECTED,
+                                 "supporter unplaced, supported set dropped", scope=region.id)
                 return []
             return place_supported(
                 placed[sup_id], region.spec(sup_id), region.supported[sup_id],

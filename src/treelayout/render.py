@@ -9,24 +9,18 @@ including objects that a later backtrack removed.
 
 from __future__ import annotations
 
-import re
-
-from treelayout.compose import rotate_local
+from treelayout.compose import attach_supported, compose
 from treelayout.model import (
     EventKind,
     Parent,
     PlacedObject,
     Scene,
     TraceEvent,
-    Yaw,
     effective_aabb,
 )
 
 SCALE = 100.0  # px per meter
 MARGIN = 24.0
-
-_POSE_RE = re.compile(r"x=(-?[0-9.]+)\s+y=(-?[0-9.]+)\s+yaw=(\d+)")
-_SCOPE_RE = re.compile(r"scope=(\S+)")
 
 
 def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list[PlacedObject]:
@@ -34,51 +28,47 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
 
     Accepted events add a region- or supporter-local placement at their
     layer; a Backtrack event at a layer removes that layer's placement
-    within its scope.  Local poses are lifted to room coordinates using
-    the plan's region offsets and the replayed supporter poses.
+    within its scope.  Local poses are lifted to room coordinates the
+    way a finished run's are, by :func:`compose` and
+    :func:`attach_supported`.
     """
     if step < 0 or step > len(events):
         raise IndexError(f"step {step} outside 0..{len(events)}")
-    live: dict[tuple[str, int], tuple[str, float, float, Yaw]] = {}
+    live: dict[tuple[str, int], TraceEvent] = {}
     for e in events[:step]:
-        m_scope = _SCOPE_RE.search(e.detail)
-        if not m_scope or e.layer < 1:
+        if e.layer < 1:
             continue
-        scope = m_scope.group(1)
-        if e.kind is EventKind.ACCEPTED:
-            m = _POSE_RE.search(e.detail)
-            if m:
-                live[(scope, e.layer)] = (
-                    e.object_id, float(m.group(1)), float(m.group(2)), Yaw.of(int(m.group(3))),
-                )
+        if e.kind is EventKind.ACCEPTED and e.pose is not None:
+            live[(e.scope, e.layer)] = e
         elif e.kind is EventKind.BACKTRACK:
-            live.pop((scope, e.layer), None)
+            live.pop((e.scope, e.layer), None)
 
     specs = scene.spec_index()
-    region_offsets = {r.id: scene.plan.region_x_offset(r.id) for r in scene.plan.regions}
-    floor: dict[str, PlacedObject] = {}
-    out: list[PlacedObject] = []
-    for (scope, _layer), (oid, x, y, yaw) in live.items():
-        if scope in region_offsets:
-            p = PlacedObject(oid, x + region_offsets[scope], y, 0.0, yaw, Parent.floor(scope))
-            floor[oid] = p
-            out.append(p)
-    for (scope, _layer), (oid, x, y, yaw) in live.items():
-        if scope.startswith("top:"):
-            sup_id = scope[len("top:"):]
-            sup = floor.get(sup_id)
-            if sup is None or sup_id not in specs:
-                continue
-            sup_dims = specs[sup_id].dims
-            dx, dy = x - sup_dims.length / 2.0, y - sup_dims.depth / 2.0
-            rx, ry = rotate_local(dx, dy, sup.yaw)
-            out.append(
-                PlacedObject(
-                    oid, sup.x + rx, sup.y + ry, sup_dims.height,
-                    Yaw.of(yaw.value + sup.yaw.value), Parent.supporter(sup_id),
-                )
+    region_ids = {r.id for r in scene.plan.regions}
+    floor: dict[str, list[PlacedObject]] = {}
+    tops: list[TraceEvent] = []
+    for e in live.values():
+        if e.object_id not in specs:
+            continue
+        if e.scope in region_ids:
+            x, y, yaw = e.pose
+            floor.setdefault(e.scope, []).append(
+                PlacedObject(e.object_id, x, y, 0.0, yaw, Parent.floor(e.scope))
             )
-    return out
+        elif e.scope.startswith("top:"):
+            tops.append(e)
+    partial = compose(scene.plan, floor, scene.trace)
+    on_floor = {p.spec_id for p in partial.placements}
+    supported: dict[str, list[PlacedObject]] = {}
+    for e in tops:
+        sup_id = e.scope[len("top:"):]
+        if sup_id in on_floor:
+            x, y, yaw = e.pose
+            supported.setdefault(sup_id, []).append(
+                PlacedObject(e.object_id, x, y, specs[sup_id].dims.height, yaw,
+                             Parent.supporter(sup_id))
+            )
+    return list(attach_supported(partial, supported).placements)
 
 
 def render_scene(

@@ -5,7 +5,9 @@ every float rendered as a fixed 4-decimal string, so identical scenes
 are byte-identical regardless of platform or dict construction order.
 Timestamps never appear in content files.  The trace log is JSONL with
 the stable field set (layer, object_id, attempt_no, kind, detail), one
-record per event in occurrence order.
+record per event in occurrence order; ``detail`` is the event's line
+text, written by :attr:`TraceEvent.detail` and read back by
+:meth:`TraceEvent.from_detail`.
 """
 
 from __future__ import annotations
@@ -247,13 +249,11 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
         if not line.strip():
             continue
         d = json.loads(line)
+        if not isinstance(d, dict):
+            raise ValueError(f"trace line is not an object: {line[:40]!r}")
         events.append(
-            TraceEvent(
-                layer=d["layer"],
-                object_id=d["object_id"],
-                attempt_no=d["attempt_no"],
-                kind=EventKind(d["kind"]),
-                detail=d["detail"],
+            TraceEvent.from_detail(
+                d["layer"], d["object_id"], d["attempt_no"], EventKind(d["kind"]), d["detail"]
             )
         )
     return events

@@ -350,9 +350,8 @@ def _search_axes(
             key: PoseKey = (side.value, p_start, s_start)
             trace.record(
                 layer, spec.id, global_attempt, EventKind.PROPOSED,
-                f"scope={state.scope} visit={round_no} side={side.value} "
-                f"cols={col_start}+{m_cols} rows={row_start}+{m_rows} "
-                f"x={cx:.4f} y={cy:.4f} yaw={yaw.value}",
+                f"side={side.value} cols={col_start}+{m_cols} rows={row_start}+{m_rows}",
+                scope=state.scope, visit=round_no, pose=(cx, cy, yaw),
             )
             if key in excluded:
                 notes.append(f"{side.value}: pose {key} already failed downstream")
@@ -436,23 +435,15 @@ def place_anchor_visit(
 
     def attempt_pose(key: AnchorKey, cx: float, cy: float, yaw: Yaw, attempt: int):
         box = effective_aabb(spec.dims, yaw, (cx, cy))
-        trace.record(
-            1, spec.id, attempt, EventKind.PROPOSED,
-            f"scope={state.scope} visit={visit_no} anchor={key[0]} "
-            f"x={cx:.4f} y={cy:.4f} yaw={yaw.value}",
-        )
+        trace.record(1, spec.id, attempt, EventKind.PROPOSED, f"anchor={key[0]}",
+                     scope=state.scope, visit=visit_no, pose=(cx, cy, yaw))
         if bounds.contains(box):
             placed = PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(region.id))
-            trace.record(
-                1, spec.id, attempt, EventKind.ACCEPTED,
-                f"scope={state.scope} visit={visit_no} anchor={key[0]} "
-                f"x={cx:.4f} y={cy:.4f} yaw={yaw.value}",
-            )
+            trace.record(1, spec.id, attempt, EventKind.ACCEPTED, f"anchor={key[0]}",
+                         scope=state.scope, visit=visit_no, pose=(cx, cy, yaw))
             return placed
-        trace.record(
-            1, spec.id, attempt, EventKind.REJECTED,
-            f"scope={state.scope} visit={visit_no} anchor does not fit on {key[0]}",
-        )
+        trace.record(1, spec.id, attempt, EventKind.REJECTED,
+                     f"anchor does not fit on {key[0]}", scope=state.scope, visit=visit_no)
         return None
 
     if rule in (AnchorRule.ALONG_WALL, AnchorRule.AT_CORNER):
@@ -506,10 +497,8 @@ def place_anchor_visit(
         )
         side = _parse_side(raw)
         if side is None or side.value in tried:
-            trace.record(
-                1, spec.id, attempt, EventKind.REJECTED,
-                f"scope={state.scope} visit={visit_no} facing reply unusable",
-            )
+            trace.record(1, spec.id, attempt, EventKind.REJECTED, "facing reply unusable",
+                         scope=state.scope, visit=visit_no)
             continue
         tried.append(side.value)
         yaw = facing_yaw_for_side(side)
@@ -560,10 +549,9 @@ def _plan_region_tree(state: GlobalState) -> RegionResult:
     for visit in range(1, cfg.k_global_anchor + 1):
         result = place_anchor_visit(state, region.anchor_rule, visit, used)
         if result is None:
-            trace.record(
-                1, anchor_spec.id, 0, EventKind.BACKTRACK,
-                f"scope={state.scope} visit={visit} root budget exhausted (no anchor pose)",
-            )
+            trace.record(1, anchor_spec.id, 0, EventKind.BACKTRACK,
+                         "root budget exhausted (no anchor pose)",
+                         scope=state.scope, visit=visit)
             return RegionResult((), True, tuple(s.id for s in state.order), trace)
         placed, key = result
         state.push(placed, anchor_spec.dims)
@@ -571,10 +559,8 @@ def _plan_region_tree(state: GlobalState) -> RegionResult:
             return RegionResult(tuple(state.placed), False, tuple(state.unplaced), trace)
         state.pop()
         used[key] = (placed.x, placed.y, placed.yaw)
-        trace.record(
-            1, anchor_spec.id, 0, EventKind.BACKTRACK,
-            f"scope={state.scope} visit={visit} from_layer=2",
-        )
+        trace.record(1, anchor_spec.id, 0, EventKind.BACKTRACK, "from_layer=2",
+                     scope=state.scope, visit=visit)
     return RegionResult((), True, tuple(s.id for s in state.order), trace)
 
 
@@ -596,10 +582,9 @@ def _solve_from(state: GlobalState, i: int) -> bool:
         for attempt in range(1, cfg.k_global_other + 1):
             t, notes = local_place(spec, edge, state, excluded, round_no, attempt, layer)
             if t is None:
-                trace.record(
-                    layer, spec.id, attempt, EventKind.REJECTED,
-                    f"scope={state.scope} visit={round_no} {'skipped: ' if skip else ''}{notes}",
-                )
+                trace.record(layer, spec.id, attempt, EventKind.REJECTED,
+                             f"{'skipped: ' if skip else ''}{notes}",
+                             scope=state.scope, visit=round_no)
                 continue
             thought, used_attempt = t, attempt
             break
@@ -612,18 +597,16 @@ def _solve_from(state: GlobalState, i: int) -> bool:
         placed = PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(state.region.id))
         trace.record(
             layer, spec.id, used_attempt, EventKind.ACCEPTED,
-            f"scope={state.scope} visit={round_no} side={thought.side.value} "
-            f"side_attempt={thought.side_attempt} x={cx:.4f} y={cy:.4f} yaw={yaw.value}",
+            f"side={thought.side.value} side_attempt={thought.side_attempt}",
+            scope=state.scope, visit=round_no, pose=thought.pose,
         )
         state.push(placed, spec.dims)
         if _solve_from(state, i + 1):
             return True
         state.pop()
         excluded.add(thought.pose_key)
-        trace.record(
-            layer, spec.id, 0, EventKind.BACKTRACK,
-            f"scope={state.scope} visit={round_no} from_layer={layer + 1}",
-        )
+        trace.record(layer, spec.id, 0, EventKind.BACKTRACK, f"from_layer={layer + 1}",
+                     scope=state.scope, visit=round_no)
 
 
 # -- supported objects ----------------------------------------------------------
@@ -660,16 +643,12 @@ def place_supported(
     mini_config = replace(config, cell_size=config.cell_size / 5.0)
     result = plan_region(mini, mini_config, oracle, trace=trace, scope=mini.id)
     if result.unsat:
-        trace.record(
-            0, supporter.spec_id, 0, EventKind.REJECTED,
-            f"scope={mini.id} supported set dropped (unsat)",
-        )
+        trace.record(0, supporter.spec_id, 0, EventKind.REJECTED,
+                     "supported set dropped (unsat)", scope=mini.id)
         return []
     for dropped in result.unplaced:
-        trace.record(
-            0, dropped, 0, EventKind.REJECTED,
-            f"scope={mini.id} supported object skipped",
-        )
+        trace.record(0, dropped, 0, EventKind.REJECTED, "supported object skipped",
+                     scope=mini.id)
     return [
         PlacedObject(
             p.spec_id, p.x, p.y, supporter_spec.dims.height, p.yaw,
@@ -719,12 +698,12 @@ def run_io_mode(
         parsed_any = True
         oid = m.group(1).lower()
         if oid not in region_of:
-            trace.record(0, oid, 0, EventKind.REJECTED, "scope=io unknown object id")
+            trace.record(0, oid, 0, EventKind.REJECTED, "unknown object id", scope="io")
             continue
         try:
             yaw = Yaw.of(int(m.group(5)))
         except ValueError:
-            trace.record(0, oid, 0, EventKind.REJECTED, "scope=io bad yaw")
+            trace.record(0, oid, 0, EventKind.REJECTED, "bad yaw", scope="io")
             continue
         placements.append(
             PlacedObject(
@@ -733,14 +712,16 @@ def run_io_mode(
             )
         )
     if not parsed_any:
-        trace.record(0, "io", 0, EventKind.REJECTED, "scope=io parse failure: no placements")
+        trace.record(0, "io", 0, EventKind.REJECTED, "parse failure: no placements",
+                     scope="io")
     scene = Scene(plan=plan, placements=tuple(placements), trace=trace)
     # validated, never repaired: violations go on the record
     m = validity_metrics(scene, config)
     if m.overlap_pairs or m.oob_objects or m.relation_violations:
         trace.record(
             0, "io", 0, EventKind.REJECTED,
-            f"scope=io violations overlap={m.overlap_pairs} oob={m.oob_objects} "
+            f"violations overlap={m.overlap_pairs} oob={m.oob_objects} "
             f"relation={m.relation_violations}",
+            scope="io",
         )
     return scene

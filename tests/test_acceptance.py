@@ -115,11 +115,7 @@ def test_criterion_2_parameter_fidelity(soundness_suite):
                 ok = False
                 details.append(f"{scope} layer {layer}: {attempts} > {k}")
         # anchor-layer visits per scope capped at k_global_anchor
-        scopes = {
-            e.detail.split("scope=", 1)[1].split()[0]
-            for e in scene.trace.events
-            if e.layer == 1 and "scope=" in e.detail
-        }
+        scopes = {e.scope for e in scene.trace.events if e.layer == 1}
         for scope in scopes:
             n = anchor_visits(scene.trace, scope)
             if n > config.k_global_anchor:
@@ -129,10 +125,7 @@ def test_criterion_2_parameter_fidelity(soundness_suite):
         # backtracks alternate within each (scope, layer)
         live: dict[tuple[str, int], bool] = {}
         for e in scene.trace.events:
-            if "scope=" not in e.detail:
-                continue
-            scope = e.detail.split("scope=", 1)[1].split()[0]
-            key = (scope, e.layer)
+            key = (e.scope, e.layer)
             if e.kind is EventKind.ACCEPTED:
                 if live.get(key):
                     ok = False

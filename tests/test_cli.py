@@ -4,6 +4,7 @@ import json
 import subprocess
 import sys
 
+import pytest
 from click.testing import CliRunner
 
 from treelayout.cli import main
@@ -150,6 +151,20 @@ class TestRender:
         run_cli(["generate", "--seed", "1", "--prompt", PROMPT, "--out-dir", str(out)])
         r = run_cli(["render", str(out / "scene.json"), "--step", "99999"])
         assert r.exit_code == 4
+
+    @pytest.mark.parametrize("line", [
+        '{"layer": 1}',
+        "not json",
+        '{"attempt_no": 1, "detail": "no scope here", "kind": "accepted", '
+        '"layer": 1, "object_id": "bed_1"}',
+    ], ids=["missing-field", "not-json", "detail-outside-grammar"])
+    def test_bad_trace_exit_4(self, tmp_path, line):
+        out = tmp_path / "o"
+        run_cli(["generate", "--seed", "1", "--prompt", PROMPT, "--out-dir", str(out)])
+        (out / "trace.jsonl").write_text(line + "\n", "utf-8")
+        r = run_cli(["render", str(out / "scene.json"), "--step", "0"])
+        assert r.exit_code == 4
+        assert "cannot read trace" in r.output
 
 
 class TestAblate:

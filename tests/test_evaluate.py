@@ -101,16 +101,19 @@ class TestSearchStats:
 
     def test_attempt_budget_parsed_per_visit(self):
         trace = SearchTrace()
-        trace.record(1, "a", 1, EventKind.PROPOSED, "scope=r1 visit=1 x=0 y=0 yaw=0")
-        trace.record(1, "a", 2, EventKind.REJECTED, "scope=r1 visit=1 nope")
+        trace.record(1, "a", 1, EventKind.PROPOSED, scope="r1", visit=1,
+                     pose=(0.0, 0.0, Yaw.DEG_0))
+        trace.record(1, "a", 2, EventKind.REJECTED, "nope", scope="r1", visit=1)
         stats = search_stats(trace)
         assert stats.attempts_per_layer[("r1", 1)] == 2
 
     def test_anchor_visits_counts_backtracks(self):
         trace = SearchTrace()
-        trace.record(1, "a", 1, EventKind.ACCEPTED, "scope=r1 visit=1 x=0 y=0 yaw=0")
-        trace.record(1, "a", 0, EventKind.BACKTRACK, "scope=r1 visit=1 from_layer=2")
-        trace.record(1, "a", 1, EventKind.ACCEPTED, "scope=r1 visit=2 x=0 y=0 yaw=0")
+        trace.record(1, "a", 1, EventKind.ACCEPTED, scope="r1", visit=1,
+                     pose=(0.0, 0.0, Yaw.DEG_0))
+        trace.record(1, "a", 0, EventKind.BACKTRACK, "from_layer=2", scope="r1", visit=1)
+        trace.record(1, "a", 1, EventKind.ACCEPTED, scope="r1", visit=2,
+                     pose=(0.0, 0.0, Yaw.DEG_0))
         assert anchor_visits(trace, "r1") == 2
 
 

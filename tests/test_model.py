@@ -8,6 +8,7 @@ from treelayout.model import (
     AnchorRule,
     Dim3,
     Edge,
+    EventKind,
     ObjectSpec,
     OrientationRule,
     RegionPlan,
@@ -15,6 +16,7 @@ from treelayout.model import (
     SearchConfig,
     SearchMode,
     SpatialRelation,
+    TraceEvent,
     Yaw,
     effective_aabb,
     validate_room_plan,
@@ -183,3 +185,36 @@ class TestValidatePlanMore:
         )
         plan = RoomPlan("bedroom", bad.length, bad.width, (bad,), "p")
         assert any("has no edge" in v for v in validate_room_plan(plan))
+
+
+class TestTraceEvent:
+    def event(self, **fields):
+        return TraceEvent(1, "bed_1", 2, EventKind.ACCEPTED, **fields)
+
+    def test_detail_renders_fields_in_grammar_order(self):
+        e = self.event(scope="r1", visit=3, note="anchor=bottom",
+                       pose=(1.23456, -0.5, Yaw.DEG_90))
+        assert e.pose == (1.2346, -0.5, Yaw.DEG_90)
+        assert e.detail == "scope=r1 visit=3 anchor=bottom x=1.2346 y=-0.5000 yaw=90"
+        assert self.event(scope="io").detail == "scope=io"
+
+    @pytest.mark.parametrize("fields", [
+        {"scope": "r1"},
+        {"scope": "io", "note": "violations overlap=1 oob=0 relation=0"},
+        {"scope": "r2", "note": "area guard: 3.20 > 0.6 x 4.00"},
+        {"scope": "top:desk_1", "visit": 1, "note": "from_layer=2"},
+        {"scope": "r2", "visit": 2, "pose": (0.825, 1.025, Yaw.DEG_270)},
+        {"scope": "r1", "visit": 1, "note": "side=left cols=3+2 rows=1+4",
+         "pose": (2.0, 0.0, Yaw.DEG_0)},
+        {"scope": "r1", "note": "x=1 in the note", "pose": (0.0, 0.0, Yaw.DEG_180)},
+    ])
+    def test_from_detail_inverts_detail(self, fields):
+        e = self.event(**fields)
+        assert TraceEvent.from_detail(e.layer, e.object_id, e.attempt_no, e.kind, e.detail) == e
+
+    @pytest.mark.parametrize("detail", [
+        "", "visit=1 scope=r1", "scope=", "scope=r1\tvisit=1", None,
+    ])
+    def test_from_detail_rejects_lines_outside_grammar(self, detail):
+        with pytest.raises(ValueError):
+            TraceEvent.from_detail(1, "a", 1, EventKind.PROPOSED, detail)

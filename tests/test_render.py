@@ -64,9 +64,36 @@ class TestSceneFile:
         scene = make_scene()
         path = tmp_path / "trace.jsonl"
         write_trace(scene.trace, path)
+        assert read_trace(path) == scene.trace.events
+
+
+# Multi-region prompts whose runs include supported-object searches,
+# layer-0 rejections (a dropped supported set, IO violations) and, at
+# p_adv 1.0, backtracking.
+SWEEP_PROMPTS = (
+    "A cozy compact bathroom with a laundry basket tucked by the vanity",
+    "A compact bedroom with a king bed and a work desk",
+    "A bright bedroom with a sleeping area and a study corner",
+    "A snug living room with a rustic coffee table and warm throw blankets",
+)
+
+
+@pytest.mark.parametrize("mode", [SearchMode.TREE, SearchMode.COT, SearchMode.IO])
+@pytest.mark.parametrize("p_adv", [0.0, 1.0])
+def test_trace_roundtrip_and_step_replay_sweep(tmp_path, mode, p_adv):
+    for prompt in SWEEP_PROMPTS:
+        scene = generate_scene(
+            prompt, SearchConfig(seed=0, mode=mode, p_adv=p_adv),
+            DeterministicOracle(seed=0, p_adv=p_adv),
+        )
+        path = tmp_path / "trace.jsonl"
+        write_trace(scene.trace, path)
         events = read_trace(path)
-        assert len(events) == len(scene.trace.events)
-        assert events[0] == scene.trace.events[0]
+        assert events == scene.trace.events
+        for k in range(len(events) + 1):
+            assert render_scene(scene, step=k, events=events) == render_scene(scene, step=k)
+        if mode is not SearchMode.IO:  # an IO trace carries no poses to replay
+            assert render_scene(scene, step=len(events)) == render_scene(scene)
 
 
 class TestRenderScene:

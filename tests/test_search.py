@@ -284,10 +284,10 @@ class TestBacktracking:
         result = plan_region(region, config, RecordingOracle(DeterministicOracle(seed=0)))
         assert result.unsat
         anchors = [
-            e.detail.split(" x=", 1)[1] for e in result.trace.events
+            e.pose for e in result.trace.events
             if e.layer == 1 and e.kind is EventKind.ACCEPTED
         ]
-        assert anchors == ["0.8250 y=1.0250 yaw=90", "2.1750 y=1.0250 yaw=270"]
+        assert anchors == [(0.825, 1.025, Yaw.DEG_90), (2.175, 1.025, Yaw.DEG_270)]
         assert to_brute(region, config).search_feasible(
             config.k_global_anchor, config.k_global_other,
             config.k_local_side, config.k_local_axis,
