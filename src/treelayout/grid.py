@@ -335,7 +335,9 @@ def relation_satisfied(
     and edge gap at most ``d_front``.  beside: candidate center more
     sideways than forward/backward of the anchor center (left or right
     half-plane) with edge gap at most ``d_beside``.  around: center
-    distance at most ``d_around``.
+    distance at most ``d_around``.  Every distance bound is compared with
+    the ``LENGTH_EPS`` tolerance, so a pose exactly at a threshold holds
+    in the region frame and in the room frame alike.
     """
     a = anchor.aabb(anchor_dims)
     c = candidate_aabb
@@ -365,13 +367,15 @@ def relation_holds(
     along = dx * fx + dy * fy
     perp = dx * fy - dy * fx
     if rel is SpatialRelation.PLACE_AROUND:
-        return math.hypot(dx, dy) <= d_around
+        return math.hypot(dx, dy) <= d_around + LENGTH_EPS
     gap = math.hypot(max(x0 - ax1, ax0 - x1, 0.0), max(y0 - ay1, ay0 - y1, 0.0))
     if rel is SpatialRelation.PLACE_FRONT:
         facing_edge = ax1 - ax0 if fy != 0 else ay1 - ay0
-        return along > 0 and abs(perp) <= facing_edge / 2.0 + LENGTH_EPS and gap <= d_front
+        return (along > 0 and abs(perp) <= facing_edge / 2.0 + LENGTH_EPS
+                and gap <= d_front + LENGTH_EPS)
     if rel is SpatialRelation.PLACE_BESIDE:
-        return abs(perp) >= abs(along) - LENGTH_EPS and abs(perp) > LENGTH_EPS and gap <= d_beside
+        return (abs(perp) >= abs(along) - LENGTH_EPS and abs(perp) > LENGTH_EPS
+                and gap <= d_beside + LENGTH_EPS)
     raise ValueError(f"unknown relation {rel}")
 
 

@@ -86,13 +86,13 @@ def brute_relation(rel: str, cand_rect, anchor_rect, anchor_center, anchor_yaw: 
     along = dx * fx + dy * fy
     perp = dx * fy - dy * fx
     if rel == "place_around":
-        return math.hypot(dx, dy) <= d_around
+        return math.hypot(dx, dy) <= d_around + EPS
     gap = rect_gap(anchor_rect, cand_rect)
     if rel == "place_front":
         edge = (anchor_rect[2] - anchor_rect[0]) if fy != 0 else (anchor_rect[3] - anchor_rect[1])
-        return along > 0 and abs(perp) <= edge / 2 + EPS and gap <= d_front
+        return along > 0 and abs(perp) <= edge / 2 + EPS and gap <= d_front + EPS
     if rel == "place_beside":
-        return abs(perp) >= abs(along) - EPS and abs(perp) > EPS and gap <= d_beside
+        return abs(perp) >= abs(along) - EPS and abs(perp) > EPS and gap <= d_beside + EPS
     raise ValueError(rel)
 
 

@@ -102,6 +102,34 @@ def test_criterion_1_soundness(soundness_suite):
     assert ok, details[:5]
 
 
+
+def test_criterion_1b_soundness_under_adversarial_oracle():
+    """Tree and CoT stay violation-free when every oracle reply is
+    adversarial: the prompt set x seeds 0-2 at p_adv 1.0.  The relation
+    predicate must give the same verdict in the region frame, where the
+    search checks a pose, and in the room frame, where it is scored."""
+    prompts = load_prompt_set()
+    t0 = time.monotonic()
+    ok = True
+    details = []
+    runs = 0
+    for mode in (SearchMode.TREE, SearchMode.COT):
+        for seed in (0, 1, 2):
+            for i, prompt in enumerate(prompts):
+                config = SearchConfig(seed=seed, mode=mode, p_adv=1.0, **REFERENCE_CONFIG)
+                scene = generate_scene(prompt, config, DeterministicOracle(seed=seed, p_adv=1.0))
+                m = validity_metrics(scene, config)
+                runs += 1
+                if not m.clean():
+                    ok = False
+                    details.append(f"{mode.value} seed {seed} prompt {i}: {m}")
+    elapsed = time.monotonic() - t0
+    record_acceptance(
+        f"1b adversarial soundness: {runs} p_adv=1.0 tree/cot generations with zero violations",
+        ok, f"{elapsed:.1f}s",
+    )
+    assert ok, details[:5]
+
 def test_criterion_2_parameter_fidelity(soundness_suite):
     scenes, _ = soundness_suite
     ok = True
