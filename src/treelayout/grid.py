@@ -335,9 +335,8 @@ def relation_satisfied(
     and edge gap at most ``d_front``.  beside: candidate center more
     sideways than forward/backward of the anchor center (left or right
     half-plane) with edge gap at most ``d_beside``.  around: center
-    distance at most ``d_around``.  Every distance bound is compared with
-    the ``LENGTH_EPS`` tolerance, so a pose exactly at a threshold holds
-    in the region frame and in the room frame alike.
+    distance at most ``d_around``.  Distances get ``LENGTH_EPS`` slack, so
+    the verdict is the same in the region frame and the room frame.
     """
     a = anchor.aabb(anchor_dims)
     c = candidate_aabb

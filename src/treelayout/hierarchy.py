@@ -240,14 +240,8 @@ def _guard_objects(
             continue
         area = spec.dims.footprint_area
         if total + area > AREA_GUARD_RATIO * region_area:
-            trace.record(
-                0,
-                spec.id,
-                0,
-                EventKind.REJECTED,
-                f"area guard: {total + area:.2f} > {AREA_GUARD_RATIO:.1f} x {region_area:.2f}",
-                scope=scope,
-            )
+            trace.record(0, spec.id, 0, EventKind.REJECTED, f"area guard: {total + area:.2f} > "
+                         f"{AREA_GUARD_RATIO:.1f} x {region_area:.2f}", scope=scope)
             continue
         kept.append(i)
         total += area
@@ -346,14 +340,8 @@ def build_supported_level(
             break
         fits = r.dims.length < floor_object.dims.length and r.dims.depth < floor_object.dims.depth
         if not fits:
-            trace.record(
-                0,
-                p.category,
-                0,
-                EventKind.REJECTED,
-                f"larger than {floor_object.id} top face",
-                scope=scope,
-            )
+            trace.record(0, p.category, 0, EventKind.REJECTED,
+                         f"larger than {floor_object.id} top face", scope=scope)
             continue
         specs.append(
             ObjectSpec(id=ids.make(p.category), category=p.category, dims=r.dims,

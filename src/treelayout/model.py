@@ -390,12 +390,11 @@ _DETAIL_RE = re.compile(
 class TraceEvent:
     """One search event; the stable field set of the trace log.
 
-    ``scope`` names what the event belongs to: a region id, a supporter
-    top face (``top:<supporter id>``) or ``io``.  ``visit`` is the
-    layer's visit ordinal in the tree search, ``note`` free text, and
-    ``pose`` the region- or supporter-local pose of a proposed or
-    accepted placement, stored rounded to the 4 decimals the trace line
-    carries so that a parsed-back event equals the recorded one.
+    ``scope`` is a region id, a supporter top face (``top:<id>``) or
+    ``io``; ``visit`` the layer's visit ordinal in the tree search.
+    ``pose`` is the region- or supporter-local pose of a proposed or
+    accepted placement, rounded to the 4 decimals of the trace line so
+    that a parsed-back event equals the recorded one.
     """
 
     layer: int
@@ -451,21 +450,10 @@ class SearchTrace:
         self.events: list[TraceEvent] = []
         self.oracle_calls: int = 0
 
-    def record(
-        self,
-        layer: int,
-        object_id: str,
-        attempt_no: int,
-        kind: EventKind,
-        note: str = "",
-        *,
-        scope: str,
-        visit: int | None = None,
-        pose: tuple[float, float, Yaw] | None = None,
-    ) -> None:
-        self.events.append(
-            TraceEvent(layer, object_id, attempt_no, kind, scope, visit, note, pose)
-        )
+    def record(self, layer: int, object_id: str, attempt_no: int, kind: EventKind,
+               note: str = "", *, scope: str, visit: int | None = None,
+               pose: tuple[float, float, Yaw] | None = None) -> None:
+        self.events.append(TraceEvent(layer, object_id, attempt_no, kind, scope, visit, note, pose))
 
     def count(self, kind: EventKind) -> int:
         return sum(1 for e in self.events if e.kind is kind)

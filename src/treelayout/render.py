@@ -29,8 +29,7 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
     Accepted events add a region- or supporter-local placement at their
     layer; a Backtrack event at a layer removes that layer's placement
     within its scope.  Local poses are lifted to room coordinates the
-    way a finished run's are, by :func:`compose` and
-    :func:`attach_supported`.
+    way a finished run's are, by :func:`compose` and :func:`attach_supported`.
     """
     if step < 0 or step > len(events):
         raise IndexError(f"step {step} outside 0..{len(events)}")
@@ -46,29 +45,20 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
     specs = scene.spec_index()
     region_ids = {r.id for r in scene.plan.regions}
     floor: dict[str, list[PlacedObject]] = {}
-    tops: list[TraceEvent] = []
+    supported: dict[str, list[PlacedObject]] = {}
     for e in live.values():
-        if e.object_id not in specs:
-            continue
+        x, y, yaw = e.pose
         if e.scope in region_ids:
-            x, y, yaw = e.pose
             floor.setdefault(e.scope, []).append(
                 PlacedObject(e.object_id, x, y, 0.0, yaw, Parent.floor(e.scope))
             )
         elif e.scope.startswith("top:"):
-            tops.append(e)
-    partial = compose(scene.plan, floor, scene.trace)
-    on_floor = {p.spec_id for p in partial.placements}
-    supported: dict[str, list[PlacedObject]] = {}
-    for e in tops:
-        sup_id = e.scope[len("top:"):]
-        if sup_id in on_floor:
-            x, y, yaw = e.pose
+            sup_id = e.scope[len("top:"):]
             supported.setdefault(sup_id, []).append(
                 PlacedObject(e.object_id, x, y, specs[sup_id].dims.height, yaw,
                              Parent.supporter(sup_id))
             )
-    return list(attach_supported(partial, supported).placements)
+    return list(attach_supported(compose(scene.plan, floor, scene.trace), supported).placements)
 
 
 def render_scene(

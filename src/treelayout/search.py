@@ -647,8 +647,7 @@ def place_supported(
                      "supported set dropped (unsat)", scope=mini.id)
         return []
     for dropped in result.unplaced:
-        trace.record(0, dropped, 0, EventKind.REJECTED, "supported object skipped",
-                     scope=mini.id)
+        trace.record(0, dropped, 0, EventKind.REJECTED, "supported object skipped", scope=mini.id)
     return [
         PlacedObject(
             p.spec_id, p.x, p.y, supporter_spec.dims.height, p.yaw,
@@ -712,16 +711,11 @@ def run_io_mode(
             )
         )
     if not parsed_any:
-        trace.record(0, "io", 0, EventKind.REJECTED, "parse failure: no placements",
-                     scope="io")
+        trace.record(0, "io", 0, EventKind.REJECTED, "parse failure: no placements", scope="io")
     scene = Scene(plan=plan, placements=tuple(placements), trace=trace)
     # validated, never repaired: violations go on the record
     m = validity_metrics(scene, config)
     if m.overlap_pairs or m.oob_objects or m.relation_violations:
-        trace.record(
-            0, "io", 0, EventKind.REJECTED,
-            f"violations overlap={m.overlap_pairs} oob={m.oob_objects} "
-            f"relation={m.relation_violations}",
-            scope="io",
-        )
+        trace.record(0, "io", 0, EventKind.REJECTED, f"violations overlap={m.overlap_pairs} "
+                     f"oob={m.oob_objects} relation={m.relation_violations}", scope="io")
     return scene

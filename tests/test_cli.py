@@ -155,9 +155,10 @@ class TestRender:
     @pytest.mark.parametrize("line", [
         '{"layer": 1}',
         "not json",
+        "[1, 2]",
         '{"attempt_no": 1, "detail": "no scope here", "kind": "accepted", '
         '"layer": 1, "object_id": "bed_1"}',
-    ], ids=["missing-field", "not-json", "detail-outside-grammar"])
+    ], ids=["missing-field", "not-json", "not-an-object", "detail-outside-grammar"])
     def test_bad_trace_exit_4(self, tmp_path, line):
         out = tmp_path / "o"
         run_cli(["generate", "--seed", "1", "--prompt", PROMPT, "--out-dir", str(out)])
@@ -165,6 +166,18 @@ class TestRender:
         r = run_cli(["render", str(out / "scene.json"), "--step", "0"])
         assert r.exit_code == 4
         assert "cannot read trace" in r.output
+
+    def test_trace_naming_unknown_object_exit_4(self, tmp_path):
+        out = tmp_path / "o"
+        run_cli(["generate", "--seed", "1", "--prompt", PROMPT, "--out-dir", str(out)])
+        trace = out / "trace.jsonl"
+        records = [json.loads(line) for line in trace.read_text("utf-8").splitlines()]
+        first = next(i for i, d in enumerate(records) if d["kind"] == "accepted")
+        records[first]["object_id"] = "ghost_1"
+        trace.write_text("".join(json.dumps(d) + "\n" for d in records), "utf-8")
+        r = run_cli(["render", str(out / "scene.json"), "--step", str(len(records))])
+        assert r.exit_code == 4
+        assert "trace does not match scene" in r.output
 
 
 class TestAblate:
