@@ -17,13 +17,13 @@ from treelayout.catalog import AssetCatalog
 from treelayout.compose import CompositionOverlap
 from treelayout.evaluate import ablation_report, format_ablation_table, validity_metrics
 from treelayout.grid import VocabularyExhausted
-from treelayout.model import SearchConfig, SearchMode
+from treelayout.model import Scene, SearchConfig, SearchMode
 from treelayout.oracle.base import OracleFailure, PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.live import LiveConfig, LiveOracle
 from treelayout.oracle.transcript import RecordingOracle, ReplayOracle
 from treelayout.pipeline import generate_scene, scene_is_complete
-from treelayout.render import render_scene
+from treelayout.render import TraceMismatch, render_scene
 from treelayout.sceneio import read_scene, read_trace, write_scene, write_trace
 
 EXIT_OK = 0
@@ -95,6 +95,33 @@ def _load_catalog(path: str | None) -> AssetCatalog:
         _fail_config(f"cannot load catalog: {exc}")
 
 
+def _solve_and_write(text: str, config: SearchConfig, oracle: PlacementOracle,
+                     catalog: AssetCatalog, out_dir: str) -> tuple[Scene, Path]:
+    """Generate the scene and write scene.json, trace.jsonl and scene.svg
+    into ``out_dir``; oracle failures exit 3, too fine a grid exits 4."""
+    try:
+        scene = generate_scene(text, config, oracle, catalog)
+    except OracleFailure as exc:
+        click.echo(f"oracle failure: {exc}", err=True)
+        sys.exit(EXIT_ORACLE)
+    except VocabularyExhausted as exc:
+        _fail_config(f"cell size {config.cell_size} is too fine: {exc}")
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_scene(scene, out / "scene.json")
+    write_trace(scene.trace, out / "trace.jsonl")
+    (out / "scene.svg").write_text(render_scene(scene), "utf-8")
+    return scene, out
+
+
+def _exit_if_incomplete(scene: Scene, config: SearchConfig, message: str | None = None) -> None:
+    """Exit 2 when a tree or CoT run left an object unplaced."""
+    if config.mode is not SearchMode.IO and not scene_is_complete(scene):
+        if message:
+            click.echo(message, err=True)
+        sys.exit(EXIT_UNSAT)
+
+
 common_options = [
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--mode", default="tree", show_default=True,
@@ -146,18 +173,7 @@ def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
     if transcript and oracle_kind != "replay":
         recording = RecordingOracle(oracle, model_id=oracle_kind, seed=seed)
         oracle = recording
-    try:
-        scene = generate_scene(text, config, oracle, catalog)
-    except OracleFailure as exc:
-        click.echo(f"oracle failure: {exc}", err=True)
-        sys.exit(EXIT_ORACLE)
-    except VocabularyExhausted as exc:
-        _fail_config(f"cell size {config.cell_size} is too fine: {exc}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_scene(scene, out / "scene.json")
-    write_trace(scene.trace, out / "trace.jsonl")
-    (out / "scene.svg").write_text(render_scene(scene), "utf-8")
+    scene, out = _solve_and_write(text, config, oracle, catalog, out_dir)
     if recording is not None:
         recording.transcript.dump(transcript)
     metrics = validity_metrics(scene, config)
@@ -165,9 +181,7 @@ def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
         f"wrote {out / 'scene.json'} ({len(scene.placements)} placements, "
         f"placed_ratio={metrics.placed_ratio:.2f})"
     )
-    if config.mode is not SearchMode.IO and not scene_is_complete(scene):
-        click.echo("layout incomplete (Unsat region or skipped objects)", err=True)
-        sys.exit(EXIT_UNSAT)
+    _exit_if_incomplete(scene, config, "layout incomplete (Unsat region or skipped objects)")
 
 
 @main.command()
@@ -261,7 +275,7 @@ def render(scene_file, step, trace_file, out_file) -> None:
             _fail_config(f"step {step} outside 0..{len(events)}")
     try:
         svg = render_scene(scene, step=step, events=events)
-    except (CompositionOverlap, KeyError) as exc:
+    except (CompositionOverlap, KeyError, TraceMismatch) as exc:
         _fail_config(f"trace does not match scene: {exc}")
     target = Path(out_file) if out_file else Path(scene_file).with_suffix(".svg")
     target.write_text(svg, "utf-8")
@@ -285,21 +299,9 @@ def replay(transcript_file, prompt, prompt_file, out_dir,
         oracle = ReplayOracle.from_file(transcript_file)
     except OSError as exc:
         _fail_config(f"cannot read transcript: {exc}")
-    try:
-        scene = generate_scene(text, config, oracle, catalog)
-    except OracleFailure as exc:
-        click.echo(f"oracle failure: {exc}", err=True)
-        sys.exit(EXIT_ORACLE)
-    except VocabularyExhausted as exc:
-        _fail_config(f"cell size {config.cell_size} is too fine: {exc}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    write_scene(scene, out / "scene.json")
-    write_trace(scene.trace, out / "trace.jsonl")
-    (out / "scene.svg").write_text(render_scene(scene), "utf-8")
+    scene, out = _solve_and_write(text, config, oracle, catalog, out_dir)
     click.echo(f"wrote {out / 'scene.json'}")
-    if config.mode is not SearchMode.IO and not scene_is_complete(scene):
-        sys.exit(EXIT_UNSAT)
+    _exit_if_incomplete(scene, config)
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ from treelayout.model import (
     Scene,
     SearchConfig,
     SearchTrace,
+    local_anchor,
 )
 
 
@@ -73,41 +74,27 @@ def validity_metrics(scene: Scene, config: SearchConfig | None = None) -> Validi
             elif abs(p.z - specs[p.parent.ref].dims.height) > 1e-6:
                 oob += 1
 
-    relation_violations = 0
+    anchored_edges = []  # (anchor id, edges that relate to it)
     for region in scene.plan.regions:
-        anchor = by_id.get(region.anchor_id)
-        for edge in region.edges:
+        anchored_edges.append((region.anchor_id, region.edges))
+        for sub in region.supported.values():
+            if sub.objects:
+                anchored_edges.append((local_anchor(sub.objects).id, sub.edges))
+    relation_violations = 0
+    for anchor_id, edges in anchored_edges:
+        anchor = by_id.get(anchor_id)
+        if anchor is None:
+            continue
+        for edge in edges:
             p = by_id.get(edge.object_id)
-            if p is None or anchor is None:
+            if p is None:
                 continue
             ok = relation_satisfied(
-                edge.relation,
-                boxes[p.spec_id],
-                anchor,
-                specs[region.anchor_id].dims,
-                cfg.d_front,
-                cfg.d_beside,
-                cfg.d_around,
+                edge.relation, boxes[p.spec_id], anchor, specs[anchor_id].dims,
+                cfg.d_front, cfg.d_beside, cfg.d_around,
             )
             if not ok:
                 relation_violations += 1
-        for _sup_id, sub in region.supported.items():
-            local_anchor = max(
-                sub.objects, key=lambda s: (s.dims.footprint_area, s.id), default=None
-            )
-            if local_anchor is None:
-                continue
-            anchor_p = by_id.get(local_anchor.id)
-            for edge in sub.edges:
-                p = by_id.get(edge.object_id)
-                if p is None or anchor_p is None:
-                    continue
-                ok = relation_satisfied(
-                    edge.relation, boxes[p.spec_id], anchor_p, local_anchor.dims,
-                    cfg.d_front, cfg.d_beside, cfg.d_around,
-                )
-                if not ok:
-                    relation_violations += 1
 
     total_specs = len(scene.plan.all_specs())
     placed_ratio = len(placements) / total_specs if total_specs else 1.0

@@ -284,7 +284,7 @@ def parse_emoji_selection(response: str, emap: EmojiMap, expected_count: int) ->
     ignored.  Duplicated mentions count once; the result is ordered by
     the map's (row, col) order.
     """
-    if emap is None or len(emap) == 0:
+    if len(emap) == 0:
         raise ValueError("emoji map must be non-empty")
     vocab = set(emap.vocabulary)
     seen: set[str] = set()

@@ -10,7 +10,9 @@ retry, up to :data:`BUILDER_RETRIES`, then :class:`OracleFailure`).
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from treelayout.catalog import AssetCatalog, UnknownCategory, resolve_assets
 from treelayout.model import (
@@ -25,6 +27,7 @@ from treelayout.model import (
     SearchTrace,
     SpatialRelation,
     SupportedSet,
+    local_anchor,
     q4,
     validate_room_plan,
 )
@@ -186,6 +189,18 @@ def _retry(session: OracleSession, make_query, parse):
     raise OracleFailure(f"oracle replies unusable after {BUILDER_RETRIES} attempts: {last}")
 
 
+def _parse_and_resolve(
+    parse: Callable[[str], list[ObjectProposal]], catalog: AssetCatalog, raw: str
+) -> tuple[list[ObjectProposal], list[ObjectSpec]]:
+    """Parse an object reply and resolve each proposal against the catalog."""
+    proposals = parse(raw)
+    drafts = [
+        ObjectSpec(id=f"draft_{i}", category=p.category, dims=p.dims)
+        for i, p in enumerate(proposals)
+    ]
+    return proposals, resolve_assets(drafts, catalog)
+
+
 def build_room_level(prompt: str, session: OracleSession) -> tuple[str, tuple[float, float]]:
     if not prompt or not prompt.strip():
         raise ValueError("prompt must be non-empty")
@@ -260,14 +275,6 @@ def build_floor_object_level(
     trace: SearchTrace,
     ids: IdAllocator,
 ) -> tuple[list[ObjectSpec], str, AnchorRule, list[Edge]]:
-    def parse_and_resolve(raw: str):
-        proposals = parse_objects_reply(raw)
-        drafts = [
-            ObjectSpec(id=f"draft_{i}", category=p.category, dims=p.dims)
-            for i, p in enumerate(proposals)
-        ]
-        return proposals, resolve_assets(drafts, catalog)
-
     proposals, resolved = _retry(
         session,
         lambda a: ObjectsQuery(
@@ -279,7 +286,7 @@ def build_floor_object_level(
             prompt=prompt,
             attempt=a,
         ),
-        parse_and_resolve,
+        partial(_parse_and_resolve, parse_objects_reply, catalog),
     )
     specs_draft = [
         ObjectSpec(
@@ -313,14 +320,6 @@ def build_supported_level(
     if not floor_object.supportable:
         raise NotSupportable(floor_object.id)
 
-    def parse_and_resolve(raw: str):
-        proposals = parse_supported_reply(raw)
-        drafts = [
-            ObjectSpec(id=f"draft_{i}", category=p.category, dims=p.dims)
-            for i, p in enumerate(proposals)
-        ]
-        return proposals, resolve_assets(drafts, catalog)
-
     proposals, resolved = _retry(
         session,
         lambda a: SupportedQuery(
@@ -330,7 +329,7 @@ def build_supported_level(
             top_depth=floor_object.dims.depth,
             attempt=a,
         ),
-        parse_and_resolve,
+        partial(_parse_and_resolve, parse_supported_reply, catalog),
     )
     specs: list[ObjectSpec] = []
     relations: list[SpatialRelation] = []
@@ -351,11 +350,11 @@ def build_supported_level(
         orientations.append(p.orientation)
     if not specs:
         return SupportedSet(objects=(), edges=())
-    local_anchor = max(specs, key=lambda s: (s.dims.footprint_area, s.id))
+    anchor_id = local_anchor(specs).id
     edges = tuple(
         Edge(s.id, rel or SpatialRelation.PLACE_AROUND, ori)
         for s, rel, ori in zip(specs, relations, orientations)
-        if s.id != local_anchor.id
+        if s.id != anchor_id
     )
     return SupportedSet(objects=tuple(specs), edges=edges)
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -263,6 +264,12 @@ class SupportedSet:
 
     objects: tuple[ObjectSpec, ...]
     edges: tuple[Edge, ...]
+
+
+def local_anchor(objects: Sequence[ObjectSpec]) -> ObjectSpec:
+    """The anchor of a supported set: the largest footprint, ties to the
+    larger id."""
+    return max(objects, key=lambda s: (s.dims.footprint_area, s.id))
 
 
 @dataclass(frozen=True)

@@ -11,7 +11,7 @@ recorded with.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from treelayout.grid import EmojiMap, OccupancyGrid, Side
 from treelayout.model import (
@@ -184,7 +184,7 @@ class CellsQuery:
 
     grid_prompt: str
     context: SpatialContext
-    emap: EmojiMap = field(default=None)  # type: ignore[assignment]
+    emap: EmojiMap
     expected_count: int = 1
     axis: str = "cols"  # cols | rows
     side: Side = Side.RIGHT
@@ -194,7 +194,7 @@ class CellsQuery:
     round_no: int = 1
 
     def canonical_text(self) -> str:
-        names = ",".join(self.emap.entries.values()) if self.emap else ""
+        names = ",".join(self.emap.entries.values())
         return (
             f"kind=cells\nattempt={self.attempt}\nround={self.round_no}\n"
             f"{self.context.canonical_text()}\n"

@@ -23,6 +23,10 @@ SCALE = 100.0  # px per meter
 MARGIN = 24.0
 
 
+class TraceMismatch(ValueError):
+    """A trace event names a search scope the scene does not have."""
+
+
 def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list[PlacedObject]:
     """State after applying the first ``step`` trace events.
 
@@ -30,9 +34,18 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
     layer; a Backtrack event at a layer removes that layer's placement
     within its scope.  Local poses are lifted to room coordinates the
     way a finished run's are, by :func:`compose` and :func:`attach_supported`.
+    An event at layer 1 or deeper whose scope is neither a plan region
+    nor ``top:<object id>`` raises :class:`TraceMismatch`, whatever the
+    step: the trace belongs to another scene.
     """
     if step < 0 or step > len(events):
         raise IndexError(f"step {step} outside 0..{len(events)}")
+    specs = scene.spec_index()
+    region_ids = {r.id for r in scene.plan.regions}
+    scopes = region_ids | {f"top:{oid}" for oid in specs}
+    for e in events:
+        if e.layer >= 1 and e.scope not in scopes:
+            raise TraceMismatch(f"scope {e.scope!r} of {e.object_id} is not in the scene")
     live: dict[tuple[str, int], TraceEvent] = {}
     for e in events[:step]:
         if e.layer < 1:
@@ -42,8 +55,6 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
         elif e.kind is EventKind.BACKTRACK:
             live.pop((e.scope, e.layer), None)
 
-    specs = scene.spec_index()
-    region_ids = {r.id for r in scene.plan.regions}
     floor: dict[str, list[PlacedObject]] = {}
     supported: dict[str, list[PlacedObject]] = {}
     for e in live.values():
@@ -52,7 +63,7 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
             floor.setdefault(e.scope, []).append(
                 PlacedObject(e.object_id, x, y, 0.0, yaw, Parent.floor(e.scope))
             )
-        elif e.scope.startswith("top:"):
+        else:
             sup_id = e.scope[len("top:"):]
             supported.setdefault(sup_id, []).append(
                 PlacedObject(e.object_id, x, y, specs[sup_id].dims.height, yaw,

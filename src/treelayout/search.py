@@ -23,12 +23,14 @@ one query and validates without repairing.
 from __future__ import annotations
 
 import re
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from treelayout import kernels
 from treelayout.grid import (
     AABB,
+    EmojiMap,
     OccupancyGrid,
     SelectionError,
     Side,
@@ -59,6 +61,7 @@ from treelayout.model import (
     SupportedSet,
     Yaw,
     effective_aabb,
+    local_anchor,
     q4,
 )
 from treelayout.evaluate import validity_metrics
@@ -82,14 +85,14 @@ def _vocabulary() -> tuple[str, ...]:
     return load_vocabulary()
 
 
-@dataclass
+@dataclass(frozen=True)
 class LocalThought:
-    """Progressively filled decision of the three local steps."""
+    """The decision of the three local steps: a side and a validated pose."""
 
-    side: Side | None = None
-    pose: tuple[float, float, Yaw] | None = None
-    pose_key: PoseKey | None = None
-    side_attempt: int = 1
+    side: Side
+    pose: tuple[float, float, Yaw]
+    pose_key: PoseKey
+    side_attempt: int
 
 
 @dataclass
@@ -166,7 +169,7 @@ def evaluate_thought(
 
 
 def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
-                  grid: OccupancyGrid) -> SpatialContext:
+                  grid: OccupancyGrid, anchor: PlacedObject, anchor_dims: Dim3) -> SpatialContext:
     cfg = state.config
     return SpatialContext(
         scope=state.scope,
@@ -176,8 +179,8 @@ def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
         cell_size=cfg.cell_size,
         grid=grid,
         placed_boxes=tuple(state.placed_boxes),
-        anchor=state.anchor_placed,
-        anchor_dims=state.anchor_dims,
+        anchor=anchor,
+        anchor_dims=anchor_dims,
         object_dims=spec.dims,
         relation=edge.relation if edge else None,
         orientation_rule=edge.orientation_rule if edge else None,
@@ -185,6 +188,12 @@ def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
         d_beside=cfg.d_beside,
         d_around=cfg.d_around,
     )
+
+
+def _named_grid(state: GlobalState, grid: OccupancyGrid, cells: list[int]) -> tuple[EmojiMap, str]:
+    """Emoji names for ``cells`` and the grid prompt that shows them."""
+    emap = assign_emojis(cells, _vocabulary())
+    return emap, serialize_grid_prompt(grid, emap, state.wall_sides)
 
 
 def _parse_side(text: str) -> Side | None:
@@ -196,6 +205,51 @@ def _parse_side(text: str) -> Side | None:
 def _parse_yes(text: str) -> bool:
     head = text.strip().lower()
     return head.startswith("yes") or head.startswith("true")
+
+
+def _ask_sides(state: GlobalState, ctx: SpatialContext, grid_text: str, budget: int,
+               round_no: int, avoid: Iterable[Side] = ()) -> Iterator[tuple[int, Side | None, str]]:
+    """Side step: ask for a side up to ``budget`` times and yield
+    ``(attempt, side, reply)`` per reply, ``side`` None when the reply
+    names no single side or a side already tried."""
+    tried = list(avoid)
+    for attempt in range(1, budget + 1):
+        raw = state.session.ask(SideQuery(
+            grid_prompt=grid_text, context=ctx, avoid=tuple(s.value for s in tried),
+            attempt=attempt, round_no=round_no,
+        ))
+        side = _parse_side(raw)
+        if side is None or side in tried:
+            yield attempt, None, raw
+        else:
+            tried.append(side)
+            yield attempt, side, raw
+
+
+def _ask_runs(state: GlobalState, ctx: SpatialContext, side: Side, axis: str, cells: list[int],
+              count: int, round_no: int, notes: list[str], primary_run: tuple[int, ...] = (),
+              avoid: tuple[int, ...] = ()) -> Iterator[list[int]]:
+    """Run step: ask for ``count`` contiguous ``axis`` indices among
+    ``cells`` up to the axis budget and yield each novel run; unusable
+    and repeated replies go to ``notes``."""
+    emap, grid_text = _named_grid(state, ctx.grid, cells)
+    tried: list[int] = []
+    for attempt in range(1, state.config.k_local_axis + 1):
+        raw = state.session.ask(CellsQuery(
+            grid_prompt=grid_text, context=ctx, emap=emap, expected_count=count, axis=axis,
+            side=side, primary_run=primary_run, avoid=tuple(tried) + avoid,
+            attempt=attempt, round_no=round_no,
+        ))
+        try:
+            run = contiguous_axis_run(ctx.grid, parse_emoji_selection(raw, emap, count), axis)
+        except SelectionError as exc:
+            notes.append(f"{side.value}/{axis}: {type(exc).__name__}")
+            continue
+        if run[0] in tried:
+            notes.append(f"{side.value}/{axis}: repeat run {run[0]}")
+            continue
+        tried.append(run[0])
+        yield run
 
 
 def local_place(
@@ -211,157 +265,58 @@ def local_place(
     (None, failure summary).  Every completed pose candidate is logged as
     a Proposed event under the caller's global attempt."""
     cfg = state.config
-    session = state.session
+    trace = state.session.trace
     grid = rasterize(state.region, state.placed, cfg.cell_size)
-    ctx = _make_context(state, spec, edge, grid)
-    grid_text = serialize_grid_prompt(grid, assign_emojis([], _vocabulary()), state.wall_sides)
+    ctx = _make_context(state, spec, edge, grid, state.anchor_placed, state.anchor_dims)
+    _, grid_text = _named_grid(state, grid, [])
     anchor_box = state.anchor_placed.aabb(state.anchor_dims)
     notes: list[str] = []
-    tried_sides: list[Side] = []
 
-    for side_attempt in range(1, cfg.k_local_side + 1):
-        raw = session.ask(
-            SideQuery(
-                grid_prompt=grid_text,
-                context=ctx,
-                avoid=tuple(s.value for s in tried_sides),
-                attempt=side_attempt,
-                round_no=round_no,
-            )
-        )
-        side = _parse_side(raw)
-        if side is None or side in tried_sides:
+    for side_attempt, side, raw in _ask_sides(state, ctx, grid_text, cfg.k_local_side, round_no):
+        if side is None:
             notes.append(f"side reply unusable: {raw[:40]!r}")
             continue
-        tried_sides.append(side)
-        eval_raw = session.ask(
-            SideEvalQuery(
-                grid_prompt=grid_text, context=ctx, side=side,
-                attempt=side_attempt, round_no=round_no,
-            )
-        )
+        eval_raw = state.session.ask(SideEvalQuery(
+            grid_prompt=grid_text, context=ctx, side=side, attempt=side_attempt, round_no=round_no,
+        ))
         if not _parse_yes(eval_raw):
             notes.append(f"{side.value}: eval no")
             continue
-        thought = _search_axes(spec, edge, state, ctx, grid, side, anchor_box,
-                               excluded, round_no, global_attempt, layer, notes)
-        if thought is not None:
-            thought.side_attempt = side_attempt
-            return thought, "ok"
-    return None, "; ".join(notes) if notes else "no side worked"
-
-
-def _search_axes(
-    spec: ObjectSpec,
-    edge: Edge | None,
-    state: GlobalState,
-    ctx: SpatialContext,
-    grid: OccupancyGrid,
-    side: Side,
-    anchor_box: AABB,
-    excluded: set[PoseKey],
-    round_no: int,
-    global_attempt: int,
-    layer: int,
-    notes: list[str],
-) -> LocalThought | None:
-    cfg = state.config
-    session = state.session
-    trace = session.trace
-    cand = candidate_cells(grid, side, anchor_box)
-    if not cand:
-        notes.append(f"{side.value}: no candidate cells")
-        return None
-    m_cols, m_rows = object_spans(ctx, side)
-    primary_axis, secondary_axis = ("cols", "rows") if side.horizontal else ("rows", "cols")
-    m_primary = m_cols if side.horizontal else m_rows
-    m_secondary = m_rows if side.horizontal else m_cols
-    axis_of_primary = grid.col_of if side.horizontal else grid.row_of
-    axis_of_secondary = grid.row_of if side.horizontal else grid.col_of
-    emap_primary = assign_emojis(cand, _vocabulary())
-    grid_text_primary = serialize_grid_prompt(grid, emap_primary, state.wall_sides)
-
-    tried_primary: list[int] = []
-    for p_attempt in range(1, cfg.k_local_axis + 1):
-        raw = session.ask(
-            CellsQuery(
-                grid_prompt=grid_text_primary,
-                context=ctx,
-                emap=emap_primary,
-                expected_count=m_primary,
-                axis=primary_axis,
-                side=side,
-                avoid=tuple(tried_primary),
-                attempt=p_attempt,
-                round_no=round_no,
+        cand = candidate_cells(grid, side, anchor_box)
+        if not cand:
+            notes.append(f"{side.value}: no candidate cells")
+            continue
+        m_cols, m_rows = object_spans(ctx, side)
+        if side.horizontal:
+            axes, spans, axis_of = ("cols", "rows"), (m_cols, m_rows), grid.col_of
+        else:
+            axes, spans, axis_of = ("rows", "cols"), (m_rows, m_cols), grid.row_of
+        for run_p in _ask_runs(state, ctx, side, axes[0], cand, spans[0], round_no, notes):
+            p_start = run_p[0]
+            sub_cells = [c for c in cand if axis_of(c) in run_p]
+            pose_avoid = tuple(
+                sorted(s for (sd, p, s) in excluded if sd == side.value and p == p_start)
             )
-        )
-        try:
-            cells = parse_emoji_selection(raw, emap_primary, m_primary)
-            run_p = contiguous_axis_run(grid, cells, primary_axis)
-        except SelectionError as exc:
-            notes.append(f"{side.value}/{primary_axis}: {type(exc).__name__}")
-            continue
-        p_start = run_p[0]
-        if p_start in tried_primary:
-            notes.append(f"{side.value}/{primary_axis}: repeat run {p_start}")
-            continue
-        tried_primary.append(p_start)
-
-        sub_cells = [c for c in cand if axis_of_primary(c) in run_p]
-        if not sub_cells:
-            notes.append(f"{side.value}/{primary_axis}: empty run {p_start}")
-            continue
-        emap_secondary = assign_emojis(sub_cells, _vocabulary())
-        grid_text_secondary = serialize_grid_prompt(grid, emap_secondary, state.wall_sides)
-        pose_avoid = tuple(
-            sorted(s for (sd, p, s) in excluded if sd == side.value and p == p_start)
-        )
-        tried_secondary: list[int] = []
-        for s_attempt in range(1, cfg.k_local_axis + 1):
-            raw2 = session.ask(
-                CellsQuery(
-                    grid_prompt=grid_text_secondary,
-                    context=ctx,
-                    emap=emap_secondary,
-                    expected_count=m_secondary,
-                    axis=secondary_axis,
-                    side=side,
-                    primary_run=(p_start,),
-                    avoid=tuple(tried_secondary) + pose_avoid,
-                    attempt=s_attempt,
-                    round_no=round_no,
+            for run_s in _ask_runs(state, ctx, side, axes[1], sub_cells, spans[1], round_no,
+                                   notes, primary_run=(p_start,), avoid=pose_avoid):
+                s_start = run_s[0]
+                col_start, row_start = (p_start, s_start) if side.horizontal else (s_start, p_start)
+                pose = pose_from_starts(ctx, side, col_start, row_start)
+                key: PoseKey = (side.value, p_start, s_start)
+                trace.record(
+                    layer, spec.id, global_attempt, EventKind.PROPOSED,
+                    f"side={side.value} cols={col_start}+{m_cols} rows={row_start}+{m_rows}",
+                    scope=state.scope, visit=round_no, pose=pose,
                 )
-            )
-            try:
-                cells2 = parse_emoji_selection(raw2, emap_secondary, m_secondary)
-                run_s = contiguous_axis_run(grid, cells2, secondary_axis)
-            except SelectionError as exc:
-                notes.append(f"{side.value}/{secondary_axis}: {type(exc).__name__}")
-                continue
-            s_start = run_s[0]
-            if s_start in tried_secondary:
-                notes.append(f"{side.value}/{secondary_axis}: repeat run {s_start}")
-                continue
-            tried_secondary.append(s_start)
-            col_start = p_start if side.horizontal else s_start
-            row_start = s_start if side.horizontal else p_start
-            cx, cy, yaw = pose_from_starts(ctx, side, col_start, row_start)
-            key: PoseKey = (side.value, p_start, s_start)
-            trace.record(
-                layer, spec.id, global_attempt, EventKind.PROPOSED,
-                f"side={side.value} cols={col_start}+{m_cols} rows={row_start}+{m_rows}",
-                scope=state.scope, visit=round_no, pose=(cx, cy, yaw),
-            )
-            if key in excluded:
-                notes.append(f"{side.value}: pose {key} already failed downstream")
-                continue
-            ok, reason = evaluate_thought((cx, cy, yaw), spec.dims, state, edge)
-            if not ok:
-                notes.append(f"{side.value}: {reason}")
-                continue
-            return LocalThought(side=side, pose=(cx, cy, yaw), pose_key=key)
-    return None
+                if key in excluded:
+                    notes.append(f"{side.value}: pose {key} already failed downstream")
+                    continue
+                ok, reason = evaluate_thought(pose, spec.dims, state, edge)
+                if not ok:
+                    notes.append(f"{side.value}: {reason}")
+                    continue
+                return LocalThought(side, pose, key, side_attempt), "ok"
+    return None, "; ".join(notes) if notes else "no side worked"
 
 
 # -- anchor placement ---------------------------------------------------------
@@ -469,38 +424,14 @@ def place_anchor_visit(
     cx, cy = q4(region.length / 2.0), q4(region.width / 2.0)
     grid = rasterize(region, [], cfg.cell_size)
     probe = PlacedObject(spec.id, cx, cy, 0.0, Yaw.DEG_0, Parent.floor(region.id))
-    ctx = SpatialContext(
-        scope=state.scope,
-        object_id=spec.id,
-        region_length=region.length,
-        region_width=region.width,
-        cell_size=cfg.cell_size,
-        grid=grid,
-        placed_boxes=(),
-        anchor=probe,
-        anchor_dims=spec.dims,
-        object_dims=spec.dims,
-        relation=None,
-        orientation_rule=None,
-        d_front=cfg.d_front,
-        d_beside=cfg.d_beside,
-        d_around=cfg.d_around,
-    )
-    grid_text = serialize_grid_prompt(grid, assign_emojis([], _vocabulary()), state.wall_sides)
-    tried: list[str] = [name for (name, _) in used]
-    for attempt in range(1, cfg.k_global_anchor + 1):
-        raw = state.session.ask(
-            SideQuery(
-                grid_prompt=grid_text, context=ctx, avoid=tuple(tried),
-                attempt=attempt, round_no=visit_no,
-            )
-        )
-        side = _parse_side(raw)
-        if side is None or side.value in tried:
+    ctx = _make_context(state, spec, None, grid, probe, spec.dims)
+    _, grid_text = _named_grid(state, grid, [])
+    faced = [Side(name) for name, _ in used]
+    for attempt, side, _ in _ask_sides(state, ctx, grid_text, cfg.k_global_anchor, visit_no, faced):
+        if side is None:
             trace.record(1, spec.id, attempt, EventKind.REJECTED, "facing reply unusable",
                          scope=state.scope, visit=visit_no)
             continue
-        tried.append(side.value)
         yaw = facing_yaw_for_side(side)
         key: AnchorKey = (side.value, yaw.value)
         placed = attempt_pose(key, cx, cy, yaw, attempt)
@@ -528,31 +459,23 @@ def plan_region(
     if config.mode is SearchMode.IO:
         raise ValueError("plan_region requires tree or cot mode")
     trace = trace if trace is not None else SearchTrace()
-    session = OracleSession(oracle, trace)
     state = GlobalState(
         region=region,
         order=layer_order(region),
         config=config,
-        session=session,
+        session=OracleSession(oracle, trace),
         scope=scope if scope is not None else region.id,
         wall_sides=wall_sides,
     )
-    return _plan_region_tree(state)
-
-
-def _plan_region_tree(state: GlobalState) -> RegionResult:
-    region = state.region
-    cfg = state.config
-    trace = state.session.trace
     anchor_spec = state.order[0]
     used: dict[AnchorKey, tuple[float, float, Yaw]] = {}
-    for visit in range(1, cfg.k_global_anchor + 1):
+    for visit in range(1, config.k_global_anchor + 1):
         result = place_anchor_visit(state, region.anchor_rule, visit, used)
         if result is None:
             trace.record(1, anchor_spec.id, 0, EventKind.BACKTRACK,
                          "root budget exhausted (no anchor pose)",
                          scope=state.scope, visit=visit)
-            return RegionResult((), True, tuple(s.id for s in state.order), trace)
+            break
         placed, key = result
         state.push(placed, anchor_spec.dims)
         if _solve_from(state, 1):
@@ -577,18 +500,14 @@ def _solve_from(state: GlobalState, i: int) -> bool:
     round_no = 0
     while True:
         round_no += 1
-        thought: LocalThought | None = None
-        used_attempt = 0
         for attempt in range(1, cfg.k_global_other + 1):
-            t, notes = local_place(spec, edge, state, excluded, round_no, attempt, layer)
-            if t is None:
-                trace.record(layer, spec.id, attempt, EventKind.REJECTED,
-                             f"{'skipped: ' if skip else ''}{notes}",
-                             scope=state.scope, visit=round_no)
-                continue
-            thought, used_attempt = t, attempt
-            break
-        if thought is None:
+            thought, notes = local_place(spec, edge, state, excluded, round_no, attempt, layer)
+            if thought is not None:
+                break
+            trace.record(layer, spec.id, attempt, EventKind.REJECTED,
+                         f"{'skipped: ' if skip else ''}{notes}",
+                         scope=state.scope, visit=round_no)
+        else:
             if skip:
                 state.unplaced.append(spec.id)
                 return _solve_from(state, i + 1)
@@ -596,7 +515,7 @@ def _solve_from(state: GlobalState, i: int) -> bool:
         cx, cy, yaw = thought.pose
         placed = PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(state.region.id))
         trace.record(
-            layer, spec.id, used_attempt, EventKind.ACCEPTED,
+            layer, spec.id, attempt, EventKind.ACCEPTED,
             f"side={thought.side.value} side_attempt={thought.side_attempt}",
             scope=state.scope, visit=round_no, pose=thought.pose,
         )
@@ -629,14 +548,13 @@ def place_supported(
     """
     if not sub.objects:
         return []
-    local_anchor = max(sub.objects, key=lambda s: (s.dims.footprint_area, s.id))
     mini = RegionPlan(
         id=f"top:{supporter.spec_id}",
         function="top surface",
         length=supporter_spec.dims.length,
         width=supporter_spec.dims.depth,
         objects=sub.objects,
-        anchor_id=local_anchor.id,
+        anchor_id=local_anchor(sub.objects).id,
         anchor_rule=AnchorRule.IN_CENTER,
         edges=sub.edges,
     )

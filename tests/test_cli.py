@@ -179,6 +179,25 @@ class TestRender:
         assert r.exit_code == 4
         assert "trace does not match scene" in r.output
 
+    @pytest.mark.parametrize("step", ["0", "all"])
+    def test_trace_of_another_scene_exit_4(self, tmp_path, step):
+        # the bedroom run has one region and no supported objects, so none
+        # of its scopes is a region or supporter top of the bathroom scene
+        bath, bed = tmp_path / "bath", tmp_path / "bed"
+        run_cli(["generate", "--seed", "1", "--prompt",
+                 "A small bathroom with a bathtub and a sink", "--out-dir", str(bath)])
+        run_cli(["generate", "--seed", "1", "--prompt",
+                 "A snug bedroom with a comfortable queen-sized bed", "--out-dir", str(bed)])
+        foreign = bed / "trace.jsonl"
+        n = len(foreign.read_text("utf-8").splitlines())
+        r = run_cli([
+            "render", str(bath / "scene.json"), "--trace", str(foreign),
+            "--step", str(n) if step == "all" else step, "-o", str(tmp_path / "x.svg"),
+        ])
+        assert r.exit_code == 4
+        assert "trace does not match scene" in r.output
+        assert not (tmp_path / "x.svg").exists()
+
 
 class TestAblate:
     def test_small_grid(self, tmp_path):

@@ -606,3 +606,149 @@ class TestModeGuard:
         with pytest.raises(ValueError):
             plan_region(region, SearchConfig(seed=0, mode=SearchMode.IO),
                         DeterministicOracle(seed=0))
+
+
+class ScriptedOracle:
+    """Answers side, side-eval and cells questions from fixed scripts.
+
+    A cells script entry is raw reply text, a function of the query that
+    returns the text, or the start index of a run: the reply then names
+    one cell for each index of the run."""
+
+    def __init__(self, sides=(), evals=(), runs=()):
+        self.sides, self.evals, self.runs = list(sides), list(evals), list(runs)
+
+    def query(self, q):
+        from treelayout.oracle.queries import CellsQuery, OracleReply, SideEvalQuery, SideQuery
+
+        if isinstance(q, SideQuery):
+            return OracleReply(self.sides.pop(0))
+        if isinstance(q, SideEvalQuery):
+            return OracleReply(self.evals.pop(0))
+        assert isinstance(q, CellsQuery)
+        run = self.runs.pop(0)
+        if isinstance(run, str):
+            return OracleReply(run)
+        if callable(run):
+            return OracleReply(run(q))
+        axis_of = q.context.grid.col_of if q.axis == "cols" else q.context.grid.row_of
+        names = [
+            next(name for idx, name in q.emap.entries.items() if axis_of(idx) == i)
+            for i in range(run, run + q.expected_count)
+        ]
+        return OracleReply(" ".join(names))
+
+    def exhausted(self):
+        return not (self.sides or self.evals or self.runs)
+
+
+class TestRejectionNotes:
+    """The text of every local-search rejection note (it lands in trace.jsonl).
+
+    A 4.0 x 3.1 region on a 0.25 grid (16 cols, 13 rows) with the sofa
+    anchor flush to the bottom wall.  On its top side the coffee table
+    spans 3 rows and 4 cols, so the first step names rows and the second
+    columns; rows 4-12 are above the anchor."""
+
+    def local_notes(self, oracle, excluded=(), obstacle=False, **budgets):
+        from treelayout.oracle.base import OracleSession
+        from treelayout.search import GlobalState, local_place
+
+        region = make_region(
+            "r1", 4.0, 3.1, ("sofa", 2.0, 0.9, "place_along_wall"),
+            [("coffee_table", 1.0, 0.6, "place_front", "face_anchor"),
+             ("lamp", 0.5, 0.5, "place_around", None)],
+        )
+        config = SearchConfig(seed=0, **{**REFERENCE_CONFIG, **budgets})
+        state = GlobalState(
+            region=region, order=layer_order(region), config=config,
+            session=OracleSession(oracle, SearchTrace()), scope="r1", wall_sides=frozenset(),
+        )
+        state.push(PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1")),
+                   region.spec("sofa_0").dims)
+        if obstacle:  # covers cols 2-3, rows 7-8
+            state.push(PlacedObject("lamp_2", 0.75, 2.0, 0.0, Yaw.DEG_0, Parent.floor("r1")),
+                       region.spec("lamp_2").dims)
+        spec = region.spec("coffee_table_1")
+        thought, notes = local_place(
+            spec, region.edge_for(spec.id), state, set(excluded), 1, 1, 2
+        )
+        assert oracle.exhausted()
+        assert thought is None
+        return notes
+
+    def test_side_reply_unusable(self):
+        oracle = ScriptedOracle(sides=["nowhere", "left or right"])
+        assert self.local_notes(oracle) == (
+            "side reply unusable: 'nowhere'; side reply unusable: 'left or right'"
+        )
+
+    def test_eval_no_then_repeated_side(self):
+        oracle = ScriptedOracle(sides=["top", "top"], evals=["no"])
+        assert self.local_notes(oracle) == "top: eval no; side reply unusable: 'top'"
+
+    def test_no_candidate_cells(self):
+        # the anchor is flush to the bottom wall
+        oracle = ScriptedOracle(sides=["bottom"], evals=["yes"])
+        assert self.local_notes(oracle, k_local_side=1) == "bottom: no candidate cells"
+
+    def test_selection_error_kinds(self):
+        def one_name(q):
+            return next(iter(q.emap.entries.values()))
+
+        def unlisted_name(q):
+            return q.emap.vocabulary[-1]
+
+        # the second reply names rows 4-6 and leads to the columns question
+        oracle = ScriptedOracle(sides=["top"], evals=["yes"],
+                                runs=["I cannot say", 4, one_name, unlisted_name])
+        assert self.local_notes(oracle, k_local_side=1, k_local_axis=2) == (
+            "top/rows: EmptyResponse; top/cols: WrongCount; top/cols: UnknownEmoji"
+        )
+
+    def test_repeat_runs(self):
+        oracle = ScriptedOracle(sides=["top"], evals=["yes"], runs=[4, 12, 12, 4])
+        assert self.local_notes(oracle, k_local_side=1, k_local_axis=2) == (
+            "top: relation; top/cols: repeat run 12; top/rows: repeat run 4"
+        )
+
+    def test_pose_already_failed_downstream(self):
+        oracle = ScriptedOracle(sides=["top"], evals=["yes"], runs=[4, 6])
+        notes = self.local_notes(oracle, excluded={("top", 4, 6)}, k_local_side=1)
+        assert notes == "top: pose ('top', 4, 6) already failed downstream"
+
+    @pytest.mark.parametrize("runs, obstacle, reason", [
+        ([10, 4], False, "bounds"),  # rows 10-12 reach y = 3.25 > 3.1
+        ([7, 1], True, "overlap"),  # cols 1-4 x rows 7-9 cover the obstacle
+        ([4, 12], False, "relation"),  # cols 12-15 are off the sofa's front
+    ])
+    def test_pose_checks(self, runs, obstacle, reason):
+        oracle = ScriptedOracle(sides=["top"], evals=["yes"], runs=runs)
+        assert self.local_notes(oracle, obstacle=obstacle, k_local_side=1) == f"top: {reason}"
+
+    @pytest.mark.parametrize("mode, sides, evals, note", [
+        (SearchMode.TREE, ["nowhere", "top"], ["no"],
+         "side reply unusable: 'nowhere'; top: eval no"),
+        (SearchMode.COT, ["nowhere"], [], "skipped: side reply unusable: 'nowhere'"),
+    ])
+    def test_rejected_event_joins_notes(self, mode, sides, evals, note):
+        region = make_region(
+            "r1", 4.0, 3.0, ("sofa", 2.0, 0.9, "place_along_wall"),
+            [("coffee_table", 1.0, 0.6, "place_front", "face_anchor")],
+        )
+        config = SearchConfig(seed=0, mode=mode, **{**REFERENCE_CONFIG, "k_global_anchor": 1})
+        oracle = ScriptedOracle(sides=sides, evals=evals)
+        trace = plan_region(region, config, oracle).trace
+        assert oracle.exhausted()
+        assert [e.note for e in trace.events if e.kind is EventKind.REJECTED] == [note]
+
+    def test_facing_reply_unusable(self):
+        region = make_region("r1", 4.0, 3.0, ("dining_table", 1.4, 0.9, "place_in_center"))
+        oracle = ScriptedOracle(sides=["nowhere", "top"])
+        trace = plan_region(region, SearchConfig(seed=0, **REFERENCE_CONFIG), oracle).trace
+        assert oracle.exhausted()
+        assert [(e.kind, e.attempt_no, e.note) for e in trace.events] == [
+            (EventKind.REJECTED, 1, "facing reply unusable"),
+            (EventKind.PROPOSED, 2, "anchor=top"),
+            (EventKind.ACCEPTED, 2, "anchor=top"),
+        ]
