@@ -18,7 +18,7 @@ from treelayout.compose import CompositionOverlap
 from treelayout.evaluate import ablation_report, format_ablation_table, validity_metrics
 from treelayout.grid import VocabularyExhausted
 from treelayout.model import Scene, SearchConfig, SearchMode
-from treelayout.oracle.base import OracleFailure, PlacementOracle
+from treelayout.oracle.base import FingerprintMiss, OracleFailure, PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.live import LiveConfig, LiveOracle
 from treelayout.oracle.transcript import RecordingOracle, ReplayOracle
@@ -70,7 +70,7 @@ def _build_oracle(kind: str, seed: int, p_adv: float, catalog: AssetCatalog,
             _fail_config("--transcript is required with --oracle replay")
         try:
             return ReplayOracle.from_file(transcript)
-        except OSError as exc:
+        except (OSError, ValueError, FingerprintMiss) as exc:
             _fail_config(f"cannot read transcript: {exc}")
     _fail_config(f"unknown oracle kind {kind!r} (choose det, live, or replay)")
 
@@ -295,10 +295,7 @@ def replay(transcript_file, prompt, prompt_file, out_dir,
     text = _read_prompt(prompt, prompt_file)
     config = _build_config(mode, seed, cell_size, k_anchor, k_other, k_side, k_axis, p_adv)
     catalog = _load_catalog(catalog_path)
-    try:
-        oracle = ReplayOracle.from_file(transcript_file)
-    except OSError as exc:
-        _fail_config(f"cannot read transcript: {exc}")
+    oracle = _build_oracle("replay", seed, p_adv, catalog, transcript_file, None)
     scene, out = _solve_and_write(text, config, oracle, catalog, out_dir)
     click.echo(f"wrote {out / 'scene.json'}")
     _exit_if_incomplete(scene, config)

@@ -13,6 +13,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from importlib import resources
 
 from treelayout import kernels
@@ -96,10 +97,6 @@ class Side(str, Enum):
     TOP = "top"
 
     @property
-    def kernel_code(self) -> int:
-        return {"left": 0, "right": 1, "bottom": 2, "top": 3}[self.value]
-
-    @property
     def horizontal(self) -> bool:
         """True when the side displaces along x (columns are the primary axis)."""
         return self in (Side.LEFT, Side.RIGHT)
@@ -126,6 +123,12 @@ class OccupancyGrid:
 
     def col_of(self, idx: int) -> int:
         return idx % self.cols
+
+    @cached_property
+    def markers(self) -> tuple[str, ...]:
+        """Prompt token per cell, row-major: the anchor, occupied or free marker."""
+        marker_of = {ANCHOR_OCCUPIED: ANCHOR_MARKER, OCCUPIED: OCCUPIED_MARKER}
+        return tuple(marker_of.get(code, FREE_MARKER) for code in self.codes)
 
 
 @dataclass(frozen=True)
@@ -199,25 +202,19 @@ def rasterize(
     return rasterize_rects(region.length, region.width, cell_size, rects)
 
 
-def candidate_cells(grid: OccupancyGrid, side: Side, anchor_aabb: AABB) -> list[int]:
-    """All free cells strictly on the given side of the anchor's AABB,
-    in (row, col) order.
+def candidate_cells(grid: OccupancyGrid, anchor_aabb: AABB) -> dict[Side, list[int]]:
+    """The free cells strictly on each side of the anchor's AABB, in
+    (row, col) order, from one pass over the grid.
 
     An anchor rectangle reaching past the grid extent is tolerated: the
     sides it spills over simply have no cells (this happens when probing
     facings for a centered anchor that only fits rotated).
     """
-    return kernels.free_cells_on_side(
-        grid.cols,
-        grid.rows,
-        grid.cell_size,
-        grid.codes,
-        side.kernel_code,
-        anchor_aabb.x0,
-        anchor_aabb.y0,
-        anchor_aabb.x1,
-        anchor_aabb.y1,
+    buckets = kernels.free_cells_on_side(
+        grid.cols, grid.rows, grid.cell_size, grid.codes,
+        anchor_aabb.x0, anchor_aabb.y0, anchor_aabb.x1, anchor_aabb.y1,
     )
+    return dict(zip(Side, buckets))
 
 
 def assign_emojis(cells: list[int] | set[int], vocabulary: tuple[str, ...]) -> EmojiMap:
@@ -242,33 +239,21 @@ def serialize_grid_prompt(
     cells render as their assigned emoji name, occupied cells as the
     occupied/anchor markers, and remaining free cells as the blank marker.
     """
-    for idx in emap.entries:
-        if not 0 <= idx < grid.rows * grid.cols:
+    tokens = list(grid.markers)
+    for idx, name in emap.entries.items():
+        if not 0 <= idx < len(tokens):
             raise ValueError(f"emoji map cell {idx} outside grid")
+        tokens[idx] = name
 
     def edge_marker(side: Side) -> str:
         return WALL_MARKER if side in wall_sides else BOUNDARY_MARKER
 
-    lines: list[str] = []
-    top = [WALL_MARKER] + [edge_marker(Side.TOP)] * grid.cols + [WALL_MARKER]
-    bottom = [WALL_MARKER] + [edge_marker(Side.BOTTOM)] * grid.cols + [WALL_MARKER]
-    lines.append(" ".join(top))
+    cols = grid.cols
+    left, right = edge_marker(Side.LEFT), edge_marker(Side.RIGHT)
+    lines = [" ".join([WALL_MARKER] + [edge_marker(Side.TOP)] * cols + [WALL_MARKER])]
     for r in range(grid.rows - 1, -1, -1):
-        row_tokens = [edge_marker(Side.LEFT)]
-        for c in range(grid.cols):
-            idx = grid.index(r, c)
-            name = emap.entries.get(idx)
-            if name is not None:
-                row_tokens.append(name)
-            elif grid.codes[idx] == ANCHOR_OCCUPIED:
-                row_tokens.append(ANCHOR_MARKER)
-            elif grid.codes[idx] == OCCUPIED:
-                row_tokens.append(OCCUPIED_MARKER)
-            else:
-                row_tokens.append(FREE_MARKER)
-        row_tokens.append(edge_marker(Side.RIGHT))
-        lines.append(" ".join(row_tokens))
-    lines.append(" ".join(bottom))
+        lines.append(" ".join([left, *tokens[r * cols:(r + 1) * cols], right]))
+    lines.append(" ".join([WALL_MARKER] + [edge_marker(Side.BOTTOM)] * cols + [WALL_MARKER]))
     return "\n".join(lines)
 
 

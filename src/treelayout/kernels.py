@@ -1,6 +1,7 @@
 """Grid-geometry kernels: the hot inner loops of the engine.
 
-Per-cell rasterization, side filtering, and rectangle overlap scans.
+Per-cell rasterization, free cells bucketed by side of an anchor (one
+pass for all four sides), and rectangle overlap scans.
 
 Cells are indexed row-major: ``index = row * cols + col``; cell (r, c)
 covers ``[c*s, (c+1)*s] x [r*s, (r+1)*s]``.  Occupancy codes: 0 free,
@@ -47,35 +48,37 @@ def free_cells_on_side(
     rows: int,
     cell_size: float,
     codes: Sequence[int],
-    side: int,
     ax0: float, ay0: float, ax1: float, ay1: float,
-) -> list[int]:
-    """Indices of free cells strictly on one side of the anchor rectangle.
+) -> tuple[list[int], list[int], list[int], list[int]]:
+    """Indices of the free cells strictly on each side of the anchor
+    rectangle, bucketed (left, right, bottom, top), each in row-major order.
 
-    Side codes: 0 left (cell max-x <= anchor min-x), 1 right, 2 bottom,
-    3 top, with a 1e-9 slack so flush cells count.
+    A cell is left when its max-x <= anchor min-x, right when its min-x
+    >= anchor max-x, and likewise bottom/top on y, with a 1e-9 slack so
+    flush cells count.  One pass over the grid fills all four buckets.
     """
-    out: list[int] = []
+    left, right, bottom, top = [], [], [], []
+    col_x0 = [c * cell_size for c in range(cols)]
+    is_left = [x0 + cell_size <= ax0 + _EPS for x0 in col_x0]
+    is_right = [x0 >= ax1 - _EPS for x0 in col_x0]
     for r in range(rows):
         cy0 = r * cell_size
-        cy1 = cy0 + cell_size
+        is_bottom = cy0 + cell_size <= ay0 + _EPS
+        is_top = cy0 >= ay1 - _EPS
         base = r * cols
         for c in range(cols):
             if codes[base + c] != 0:
                 continue
-            cx0 = c * cell_size
-            cx1 = cx0 + cell_size
-            if side == 0:
-                keep = cx1 <= ax0 + _EPS
-            elif side == 1:
-                keep = cx0 >= ax1 - _EPS
-            elif side == 2:
-                keep = cy1 <= ay0 + _EPS
-            else:
-                keep = cy0 >= ay1 - _EPS
-            if keep:
-                out.append(base + c)
-    return out
+            idx = base + c
+            if is_left[c]:
+                left.append(idx)
+            if is_right[c]:
+                right.append(idx)
+            if is_bottom:
+                bottom.append(idx)
+            if is_top:
+                top.append(idx)
+    return left, right, bottom, top
 
 
 def first_overlap(

@@ -254,16 +254,17 @@ class DeterministicOracle(PlacementOracle):
         """One emoji per chosen column/row: the first named cell there."""
         grid = q.context.grid
         axis_of = grid.col_of if q.axis == "cols" else grid.row_of
-        names: list[str] = []
-        for axis_index in range(start, start + q.expected_count):
-            cell = next(
-                (idx for idx in q.emap.entries if axis_of(idx) == axis_index),
-                None,
-            )
-            if cell is None:
-                return None
-            names.append(q.emap.entries[cell])
-        return names
+        wanted = range(start, start + q.expected_count)
+        first: dict[int, str] = {}
+        for idx, name in q.emap.entries.items():
+            axis_index = axis_of(idx)
+            if axis_index in wanted and axis_index not in first:
+                first[axis_index] = name
+                if len(first) == len(wanted):
+                    break
+        if len(first) < len(wanted):
+            return None
+        return [first[i] for i in wanted]
 
     # -- IO mode -----------------------------------------------------------
 

@@ -12,13 +12,14 @@ Scoring is defined in brute-force-checkable terms:
   their axis, ties toward the lower start index.
 
 All three questions read one table per (context, side), built on first
-use.  It holds the side's candidate cells and spans; the invariants of
-the legality test (region bounds, placed boxes, anchor box and facing,
-half-extents per yaw); the side score; a summed-area table over the
-candidate mask (Crow, SIGGRAPH 1984), so "every covered cell is a
-candidate" costs four lookups for any rectangle; and a memo of
-completion verdicts per (column start, row start), shared by the
-primary-run and secondary-run questions.
+use.  It holds the side's candidate cells, taken from the context's
+``candidates`` (one grid scan per context, shared with the search), and
+the object's spans; the invariants of the legality test (region bounds,
+placed boxes, anchor box and facing, half-extents per yaw); the side
+score; a summed-area table over the candidate mask (Crow, SIGGRAPH
+1984), so "every covered cell is a candidate" costs four lookups for any
+rectangle; and a memo of completion verdicts per (column start, row
+start), shared by the primary-run and secondary-run questions.
 
 Tables are cached by the context *value*: ``SpatialContext`` is a frozen,
 hashable dataclass that carries everything the policy reads (see its
@@ -36,7 +37,6 @@ for oracle-named runs too, so policy legality equals engine acceptance.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import add
@@ -45,7 +45,7 @@ from treelayout import kernels
 from treelayout.grid import (
     DegenerateDirection,
     Side,
-    candidate_cells,
+    grid_dims,
     orientation_from_rule,
     relation_holds,
     yaw_for_side,
@@ -84,15 +84,11 @@ def facing_yaw_for_side(side: Side) -> Yaw:
     return _SIDE_YAW[side]
 
 
-def span_cells(extent: float, cell_size: float) -> int:
-    return max(1, math.ceil(extent / cell_size - LENGTH_EPS))
-
-
 def object_spans(ctx: SpatialContext, side: Side) -> tuple[int, int]:
     """(column span, row span) of the object at its side-derived yaw."""
     yaw0 = yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side)
     box = effective_aabb(ctx.object_dims, yaw0, (0.0, 0.0))
-    return span_cells(box.width, ctx.cell_size), span_cells(box.height, ctx.cell_size)
+    return grid_dims(box.width, box.height, ctx.cell_size)
 
 
 def final_yaw(ctx: SpatialContext, side: Side, center: tuple[float, float]) -> Yaw:
@@ -145,7 +141,7 @@ class _SideTable:
         self.relation_args = (
             anchor.x, anchor.y, anchor.yaw.facing, ctx.d_front, ctx.d_beside, ctx.d_around,
         )
-        self.cand = candidate_cells(grid, side, anchor_box)
+        self.cand = ctx.candidates[side]
         if ctx.relation is None:
             self.score = len(self.cand)
         else:

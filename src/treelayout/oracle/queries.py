@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
-from treelayout.grid import EmojiMap, OccupancyGrid, Side
+from treelayout.grid import EmojiMap, OccupancyGrid, Side, candidate_cells
 from treelayout.model import (
     Dim3,
     OrientationRule,
@@ -40,7 +41,9 @@ class SpatialContext:
 
     The grid prompt is the text a language oracle sees; the structured
     fields let the deterministic heuristic answer the same question
-    without parsing its own prompt.
+    without parsing its own prompt.  ``candidates`` is derived from the
+    fields on first use and is not one itself, so equality, hashing and
+    ``canonical_text`` ignore it.
     """
 
     scope: str
@@ -58,6 +61,12 @@ class SpatialContext:
     d_front: float
     d_beside: float
     d_around: float
+
+    @cached_property
+    def candidates(self) -> dict[Side, list[int]]:
+        """Free cells on each side of the anchor, in (row, col) order;
+        callers share the lists and must not mutate them."""
+        return candidate_cells(self.grid, self.anchor.aabb(self.anchor_dims))
 
     def canonical_text(self) -> str:
         """Everything the deterministic policy reads, so fingerprints

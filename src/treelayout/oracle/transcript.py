@@ -37,16 +37,27 @@ class Transcript:
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":
+        """Read a transcript file; a line that is not a JSON object, or a
+        record without string ``fp`` and ``reply``, raises ``ValueError``
+        naming the line."""
         records: list[tuple[str, str]] = []
         metadata: dict = {}
-        for line in Path(path).read_text("utf-8").splitlines():
+        for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"transcript line {lineno}: not JSON ({exc.msg})") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"transcript line {lineno}: not a JSON object")
             if row.get("kind") == "meta":
                 metadata = {k: v for k, v in row.items() if k != "kind"}
-            else:
-                records.append((row["fp"], row["reply"]))
+                continue
+            fp, reply = row.get("fp"), row.get("reply")
+            if not (isinstance(fp, str) and isinstance(reply, str)):
+                raise ValueError(f"transcript line {lineno}: record needs string fp and reply")
+            records.append((fp, reply))
         return cls(records=records, metadata=metadata)
 
 

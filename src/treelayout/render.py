@@ -24,7 +24,9 @@ MARGIN = 24.0
 
 
 class TraceMismatch(ValueError):
-    """A trace event names a search scope the scene does not have."""
+    """The trace cannot be replayed onto the scene: an event names a
+    search scope the scene does not have, or no event carries a pose
+    while the scene has placements."""
 
 
 def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list[PlacedObject]:
@@ -36,7 +38,9 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
     way a finished run's are, by :func:`compose` and :func:`attach_supported`.
     An event at layer 1 or deeper whose scope is neither a plan region
     nor ``top:<object id>`` raises :class:`TraceMismatch`, whatever the
-    step: the trace belongs to another scene.
+    step: the trace belongs to another scene.  So does a trace with no
+    pose for a scene with placements, such as an IO-mode run's, which
+    places everything in one reply and records no steps.
     """
     if step < 0 or step > len(events):
         raise IndexError(f"step {step} outside 0..{len(events)}")
@@ -46,6 +50,8 @@ def replay_placements(scene: Scene, events: list[TraceEvent], step: int) -> list
     for e in events:
         if e.layer >= 1 and e.scope not in scopes:
             raise TraceMismatch(f"scope {e.scope!r} of {e.object_id} is not in the scene")
+    if scene.placements and all(e.pose is None for e in events):
+        raise TraceMismatch("the trace records no placement steps for this scene's placements")
     live: dict[tuple[str, int], TraceEvent] = {}
     for e in events[:step]:
         if e.layer < 1:

@@ -35,7 +35,6 @@ from treelayout.grid import (
     SelectionError,
     Side,
     assign_emojis,
-    candidate_cells,
     contiguous_axis_run,
     load_vocabulary,
     parse_emoji_selection,
@@ -269,7 +268,6 @@ def local_place(
     grid = rasterize(state.region, state.placed, cfg.cell_size)
     ctx = _make_context(state, spec, edge, grid, state.anchor_placed, state.anchor_dims)
     _, grid_text = _named_grid(state, grid, [])
-    anchor_box = state.anchor_placed.aabb(state.anchor_dims)
     notes: list[str] = []
 
     for side_attempt, side, raw in _ask_sides(state, ctx, grid_text, cfg.k_local_side, round_no):
@@ -282,7 +280,7 @@ def local_place(
         if not _parse_yes(eval_raw):
             notes.append(f"{side.value}: eval no")
             continue
-        cand = candidate_cells(grid, side, anchor_box)
+        cand = ctx.candidates[side]
         if not cand:
             notes.append(f"{side.value}: no candidate cells")
             continue

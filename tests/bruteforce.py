@@ -2,8 +2,8 @@
 
 Everything here is written with plain tuples and loops, no kernels, no
 grid objects, no oracle plumbing: rectangle intersection by min/max
-arithmetic, rasterization by cell-by-cell scans, side scoring by direct
-enumeration, and a full enumerator that re-derives the k-bounded
+arithmetic, rasterization by cell-by-cell scans, the grid prompt token
+by token, side scoring by direct enumeration, and a full enumerator that re-derives the k-bounded
 deterministic search outcome from first principles.
 """
 
@@ -64,6 +64,35 @@ def brute_side_cells(cols, rows, cell, codes, side: str, anchor_rect) -> list[in
             if keep:
                 out.append(r * cols + c)
     return out
+
+
+def brute_grid_prompt(cols, rows, codes, names: dict[int, str], wall_sides) -> str:
+    """Grid prompt built token by token, top row first, inside a one-cell
+    ring: "brick" at the corners and on the sides named in ``wall_sides``,
+    "white_circle" on the others.  A cell in ``names`` shows its name;
+    otherwise code 2 shows "red_square", code 1 "black_square" and any
+    other code "light_blank"."""
+
+    def edge(side: str) -> str:
+        return "brick" if side in wall_sides else "white_circle"
+
+    lines = [" ".join(["brick"] + [edge("top")] * cols + ["brick"])]
+    for r in range(rows - 1, -1, -1):
+        tokens = [edge("left")]
+        for c in range(cols):
+            idx = r * cols + c
+            if idx in names:
+                tokens.append(names[idx])
+            elif codes[idx] == 2:
+                tokens.append("red_square")
+            elif codes[idx] == 1:
+                tokens.append("black_square")
+            else:
+                tokens.append("light_blank")
+        tokens.append(edge("right"))
+        lines.append(" ".join(tokens))
+    lines.append(" ".join(["brick"] + [edge("bottom")] * cols + ["brick"]))
+    return "\n".join(lines)
 
 
 # -- independent relation / orientation formulas ------------------------------

@@ -133,6 +133,33 @@ class TestRecordReplay:
         assert r.exit_code == 4
 
 
+    @pytest.mark.parametrize("command", ["replay", "generate"])
+    @pytest.mark.parametrize("line", [
+        "not json",
+        "[1, 2]",
+        '{"fp": "abc"}',
+    ], ids=["not-json", "json-list", "no-reply"])
+    def test_malformed_transcript_exit_4(self, tmp_path, command, line):
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text('{"kind": "meta"}\n' + line + "\n", "utf-8")
+        if command == "replay":
+            args = ["replay", str(transcript)]
+        else:
+            args = ["generate", "--oracle", "replay", "--transcript", str(transcript)]
+        r = run_cli(args + ["--prompt", PROMPT, "--out-dir", str(tmp_path / "o")])
+        assert r.exit_code == 4
+        assert "cannot read transcript" in r.output and "line 2" in r.output
+
+
+    def test_transcript_of_other_template_version_exit_4(self, tmp_path):
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text('{"kind": "meta", "template_version": "old"}\n', "utf-8")
+        r = run_cli(["replay", str(transcript), "--prompt", PROMPT,
+                     "--out-dir", str(tmp_path / "o")])
+        assert r.exit_code == 4
+        assert "template version 'old'" in r.output
+
+
 class TestRender:
     def test_render_and_step(self, tmp_path):
         out = tmp_path / "o"
@@ -145,6 +172,16 @@ class TestRender:
         ])
         assert r.exit_code == 0, r.output
         assert target.exists()
+
+    def test_step_of_io_run_exit_4(self, tmp_path):
+        out = tmp_path / "o"
+        r = run_cli(["generate", "--mode", "io", "--prompt", PROMPT, "--out-dir", str(out)])
+        assert r.exit_code == 0, r.output
+        r = run_cli(["render", str(out / "scene.json"), "--step", "0",
+                     "-o", str(tmp_path / "x.svg")])
+        assert r.exit_code == 4
+        assert "no placement steps" in r.output
+        assert not (tmp_path / "x.svg").exists()
 
     def test_bad_step_exit_4(self, tmp_path):
         out = tmp_path / "o"

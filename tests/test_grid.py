@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bruteforce import brute_rasterize, brute_relation
+from bruteforce import brute_grid_prompt, brute_rasterize, brute_relation, brute_side_cells
 from treelayout.grid import (
     ANCHOR_MARKER,
     ANCHOR_OCCUPIED,
@@ -17,6 +17,7 @@ from treelayout.grid import (
     OCCUPIED_MARKER,
     WALL_MARKER,
     DegenerateDirection,
+    EmojiMap,
     EmptyResponse,
     NonContiguousRun,
     OccupancyGrid,
@@ -150,6 +151,16 @@ class TestRasterize:
         assert list(grid.codes) == brute_rasterize(grid.cols, grid.rows, cell, rects)
 
 
+def assert_sides_match_brute_force(grid: OccupancyGrid, anchor: AABB, got: dict) -> None:
+    """``got`` holds exactly the four sides, each equal to the brute-force scan."""
+    assert list(got) == list(Side)
+    box = (anchor.x0, anchor.y0, anchor.x1, anchor.y1)
+    for side in Side:
+        want = brute_side_cells(grid.cols, grid.rows, grid.cell_size, list(grid.codes),
+                                side.value, box)
+        assert got[side] == want, side
+
+
 class TestCandidateCells:
     def grid_4x4(self, occupied=()):
         codes = [FREE] * 16
@@ -160,21 +171,25 @@ class TestCandidateCells:
     def test_right_side(self):
         grid = self.grid_4x4()
         anchor = AABB(0.0, 0.0, 1.0, 2.0)  # cols 0-1, full height
-        got = candidate_cells(grid, Side.RIGHT, anchor)
-        want = [i for i in range(16) if i % 4 >= 2]
-        assert got == want
+        got = candidate_cells(grid, anchor)
+        assert got[Side.RIGHT] == [i for i in range(16) if i % 4 >= 2]
+        assert got[Side.LEFT] == got[Side.BOTTOM] == got[Side.TOP] == []
+        assert_sides_match_brute_force(grid, anchor, got)
 
     def test_empty_when_anchor_at_edge(self):
         grid = self.grid_4x4()
         anchor = AABB(0.0, 0.0, 2.0, 2.0)
-        assert candidate_cells(grid, Side.RIGHT, anchor) == []
+        got = candidate_cells(grid, anchor)
+        assert all(cells == [] for cells in got.values())
+        assert_sides_match_brute_force(grid, anchor, got)
 
     def test_excludes_occupied(self):
         grid = self.grid_4x4(occupied=[3, 7])
         anchor = AABB(0.0, 0.0, 1.0, 2.0)
-        got = candidate_cells(grid, Side.RIGHT, anchor)
-        assert 3 not in got and 7 not in got
-        assert set(got) == {i for i in range(16) if i % 4 >= 2} - {3, 7}
+        got = candidate_cells(grid, anchor)
+        assert 3 not in got[Side.RIGHT] and 7 not in got[Side.RIGHT]
+        assert set(got[Side.RIGHT]) == {i for i in range(16) if i % 4 >= 2} - {3, 7}
+        assert_sides_match_brute_force(grid, anchor, got)
 
     def test_never_returns_occupied_property(self):
         rng = random.Random(3)
@@ -182,9 +197,11 @@ class TestCandidateCells:
             codes = tuple(rng.choice([FREE, OCCUPIED]) for _ in range(24))
             grid = OccupancyGrid(6, 4, 0.5, codes)
             anchor = AABB(0.5, 0.5, 1.5, 1.0)
+            got = candidate_cells(grid, anchor)
             for side in Side:
-                for idx in candidate_cells(grid, side, anchor):
+                for idx in got[side]:
                     assert grid.codes[idx] == FREE
+            assert_sides_match_brute_force(grid, anchor, got)
 
 
 class TestAssignEmojis:
@@ -241,6 +258,36 @@ class TestSerializeAndParse:
         lines = serialize_grid_prompt(grid, assign_emojis([], VOCAB)).splitlines()
         assert OCCUPIED_MARKER in lines[1]
         assert OCCUPIED_MARKER not in lines[2]
+
+    def test_matches_token_by_token_reference(self):
+        rng = random.Random(19)
+        for _ in range(500):
+            cols, rows = rng.randint(1, 10), rng.randint(1, 10)
+            codes = [rng.choice([FREE, FREE, OCCUPIED, ANCHOR_OCCUPIED]) for _ in range(cols * rows)]
+            grid = OccupancyGrid(cols, rows, 0.25, tuple(codes))
+            walls = frozenset(side for side in Side if rng.random() < 0.5)
+            wall_names = {side.value for side in walls}
+            # any cells may be named, occupied ones too: the name wins
+            named = rng.sample(range(cols * rows), rng.randint(0, cols * rows))
+            for emap in (assign_emojis(named, VOCAB), assign_emojis([], VOCAB)):
+                want = brute_grid_prompt(cols, rows, codes, emap.entries, wall_names)
+                assert serialize_grid_prompt(grid, emap, walls) == want
+
+    def test_serialization_reads_no_cell_index(self, monkeypatch):
+        def no_index(self, row, col):
+            raise AssertionError("serialize_grid_prompt called OccupancyGrid.index")
+
+        monkeypatch.setattr(OccupancyGrid, "index", no_index)
+        grid = OccupancyGrid(3, 2, 0.5, (FREE, OCCUPIED, ANCHOR_OCCUPIED, FREE, FREE, FREE))
+        emap = assign_emojis([0, 4], VOCAB)
+        want = brute_grid_prompt(3, 2, list(grid.codes), emap.entries, {s.value for s in Side})
+        assert serialize_grid_prompt(grid, emap) == want
+
+    def test_map_cell_outside_grid_rejected(self):
+        grid = OccupancyGrid(2, 2, 0.5, (FREE,) * 4)
+        for idx in (-1, 4):
+            with pytest.raises(ValueError):
+                serialize_grid_prompt(grid, EmojiMap({idx: VOCAB[0]}, VOCAB))
 
     def test_round_trip_1000_random_grids(self):
         rng = random.Random(42)
@@ -410,19 +457,12 @@ class TestOrientation:
 
 class TestCandidateCellsBlockerExample:
     def test_6x4_with_blocker_matches_brute_force(self):
-        from bruteforce import brute_side_cells
-
-        rng = random.Random(8)
         codes = [FREE] * 24
         # occupied blocker somewhere in cols 4-5
         for idx in (10, 11, 16):
             codes[idx] = OCCUPIED
         grid = OccupancyGrid(6, 4, 0.5, tuple(codes))
         anchor = AABB(0.0, 0.5, 1.0, 1.5)  # cols 0-1
-        for side in Side:
-            got = candidate_cells(grid, side, anchor)
-            want = brute_side_cells(6, 4, 0.5, list(codes), side.value,
-                                    (anchor.x0, anchor.y0, anchor.x1, anchor.y1))
-            assert got == want
-        assert all(idx not in candidate_cells(grid, Side.RIGHT, anchor)
-                   for idx in (10, 11, 16))
+        got = candidate_cells(grid, anchor)
+        assert_sides_match_brute_force(grid, anchor, got)
+        assert all(idx not in got[Side.RIGHT] for idx in (10, 11, 16))

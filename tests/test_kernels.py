@@ -27,16 +27,18 @@ class TestAgainstBruteForce:
 
     def test_side_filter(self):
         rng = random.Random(13)
-        sides = {"left": 0, "right": 1, "bottom": 2, "top": 3}
         for _ in range(100):
             cols, rows = rng.randint(2, 8), rng.randint(2, 8)
             cell = 0.5
             rects = [r + (1,) for r in random_rects(rng, rng.randint(0, 2), span=2.0)]
             codes = kernels.rasterize_codes(cols, rows, cell, rects)
             anchor = random_rects(rng, 1, span=2.0)[0]
-            for name, code in sides.items():
-                got = kernels.free_cells_on_side(cols, rows, cell, codes, code, *anchor)
-                assert got == brute_side_cells(cols, rows, cell, codes, name, anchor)
+            got = kernels.free_cells_on_side(cols, rows, cell, codes, *anchor)
+            want = tuple(
+                brute_side_cells(cols, rows, cell, codes, name, anchor)
+                for name in ("left", "right", "bottom", "top")
+            )
+            assert got == want
 
     def test_first_overlap(self):
         rng = random.Random(17)

@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from bruteforce import BruteRegion
+from bruteforce import BruteRegion, brute_side_cells
 from treelayout.grid import Side, rasterize, serialize_grid_prompt, assign_emojis, load_vocabulary
 from treelayout.model import (
     AnchorRule,
@@ -303,6 +303,20 @@ class TestPolicyCache:
             for ctx in order:
                 assert policy_answers(ctx) == cold[id(ctx)]
 
+    def test_context_candidates_are_derived_not_a_field(self):
+        from dataclasses import fields, replace
+
+        from treelayout.grid import candidate_cells
+
+        ctx = make_context(cell=0.25)
+        before = (hash(ctx), ctx.canonical_text())
+        got = ctx.candidates
+        assert got == candidate_cells(ctx.grid, ctx.anchor.aabb(ctx.anchor_dims))
+        assert ctx.candidates is got
+        assert "candidates" not in {f.name for f in fields(ctx)}
+        assert (hash(ctx), ctx.canonical_text()) == before
+        assert ctx == replace(ctx)
+
     def test_threads_sharing_tables_match_serial(self):
         # More contexts than the cache holds, so threads race on eviction,
         # table construction and the completion memo.
@@ -418,8 +432,14 @@ class TestRunPolicy:
             state = engine_state(ctx)
             edge = Edge("obj_1", ctx.relation, ctx.orientation_rule) if ctx.relation else None
             grid = ctx.grid
+            a = ctx.anchor.aabb(ctx.anchor_dims)
+            by_side = candidate_cells(grid, a)
             for side in Side:
-                cand = set(candidate_cells(grid, side, ctx.anchor.aabb(ctx.anchor_dims)))
+                assert by_side[side] == brute_side_cells(
+                    grid.cols, grid.rows, grid.cell_size, list(grid.codes), side.value,
+                    (a.x0, a.y0, a.x1, a.y1),
+                )
+                cand = set(by_side[side])
                 m_cols, m_rows = object_spans(ctx, side)
                 reported = set()
                 for p0 in range(grid.cols if side.horizontal else grid.rows):
@@ -472,7 +492,7 @@ class TestDeterministicOracleReplies:
         oracle = DeterministicOracle(seed=0)
         side = Side.RIGHT
         anchor_box = ctx.anchor.aabb(ctx.anchor_dims)
-        cand = candidate_cells(ctx.grid, side, anchor_box)
+        cand = candidate_cells(ctx.grid, anchor_box)[side]
         emap = assign_emojis(cand, VOCAB)
         m_cols, _ = object_spans(ctx, side)
         reply = oracle.query(
@@ -484,6 +504,28 @@ class TestDeterministicOracleReplies:
         cells = parse_emoji_selection(reply, emap, m_cols)
         run = contiguous_axis_run(ctx.grid, cells, "cols")
         assert len(run) == m_cols
+
+    def test_run_names_take_first_named_cell_per_index(self):
+        rng = random.Random(21)
+        oracle = DeterministicOracle(seed=0)
+        ctx = make_context(cell=0.25)
+        grid = ctx.grid
+        n = grid.cols * grid.rows
+        for _ in range(200):
+            emap = assign_emojis(rng.sample(range(n), rng.randint(1, n)), VOCAB)
+            axis = rng.choice(["cols", "rows"])
+            axis_of = grid.col_of if axis == "cols" else grid.row_of
+            count = rng.randint(1, 3)
+            start = rng.randint(0, (grid.cols if axis == "cols" else grid.rows) - 1)
+            want = []
+            for i in range(start, start + count):
+                named = [name for idx, name in sorted(emap.entries.items()) if axis_of(idx) == i]
+                if not named:
+                    want = None
+                    break
+                want.append(named[0])
+            q = CellsQuery(grid_prompt="g", context=ctx, emap=emap, expected_count=count, axis=axis)
+            assert oracle._run_names(q, start) == want
 
     def test_no_legal_option_reply(self):
         ctx = make_context(
@@ -577,6 +619,21 @@ class TestTranscripts:
         loaded = Transcript.load(path)
         assert loaded.metadata["model"] == "det"
         assert ReplayOracle(loaded).query(q).text == reply.text
+
+    @pytest.mark.parametrize("line", [
+        "not json",
+        "[1, 2]",
+        '{"fp": "abc"}',
+        '{"fp": "abc", "reply": 3}',
+    ], ids=["not-json", "json-list", "no-reply", "reply-not-text"])
+    def test_malformed_line_names_its_number(self, tmp_path, line):
+        rec = RecordingOracle(DeterministicOracle(seed=3))
+        rec.query(self.ctx_query())
+        path = tmp_path / "t.jsonl"
+        rec.transcript.dump(path)
+        path.write_text(path.read_text() + line + "\n")
+        with pytest.raises(ValueError, match="line 3"):
+            Transcript.load(path)
 
     def test_template_version_mismatch(self, tmp_path):
         rec = RecordingOracle(DeterministicOracle(seed=3))

@@ -6,7 +6,7 @@ from treelayout.evaluate import validity_metrics
 from treelayout.model import EventKind, SearchConfig, SearchMode
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.pipeline import generate_scene
-from treelayout.render import render_scene, replay_placements
+from treelayout.render import TraceMismatch, render_scene, replay_placements
 from treelayout.sceneio import (
     canonical_json,
     read_scene,
@@ -90,10 +90,16 @@ def test_trace_roundtrip_and_step_replay_sweep(tmp_path, mode, p_adv):
         write_trace(scene.trace, path)
         events = read_trace(path)
         assert events == scene.trace.events
+        if mode is SearchMode.IO:
+            # one reply places everything, so the trace has no steps to replay
+            assert scene.placements
+            for k in (0, len(events)):
+                with pytest.raises(TraceMismatch):
+                    render_scene(scene, step=k, events=events)
+            continue
         for k in range(len(events) + 1):
             assert render_scene(scene, step=k, events=events) == render_scene(scene, step=k)
-        if mode is not SearchMode.IO:  # an IO trace carries no poses to replay
-            assert render_scene(scene, step=len(events)) == render_scene(scene)
+        assert render_scene(scene, step=len(events)) == render_scene(scene)
 
 
 class TestRenderScene:

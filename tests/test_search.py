@@ -752,3 +752,36 @@ class TestRejectionNotes:
             (EventKind.PROPOSED, 2, "anchor=top"),
             (EventKind.ACCEPTED, 2, "anchor=top"),
         ]
+
+
+class TestOneScanPerGrid:
+    def test_free_cell_scans_at_most_rasterizations(self, monkeypatch):
+        """Each local step, and each centred-anchor facing visit, rasterizes
+        one grid and reads its free cells by side from one scan, shared by
+        the search and the det policy."""
+        from importlib import resources
+
+        from treelayout import kernels
+        from treelayout.pipeline import generate_scene
+
+        calls = {"free_cells_on_side": 0, "rasterize_codes": 0}
+
+        def count(name):
+            original = getattr(kernels, name)
+
+            def counted(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(kernels, name, counted)
+
+        for name in calls:
+            count(name)
+        text = resources.files("treelayout.data").joinpath("prompt_set.txt").read_text("utf-8")
+        prompts = [line.strip() for line in text.splitlines() if line.strip()][:10]
+        for prompt in prompts:
+            for seed in (0, 1):
+                for mode in (SearchMode.TREE, SearchMode.COT):
+                    config = SearchConfig(seed=seed, mode=mode, p_adv=0.35)
+                    generate_scene(prompt, config, DeterministicOracle(seed=seed, p_adv=0.35))
+        assert 0 < calls["free_cells_on_side"] <= calls["rasterize_codes"]
