@@ -101,6 +101,15 @@ class Side(str, Enum):
         """True when the side displaces along x (columns are the primary axis)."""
         return self in (Side.LEFT, Side.RIGHT)
 
+    @property
+    def facing_yaw(self) -> Yaw:
+        """The yaw that faces toward this side (top is +y, yaw 0)."""
+        return _FACING_YAW[self]
+
+
+_FACING_YAW = {Side.TOP: Yaw.DEG_0, Side.RIGHT: Yaw.DEG_90, Side.BOTTOM: Yaw.DEG_180,
+               Side.LEFT: Yaw.DEG_270}
+
 
 @dataclass(frozen=True)
 class OccupancyGrid:
@@ -400,10 +409,5 @@ def yaw_for_side(rule: OrientationRule | None, anchor_yaw: Yaw, side: Side) -> Y
         return anchor_yaw
     if rule is OrientationRule.OPPOSITE_ANCHOR:
         return anchor_yaw.opposite
-    toward_anchor = {
-        Side.RIGHT: Yaw.DEG_270,
-        Side.LEFT: Yaw.DEG_90,
-        Side.TOP: Yaw.DEG_180,
-        Side.BOTTOM: Yaw.DEG_0,
-    }[side]
-    return toward_anchor if rule is OrientationRule.FACE_ANCHOR else toward_anchor.opposite
+    away = side.facing_yaw  # an object on this side facing away from the anchor
+    return away.opposite if rule is OrientationRule.FACE_ANCHOR else away

@@ -4,22 +4,25 @@ Scoring is defined in brute-force-checkable terms:
 
 * A side's score is the number of its candidate cells on which the
   object, centered on that cell with the side-derived yaw, would sit
-  legally (in bounds, overlap-free, relation satisfied).  For the
-  anchor-facing question the score is simply the free-cell count.
+  legally.  For the anchor-facing question the score is simply the
+  free-cell count.
 * A run of grid columns/rows is feasible when some completion on the
   other axis yields a legal pose whose covered cells are all candidates.
   Runs are ranked by the distance of their center to the anchor along
   their axis, ties toward the lower start index.
 
+"Legal" is ``SpatialContext.legal`` (in bounds, relation satisfied,
+overlap-free): the same check the search applies to every completed
+pose, so the policy names only positions the engine accepts.
+
 All three questions read one table per (context, side), built on first
 use.  It holds the side's candidate cells, taken from the context's
-``candidates`` (one grid scan per context, shared with the search), and
-the object's spans; the invariants of the legality test (region bounds,
-placed boxes, anchor box and facing, half-extents per yaw); the side
-score; a summed-area table over the candidate mask (Crow, SIGGRAPH
-1984), so "every covered cell is a candidate" costs four lookups for any
-rectangle; and a memo of completion verdicts per (column start, row
-start), shared by the primary-run and secondary-run questions.
+``candidates`` (one grid scan per context, shared with the search), the
+object's spans and half-extents per yaw; the side score; a summed-area
+table over the candidate mask (Crow, SIGGRAPH 1984), so "every covered
+cell is a candidate" costs four lookups for any rectangle; and a memo of
+completion verdicts per (column start, row start), shared by the
+primary-run and secondary-run questions.
 
 Tables are cached by the context *value*: ``SpatialContext`` is a frozen,
 hashable dataclass that carries everything the policy reads (see its
@@ -32,7 +35,8 @@ holds.
 
 ``pose_from_starts`` is the single source of truth for turning a
 (side, column start, row start) triple into a pose; the search uses it
-for oracle-named runs too, so policy legality equals engine acceptance.
+for oracle-named runs too, so with the shared legality check, policy
+legality equals engine acceptance.
 """
 
 from __future__ import annotations
@@ -41,54 +45,31 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from operator import add
 
-from treelayout import kernels
 from treelayout.grid import (
     DegenerateDirection,
     Side,
     grid_dims,
     orientation_from_rule,
-    relation_holds,
     yaw_for_side,
 )
-from treelayout.model import (
-    LENGTH_EPS,
-    OVERLAP_EPS,
-    OrientationRule,
-    Yaw,
-    effective_aabb,
-    q4,
-)
+from treelayout.model import OrientationRule, Yaw, effective_aabb, q4
 from treelayout.oracle.queries import SpatialContext
-
-#: Lower region bound of the legality test, as ``AABB.contains`` forms it.
-_LOW = 0.0 - LENGTH_EPS
 
 #: Fixed side preference for tie-breaking, led by the anchor-facing side.
 _BASE_ORDER = (Side.RIGHT, Side.LEFT, Side.BOTTOM, Side.TOP)
 
-_FACING_SIDE = {0: Side.TOP, 90: Side.RIGHT, 180: Side.BOTTOM, 270: Side.LEFT}
-_SIDE_YAW = {Side.TOP: Yaw.DEG_0, Side.RIGHT: Yaw.DEG_90, Side.BOTTOM: Yaw.DEG_180, Side.LEFT: Yaw.DEG_270}
-
 
 def side_preference(anchor_yaw: Yaw) -> list[Side]:
-    front = _FACING_SIDE[anchor_yaw.value]
-    order = [front]
-    for s in _BASE_ORDER:
-        if s not in order:
-            order.append(s)
-    return order
-
-
-def facing_yaw_for_side(side: Side) -> Yaw:
-    """Yaw that faces toward the given side (anchor-facing question)."""
-    return _SIDE_YAW[side]
+    """The side the anchor faces, then the rest of ``_BASE_ORDER``."""
+    front = next(s for s in Side if s.facing_yaw is anchor_yaw)
+    return [front] + [s for s in _BASE_ORDER if s is not front]
 
 
 def object_spans(ctx: SpatialContext, side: Side) -> tuple[int, int]:
     """(column span, row span) of the object at its side-derived yaw."""
     yaw0 = yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side)
     box = effective_aabb(ctx.object_dims, yaw0, (0.0, 0.0))
-    return grid_dims(box.width, box.height, ctx.cell_size)
+    return grid_dims(box.width, box.height, ctx.grid.cell_size)
 
 
 def final_yaw(ctx: SpatialContext, side: Side, center: tuple[float, float]) -> Yaw:
@@ -113,8 +94,8 @@ def pose_from_starts(
 ) -> tuple[float, float, Yaw]:
     """Pose implied by a column run and a row run (starts of each)."""
     m_cols, m_rows = object_spans(ctx, side)
-    cx = run_center(col_start, m_cols, ctx.cell_size)
-    cy = run_center(row_start, m_rows, ctx.cell_size)
+    cx = run_center(col_start, m_cols, ctx.grid.cell_size)
+    cy = run_center(row_start, m_rows, ctx.grid.cell_size)
     return cx, cy, final_yaw(ctx, side, (cx, cy))
 
 
@@ -123,48 +104,25 @@ class _SideTable:
 
     def __init__(self, ctx: SpatialContext, side: Side):
         grid = ctx.grid
-        anchor = ctx.anchor
-        anchor_box = anchor.aabb(ctx.anchor_dims)
         d = ctx.object_dims
         self.ctx = ctx
         self.side = side
         self.m_cols, self.m_rows = object_spans(ctx, side)
-        # Invariants of the legality test.  Each expression below and in
-        # legal() is the one effective_aabb, AABB.contains and
-        # relation_satisfied evaluate, so the verdicts are bit-identical.
+        # Half-extents per "yaw swaps extents", as effective_aabb forms them.
         self.half = {False: (d.length / 2.0, d.depth / 2.0), True: (d.depth / 2.0, d.length / 2.0)}
-        self.x_max = ctx.region_length + LENGTH_EPS
-        self.y_max = ctx.region_width + LENGTH_EPS
-        self.boxes = list(ctx.placed_boxes)
-        self.relation = ctx.relation
-        self.anchor_box = (anchor_box.x0, anchor_box.y0, anchor_box.x1, anchor_box.y1)
-        self.relation_args = (
-            anchor.x, anchor.y, anchor.yaw.facing, ctx.d_front, ctx.d_beside, ctx.d_around,
-        )
         self.cand = ctx.candidates[side]
         if ctx.relation is None:
             self.score = len(self.cand)
         else:
-            yaw0 = yaw_for_side(ctx.orientation_rule, anchor.yaw, side)
+            yaw0 = yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side)
             hx, hy = self.half[yaw0.swaps_extents]
             s = grid.cell_size
-            self.score = sum(
-                1 for r, c in (divmod(idx, grid.cols) for idx in self.cand)
-                if self.legal((c + 0.5) * s, (r + 0.5) * s, hx, hy)
-            )
+            self.score = 0
+            for idx in self.cand:
+                r, c = divmod(idx, grid.cols)
+                cx, cy = (c + 0.5) * s, (r + 0.5) * s
+                self.score += ctx.legal(cx - hx, cy - hy, cx + hx, cy + hy)
         self.memo: dict[tuple[int, int], bool] = {}
-
-    def legal(self, cx: float, cy: float, hx: float, hy: float) -> bool:
-        """The object centered at (cx, cy) with half-extents (hx, hy) is in
-        bounds, satisfies its relation and overlaps no placed box."""
-        x0, y0, x1, y1 = cx - hx, cy - hy, cx + hx, cy + hy
-        if not (x0 >= _LOW and y0 >= _LOW and x1 <= self.x_max and y1 <= self.y_max):
-            return False
-        if self.relation is not None and not relation_holds(
-            self.relation, x0, y0, x1, y1, self.anchor_box, *self.relation_args
-        ):
-            return False
-        return kernels.first_overlap(x0, y0, x1, y1, self.boxes, OVERLAP_EPS) == -1
 
     @cached_property
     def sat(self) -> list[list[int]]:
@@ -198,11 +156,11 @@ class _SideTable:
         if ok is None:
             ok = False
             if self.covered(col_start, row_start):
-                cell_size = self.ctx.cell_size
+                cell_size = self.ctx.grid.cell_size
                 cx = run_center(col_start, self.m_cols, cell_size)
                 cy = run_center(row_start, self.m_rows, cell_size)
-                yaw = final_yaw(self.ctx, self.side, (cx, cy))
-                ok = self.legal(cx, cy, *self.half[yaw.swaps_extents])
+                hx, hy = self.half[final_yaw(self.ctx, self.side, (cx, cy)).swaps_extents]
+                ok = self.ctx.legal(cx - hx, cy - hy, cx + hx, cy + hy)
             self.memo[key] = ok
         return ok
 
@@ -253,9 +211,9 @@ def feasible_secondary_starts(ctx: SpatialContext, side: Side, primary_start: in
 def _run_distance(ctx: SpatialContext, side: Side, axis: str, start: int) -> float:
     m_cols, m_rows = object_spans(ctx, side)
     if axis == "cols":
-        center = (start + m_cols / 2.0) * ctx.cell_size
+        center = (start + m_cols / 2.0) * ctx.grid.cell_size
         return abs(center - ctx.anchor.x)
-    center = (start + m_rows / 2.0) * ctx.cell_size
+    center = (start + m_rows / 2.0) * ctx.grid.cell_size
     return abs(center - ctx.anchor.y)
 
 

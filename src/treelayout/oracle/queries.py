@@ -14,8 +14,11 @@ import hashlib
 from dataclasses import dataclass
 from functools import cached_property
 
-from treelayout.grid import EmojiMap, OccupancyGrid, Side, candidate_cells
+from treelayout import kernels
+from treelayout.grid import EmojiMap, OccupancyGrid, Side, candidate_cells, relation_holds
 from treelayout.model import (
+    LENGTH_EPS,
+    OVERLAP_EPS,
     Dim3,
     OrientationRule,
     PlacedObject,
@@ -41,16 +44,20 @@ class SpatialContext:
 
     The grid prompt is the text a language oracle sees; the structured
     fields let the deterministic heuristic answer the same question
-    without parsing its own prompt.  ``candidates`` is derived from the
-    fields on first use and is not one itself, so equality, hashing and
-    ``canonical_text`` ignore it.
+    without parsing its own prompt.
+
+    The context also owns the engine's final check of a candidate pose,
+    :meth:`legal`, which the det policy asks too, so the oracle names
+    only positions the engine accepts.  ``candidates`` and the check's
+    invariants are derived from the fields on first use and are not
+    fields themselves, so equality, hashing and ``canonical_text`` ignore
+    them.
     """
 
     scope: str
     object_id: str
     region_length: float
     region_width: float
-    cell_size: float
     grid: OccupancyGrid
     placed_boxes: tuple[tuple[float, float, float, float], ...]
     anchor: PlacedObject
@@ -68,6 +75,49 @@ class SpatialContext:
         callers share the lists and must not mutate them."""
         return candidate_cells(self.grid, self.anchor.aabb(self.anchor_dims))
 
+    @cached_property
+    def _limits(self) -> tuple[float, float, float, tuple]:
+        """Invariants of :meth:`legal`: the region bounds with ``LENGTH_EPS``
+        slack, as ``AABB.contains`` forms them (low corner, far x, far y),
+        and the anchor arguments of ``relation_holds``."""
+        a = self.anchor.aabb(self.anchor_dims)
+        anchor_args = (
+            (a.x0, a.y0, a.x1, a.y1), self.anchor.x, self.anchor.y, self.anchor.yaw.facing,
+            self.d_front, self.d_beside, self.d_around,
+        )
+        low = 0.0 - LENGTH_EPS
+        return low, self.region_length + LENGTH_EPS, self.region_width + LENGTH_EPS, anchor_args
+
+    def _inside(self, x0: float, y0: float, x1: float, y1: float) -> bool:
+        low, x_max, y_max, _ = self._limits
+        return x0 >= low and y0 >= low and x1 <= x_max and y1 <= y_max
+
+    def _overlaps(self, x0: float, y0: float, x1: float, y1: float) -> bool:
+        return kernels.first_overlap(x0, y0, x1, y1, self.placed_boxes, OVERLAP_EPS) != -1
+
+    def legal(self, x0: float, y0: float, x1: float, y1: float) -> bool:
+        """The object's box ``(x0, y0, x1, y1)`` lies in the region,
+        satisfies the relation to the anchor (if any) and overlaps no
+        placed box; the cheap tests run first."""
+        if not self._inside(x0, y0, x1, y1):
+            return False
+        if self.relation is not None and not relation_holds(
+            self.relation, x0, y0, x1, y1, *self._limits[3]
+        ):
+            return False
+        return not self._overlaps(x0, y0, x1, y1)
+
+    def rejection(self, x0: float, y0: float, x1: float, y1: float) -> str | None:
+        """Why :meth:`legal` refuses the box, or None when it is legal:
+        ``"bounds"`` before ``"overlap"`` before ``"relation"``."""
+        if self.legal(x0, y0, x1, y1):
+            return None
+        if not self._inside(x0, y0, x1, y1):
+            return "bounds"
+        if self._overlaps(x0, y0, x1, y1):
+            return "overlap"
+        return "relation"
+
     def canonical_text(self) -> str:
         """Everything the deterministic policy reads, so fingerprints
         separate any two states the policy could answer differently
@@ -81,7 +131,7 @@ class SpatialContext:
         return (
             f"scope={self.scope}\nobject={self.object_id}\n"
             f"region={self.region_length:.4f}x{self.region_width:.4f}\n"
-            f"cell={self.cell_size:.4f}\n"
+            f"cell={self.grid.cell_size:.4f}\n"
             f"anchor={self.anchor.x:.4f},{self.anchor.y:.4f},{self.anchor.yaw.value}\n"
             f"anchor_dims={self.anchor_dims.length:.4f}x{self.anchor_dims.depth:.4f}\n"
             f"dims={d.length:.4f}x{d.depth:.4f}\nrelation={rel}\norientation={rule}\n"

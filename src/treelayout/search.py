@@ -12,8 +12,10 @@ The local search places one object in three oracle-guided steps: side of
 the anchor, then the grid run on the side's primary axis (columns for
 left/right, rows for top/bottom), then the other axis.  Side choices are
 oracle-evaluated before descending; completed poses are checked
-geometrically.  A failed local search consumes exactly one global
-attempt.
+geometrically by ``SpatialContext.rejection``, which reports why
+``SpatialContext.legal`` (the det policy's test too) refuses a pose.  A
+failed local search consumes exactly one global attempt, and each global
+attempt is its own visit of the layer, so a retry asks new queries.
 
 CoT mode degenerates every budget to 1 and never backtracks: an object
 that fails to place is skipped.  IO mode asks for the whole layout in
@@ -27,7 +29,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
-from treelayout import kernels
 from treelayout.grid import (
     AABB,
     EmojiMap,
@@ -39,11 +40,9 @@ from treelayout.grid import (
     load_vocabulary,
     parse_emoji_selection,
     rasterize,
-    relation_satisfied,
     serialize_grid_prompt,
 )
 from treelayout.model import (
-    OVERLAP_EPS,
     AnchorRule,
     Dim3,
     Edge,
@@ -65,7 +64,7 @@ from treelayout.model import (
 )
 from treelayout.evaluate import validity_metrics
 from treelayout.oracle.base import OracleSession, PlacementOracle
-from treelayout.oracle.policy import facing_yaw_for_side, object_spans, pose_from_starts
+from treelayout.oracle.policy import object_spans, pose_from_starts
 from treelayout.oracle.queries import (
     CellsQuery,
     FullLayoutQuery,
@@ -142,31 +141,6 @@ def layer_order(region: RegionPlan) -> list[ObjectSpec]:
     return [anchor] + rest
 
 
-def evaluate_thought(
-    pose: tuple[float, float, Yaw],
-    dims: Dim3,
-    state: GlobalState,
-    edge: Edge | None,
-) -> tuple[bool, str]:
-    """Final-step check: in bounds, overlap-free, relation satisfied."""
-    cx, cy, yaw = pose
-    box = effective_aabb(dims, yaw, (cx, cy))
-    bounds = AABB(0.0, 0.0, state.region.length, state.region.width)
-    if not bounds.contains(box):
-        return False, "bounds"
-    if kernels.first_overlap(box.x0, box.y0, box.x1, box.y1, state.placed_boxes, OVERLAP_EPS) != -1:
-        return False, "overlap"
-    if edge is not None:
-        cfg = state.config
-        ok = relation_satisfied(
-            edge.relation, box, state.anchor_placed, state.anchor_dims,
-            cfg.d_front, cfg.d_beside, cfg.d_around,
-        )
-        if not ok:
-            return False, "relation"
-    return True, "ok"
-
-
 def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
                   grid: OccupancyGrid, anchor: PlacedObject, anchor_dims: Dim3) -> SpatialContext:
     cfg = state.config
@@ -175,7 +149,6 @@ def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
         object_id=spec.id,
         region_length=state.region.length,
         region_width=state.region.width,
-        cell_size=cfg.cell_size,
         grid=grid,
         placed_boxes=tuple(state.placed_boxes),
         anchor=anchor,
@@ -309,8 +282,10 @@ def local_place(
                 if key in excluded:
                     notes.append(f"{side.value}: pose {key} already failed downstream")
                     continue
-                ok, reason = evaluate_thought(pose, spec.dims, state, edge)
-                if not ok:
+                cx, cy, yaw = pose
+                box = effective_aabb(spec.dims, yaw, (cx, cy))
+                reason = ctx.rejection(box.x0, box.y0, box.x1, box.y1)
+                if reason is not None:
                     notes.append(f"{side.value}: {reason}")
                     continue
                 return LocalThought(side, pose, key, side_attempt), "ok"
@@ -430,7 +405,7 @@ def place_anchor_visit(
             trace.record(1, spec.id, attempt, EventKind.REJECTED, "facing reply unusable",
                          scope=state.scope, visit=visit_no)
             continue
-        yaw = facing_yaw_for_side(side)
+        yaw = side.facing_yaw
         key: AnchorKey = (side.value, yaw.value)
         placed = attempt_pose(key, cx, cy, yaw, attempt)
         if placed is not None:
@@ -497,8 +472,8 @@ def _solve_from(state: GlobalState, i: int) -> bool:
     excluded: set[PoseKey] = set()
     round_no = 0
     while True:
-        round_no += 1
         for attempt in range(1, cfg.k_global_other + 1):
+            round_no += 1  # each global attempt is its own visit, so it asks new queries
             thought, notes = local_place(spec, edge, state, excluded, round_no, attempt, layer)
             if thought is not None:
                 break

@@ -1,0 +1,92 @@
+"""One SHA-256 digest over everything a sweep of det generations writes.
+
+Refactors that must not change behaviour are checked by running this
+script before and after the change and comparing the printed digest.
+For every prompt x seed x mode x ``p_adv`` it runs the det oracle behind
+a recording wrapper, writes ``scene.json``, ``trace.jsonl`` and
+``scene.svg`` the way ``treelayout generate`` does, and hashes their
+bytes together with the transcript records (fingerprint and reply; the
+header holds the recording time, so it is left out) and the oracle-call
+count.  A generation that raises contributes its exception instead.
+
+Run from the repository root (pytest does not collect this file)::
+
+    PYTHONPATH=src python tests/digest_sweep.py
+    PYTHONPATH=src python tests/digest_sweep.py --prompts 10 --seeds 0 --each
+
+The defaults are the full check: 100 prompts x seeds 0-1 x tree/cot/io x
+``p_adv`` 0/0.35/1.0, 1,800 generations.  ``--each`` also prints one
+digest per generation, to find the inputs whose bytes differ.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import tempfile
+from importlib import resources
+from pathlib import Path
+
+from treelayout import render, sceneio
+from treelayout.catalog import AssetCatalog
+from treelayout.model import SearchConfig, SearchMode
+from treelayout.oracle.deterministic import DeterministicOracle
+from treelayout.oracle.transcript import RecordingOracle
+from treelayout.pipeline import generate_scene
+
+OUTPUT_FILES = ("scene.json", "trace.jsonl", "scene.svg")
+
+
+def load_prompts() -> list[str]:
+    text = resources.files("treelayout.data").joinpath("prompt_set.txt").read_text("utf-8")
+    return [line.strip() for line in text.splitlines() if line.strip()]
+
+
+def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
+                     catalog: AssetCatalog, out: Path) -> bytes:
+    """Everything one generation writes, as one byte string."""
+    config = SearchConfig(seed=seed, mode=mode, p_adv=p_adv)
+    recording = RecordingOracle(DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog))
+    try:
+        scene = generate_scene(prompt, config, recording, catalog)
+    except Exception as exc:  # part of the behaviour under test
+        return f"raised {type(exc).__name__}: {exc}".encode("utf-8")
+    sceneio.write_scene(scene, out / "scene.json")
+    sceneio.write_trace(scene.trace, out / "trace.jsonl")
+    (out / "scene.svg").write_text(render.render_scene(scene), "utf-8")
+    parts = [(out / name).read_bytes() for name in OUTPUT_FILES]
+    parts.append(json.dumps(recording.transcript.records).encode("utf-8"))
+    parts.append(str(scene.trace.oracle_calls).encode("ascii"))
+    return b"".join(len(p).to_bytes(8, "big") + p for p in parts)
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--prompts", type=int, default=100, help="first N shipped prompts")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
+    parser.add_argument("--modes", nargs="+", default=["tree", "cot", "io"])
+    parser.add_argument("--p-adv", type=float, nargs="+", default=[0.0, 0.35, 1.0])
+    parser.add_argument("--each", action="store_true", help="print one digest per generation")
+    args = parser.parse_args()
+
+    catalog = AssetCatalog.default()
+    total = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for p_idx, prompt in enumerate(load_prompts()[:args.prompts]):
+            for seed in args.seeds:
+                for mode in args.modes:
+                    for p_adv in args.p_adv:
+                        data = generation_bytes(prompt, seed, SearchMode(mode), p_adv, catalog, out)
+                        total.update(hashlib.sha256(data).digest())
+                        count += 1
+                        if args.each:
+                            digest = hashlib.sha256(data).hexdigest()[:16]
+                            print(f"{p_idx} {seed} {mode} {p_adv} {digest}")
+    print(f"{total.hexdigest()}  {count} generations")
+
+
+if __name__ == "__main__":
+    main()

@@ -101,6 +101,25 @@ class TestRecordReplay:
         assert r2.exit_code == 0, r2.output
         assert (out1 / "scene.json").read_bytes() == (out2 / "scene.json").read_bytes()
 
+    def test_record_then_replay_with_two_global_attempts(self, tmp_path):
+        # Each global attempt is its own visit, so a retry asks new queries
+        # instead of repeating the failed attempt's fingerprints.
+        args = ["--seed", "0", "--p-adv", "0.35", "--k-other", "2",
+                "--prompt", "A compact bedroom with a king bed and a work desk"]
+        transcript = tmp_path / "transcript.jsonl"
+        out1, out2 = tmp_path / "rec", tmp_path / "rep"
+        r1 = run_cli(["generate", *args, "--out-dir", str(out1), "--transcript", str(transcript)])
+        assert r1.exit_code in (0, 2), r1.output
+        retries = [
+            e for e in map(json.loads, (out1 / "trace.jsonl").read_text().splitlines())
+            if e["layer"] > 1 and e["attempt_no"] == 2
+        ]
+        assert retries
+        r2 = run_cli(["replay", str(transcript), *args, "--out-dir", str(out2)])
+        assert r2.exit_code == r1.exit_code, r2.output
+        for name in ("scene.json", "trace.jsonl", "scene.svg"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
     def test_edited_transcript_no_crash(self, tmp_path):
         transcript = tmp_path / "transcript.jsonl"
         out1 = tmp_path / "rec"

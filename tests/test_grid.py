@@ -453,6 +453,17 @@ class TestOrientation:
         assert yaw_for_side(OrientationRule.BACK_TO_ANCHOR, Yaw.DEG_0, Side.RIGHT) is Yaw.DEG_90
         assert yaw_for_side(OrientationRule.SAME_AS_ANCHOR, Yaw.DEG_90, Side.TOP) is Yaw.DEG_90
         assert yaw_for_side(None, Yaw.DEG_180, Side.LEFT) is Yaw.DEG_180
+        from bruteforce import yaw_for_side as brute_yaw_for_side
+
+        for rule in (None, *OrientationRule):
+            for yaw in Yaw:
+                for side in Side:
+                    want = brute_yaw_for_side(rule.value if rule else None, yaw.value, side.value)
+                    assert yaw_for_side(rule, yaw, side).value == want
+
+    def test_facing_yaw_points_toward_side(self):
+        toward = {Side.LEFT: (-1, 0), Side.RIGHT: (1, 0), Side.BOTTOM: (0, -1), Side.TOP: (0, 1)}
+        assert {side: side.facing_yaw.facing for side in Side} == toward
 
 
 class TestCandidateCellsBlockerExample:

@@ -90,7 +90,7 @@ def make_context(
         boxes.append((box.x0, box.y0, box.x1, box.y1))
     return SpatialContext(
         scope="r1", object_id="obj_1",
-        region_length=region_length, region_width=region_width, cell_size=cell,
+        region_length=region_length, region_width=region_width,
         grid=grid, placed_boxes=tuple(boxes),
         anchor=anchor, anchor_dims=anchor_dims, object_dims=object_dims,
         relation=relation, orientation_rule=orientation,
@@ -100,7 +100,7 @@ def make_context(
 
 def brute_of(ctx, anchor_rule="place_along_wall", objects=None):
     br = BruteRegion(
-        ctx.region_length, ctx.region_width, ctx.cell_size, anchor_rule,
+        ctx.region_length, ctx.region_width, ctx.grid.cell_size, anchor_rule,
         objects if objects is not None else [],
         thresholds=(ctx.d_front, ctx.d_beside, ctx.d_around),
     )
@@ -166,27 +166,6 @@ def policy_answers(ctx):
         for side in Side for p0 in primary[side]
     }
     return side_scores(ctx), primary, secondary
-
-
-def engine_state(ctx):
-    """The search state whose final check a pose from this context faces."""
-    from treelayout.model import SearchConfig
-    from treelayout.search import GlobalState
-
-    anchor_spec = ObjectSpec("anchor_1", "anchor_obj", ctx.anchor_dims)
-    region = RegionPlan(
-        id="r1", function="test", length=ctx.region_length, width=ctx.region_width,
-        objects=(anchor_spec, ObjectSpec("obj_1", "obj", ctx.object_dims)),
-        anchor_id="anchor_1", anchor_rule=AnchorRule.ALONG_WALL, edges=(),
-    )
-    config = SearchConfig(
-        cell_size=ctx.cell_size, d_front=ctx.d_front, d_beside=ctx.d_beside,
-        d_around=ctx.d_around,
-    )
-    return GlobalState(
-        region=region, order=[anchor_spec], config=config, session=None, scope="r1",
-        wall_sides=frozenset(Side), placed=[ctx.anchor], placed_boxes=list(ctx.placed_boxes),
-    )
 
 
 class TestSidePolicy:
@@ -422,15 +401,13 @@ class TestRunPolicy:
 
     def test_policy_legality_equals_engine_acceptance(self):
         from treelayout.grid import candidate_cells
+        from treelayout.model import effective_aabb
         from treelayout.oracle.policy import object_spans, pose_from_starts
-        from treelayout.search import evaluate_thought
 
         rng = random.Random(57)
         checked = rejected = 0
         for _ in range(40):
             ctx = random_context(rng)
-            state = engine_state(ctx)
-            edge = Edge("obj_1", ctx.relation, ctx.orientation_rule) if ctx.relation else None
             grid = ctx.grid
             a = ctx.anchor.aabb(ctx.anchor_dims)
             by_side = candidate_cells(grid, a)
@@ -454,12 +431,77 @@ class TestRunPolicy:
                         if not covered:
                             assert (c0, r0) not in reported
                             continue
-                        pose = pose_from_starts(ctx, side, c0, r0)
-                        ok, _ = evaluate_thought(pose, ctx.object_dims, state, edge)
+                        cx, cy, yaw = pose_from_starts(ctx, side, c0, r0)
+                        box = effective_aabb(ctx.object_dims, yaw, (cx, cy))
+                        ok = ctx.rejection(box.x0, box.y0, box.x1, box.y1) is None
                         assert ok == ((c0, r0) in reported), (side, c0, r0)
                         checked += 1
                         rejected += not ok
         assert checked > 0 and rejected > 0
+
+
+class TestContextLegality:
+    """``SpatialContext.legal`` and ``rejection``, the final check of every
+    completed pose, against the brute-force ``pose_legal``."""
+
+    @staticmethod
+    def probe_centres(extent, half, edges, rng):
+        """Centre coordinates that put the box flush with a wall or touching
+        an edge of a placed box, each also 1e-12 either way (inside the
+        checks' slack), plus random ones."""
+        out = set()
+        for v in (half, extent - half, *(e + d for e in edges for d in (-half, half))):
+            v = round(v, 4)
+            out.update((v, v - 1e-12, v + 1e-12))
+        out.update(round(rng.uniform(0, extent), 4) for _ in range(3))
+        return sorted(out)
+
+    def test_legal_matches_brute_force(self):
+        from itertools import product
+
+        from treelayout.model import effective_aabb
+
+        def near(a, b):
+            return abs(a - b) <= 1e-9
+
+        rng = random.Random(71)
+        seen = {"bounds": 0, "overlap": 0, "relation": 0, None: 0}
+        flush_legal = 0
+        for _ in range(40):
+            ctx = random_context(rng)
+            before = (hash(ctx), ctx.canonical_text())
+            br = brute_of(ctx)
+            obj = brute_obj(ctx)
+            boxes = list(ctx.placed_boxes)
+            for yaw in Yaw:
+                b0 = effective_aabb(ctx.object_dims, yaw, (0.0, 0.0))
+                xs = self.probe_centres(ctx.region_length, b0.x1,
+                                        [e for b in boxes for e in (b[0], b[2])], rng)
+                ys = self.probe_centres(ctx.region_width, b0.y1,
+                                        [e for b in boxes for e in (b[1], b[3])], rng)
+                centres = list(product(xs, ys))
+                for cx, cy in rng.sample(centres, min(len(centres), 150)):
+                    box = effective_aabb(ctx.object_dims, yaw, (cx, cy))
+                    rect = (box.x0, box.y0, box.x1, box.y1)
+                    want = br.pose_legal(obj, "right", cx, cy, yaw.value, boxes)
+                    assert ctx.legal(*rect) == want, (rect, yaw)
+                    reason = ctx.rejection(*rect)
+                    assert (reason is None) == want
+                    if reason == "bounds":
+                        assert not br.in_bounds(rect)
+                    elif reason == "overlap":
+                        assert br.in_bounds(rect) and br.overlaps_any(rect, boxes)
+                    elif reason == "relation":
+                        assert br.in_bounds(rect) and not br.overlaps_any(rect, boxes)
+                    seen[reason] += 1
+                    flush_legal += want and (
+                        near(box.x0, 0.0) or near(box.x1, ctx.region_length)
+                        or near(box.y0, 0.0) or near(box.y1, ctx.region_width)
+                        or any(near(box.x0, b[2]) or near(box.x1, b[0]) or near(box.y0, b[3])
+                               or near(box.y1, b[1]) for b in boxes)
+                    )
+            assert (hash(ctx), ctx.canonical_text()) == before
+        assert min(seen.values()) > 0 and flush_legal > 0, (seen, flush_legal)
 
 
 class TestDeterministicOracleReplies:

@@ -504,58 +504,44 @@ class TestSideEvalBudget:
         assert "side_attempt=2" in accepted.detail
 
 
-class TestEvaluateThought:
-    def state(self):
-        from treelayout.model import Parent, PlacedObject
-        from treelayout.oracle.base import OracleSession
-        from treelayout.search import GlobalState, layer_order
+class TestFinalCheck:
+    """``SpatialContext.rejection`` on the context ``local_place`` builds:
+    the geometric check every completed pose faces."""
+
+    def rejection(self, pose):
+        from treelayout.grid import rasterize
+        from treelayout.model import effective_aabb
+        from treelayout.search import GlobalState, _make_context
 
         region = make_region(
             "r1", 4.0, 3.0, ("sofa", 2.0, 0.9, "place_along_wall"),
             [("coffee_table", 1.0, 0.6, "place_front", "face_anchor")],
         )
         config = SearchConfig(seed=0, **REFERENCE_CONFIG)
-        trace = SearchTrace()
         state = GlobalState(
-            region=region, order=layer_order(region), config=config,
-            session=OracleSession(DeterministicOracle(seed=0), trace),
+            region=region, order=layer_order(region), config=config, session=None,
             scope="r1", wall_sides=frozenset(),
         )
         anchor = PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1"))
         state.push(anchor, region.spec("sofa_0").dims)
-        return state, region
+        spec = region.spec("coffee_table_1")
+        grid = rasterize(region, state.placed, config.cell_size)
+        ctx = _make_context(state, spec, region.edge_for(spec.id), grid,
+                            state.anchor_placed, state.anchor_dims)
+        cx, cy, yaw = pose
+        box = effective_aabb(spec.dims, yaw, (cx, cy))
+        return ctx.rejection(box.x0, box.y0, box.x1, box.y1)
 
     def test_overlap_rejected(self):
-        from treelayout.search import evaluate_thought
-
-        state, region = self.state()
-        edge = region.edge_for("coffee_table_1")
-        ok, reason = evaluate_thought(
-            (2.0, 0.6, Yaw.DEG_180), region.spec("coffee_table_1").dims, state, edge
-        )
-        assert (ok, reason) == (False, "overlap")
+        assert self.rejection((2.0, 0.6, Yaw.DEG_180)) == "overlap"
 
     def test_bounds_rejected(self):
-        from treelayout.search import evaluate_thought
-
-        state, region = self.state()
-        edge = region.edge_for("coffee_table_1")
-        ok, reason = evaluate_thought(
-            (3.9, 2.0, Yaw.DEG_180), region.spec("coffee_table_1").dims, state, edge
-        )
-        assert (ok, reason) == (False, "bounds")
+        assert self.rejection((3.9, 2.0, Yaw.DEG_180)) == "bounds"
 
     def test_relation_rejected_and_ok(self):
-        from treelayout.search import evaluate_thought
-
-        state, region = self.state()
-        edge = region.edge_for("coffee_table_1")
-        dims = region.spec("coffee_table_1").dims
         # legal spot but far outside the facing band
-        ok, reason = evaluate_thought((0.5, 2.7, Yaw.DEG_180), dims, state, edge)
-        assert (ok, reason) == (False, "relation")
-        ok, reason = evaluate_thought((2.0, 1.5, Yaw.DEG_180), dims, state, edge)
-        assert (ok, reason) == (True, "ok")
+        assert self.rejection((0.5, 2.7, Yaw.DEG_180)) == "relation"
+        assert self.rejection((2.0, 1.5, Yaw.DEG_180)) is None
 
 
 class TestBoundedCompletenessVariedBudgets:
@@ -666,8 +652,9 @@ class TestRejectionNotes:
         )
         state.push(PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1")),
                    region.spec("sofa_0").dims)
-        if obstacle:  # covers cols 2-3, rows 7-8
-            state.push(PlacedObject("lamp_2", 0.75, 2.0, 0.0, Yaw.DEG_0, Parent.floor("r1")),
+        if obstacle:  # True: the lamp covers cols 2-3, rows 7-8; else its (x, y)
+            x, y = (0.75, 2.0) if obstacle is True else obstacle
+            state.push(PlacedObject("lamp_2", x, y, 0.0, Yaw.DEG_0, Parent.floor("r1")),
                        region.spec("lamp_2").dims)
         spec = region.spec("coffee_table_1")
         thought, notes = local_place(
@@ -721,6 +708,9 @@ class TestRejectionNotes:
         ([10, 4], False, "bounds"),  # rows 10-12 reach y = 3.25 > 3.1
         ([7, 1], True, "overlap"),  # cols 1-4 x rows 7-9 cover the obstacle
         ([4, 12], False, "relation"),  # cols 12-15 are off the sofa's front
+        # rows 10-12 reach past the wall and cols 1-4 cover the lamp on
+        # cols 2-3, rows 10-11: bounds is reported before overlap
+        ([10, 1], (0.75, 2.75), "bounds"),
     ])
     def test_pose_checks(self, runs, obstacle, reason):
         oracle = ScriptedOracle(sides=["top"], evals=["yes"], runs=runs)
