@@ -12,7 +12,7 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from treelayout.model import Dim3, ObjectSpec, q4
+from treelayout.model import Dim3, q4
 
 
 class UnknownCategory(KeyError):
@@ -72,6 +72,16 @@ class AssetCatalog:
         except KeyError:
             raise UnknownCategory(category) from None
 
+    def resolve(self, category: str, dims: Dim3 | None) -> tuple[Dim3, bool]:
+        """The dims of a proposed object and whether it can support others.
+
+        Given dims are clamped into the category's range; missing dims
+        take the category's defaults.  Unknown categories raise
+        :class:`UnknownCategory`.
+        """
+        entry = self.entry(category)
+        return (entry.dims if dims is None else entry.clamp(dims)), entry.supportable
+
     @classmethod
     def from_file(cls, path: str | Path) -> "AssetCatalog":
         return cls._parse(json.loads(Path(path).read_text("utf-8")))
@@ -96,23 +106,3 @@ class AssetCatalog:
                 supportable=bool(row["supportable"]),
             )
         return cls(entries)
-
-
-def resolve_assets(specs: list[ObjectSpec], catalog: AssetCatalog) -> list[ObjectSpec]:
-    """Fill missing dims from catalog defaults, clamp given dims into the
-    catalog range, and overwrite the supportable flag.  Unknown categories
-    raise :class:`UnknownCategory`."""
-    out: list[ObjectSpec] = []
-    for spec in specs:
-        entry = catalog.entry(spec.category)
-        dims = entry.clamp(spec.dims) if spec.dims is not None else entry.dims
-        out.append(
-            ObjectSpec(
-                id=spec.id,
-                category=spec.category,
-                dims=dims,
-                supportable=entry.supportable,
-                description=spec.description,
-            )
-        )
-    return out

@@ -179,18 +179,6 @@ def grid_dims(length: float, width: float, cell_size: float) -> tuple[int, int]:
     return cols, rows
 
 
-def rasterize_rects(
-    length: float,
-    width: float,
-    cell_size: float,
-    rects: list[tuple[AABB, int]],
-) -> OccupancyGrid:
-    cols, rows = grid_dims(length, width, cell_size)
-    flat = [(r.x0, r.y0, r.x1, r.y1, code) for r, code in rects]
-    codes = kernels.rasterize_codes(cols, rows, cell_size, flat)
-    return OccupancyGrid(cols, rows, cell_size, tuple(codes))
-
-
 def rasterize(
     region: RegionPlan, placed: list[PlacedObject], cell_size: float
 ) -> OccupancyGrid:
@@ -201,14 +189,16 @@ def rasterize(
     placement outside the region bounds raises :class:`OutOfRegion`.
     """
     bounds = AABB(0.0, 0.0, region.length, region.width)
-    rects: list[tuple[AABB, int]] = []
+    rects: list[tuple[float, float, float, float, int]] = []
     for p in placed:
         box = p.aabb(region.spec(p.spec_id).dims)
         if not bounds.contains(box):
             raise OutOfRegion(p.spec_id)
         code = ANCHOR_OCCUPIED if p.spec_id == region.anchor_id else OCCUPIED
-        rects.append((box, code))
-    return rasterize_rects(region.length, region.width, cell_size, rects)
+        rects.append((box.x0, box.y0, box.x1, box.y1, code))
+    cols, rows = grid_dims(region.length, region.width, cell_size)
+    codes = kernels.rasterize_codes(cols, rows, cell_size, rects)
+    return OccupancyGrid(cols, rows, cell_size, tuple(codes))
 
 
 def candidate_cells(grid: OccupancyGrid, anchor_aabb: AABB) -> dict[Side, list[int]]:

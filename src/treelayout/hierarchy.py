@@ -1,9 +1,15 @@
 """Level-by-level construction of the hierarchical room plan.
 
-Each level is one oracle query: room type and dims, then the functional
-regions, then per-region floor objects with anchor and edges, then
-supported objects per supportable floor object.  Replies are plain text;
-the parsers here are deliberately tolerant (a malformed reply costs one
+:func:`build_room_plan` asks for the room type and dims, then for the
+functional regions, then builds each region with :func:`build_region`:
+its floor objects with anchor and edges (one query), then the supported
+objects of each kept supportable floor object (one query each).  Object
+ids are room-wide, category plus a running ordinal (:class:`IdAllocator`),
+given in reply order.  Dropped proposals and the builders' other
+rejections are recorded into the session's trace.
+
+Replies are plain text; the parsers here are deliberately tolerant (a
+malformed reply, or one naming a category the catalog lacks, costs one
 retry, up to :data:`BUILDER_RETRIES`, then :class:`OracleFailure`).
 """
 
@@ -14,7 +20,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from functools import partial
 
-from treelayout.catalog import AssetCatalog, UnknownCategory, resolve_assets
+from treelayout.catalog import AssetCatalog, UnknownCategory
 from treelayout.model import (
     AnchorRule,
     Dim3,
@@ -63,6 +69,13 @@ class ObjectProposal:
     anchor_rule: AnchorRule | None
     relation: SpatialRelation | None
     orientation: OrientationRule | None
+    #: Filled from the catalog once the reply parses (:func:`_parse_and_resolve`).
+    supportable: bool = False
+
+    def spec(self, ids: IdAllocator) -> ObjectSpec:
+        """The plan spec of this resolved proposal, under the next id of its category."""
+        return ObjectSpec(id=ids.make(self.category), category=self.category, dims=self.dims,
+                          supportable=self.supportable)
 
 
 class IdAllocator:
@@ -191,14 +204,13 @@ def _retry(session: OracleSession, make_query, parse):
 
 def _parse_and_resolve(
     parse: Callable[[str], list[ObjectProposal]], catalog: AssetCatalog, raw: str
-) -> tuple[list[ObjectProposal], list[ObjectSpec]]:
-    """Parse an object reply and resolve each proposal against the catalog."""
+) -> list[ObjectProposal]:
+    """Parse an object reply and resolve each proposal's dims and
+    supportable flag against the catalog."""
     proposals = parse(raw)
-    drafts = [
-        ObjectSpec(id=f"draft_{i}", category=p.category, dims=p.dims)
-        for i, p in enumerate(proposals)
-    ]
-    return proposals, resolve_assets(drafts, catalog)
+    for p in proposals:
+        p.dims, p.supportable = catalog.resolve(p.category, p.dims)
+    return proposals
 
 
 def build_room_level(prompt: str, session: OracleSession) -> tuple[str, tuple[float, float]]:
@@ -236,15 +248,15 @@ def build_region_level(
 
 
 def _guard_objects(
-    proposals: list[ObjectProposal],
     specs: list[ObjectSpec],
+    anchor_i: int,
     region_area: float,
     trace: SearchTrace,
     scope: str,
 ) -> list[int]:
-    """Indices of proposals kept under the footprint-area guard (anchor
-    first and always kept); drops are recorded as layer-0 rejections."""
-    anchor_i = next(i for i, p in enumerate(proposals) if p.anchor_rule is not None)
+    """Indices of the specs kept under the object cap and the footprint-area
+    guard, in reply order; the anchor is always kept and counted first.
+    Drops are recorded as layer-0 rejections."""
     kept = [anchor_i]
     total = specs[anchor_i].dims.footprint_area
     for i, spec in enumerate(specs):
@@ -260,10 +272,10 @@ def _guard_objects(
             continue
         kept.append(i)
         total += area
-    return kept
+    return sorted(kept)
 
 
-def build_floor_object_level(
+def build_region(
     region_id: str,
     function: str,
     length: float,
@@ -272,10 +284,15 @@ def build_floor_object_level(
     prompt: str,
     session: OracleSession,
     catalog: AssetCatalog,
-    trace: SearchTrace,
     ids: IdAllocator,
-) -> tuple[list[ObjectSpec], str, AnchorRule, list[Edge]]:
-    proposals, resolved = _retry(
+) -> RegionPlan:
+    """One region's plan: its floor objects, anchor and edges, then the
+    supported set of each kept supportable object, in plan order.
+
+    Every resolved proposal takes an id in reply order, also one the
+    guard then drops.
+    """
+    proposals = _retry(
         session,
         lambda a: ObjectsQuery(
             region_id=region_id,
@@ -288,117 +305,86 @@ def build_floor_object_level(
         ),
         partial(_parse_and_resolve, parse_objects_reply, catalog),
     )
-    specs_draft = [
-        ObjectSpec(
-            id=ids.make(p.category),
-            category=p.category,
-            dims=r.dims,
-            supportable=r.supportable,
-        )
-        for p, r in zip(proposals, resolved)
-    ]
-    kept = _guard_objects(proposals, specs_draft, length * width, trace, region_id)
-    specs = [specs_draft[i] for i in sorted(kept)]
+    specs = [p.spec(ids) for p in proposals]
     anchor_i = next(i for i, p in enumerate(proposals) if p.anchor_rule is not None)
-    anchor_id = specs_draft[anchor_i].id
-    edges = [
-        Edge(specs_draft[i].id, proposals[i].relation, proposals[i].orientation)
-        for i in sorted(kept)
-        if i != anchor_i
-    ]
-    return specs, anchor_id, proposals[anchor_i].anchor_rule, edges
+    kept = _guard_objects(specs, anchor_i, length * width, session.trace, region_id)
+    supported: dict[str, SupportedSet] = {}
+    for i in kept:
+        if specs[i].supportable:
+            sub = build_supported_level(specs[i], session, catalog, ids, region_id)
+            if sub.objects:
+                supported[specs[i].id] = sub
+    return RegionPlan(
+        id=region_id,
+        function=function,
+        length=length,
+        width=width,
+        objects=tuple(specs[i] for i in kept),
+        anchor_id=specs[anchor_i].id,
+        anchor_rule=proposals[anchor_i].anchor_rule,
+        edges=tuple(
+            Edge(specs[i].id, proposals[i].relation, proposals[i].orientation)
+            for i in kept
+            if i != anchor_i
+        ),
+        supported=supported,
+    )
 
 
 def build_supported_level(
     floor_object: ObjectSpec,
     session: OracleSession,
     catalog: AssetCatalog,
-    trace: SearchTrace,
     ids: IdAllocator,
     scope: str,
 ) -> SupportedSet:
     if not floor_object.supportable:
         raise NotSupportable(floor_object.id)
 
-    proposals, resolved = _retry(
+    top = floor_object.dims
+    proposals = _retry(
         session,
         lambda a: SupportedQuery(
             floor_object_id=floor_object.id,
             category=floor_object.category,
-            top_length=floor_object.dims.length,
-            top_depth=floor_object.dims.depth,
+            top_length=top.length,
+            top_depth=top.depth,
             attempt=a,
         ),
         partial(_parse_and_resolve, parse_supported_reply, catalog),
     )
-    specs: list[ObjectSpec] = []
-    relations: list[SpatialRelation] = []
-    orientations: list[OrientationRule | None] = []
-    for p, r in zip(proposals, resolved):
-        if len(specs) >= MAX_SUPPORTED_OBJECTS:
+    kept: list[tuple[ObjectSpec, ObjectProposal]] = []
+    for p in proposals:
+        if len(kept) >= MAX_SUPPORTED_OBJECTS:
             break
-        fits = r.dims.length < floor_object.dims.length and r.dims.depth < floor_object.dims.depth
-        if not fits:
-            trace.record(0, p.category, 0, EventKind.REJECTED,
-                         f"larger than {floor_object.id} top face", scope=scope)
+        if not (p.dims.length < top.length and p.dims.depth < top.depth):
+            session.trace.record(0, p.category, 0, EventKind.REJECTED,
+                                 f"larger than {floor_object.id} top face", scope=scope)
             continue
-        specs.append(
-            ObjectSpec(id=ids.make(p.category), category=p.category, dims=r.dims,
-                       supportable=r.supportable)
-        )
-        relations.append(p.relation)
-        orientations.append(p.orientation)
-    if not specs:
+        kept.append((p.spec(ids), p))
+    if not kept:
         return SupportedSet(objects=(), edges=())
+    specs = tuple(s for s, _ in kept)
     anchor_id = local_anchor(specs).id
     edges = tuple(
-        Edge(s.id, rel or SpatialRelation.PLACE_AROUND, ori)
-        for s, rel, ori in zip(specs, relations, orientations)
+        Edge(s.id, p.relation or SpatialRelation.PLACE_AROUND, p.orientation)
+        for s, p in kept
         if s.id != anchor_id
     )
-    return SupportedSet(objects=tuple(specs), edges=edges)
+    return SupportedSet(objects=specs, edges=edges)
 
 
-def build_room_plan(
-    prompt: str,
-    session: OracleSession,
-    catalog: AssetCatalog,
-    trace: SearchTrace,
-) -> RoomPlan:
+def build_room_plan(prompt: str, session: OracleSession, catalog: AssetCatalog) -> RoomPlan:
     """Run all four levels and assemble a validated room plan."""
     room_type, (length, width) = build_room_level(prompt, session)
     region_specs = build_region_level(room_type, length, width, prompt, session)
     ids = IdAllocator()
-    regions: list[RegionPlan] = []
-    for i, (function, region_length) in enumerate(region_specs):
-        region_id = f"r{i + 1}_{function.replace(' ', '_')}"
-        specs, anchor_id, anchor_rule, edges = build_floor_object_level(
-            region_id, function, region_length, width, room_type, prompt,
-            session, catalog, trace, ids,
-        )
-        supported: dict[str, SupportedSet] = {}
-        for spec in specs:
-            if not spec.supportable:
-                continue
-            sub = build_supported_level(spec, session, catalog, trace, ids, region_id)
-            if sub.objects:
-                supported[spec.id] = sub
-        regions.append(
-            RegionPlan(
-                id=region_id,
-                function=function,
-                length=region_length,
-                width=width,
-                objects=tuple(specs),
-                anchor_id=anchor_id,
-                anchor_rule=anchor_rule,
-                edges=tuple(edges),
-                supported=supported,
-            )
-        )
-    plan = RoomPlan(
-        room_type=room_type, length=length, width=width, regions=tuple(regions), prompt=prompt
+    regions = tuple(
+        build_region(f"r{i + 1}_{function.replace(' ', '_')}", function, region_length, width,
+                     room_type, prompt, session, catalog, ids)
+        for i, (function, region_length) in enumerate(region_specs)
     )
+    plan = RoomPlan(room_type=room_type, length=length, width=width, regions=regions, prompt=prompt)
     violations = validate_room_plan(plan)
     if violations:
         raise RuntimeError(f"builder produced an invalid plan: {violations}")

@@ -181,15 +181,11 @@ def effective_aabb(dims: Dim3, yaw: Yaw, center: tuple[float, float]) -> AABB:
 
 @dataclass(frozen=True)
 class ObjectSpec:
-    """An object the plan wants in the scene: identity, category, and extents.
-
-    ``dims`` may be None on a freshly proposed spec; asset resolution
-    fills it from the catalog, and a plan-ready spec always carries dims.
-    """
+    """An object the plan wants in the scene: identity, category, and extents."""
 
     id: str
     category: str
-    dims: Dim3 | None = None
+    dims: Dim3
     supportable: bool = False
     description: str = ""
 
@@ -508,9 +504,6 @@ def validate_room_plan(plan: RoomPlan) -> list[str]:
         if r.length <= 0:
             violations.append(f"region {r.id}: length must be positive")
         member_ids = [s.id for s in r.objects]
-        for s in r.objects:
-            if s.dims is None:
-                violations.append(f"region {r.id}: object {s.id} has unresolved dims")
         for oid in member_ids:
             if oid in seen_ids:
                 violations.append(f"region {r.id}: duplicate object id {oid}")
@@ -541,9 +534,7 @@ def validate_room_plan(plan: RoomPlan) -> list[str]:
                 if s.id in seen_ids:
                     violations.append(f"region {r.id}: duplicate object id {s.id}")
                 seen_ids.add(s.id)
-                if s.dims is None or sup_spec.dims is None:
-                    violations.append(f"region {r.id}: unresolved dims around {s.id}")
-                elif not (
+                if not (
                     s.dims.length < sup_spec.dims.length and s.dims.depth < sup_spec.dims.depth
                 ):
                     violations.append(

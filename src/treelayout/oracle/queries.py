@@ -287,9 +287,6 @@ OracleQuery = (
     | FullLayoutQuery
 )
 
-SPATIAL_QUERIES = (SideQuery, SideEvalQuery, CellsQuery)
-
-
 def fingerprint(query: OracleQuery, template_version: str) -> str:
     payload = f"v={template_version}\n{query.canonical_text()}"
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

@@ -150,7 +150,7 @@ def generate_scene(
     catalog = catalog if catalog is not None else AssetCatalog.default()
     trace = SearchTrace()
     session = OracleSession(oracle, trace)
-    plan = build_room_plan(prompt, session, catalog, trace)
+    plan = build_room_plan(prompt, session, catalog)
     return solve_plan(plan, config, oracle, trace)
 
 

@@ -298,15 +298,15 @@ AnchorKey = tuple[str, int]
 
 
 def _wall_proposals(region: RegionPlan, dims: Dim3) -> list[tuple[AnchorKey, float, float, Yaw]]:
-    """Flush-to-wall poses facing the interior, longest walls first."""
+    """Flush-to-wall poses facing the interior, longest walls first; walls of
+    equal length stay in the order bottom, left, top, right."""
     walls = [
         ("bottom", region.length, Yaw.DEG_0),
         ("left", region.width, Yaw.DEG_90),
         ("top", region.length, Yaw.DEG_180),
         ("right", region.width, Yaw.DEG_270),
     ]
-    order = {"bottom": 0, "left": 1, "top": 2, "right": 3}
-    walls.sort(key=lambda w: (-w[1], order[w[0]]))
+    walls.sort(key=lambda w: -w[1])
     out = []
     for name, _, yaw in walls:
         box = effective_aabb(dims, yaw, (0.0, 0.0))

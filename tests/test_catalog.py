@@ -2,8 +2,8 @@ import json
 
 import pytest
 
-from treelayout.catalog import AssetCatalog, UnknownCategory, resolve_assets
-from treelayout.model import Dim3, ObjectSpec
+from treelayout.catalog import AssetCatalog, UnknownCategory
+from treelayout.model import Dim3
 from treelayout.oracle.deterministic import load_room_templates
 
 CATALOG = AssetCatalog.default()
@@ -48,21 +48,20 @@ class TestCatalog:
 
 class TestResolveAssets:
     def test_fills_missing_dims(self):
-        out = resolve_assets([ObjectSpec("bed_1", "bed")], CATALOG)
-        assert out[0].dims == CATALOG.entry("bed").dims
+        dims, _ = CATALOG.resolve("bed", None)
+        assert dims == CATALOG.entry("bed").dims
 
     def test_clamps_below_min(self):
-        tiny = ObjectSpec("bed_1", "bed", Dim3(0.1, 0.1, 0.1))
-        out = resolve_assets([tiny], CATALOG)
-        assert out[0].dims == CATALOG.entry("bed").min_dims
+        dims, _ = CATALOG.resolve("bed", Dim3(0.1, 0.1, 0.1))
+        assert dims == CATALOG.entry("bed").min_dims
 
     def test_overwrites_supportable(self):
-        out = resolve_assets([ObjectSpec("n_1", "nightstand", supportable=False)], CATALOG)
-        assert out[0].supportable is True
+        assert CATALOG.resolve("nightstand", None)[1] is True
+        assert CATALOG.resolve("bed", Dim3(2.0, 1.6, 0.5))[1] is False
 
     def test_unknown_category_raises(self):
         with pytest.raises(UnknownCategory):
-            resolve_assets([ObjectSpec("z_1", "zeppelin")], CATALOG)
+            CATALOG.resolve("zeppelin", None)
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "cat.json"

@@ -7,7 +7,7 @@ from treelayout.hierarchy import (
     IdAllocator,
     NotSupportable,
     ParseError,
-    build_floor_object_level,
+    build_region,
     build_region_level,
     build_room_level,
     build_room_plan,
@@ -19,7 +19,7 @@ from treelayout.hierarchy import (
 from treelayout.model import Dim3, ObjectSpec, SearchTrace, validate_room_plan
 from treelayout.oracle.base import OracleFailure, OracleSession, PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle, load_room_templates
-from treelayout.oracle.queries import OracleReply
+from treelayout.oracle.queries import ObjectsQuery, OracleReply, SupportedQuery
 
 CATALOG = AssetCatalog.default()
 TEMPLATES = load_room_templates()
@@ -31,15 +31,18 @@ def make_session(oracle=None, trace=None):
 
 
 class ScriptedOracle(PlacementOracle):
-    """Replies from a list, in order; repeats the last one when exhausted."""
+    """Replies from a list, in order; repeats the last one when exhausted.
+    Keeps the queries it was asked."""
 
     def __init__(self, replies):
         self.replies = list(replies)
         self.calls = 0
+        self.asked = []
 
     def query(self, q):
         reply = self.replies[min(self.calls, len(self.replies) - 1)]
         self.calls += 1
+        self.asked.append(q)
         return OracleReply(reply)
 
 
@@ -137,15 +140,25 @@ class TestRegionLevel:
             assert all("dining" not in function for function, _ in regions)
 
 
+def scripted_region(replies, length=2.0, width=2.0, ids=None):
+    """``build_region`` over a scripted oracle; the plan, the oracle and the trace."""
+    oracle = ScriptedOracle(replies)
+    session = make_session(oracle)
+    plan = build_region(
+        "r1", "test region", length, width, "bedroom", "a bedroom",
+        session, CATALOG, ids if ids is not None else IdAllocator(),
+    )
+    return plan, oracle, session.trace
+
+
 class TestFloorObjectLevel:
     def build(self, seed=0, length=3.2, width=4.0):
-        trace = SearchTrace()
-        session = make_session(DeterministicOracle(seed=seed), trace)
-        objects, anchor_id, rule, edges = build_floor_object_level(
+        session = make_session(DeterministicOracle(seed=seed))
+        plan = build_region(
             "r1", "rest region", length, width, "bedroom", "a bedroom",
-            session, CATALOG, trace, IdAllocator(),
+            session, CATALOG, IdAllocator(),
         )
-        return objects, anchor_id, rule, edges, trace
+        return list(plan.objects), plan.anchor_id, plan.anchor_rule, list(plan.edges), session.trace
 
     def test_exactly_one_anchor_and_edges(self):
         objects, anchor_id, _rule, edges, _ = self.build()
@@ -186,24 +199,58 @@ class TestFloorObjectLevel:
         ]
 
     def test_single_object_region_no_edges(self):
-        trace = SearchTrace()
-        session = make_session(
-            ScriptedOracle(["wardrobe 1.2 x 0.6 x 2.0 | anchor | place_along_wall"]), trace
-        )
-        objects, anchor_id, _rule, edges = build_floor_object_level(
-            "r1", "storage region", 2.0, 2.0, "bedroom", "a bedroom",
-            session, CATALOG, trace, IdAllocator(),
-        )
-        assert len(objects) == 1
-        assert anchor_id == objects[0].id
-        assert edges == []
+        plan, _, _ = scripted_region(["wardrobe 1.2 x 0.6 x 2.0 | anchor | place_along_wall"])
+        assert len(plan.objects) == 1
+        assert plan.anchor_id == plan.objects[0].id
+        assert plan.edges == ()
+
+    def test_guard_dropped_proposal_keeps_its_id(self):
+        # region 2 x 2: the guard allows 2.8 m^2 of footprint; the first
+        # sofa (2.8 m^2) would push the total past it, the second fits
+        plan, _, trace = scripted_region([
+            "desk 1.2 x 0.6 x 0.75 | anchor | place_along_wall\n"
+            "sofa 2.5 x 1.12 x 0.8 | place_front | face_anchor\n"
+            "sofa 1.5 x 0.68 x 0.8 | place_front | face_anchor",
+            "none",
+        ])
+        assert [o.id for o in plan.objects] == ["desk_1", "sofa_2"]
+        assert [e.object_id for e in plan.edges] == ["sofa_2"]
+        assert [e.object_id for e in trace.events if "area guard" in e.detail] == ["sofa_1"]
+
+    def test_unknown_category_costs_one_retry_and_no_id(self):
+        ids = IdAllocator()
+        plan, oracle, _ = scripted_region([
+            "bed 2.0 x 1.6 x 0.5 | anchor | place_along_wall\n"
+            "zeppelin 1.0 x 1.0 x 1.0 | place_beside | same_as_anchor",
+            "bed 2.0 x 1.6 x 0.5 | anchor | place_along_wall",
+        ], length=3.0, width=3.0, ids=ids)
+        assert oracle.calls == 2
+        assert [(type(q), q.attempt) for q in oracle.asked] == [
+            (ObjectsQuery, 1), (ObjectsQuery, 2),
+        ]
+        assert [o.id for o in plan.objects] == ["bed_1"]
+        assert ids.make("bed") == "bed_2"
+
+    def test_no_supported_query_for_dropped_supporter(self):
+        # region 3 x 2.5: the guard allows 5.25 m^2; the bed takes 5.0, so
+        # the dresser (supportable, 0.5 m^2) is dropped and the nightstand kept
+        plan, oracle, trace = scripted_region([
+            "bed 2.5 x 2.0 x 0.5 | anchor | place_along_wall\n"
+            "dresser 1.0 x 0.5 x 0.8 | place_beside | same_as_anchor\n"
+            "nightstand 0.5 x 0.4 x 0.55 | place_beside | same_as_anchor",
+            "none",
+        ], length=3.0, width=2.5)
+        assert [o.id for o in plan.objects] == ["bed_1", "nightstand_1"]
+        assert [e.object_id for e in trace.events if "area guard" in e.detail] == ["dresser_1"]
+        asked = [q.floor_object_id for q in oracle.asked if isinstance(q, SupportedQuery)]
+        assert asked == ["nightstand_1"]
 
 
 class TestSupportedLevel:
     def test_not_supportable(self):
         spec = ObjectSpec("wardrobe_1", "wardrobe", Dim3(1.2, 0.6, 2.0), supportable=False)
         with pytest.raises(NotSupportable):
-            build_supported_level(spec, make_session(), CATALOG, SearchTrace(), IdAllocator(), "r1")
+            build_supported_level(spec, make_session(), CATALOG, IdAllocator(), "r1")
 
     def test_desk_gets_supported_objects(self):
         spec = ObjectSpec("desk_1", "desk", Dim3(1.2, 0.6, 0.75), supportable=True)
@@ -211,8 +258,7 @@ class TestSupportedLevel:
         lamp_and_monitor = False
         for seed in range(12):
             sub = build_supported_level(
-                spec, make_session(DeterministicOracle(seed=seed)), CATALOG,
-                SearchTrace(), IdAllocator(), "r1",
+                spec, make_session(DeterministicOracle(seed=seed)), CATALOG, IdAllocator(), "r1",
             )
             if sub.objects:
                 found = True
@@ -231,9 +277,7 @@ class TestSupportedLevel:
         spec = ObjectSpec("nightstand_1", "nightstand", Dim3(0.4, 0.35, 0.55), supportable=True)
         oracle = ScriptedOracle(["monitor 0.5 x 0.2 x 0.4 | place_around"])
         trace = SearchTrace()
-        sub = build_supported_level(
-            spec, make_session(oracle, trace), CATALOG, trace, IdAllocator(), "r1"
-        )
+        sub = build_supported_level(spec, make_session(oracle, trace), CATALOG, IdAllocator(), "r1")
         assert sub.objects == ()
         assert any("larger than" in e.detail for e in trace.events)
 
@@ -248,7 +292,7 @@ class TestWholePlan:
     def test_plan_validates_clean(self, prompt):
         for seed in (0, 1, 2):
             session = make_session(DeterministicOracle(seed=seed))
-            plan = build_room_plan(prompt, session, CATALOG, session.trace)
+            plan = build_room_plan(prompt, session, CATALOG)
             assert validate_room_plan(plan) == []
 
     def test_byte_identical_across_runs(self):
@@ -258,7 +302,7 @@ class TestWholePlan:
         def build():
             session = make_session(DeterministicOracle(seed=7))
             plan = build_room_plan(
-                "A mid-century living room with retro furniture", session, CATALOG, session.trace
+                "A mid-century living room with retro furniture", session, CATALOG
             )
             return canonical_json(
                 scene_to_doc(Scene(plan=plan, placements=(), trace=SearchTrace()))

@@ -53,8 +53,7 @@ def multi_region_cases() -> tuple[tuple[str, int], ...]:
     for seed in (0, 1):
         for prompt in prompts[:40]:
             det = DeterministicOracle(seed=seed, p_adv=P_ADV)
-            trace = SearchTrace()
-            plan = build_room_plan(prompt, OracleSession(det, trace), catalog, trace)
+            plan = build_room_plan(prompt, OracleSession(det, SearchTrace()), catalog)
             if len(plan.regions) < 2:
                 continue
             if any(len(r.supported) >= 2 for r in plan.regions):
@@ -117,8 +116,7 @@ class FailingRegionsOracle(JitterOracle):
 def test_failing_region_raises_in_plan_order_and_joins_threads():
     prompt, seed = multi_region_cases()[0]
     det = DeterministicOracle(seed=seed, p_adv=P_ADV)
-    trace = SearchTrace()
-    plan = build_room_plan(prompt, OracleSession(det, trace), AssetCatalog.default(), trace)
+    plan = build_room_plan(prompt, OracleSession(det, SearchTrace()), AssetCatalog.default())
     first, second = plan.regions[0].id, plan.regions[1].id
     # the first region in plan order fails last in time
     oracle = FailingRegionsOracle(det, {first: 0.05, second: 0.0})
