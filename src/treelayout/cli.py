@@ -1,7 +1,9 @@
 """Command-line surface: generate, ablate, render, replay.
 
 Exit codes: 0 success, 2 incomplete layout (Unsat region or skipped
-objects in tree/cot mode), 3 oracle failure, 4 configuration error.
+objects in tree/cot mode), 3 oracle failure, 4 configuration error,
+5 engine error (an invalid room plan or a cross-region overlap, both
+engine bugs).
 IO-mode runs exit 0 with their violations reported as metrics; being
 measurably worse is that mode's job, not an error.
 """
@@ -17,6 +19,7 @@ from treelayout.catalog import AssetCatalog
 from treelayout.compose import CompositionOverlap
 from treelayout.evaluate import ablation_report, format_ablation_table, validity_metrics
 from treelayout.grid import VocabularyExhausted
+from treelayout.hierarchy import InvalidPlan
 from treelayout.model import Scene, SearchConfig, SearchMode
 from treelayout.oracle.base import FingerprintMiss, OracleFailure, PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
@@ -30,6 +33,7 @@ EXIT_OK = 0
 EXIT_UNSAT = 2
 EXIT_ORACLE = 3
 EXIT_CONFIG = 4
+EXIT_ENGINE = 5
 
 
 def _fail_config(message: str) -> None:
@@ -98,7 +102,8 @@ def _load_catalog(path: str | None) -> AssetCatalog:
 def _solve_and_write(text: str, config: SearchConfig, oracle: PlacementOracle,
                      catalog: AssetCatalog, out_dir: str) -> tuple[Scene, Path]:
     """Generate the scene and write scene.json, trace.jsonl and scene.svg
-    into ``out_dir``; oracle failures exit 3, too fine a grid exits 4."""
+    into ``out_dir``; oracle failures exit 3, too fine a grid exits 4,
+    engine errors exit 5."""
     try:
         scene = generate_scene(text, config, oracle, catalog)
     except OracleFailure as exc:
@@ -106,6 +111,9 @@ def _solve_and_write(text: str, config: SearchConfig, oracle: PlacementOracle,
         sys.exit(EXIT_ORACLE)
     except VocabularyExhausted as exc:
         _fail_config(f"cell size {config.cell_size} is too fine: {exc}")
+    except (InvalidPlan, CompositionOverlap) as exc:
+        click.echo(f"engine error: {type(exc).__name__}: {exc}", err=True)
+        sys.exit(EXIT_ENGINE)
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_scene(scene, out / "scene.json")
@@ -227,7 +235,8 @@ def ablate(prompts_file, seeds, modes, out_dir,
                 oracle = DeterministicOracle(seed=s, p_adv=p_adv, catalog=catalog)
                 try:
                     cell_scenes[m] = generate_scene(prompt, config, oracle, catalog)
-                except (OracleFailure, VocabularyExhausted) as exc:
+                except (OracleFailure, VocabularyExhausted, InvalidPlan,
+                        CompositionOverlap) as exc:
                     failures.append(f"prompt {p_idx} seed {s} mode {m}: {exc}")
                     cell_scenes = None
                     break

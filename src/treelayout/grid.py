@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -324,15 +325,17 @@ def relation_satisfied(
     """
     a = anchor.aabb(anchor_dims)
     c = candidate_aabb
-    return relation_holds(
-        rel, c.x0, c.y0, c.x1, c.y1, (a.x0, a.y0, a.x1, a.y1), anchor.x, anchor.y,
-        anchor.yaw.facing, d_front, d_beside, d_around,
-    )
+    return relation_rows(
+        rel, ((c.x0, c.x1),), ((c.y0, c.y1),), (1,), (a.x0, a.y0, a.x1, a.y1),
+        anchor.x, anchor.y, anchor.yaw.facing, d_front, d_beside, d_around,
+    ) == [1]
 
 
-def relation_holds(
+def relation_rows(
     rel: SpatialRelation,
-    x0: float, y0: float, x1: float, y1: float,
+    xspans: Sequence[tuple[float, float]],
+    yspans: Sequence[tuple[float, float]],
+    want: Sequence[int],
     anchor_box: tuple[float, float, float, float],
     anchor_x: float,
     anchor_y: float,
@@ -340,26 +343,54 @@ def relation_holds(
     d_front: float,
     d_beside: float,
     d_around: float,
-) -> bool:
-    """Float-level core of :func:`relation_satisfied` for a candidate box
-    ``(x0, y0, x1, y1)``; callers that test many boxes against one anchor
-    pass the anchor's box, center and facing vector precomputed."""
+) -> list[int]:
+    """Block form of :func:`relation_satisfied`: per row ``r``, the bits
+    ``c`` of ``want[r]`` whose box ``xspans[c] x yspans[r]`` satisfies
+    ``rel`` towards the anchor with this box, centre and facing vector.
+
+    A box's centre offset from the anchor centre and its edge gap to the
+    anchor box along x depend on its column alone, and along y on its row
+    alone, so each is computed once per column or row; ``holds`` combines
+    them per cell.
+    """
     ax0, ay0, ax1, ay1 = anchor_box
-    dx, dy = (x0 + x1) / 2.0 - anchor_x, (y0 + y1) / 2.0 - anchor_y
     fx, fy = facing
-    along = dx * fx + dy * fy
-    perp = dx * fy - dy * fx
+    hypot = math.hypot
     if rel is SpatialRelation.PLACE_AROUND:
-        return math.hypot(dx, dy) <= d_around + LENGTH_EPS
-    gap = math.hypot(max(x0 - ax1, ax0 - x1, 0.0), max(y0 - ay1, ay0 - y1, 0.0))
-    if rel is SpatialRelation.PLACE_FRONT:
+        around = d_around + LENGTH_EPS
+
+        def holds(dx: float, gx: float, dy: float, gy: float) -> bool:
+            return hypot(dx, dy) <= around
+    elif rel is SpatialRelation.PLACE_FRONT:
         facing_edge = ax1 - ax0 if fy != 0 else ay1 - ay0
-        return (along > 0 and abs(perp) <= facing_edge / 2.0 + LENGTH_EPS
-                and gap <= d_front + LENGTH_EPS)
-    if rel is SpatialRelation.PLACE_BESIDE:
-        return (abs(perp) >= abs(along) - LENGTH_EPS and abs(perp) > LENGTH_EPS
-                and gap <= d_beside + LENGTH_EPS)
-    raise ValueError(f"unknown relation {rel}")
+        half_edge, front = facing_edge / 2.0 + LENGTH_EPS, d_front + LENGTH_EPS
+
+        def holds(dx: float, gx: float, dy: float, gy: float) -> bool:
+            along = dx * fx + dy * fy
+            perp = dx * fy - dy * fx
+            return along > 0 and abs(perp) <= half_edge and hypot(gx, gy) <= front
+    elif rel is SpatialRelation.PLACE_BESIDE:
+        beside = d_beside + LENGTH_EPS
+
+        def holds(dx: float, gx: float, dy: float, gy: float) -> bool:
+            along = dx * fx + dy * fy
+            perp = abs(dx * fy - dy * fx)
+            return perp >= abs(along) - LENGTH_EPS and perp > LENGTH_EPS and hypot(gx, gy) <= beside
+    else:
+        raise ValueError(f"unknown relation {rel}")
+
+    cols = [(1 << c, (x0 + x1) / 2.0 - anchor_x, max(x0 - ax1, ax0 - x1, 0.0))
+            for c, (x0, x1) in enumerate(xspans)]
+    out = []
+    for (y0, y1), todo in zip(yspans, want):
+        keep = 0
+        if todo:
+            dy, gy = (y0 + y1) / 2.0 - anchor_y, max(y0 - ay1, ay0 - y1, 0.0)
+            for bit, dx, gx in cols:
+                if todo & bit and holds(dx, gx, dy, gy):
+                    keep |= bit
+        out.append(keep)
+    return out
 
 
 def orientation_from_rule(

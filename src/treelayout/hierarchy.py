@@ -374,6 +374,11 @@ def build_supported_level(
     return SupportedSet(objects=specs, edges=edges)
 
 
+class InvalidPlan(RuntimeError):
+    """The assembled room plan fails ``validate_room_plan``; the builders
+    guard every reply, so this can only come from an engine bug."""
+
+
 def build_room_plan(prompt: str, session: OracleSession, catalog: AssetCatalog) -> RoomPlan:
     """Run all four levels and assemble a validated room plan."""
     room_type, (length, width) = build_room_level(prompt, session)
@@ -387,5 +392,5 @@ def build_room_plan(prompt: str, session: OracleSession, catalog: AssetCatalog) 
     plan = RoomPlan(room_type=room_type, length=length, width=width, regions=regions, prompt=prompt)
     violations = validate_room_plan(plan)
     if violations:
-        raise RuntimeError(f"builder produced an invalid plan: {violations}")
+        raise InvalidPlan(f"builder produced an invalid plan: {violations}")
     return plan

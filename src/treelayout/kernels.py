@@ -1,11 +1,16 @@
 """Grid-geometry kernels: the hot inner loops of the engine.
 
 Per-cell rasterization, free cells bucketed by side of an anchor (one
-pass for all four sides), and rectangle overlap scans.
+pass for all four sides), and rectangle overlap scans, per box or for a
+block of boxes at once.
 
 Cells are indexed row-major: ``index = row * cols + col``; cell (r, c)
 covers ``[c*s, (c+1)*s] x [r*s, (r+1)*s]``.  Occupancy codes: 0 free,
 1 occupied, 2 anchor-occupied.
+
+Block scans take the boxes as column spans ``(x0, x1)`` times row spans
+``(y0, y1)`` and answer with one integer bitmask per row, bit ``c`` for
+column ``c``.
 """
 
 from __future__ import annotations
@@ -81,19 +86,45 @@ def free_cells_on_side(
     return left, right, bottom, top
 
 
+def overlap_rows(
+    xspans: Sequence[tuple[float, float]],
+    yspans: Sequence[tuple[float, float]],
+    rects: Sequence[tuple[float, float, float, float]],
+    eps: float,
+    want: Sequence[int],
+) -> list[int]:
+    """Per row ``r``, the bits ``c`` of ``want[r]`` whose box
+    ``xspans[c] x yspans[r]`` overlaps some rect with area > eps.
+
+    A box's overlap width with a rect depends on its column alone and the
+    height on its row alone, so each is computed once per rect; only the
+    product ``w * h > eps`` is formed per cell.
+    """
+    hit = [0] * len(yspans)
+    for bx0, by0, bx1, by1 in rects:
+        widths = [(1 << c, w) for c, (x0, x1) in enumerate(xspans)
+                  if (w := min(x1, bx1) - max(x0, bx0)) > 0.0]
+        for r, (y0, y1) in enumerate(yspans):
+            todo = want[r] & ~hit[r]
+            if not todo:
+                continue
+            h = min(y1, by1) - max(y0, by0)
+            if h <= 0.0:
+                continue
+            for bit, w in widths:
+                if todo & bit and w * h > eps:
+                    hit[r] |= bit
+    return hit
+
+
 def first_overlap(
     x0: float, y0: float, x1: float, y1: float,
-    rects: list[tuple[float, float, float, float]],
+    rects: Sequence[tuple[float, float, float, float]],
     eps: float,
 ) -> int:
-    """Index of the first rect overlapping (x0,y0,x1,y1) with area > eps, else -1."""
-    for i, (bx0, by0, bx1, by1) in enumerate(rects):
-        w = min(x1, bx1) - max(x0, bx0)
-        if w <= 0.0:
-            continue
-        h = min(y1, by1) - max(y0, by0)
-        if h <= 0.0:
-            continue
-        if w * h > eps:
+    """Index of the first rect overlapping (x0,y0,x1,y1) with area > eps,
+    else -1: the one-box case of :func:`overlap_rows`, rect by rect."""
+    for i, rect in enumerate(rects):
+        if overlap_rows(((x0, x1),), ((y0, y1),), (rect,), eps, (1,))[0]:
             return i
     return -1

@@ -15,23 +15,40 @@ Scoring is defined in brute-force-checkable terms:
 overlap-free): the same check the search applies to every completed
 pose, so the policy names only positions the engine accepts.
 
-All three questions read one table per (context, side), built on first
-use.  It holds the side's candidate cells, taken from the context's
-``candidates`` (one grid scan per context, shared with the search), the
-object's spans and half-extents per yaw; the side score; a summed-area
-table over the candidate mask (Crow, SIGGRAPH 1984), so "every covered
-cell is a candidate" costs four lookups for any rectangle; and a memo of
-completion verdicts per (column start, row start), shared by the
-primary-run and secondary-run questions.
+All three questions read one table per context, held as per-row integer
+bitmasks (bit ``c`` of row ``r`` stands for column ``c``):
+
+* a candidate mask per side, from the context's ``candidates`` (one grid
+  scan per context, shared with the search);
+* a legal-centre mask per yaw extent-swap over the cell centres, shared
+  by the four sides, so a side score is a popcount of candidates AND
+  legal centres;
+* per side, on first use, a completion mask over (column start, row
+  start).  Its covered starts come from shifted ANDs of the candidate
+  mask (along a row for the column span, then across rows for the row
+  span), intersected with legality at the ``run_center`` poses.  Under
+  the face/back rules ``final_yaw`` picks the extents per pose, so both
+  swaps are tested and ``final_yaw`` is asked only where they disagree.
+  The primary-run and secondary-run questions read its bits.
+
+The masks are exact, not an approximation of ``legal``: every term of
+the check (region bounds, centre offset and edge gap to the anchor, the
+overlap width or height with each placed box) depends on a box's x span
+alone or its y span alone.  ``SpatialContext.legal_rows`` computes each
+term once per column and once per row and forms only the per-cell
+combine (``w * h > eps``, ``along``/``perp``, ``hypot``) with the same
+float operations, so every bit equals ``legal`` at that pose.  This is
+the configuration-space view of legality (Lozano-Pérez, IEEE Trans.
+Computers C-32, 1983), evaluated on the grid's own lattice of centres.
 
 Tables are cached by the context *value*: ``SpatialContext`` is a frozen,
 hashable dataclass that carries everything the policy reads (see its
 ``canonical_text``), so equal contexts share a table and a context that
-differs in any field gets its own.  The cache holds the four sides of
-one local step.  A table changes after construction only by filling in
-its summed-area table and its memo, and both come out the same
-whichever thread fills them, so the oracle's thread-safe ``query``
-holds.
+differs in any field gets its own.  The cache holds a few contexts, so
+subproblems searched side by side keep theirs.  A table changes after
+construction only by adding a side's completion mask, which comes out
+the same whichever thread builds it, so the oracle's thread-safe
+``query`` holds.
 
 ``pose_from_starts`` is the single source of truth for turning a
 (side, column start, row start) triple into a pose; the search uses it
@@ -41,9 +58,8 @@ legality equals engine acceptance.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
-from itertools import accumulate
-from operator import add
+from functools import lru_cache, reduce
+from operator import and_, or_
 
 from treelayout.grid import (
     DegenerateDirection,
@@ -99,79 +115,95 @@ def pose_from_starts(
     return cx, cy, final_yaw(ctx, side, (cx, cy))
 
 
-class _SideTable:
-    """Everything the policy decides about one side of the anchor in one context."""
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of ``mask``, ascending."""
+    return [i for i in range(mask.bit_length()) if mask >> i & 1]
 
-    def __init__(self, ctx: SpatialContext, side: Side):
+
+class _ContextTable:
+    """Everything the policy decides in one context, as per-row bitmasks."""
+
+    def __init__(self, ctx: SpatialContext):
         grid = ctx.grid
         d = ctx.object_dims
         self.ctx = ctx
-        self.side = side
-        self.m_cols, self.m_rows = object_spans(ctx, side)
         # Half-extents per "yaw swaps extents", as effective_aabb forms them.
         self.half = {False: (d.length / 2.0, d.depth / 2.0), True: (d.depth / 2.0, d.length / 2.0)}
-        self.cand = ctx.candidates[side]
+        self.swap0 = {
+            side: yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side).swaps_extents
+            for side in Side
+        }
+        self.cand = {}
+        full = (1 << grid.cols) - 1
+        for side, cells in ctx.candidates.items():
+            flat = sum(map((1).__lshift__, cells))  # bit idx for cell idx, row-major
+            self.cand[side] = [flat >> (r * grid.cols) & full for r in range(grid.rows)]
         if ctx.relation is None:
-            self.score = len(self.cand)
+            self.scores = {side: len(cells) for side, cells in ctx.candidates.items()}
         else:
-            yaw0 = yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side)
-            hx, hy = self.half[yaw0.swaps_extents]
             s = grid.cell_size
-            self.score = 0
-            for idx in self.cand:
-                r, c = divmod(idx, grid.cols)
-                cx, cy = (c + 0.5) * s, (r + 0.5) * s
-                self.score += ctx.legal(cx - hx, cy - hy, cx + hx, cy + hy)
-        self.memo: dict[tuple[int, int], bool] = {}
+            xs = [(c + 0.5) * s for c in range(grid.cols)]
+            ys = [(r + 0.5) * s for r in range(grid.rows)]
+            legal = {}
+            for swap in set(self.swap0.values()):
+                sides = [self.cand[side] for side in Side if self.swap0[side] == swap]
+                legal[swap] = self.legal_at(xs, ys, swap, [reduce(or_, m) for m in zip(*sides)])
+            self.scores = {
+                side: sum((m & ok).bit_count()
+                          for m, ok in zip(self.cand[side], legal[self.swap0[side]]))
+                for side in Side
+            }
+        self._completions: dict[Side, list[int]] = {}
 
-    @cached_property
-    def sat(self) -> list[list[int]]:
-        """Summed-area table of the candidate mask: ``sat[r][c]`` counts
-        candidates in rows ``< r`` and columns ``< c``."""
-        grid = self.ctx.grid
-        mask = [0] * (grid.rows * grid.cols)
-        for idx in self.cand:
-            mask[idx] = 1
-        sat = [[0] * (grid.cols + 1)]
-        for r in range(grid.rows):
-            prefix = accumulate(mask[r * grid.cols:(r + 1) * grid.cols], initial=0)
-            sat.append(list(map(add, sat[-1], prefix)))
-        return sat
+    def legal_at(self, xs: list[float], ys: list[float], swap: bool, want: list[int]) -> list[int]:
+        """Bits of ``want`` whose centre ``(xs[c], ys[r])`` is legal with these extents."""
+        hx, hy = self.half[swap]
+        return self.ctx.legal_rows(
+            [(cx - hx, cx + hx) for cx in xs], [(cy - hy, cy + hy) for cy in ys], want
+        )
 
-    def covered(self, col_start: int, row_start: int) -> bool:
-        """The object's rectangle at these starts lies in the grid and
-        every cell it covers is a candidate."""
-        grid = self.ctx.grid
-        c1, r1 = col_start + self.m_cols, row_start + self.m_rows
-        if col_start < 0 or row_start < 0 or c1 > grid.cols or r1 > grid.rows:
-            return False
-        sat = self.sat
-        inside = sat[r1][c1] - sat[row_start][c1] - sat[r1][col_start] + sat[row_start][col_start]
-        return inside == self.m_cols * self.m_rows
+    def covered(self, side: Side) -> list[int]:
+        """Bit ``c0`` of entry ``r0``: the object's rectangle at these
+        starts lies in the grid and every cell it covers is a candidate."""
+        m_cols, m_rows = object_spans(self.ctx, side)
+        runs = [reduce(and_, (m >> k for k in range(m_cols))) for m in self.cand[side]]
+        return [reduce(and_, runs[r0:r0 + m_rows]) for r0 in range(len(runs) - m_rows + 1)]
 
-    def completion_ok(self, col_start: int, row_start: int) -> bool:
-        """Memoised: covered, and legal at the pose ``pose_from_starts`` gives."""
-        key = (col_start, row_start)
-        ok = self.memo.get(key)
-        if ok is None:
-            ok = False
-            if self.covered(col_start, row_start):
-                cell_size = self.ctx.grid.cell_size
-                cx = run_center(col_start, self.m_cols, cell_size)
-                cy = run_center(row_start, self.m_rows, cell_size)
-                hx, hy = self.half[final_yaw(self.ctx, self.side, (cx, cy)).swaps_extents]
-                ok = self.ctx.legal(cx - hx, cy - hy, cx + hx, cy + hy)
-            self.memo[key] = ok
-        return ok
+    def completion(self, side: Side) -> list[int]:
+        """Bit ``c0`` of entry ``r0``: covered, and legal at the pose
+        ``pose_from_starts`` gives."""
+        done = self._completions.get(side)
+        if done is None:
+            done = self._completions[side] = self._complete(side)
+        return done
+
+    def _complete(self, side: Side) -> list[int]:
+        ctx = self.ctx
+        covered = self.covered(side)
+        if not any(covered):
+            return covered
+        s = ctx.grid.cell_size
+        m_cols, m_rows = object_spans(ctx, side)
+        xs = [run_center(c0, m_cols, s) for c0 in range(ctx.grid.cols - m_cols + 1)]
+        ys = [run_center(r0, m_rows, s) for r0 in range(len(covered))]
+        swap0 = self.swap0[side]
+        legal = self.legal_at(xs, ys, swap0, covered)
+        if ctx.orientation_rule in (OrientationRule.FACE_ANCHOR, OrientationRule.BACK_TO_ANCHOR):
+            other = self.legal_at(xs, ys, not swap0, covered)
+            for r0, (a, b) in enumerate(zip(legal, other)):
+                for c0 in _bits(a ^ b):
+                    if final_yaw(ctx, side, (xs[c0], ys[r0])).swaps_extents != swap0:
+                        legal[r0] ^= 1 << c0
+        return legal
 
 
 @lru_cache(maxsize=4)
-def _side_table(ctx: SpatialContext, side: Side) -> _SideTable:
-    return _SideTable(ctx, side)
+def _context_table(ctx: SpatialContext) -> _ContextTable:
+    return _ContextTable(ctx)
 
 
 def side_scores(ctx: SpatialContext) -> dict[Side, int]:
-    return {side: _side_table(ctx, side).score for side in Side}
+    return dict(_context_table(ctx).scores)
 
 
 def choose_side(ctx: SpatialContext, avoid: tuple[str, ...], adversarial: bool) -> Side | None:
@@ -191,30 +223,19 @@ def feasible_primary_starts(ctx: SpatialContext, side: Side) -> list[int]:
     The primary axis is columns for left/right sides and rows for
     top/bottom sides.
     """
-    t = _side_table(ctx, side)
-    ok = t.completion_ok
-    col_starts = range(ctx.grid.cols - t.m_cols + 1)
-    row_starts = range(ctx.grid.rows - t.m_rows + 1)
+    done = _context_table(ctx).completion(side)
     if side.horizontal:
-        return [c0 for c0 in col_starts if any(ok(c0, r0) for r0 in row_starts)]
-    return [r0 for r0 in row_starts if any(ok(c0, r0) for c0 in col_starts)]
+        return _bits(reduce(or_, done, 0))
+    return [r0 for r0, m in enumerate(done) if m]
 
 
 def feasible_secondary_starts(ctx: SpatialContext, side: Side, primary_start: int) -> list[int]:
-    t = _side_table(ctx, side)
-    ok = t.completion_ok
+    done = _context_table(ctx).completion(side)
     if side.horizontal:
-        return [r0 for r0 in range(ctx.grid.rows - t.m_rows + 1) if ok(primary_start, r0)]
-    return [c0 for c0 in range(ctx.grid.cols - t.m_cols + 1) if ok(c0, primary_start)]
-
-
-def _run_distance(ctx: SpatialContext, side: Side, axis: str, start: int) -> float:
-    m_cols, m_rows = object_spans(ctx, side)
-    if axis == "cols":
-        center = (start + m_cols / 2.0) * ctx.grid.cell_size
-        return abs(center - ctx.anchor.x)
-    center = (start + m_rows / 2.0) * ctx.grid.cell_size
-    return abs(center - ctx.anchor.y)
+        if primary_start < 0:
+            return []
+        return [r0 for r0, m in enumerate(done) if m >> primary_start & 1]
+    return _bits(done[primary_start]) if 0 <= primary_start < len(done) else []
 
 
 def choose_run(
@@ -230,6 +251,11 @@ def choose_run(
     legal = [s for s in starts if s not in avoid]
     if not legal:
         return None
-    if adversarial:
-        return max(legal, key=lambda s: (_run_distance(ctx, side, axis, s), s))
-    return min(legal, key=lambda s: (_run_distance(ctx, side, axis, s), s))
+    m_cols, m_rows = object_spans(ctx, side)
+    span, anchor = (m_cols, ctx.anchor.x) if axis == "cols" else (m_rows, ctx.anchor.y)
+    cell_size = ctx.grid.cell_size
+
+    def key(start: int) -> tuple[float, int]:
+        return abs((start + span / 2.0) * cell_size - anchor), start
+
+    return max(legal, key=key) if adversarial else min(legal, key=key)

@@ -11,11 +11,12 @@ recorded with.
 from __future__ import annotations
 
 import hashlib
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
 from treelayout import kernels
-from treelayout.grid import EmojiMap, OccupancyGrid, Side, candidate_cells, relation_holds
+from treelayout.grid import EmojiMap, OccupancyGrid, Side, candidate_cells, relation_rows
 from treelayout.model import (
     LENGTH_EPS,
     OVERLAP_EPS,
@@ -25,6 +26,9 @@ from treelayout.model import (
     RoomPlan,
     SpatialRelation,
 )
+
+#: Box extents along one axis, one ``(low, high)`` pair per column or row.
+Spans = Sequence[tuple[float, float]]
 
 
 @dataclass(frozen=True)
@@ -47,11 +51,11 @@ class SpatialContext:
     without parsing its own prompt.
 
     The context also owns the engine's final check of a candidate pose,
-    :meth:`legal`, which the det policy asks too, so the oracle names
-    only positions the engine accepts.  ``candidates`` and the check's
-    invariants are derived from the fields on first use and are not
-    fields themselves, so equality, hashing and ``canonical_text`` ignore
-    them.
+    :meth:`legal`, whose block form :meth:`legal_rows` the det policy
+    asks, so the oracle names only positions the engine accepts.
+    ``candidates`` and the check's invariants are derived from the fields
+    on first use and are not fields themselves, so equality, hashing and
+    ``canonical_text`` ignore them.
     """
 
     scope: str
@@ -79,7 +83,7 @@ class SpatialContext:
     def _limits(self) -> tuple[float, float, float, tuple]:
         """Invariants of :meth:`legal`: the region bounds with ``LENGTH_EPS``
         slack, as ``AABB.contains`` forms them (low corner, far x, far y),
-        and the anchor arguments of ``relation_holds``."""
+        and the anchor arguments of ``relation_rows``."""
         a = self.anchor.aabb(self.anchor_dims)
         anchor_args = (
             (a.x0, a.y0, a.x1, a.y1), self.anchor.x, self.anchor.y, self.anchor.yaw.facing,
@@ -88,35 +92,47 @@ class SpatialContext:
         low = 0.0 - LENGTH_EPS
         return low, self.region_length + LENGTH_EPS, self.region_width + LENGTH_EPS, anchor_args
 
-    def _inside(self, x0: float, y0: float, x1: float, y1: float) -> bool:
+    def _inside_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
         low, x_max, y_max, _ = self._limits
-        return x0 >= low and y0 >= low and x1 <= x_max and y1 <= y_max
+        cols = sum(1 << c for c, (x0, x1) in enumerate(xspans) if x0 >= low and x1 <= x_max)
+        return [m & cols if y0 >= low and y1 <= y_max else 0 for (y0, y1), m in zip(yspans, want)]
 
-    def _overlaps(self, x0: float, y0: float, x1: float, y1: float) -> bool:
-        return kernels.first_overlap(x0, y0, x1, y1, self.placed_boxes, OVERLAP_EPS) != -1
+    def _related_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
+        if self.relation is None:
+            return list(want)
+        return relation_rows(self.relation, xspans, yspans, want, *self._limits[3])
+
+    def legal_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
+        """Block form of :meth:`legal`: per row ``r``, the bits ``c`` of
+        ``want[r]`` for which the box ``xspans[c] x yspans[r]`` is legal.
+
+        Every term of the check depends on a box's x span alone or its y
+        span alone, so the terms are computed per column and per row and
+        combined per cell with the float operations :meth:`legal` uses;
+        the verdicts are bit-identical to calling it cell by cell.
+        """
+        rows = self._inside_rows(xspans, yspans, want)
+        hit = kernels.overlap_rows(xspans, yspans, self.placed_boxes, OVERLAP_EPS, rows)
+        return self._related_rows(xspans, yspans, [m & ~h for m, h in zip(rows, hit)])
 
     def legal(self, x0: float, y0: float, x1: float, y1: float) -> bool:
         """The object's box ``(x0, y0, x1, y1)`` lies in the region,
         satisfies the relation to the anchor (if any) and overlaps no
-        placed box; the cheap tests run first."""
-        if not self._inside(x0, y0, x1, y1):
-            return False
-        if self.relation is not None and not relation_holds(
-            self.relation, x0, y0, x1, y1, *self._limits[3]
-        ):
-            return False
-        return not self._overlaps(x0, y0, x1, y1)
+        placed box."""
+        return self.rejection(x0, y0, x1, y1) is None
 
     def rejection(self, x0: float, y0: float, x1: float, y1: float) -> str | None:
         """Why :meth:`legal` refuses the box, or None when it is legal:
-        ``"bounds"`` before ``"overlap"`` before ``"relation"``."""
-        if self.legal(x0, y0, x1, y1):
-            return None
-        if not self._inside(x0, y0, x1, y1):
+        ``"bounds"`` before ``"overlap"`` before ``"relation"``.  Each
+        check is the one-box case of a term of :meth:`legal_rows`."""
+        xs, ys = ((x0, x1),), ((y0, y1),)
+        if not self._inside_rows(xs, ys, (1,))[0]:
             return "bounds"
-        if self._overlaps(x0, y0, x1, y1):
+        if kernels.first_overlap(x0, y0, x1, y1, self.placed_boxes, OVERLAP_EPS) != -1:
             return "overlap"
-        return "relation"
+        if not self._related_rows(xs, ys, (1,))[0]:
+            return "relation"
+        return None
 
     def canonical_text(self) -> str:
         """Everything the deterministic policy reads, so fingerprints

@@ -226,20 +226,15 @@ def read_scene(path: str | Path) -> Scene:
 
 
 def write_trace(trace: SearchTrace, path: str | Path) -> None:
-    lines = []
-    for e in trace.events:
-        lines.append(
-            json.dumps(
-                {
-                    "layer": e.layer,
-                    "object_id": e.object_id,
-                    "attempt_no": e.attempt_no,
-                    "kind": e.kind.value,
-                    "detail": e.detail,
-                },
-                sort_keys=True,
-            )
-        )
+    """One JSON object per event, keys in sorted order, byte-identical to
+    ``json.dumps(event_dict, sort_keys=True)``; only the strings go
+    through ``json.dumps``, the integers are written as they print."""
+    dumps = json.dumps
+    lines = [
+        f'{{"attempt_no": {e.attempt_no}, "detail": {dumps(e.detail)}, '
+        f'"kind": {dumps(e.kind.value)}, "layer": {e.layer}, "object_id": {dumps(e.object_id)}}}'
+        for e in trace.events
+    ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
 
 

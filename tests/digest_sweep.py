@@ -13,10 +13,13 @@ Run from the repository root (pytest does not collect this file)::
 
     PYTHONPATH=src python tests/digest_sweep.py
     PYTHONPATH=src python tests/digest_sweep.py --prompts 10 --seeds 0 --each
+    PYTHONPATH=src python tests/digest_sweep.py --cell-size 0.15
 
 The defaults are the full check: 100 prompts x seeds 0-1 x tree/cot/io x
-``p_adv`` 0/0.35/1.0, 1,800 generations.  ``--each`` also prints one
-digest per generation, to find the inputs whose bytes differ.
+``p_adv`` 0/0.35/1.0, 1,800 generations, at ``SearchConfig``'s default
+cell size.  ``--cell-size`` sweeps another grid: 0.15 gives wider rows
+and, a fifth of that, 0.03 m cells on supporter tops.  ``--each`` also
+prints one digest per generation, to find the inputs whose bytes differ.
 """
 
 from __future__ import annotations
@@ -44,9 +47,10 @@ def load_prompts() -> list[str]:
 
 
 def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
-                     catalog: AssetCatalog, out: Path) -> bytes:
+                     catalog: AssetCatalog, out: Path,
+                     cell_size: float = SearchConfig.cell_size) -> bytes:
     """Everything one generation writes, as one byte string."""
-    config = SearchConfig(seed=seed, mode=mode, p_adv=p_adv)
+    config = SearchConfig(seed=seed, mode=mode, p_adv=p_adv, cell_size=cell_size)
     recording = RecordingOracle(DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog))
     try:
         scene = generate_scene(prompt, config, recording, catalog)
@@ -67,6 +71,8 @@ def main() -> None:
     parser.add_argument("--seeds", type=int, nargs="+", default=[0, 1])
     parser.add_argument("--modes", nargs="+", default=["tree", "cot", "io"])
     parser.add_argument("--p-adv", type=float, nargs="+", default=[0.0, 0.35, 1.0])
+    parser.add_argument("--cell-size", type=float, default=SearchConfig.cell_size,
+                        help="grid cell size in metres (default %(default)s)")
     parser.add_argument("--each", action="store_true", help="print one digest per generation")
     args = parser.parse_args()
 
@@ -79,7 +85,8 @@ def main() -> None:
             for seed in args.seeds:
                 for mode in args.modes:
                     for p_adv in args.p_adv:
-                        data = generation_bytes(prompt, seed, SearchMode(mode), p_adv, catalog, out)
+                        data = generation_bytes(prompt, seed, SearchMode(mode), p_adv, catalog, out,
+                                                args.cell_size)
                         total.update(hashlib.sha256(data).digest())
                         count += 1
                         if args.each:

@@ -280,6 +280,68 @@ class TestAblate:
         assert r.exit_code == 4
 
 
+def force_engine_error(monkeypatch, kind, prompt_part="bedroom"):
+    """Make generations whose prompt contains ``prompt_part`` end in an
+    engine error: a room plan that fails validation, or a cross-region
+    overlap at compose."""
+    from treelayout import hierarchy, pipeline
+    from treelayout.compose import CompositionOverlap
+
+    if kind == "invalid_plan":
+        validate = hierarchy.validate_room_plan
+
+        def forced(plan):
+            return ["forced violation"] if prompt_part in plan.prompt else validate(plan)
+
+        monkeypatch.setattr(hierarchy, "validate_room_plan", forced)
+    else:
+        compose = pipeline.compose
+
+        def forced(plan, *args, **kwargs):
+            if prompt_part in plan.prompt:
+                raise CompositionOverlap("forced overlap")
+            return compose(plan, *args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "compose", forced)
+
+
+class TestEngineErrors:
+    """An invalid plan or a compose overlap ends in exit 5, not a traceback."""
+
+    @pytest.mark.parametrize("kind", ["invalid_plan", "composition_overlap"])
+    def test_generate_exit_5(self, tmp_path, monkeypatch, kind):
+        force_engine_error(monkeypatch, kind)
+        out = tmp_path / "o"
+        r = run_cli(["generate", "--prompt", PROMPT, "--out-dir", str(out)])
+        assert r.exit_code == 5
+        assert "engine error" in r.output
+        assert not (out / "scene.json").exists()
+
+    @pytest.mark.parametrize("kind", ["invalid_plan", "composition_overlap"])
+    def test_replay_exit_5(self, tmp_path, monkeypatch, kind):
+        transcript = tmp_path / "transcript.jsonl"
+        r1 = run_cli(["generate", "--seed", "4", "--prompt", PROMPT,
+                      "--out-dir", str(tmp_path / "rec"), "--transcript", str(transcript)])
+        assert r1.exit_code == 0, r1.output
+        force_engine_error(monkeypatch, kind)
+        r2 = run_cli(["replay", str(transcript), "--seed", "4", "--prompt", PROMPT,
+                      "--out-dir", str(tmp_path / "rep")])
+        assert r2.exit_code == 5
+        assert "engine error" in r2.output
+
+    @pytest.mark.parametrize("kind", ["invalid_plan", "composition_overlap"])
+    def test_ablate_lists_failed_cells(self, tmp_path, monkeypatch, kind):
+        force_engine_error(monkeypatch, kind)
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text(f"{PROMPT}\nA snug living room with a rustic coffee table\n")
+        out = tmp_path / "o"
+        r = run_cli(["ablate", "--prompts", str(prompts), "--seeds", "0",
+                     "--modes", "cot,tree", "--out-dir", str(out)])
+        assert r.exit_code == 0, r.output
+        failed = (out / "ablation.txt").read_text().split("failed cells:\n")[1].splitlines()
+        assert [line.split(":")[0].strip() for line in failed] == ["prompt 0 seed 0 mode cot"]
+
+
 class TestPipelineWallSides:
     def test_region_boundaries_marked_in_prompts(self):
         from treelayout.grid import Side

@@ -33,7 +33,7 @@ from treelayout.oracle.base import (
 from treelayout.oracle.deterministic import NO_LEGAL_OPTION, DeterministicOracle
 from treelayout.oracle.live import LiveConfig, LiveOracle
 from treelayout.oracle.policy import (
-    _side_table,
+    _context_table,
     choose_run,
     choose_side,
     feasible_primary_starts,
@@ -251,11 +251,11 @@ class TestPolicyCache:
     def test_equal_contexts_share_tables(self):
         first, second = make_context(), make_context()
         assert first == second and first is not second
-        _side_table.cache_clear()
+        _context_table.cache_clear()
         answers = policy_answers(first)
-        misses = _side_table.cache_info().misses
+        misses = _context_table.cache_info().misses
         assert policy_answers(second) == answers
-        assert _side_table.cache_info().misses == misses
+        assert _context_table.cache_info().misses == misses
 
     @pytest.mark.parametrize("variant", ["placed_box", "object_dims"])
     def test_differing_contexts_get_their_own_answers(self, variant):
@@ -272,11 +272,11 @@ class TestPolicyCache:
             b = replace(base, object_dims=Dim3(1.0, 0.5, 0.5))
         cold = {}
         for ctx in (a, b):
-            _side_table.cache_clear()
+            _context_table.cache_clear()
             cold[id(ctx)] = policy_answers(ctx)
         assert cold[id(a)] != cold[id(b)]
         for order in ((a, b), (b, a)):
-            _side_table.cache_clear()
+            _context_table.cache_clear()
             for ctx in order:
                 assert policy_answers(ctx) == cold[id(ctx)]
             for ctx in order:
@@ -298,16 +298,16 @@ class TestPolicyCache:
 
     def test_threads_sharing_tables_match_serial(self):
         # More contexts than the cache holds, so threads race on eviction,
-        # table construction and the completion memo.
+        # table construction and the completion masks.
         from concurrent.futures import ThreadPoolExecutor
 
         rng = random.Random(4)
         contexts = [random_context(rng) for _ in range(6)]
         serial = []
         for ctx in contexts:
-            _side_table.cache_clear()
+            _context_table.cache_clear()
             serial.append(policy_answers(ctx))
-        _side_table.cache_clear()
+        _context_table.cache_clear()
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -502,6 +502,170 @@ class TestContextLegality:
                     )
             assert (hash(ctx), ctx.canonical_text()) == before
         assert min(seen.values()) > 0 and flush_legal > 0, (seen, flush_legal)
+
+
+def reference_legal(ctx, x0, y0, x1, y1):
+    """The per-pose check written out once more, one box at a time: the
+    bounds test, the relation test and the overlap scan with the float
+    expressions the block form must reproduce bit for bit."""
+    import math
+
+    from treelayout.model import LENGTH_EPS, OVERLAP_EPS
+
+    eps = LENGTH_EPS
+    if not (x0 >= 0.0 - eps and y0 >= 0.0 - eps
+            and x1 <= ctx.region_length + eps and y1 <= ctx.region_width + eps):
+        return False
+    rel = ctx.relation
+    if rel is not None:
+        a = ctx.anchor.aabb(ctx.anchor_dims)
+        dx, dy = (x0 + x1) / 2.0 - ctx.anchor.x, (y0 + y1) / 2.0 - ctx.anchor.y
+        fx, fy = ctx.anchor.yaw.facing
+        along = dx * fx + dy * fy
+        perp = dx * fy - dy * fx
+        gap = math.hypot(max(x0 - a.x1, a.x0 - x1, 0.0), max(y0 - a.y1, a.y0 - y1, 0.0))
+        if rel is SpatialRelation.PLACE_AROUND:
+            ok = math.hypot(dx, dy) <= ctx.d_around + eps
+        elif rel is SpatialRelation.PLACE_FRONT:
+            facing_edge = a.x1 - a.x0 if fy != 0 else a.y1 - a.y0
+            ok = along > 0 and abs(perp) <= facing_edge / 2.0 + eps and gap <= ctx.d_front + eps
+        else:
+            ok = (abs(perp) >= abs(along) - eps and abs(perp) > eps
+                  and gap <= ctx.d_beside + eps)
+        if not ok:
+            return False
+    for bx0, by0, bx1, by1 in ctx.placed_boxes:
+        w = min(x1, bx1) - max(x0, bx0)
+        if w <= 0.0:
+            continue
+        h = min(y1, by1) - max(y0, by0)
+        if h <= 0.0:
+            continue
+        if w * h > OVERLAP_EPS:
+            return False
+    return True
+
+
+def mask_context(rng):
+    """A random context for the row-mask checks: a floor region at cell
+    0.25 or a supporter top at 0.05, with extents on and off cell
+    boundaries, any relation (or the facing question) and any orientation
+    rule, and up to three blockers, each placed flush against the box of
+    some cell centre or run centre so that edges touch exactly."""
+    from treelayout.model import effective_aabb
+    from treelayout.oracle.policy import run_center
+
+    cell = rng.choice([0.25, 0.05])
+    if cell == 0.25:
+        length, width = rng.choice([2.0, 3.0, 2.9]), rng.choice([1.5, 2.0, 1.85])
+        anchor_dims = Dim3(1.0, 0.5, 0.5)
+        object_dims = Dim3(rng.choice([0.4, 0.5, 1.0]), rng.choice([0.4, 0.5]), 0.5)
+        blocker_sizes = (0.25, 0.3, 0.5)
+    else:
+        length, width = rng.choice([0.8, 1.2, 0.85]), rng.choice([0.4, 0.5, 0.45])
+        anchor_dims = Dim3(0.3, 0.2, 0.3)
+        object_dims = Dim3(rng.choice([0.1, 0.15, 0.2]), rng.choice([0.1, 0.15]), 0.1)
+        blocker_sizes = (0.05, 0.1, 0.15)
+    anchor_yaw = rng.choice(list(Yaw))
+    a0 = effective_aabb(anchor_dims, anchor_yaw, (0, 0))
+    if rng.random() < 0.2:
+        relation, orientation = None, None
+    else:
+        relation = rng.choice(list(SpatialRelation))
+        orientation = rng.choice(list(OrientationRule))
+    extra = []
+    for _ in range(rng.randint(0, 3)):
+        bw, bh = rng.choice(blocker_sizes), rng.choice(blocker_sizes)
+        half = rng.choice([object_dims.length, object_dims.depth]) / 2.0
+        span = rng.randint(1, 4)
+        # A cell centre or a run centre, and the far or near edge of the
+        # object's box there; the blocker starts or ends on that edge.
+        centre = rng.choice([(rng.randrange(12) + 0.5) * cell, run_center(rng.randrange(12), span, cell)])
+        edge = centre + half if rng.random() < 0.5 else centre - half
+        lo = edge if rng.random() < 0.5 else edge - (bw if rng.random() < 0.5 else bh)
+        if rng.random() < 0.5:
+            pos = (round(lo + bw / 2.0, 4), _inside(rng, width, bh))
+        else:
+            pos = (_inside(rng, length, bw), round(lo + bh / 2.0, 4))
+        if bw / 2 <= pos[0] <= length - bw / 2 and bh / 2 <= pos[1] <= width - bh / 2:
+            extra.append((Dim3(bw, bh, 0.5), pos, Yaw.DEG_0))
+    return make_context(
+        region_length=length, region_width=width, cell=cell,
+        anchor_dims=anchor_dims,
+        anchor_pos=(_inside(rng, length, a0.width), _inside(rng, width, a0.height)),
+        anchor_yaw=anchor_yaw, object_dims=object_dims,
+        relation=relation, orientation=orientation, extra_placed=tuple(extra),
+    )
+
+
+class TestRowMasks:
+    """The det policy's row bitmasks against per-pose legality and the
+    brute-force covered test."""
+
+    def test_legal_rows_equal_legal_at_cell_and_run_centres(self):
+        from treelayout.oracle.policy import object_spans, run_center
+
+        rng = random.Random(2024)
+        kinds, counts = set(), {True: 0, False: 0, "touching": 0}
+        for _ in range(80):
+            ctx = mask_context(rng)
+            grid = ctx.grid
+            s = grid.cell_size
+            kinds.update({("relation", ctx.relation), ("rule", ctx.orientation_rule),
+                          ("cell", s), ("blockers", len(ctx.placed_boxes) > 1),
+                          ("on boundary", (ctx.region_length / s).is_integer())})
+            lattices = {(tuple((c + 0.5) * s for c in range(grid.cols)),
+                         tuple((r + 0.5) * s for r in range(grid.rows)))}
+            for side in Side:
+                m_cols, m_rows = object_spans(ctx, side)
+                lattices.add((tuple(run_center(c0, m_cols, s) for c0 in range(grid.cols - m_cols + 1)),
+                              tuple(run_center(r0, m_rows, s) for r0 in range(grid.rows - m_rows + 1))))
+            d = ctx.object_dims
+            for xs, ys in lattices:
+                for hx, hy in ((d.length / 2.0, d.depth / 2.0), (d.depth / 2.0, d.length / 2.0)):
+                    xspans = [(cx - hx, cx + hx) for cx in xs]
+                    yspans = [(cy - hy, cy + hy) for cy in ys]
+                    full = (1 << len(xs)) - 1
+                    got = ctx.legal_rows(xspans, yspans, [full] * len(ys))
+                    assert len(got) == len(ys)
+                    for r, (y0, y1) in enumerate(yspans):
+                        assert got[r] >> len(xs) == 0
+                        for c, (x0, x1) in enumerate(xspans):
+                            want = ctx.legal(x0, y0, x1, y1)
+                            assert want == reference_legal(ctx, x0, y0, x1, y1)
+                            assert bool(got[r] >> c & 1) == want, (ctx.canonical_text(), c, r)
+                            counts[want] += 1
+                            counts["touching"] += want and any(
+                                x1 == b[0] or x0 == b[2] or y1 == b[1] or y0 == b[3]
+                                for b in ctx.placed_boxes[1:]
+                            )
+                    # A narrower want only masks the answer.
+                    some = [rng.getrandbits(len(xs)) for _ in ys]
+                    assert ctx.legal_rows(xspans, yspans, some) == [g & m for g, m in zip(got, some)]
+        assert kinds >= {("relation", r) for r in (None, *SpatialRelation)}
+        assert kinds >= {("rule", r) for r in OrientationRule}
+        assert kinds >= {("cell", 0.25), ("cell", 0.05), ("blockers", True),
+                         ("on boundary", True), ("on boundary", False)}
+        assert min(counts.values()) > 0, counts
+
+    def test_covered_masks_match_brute_force(self):
+        from treelayout.oracle.policy import object_spans
+
+        rng = random.Random(2025)
+        for _ in range(60):
+            ctx = mask_context(rng)
+            grid = ctx.grid
+            br = brute_of(ctx)
+            table = _context_table(ctx)
+            for side in Side:
+                cand = set(ctx.candidates[side])
+                m_cols, m_rows = object_spans(ctx, side)
+                covered = table.covered(side)
+                assert len(covered) == max(0, grid.rows - m_rows + 1)
+                for r0 in range(grid.rows):
+                    for c0 in range(grid.cols):
+                        bit = r0 < len(covered) and bool(covered[r0] >> c0 & 1)
+                        assert bit == br.rect_cells_ok(cand, c0, m_cols, r0, m_rows), (side, c0, r0)
 
 
 class TestDeterministicOracleReplies:

@@ -1,9 +1,11 @@
 """Scene files, trace files, and SVG rendering (full and step replay)."""
 
+import json
+
 import pytest
 
 from treelayout.evaluate import validity_metrics
-from treelayout.model import EventKind, SearchConfig, SearchMode
+from treelayout.model import EventKind, SearchConfig, SearchMode, SearchTrace, Yaw
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.pipeline import generate_scene
 from treelayout.render import TraceMismatch, render_scene, replay_placements
@@ -65,6 +67,24 @@ class TestSceneFile:
         path = tmp_path / "trace.jsonl"
         write_trace(scene.trace, path)
         assert read_trace(path) == scene.trace.events
+
+    def test_trace_lines_equal_sorted_json_dumps(self, tmp_path):
+        trace = SearchTrace()
+        texts = ['say "hi"', "back\\slash \\n", "caf\u00e9 \u5ea7 \U0001f600", "", "tab\tnl\n"]
+        for i, text in enumerate(texts):
+            trace.record(i, text, i + 1, EventKind.REJECTED, text, scope=text or "r1")
+            trace.record(10 + i, "obj", 0, EventKind.PROPOSED, text, scope="top:x", visit=i,
+                         pose=(1.0 / 3.0, -2.5, Yaw.DEG_270))
+        path = tmp_path / "trace.jsonl"
+        write_trace(trace, path)
+        want = "".join(
+            json.dumps({"layer": e.layer, "object_id": e.object_id, "attempt_no": e.attempt_no,
+                        "kind": e.kind.value, "detail": e.detail}, sort_keys=True) + "\n"
+            for e in trace.events
+        )
+        assert path.read_text("utf-8") == want
+        write_trace(SearchTrace(), path)
+        assert path.read_text("utf-8") == ""
 
 
 # Multi-region prompts whose runs include supported-object searches,
