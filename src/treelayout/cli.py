@@ -1,7 +1,8 @@
 """Command-line surface: generate, ablate, render, replay.
 
 Exit codes: 0 success, 2 incomplete layout (Unsat region or skipped
-objects in tree/cot mode), 3 oracle failure, 4 configuration error,
+objects in tree/cot mode), 3 oracle failure, 4 configuration error
+(a usage error too, such as an unknown option or a bad option value),
 5 engine error (an invalid room plan or a cross-region overlap, both
 engine bugs).
 IO-mode runs exit 0 with their violations reported as metrics; being
@@ -154,7 +155,25 @@ def _with_options(options):
     return wrap
 
 
-@click.group()
+def _usage_errors_exit_config(call, *args, **kwargs):
+    try:
+        return call(*args, **kwargs)
+    except click.UsageError as exc:
+        exc.exit_code = EXIT_CONFIG
+        raise
+
+
+class _Cli(click.Group):
+    """Usage errors exit 4 (configuration error), not click's 2 (here: incomplete layout)."""
+
+    def make_context(self, *args, **kwargs):
+        return _usage_errors_exit_config(super().make_context, *args, **kwargs)
+
+    def invoke(self, ctx):
+        return _usage_errors_exit_config(super().invoke, ctx)
+
+
+@click.group(cls=_Cli)
 def main() -> None:
     """Text-to-layout synthesis with oracle-guided tree search."""
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from treelayout.model import (
-    OVERLAP_EPS,
     AABB,
     Parent,
     PlacedObject,
@@ -40,7 +39,7 @@ def compose(
             moved = PlacedObject(p.spec_id, q4(p.x + offset), p.y, p.z, p.yaw, p.parent)
             box = moved.aabb(specs[moved.spec_id].dims)
             for other_box, other_region in boxes:
-                if other_region != region.id and box.overlaps(other_box, OVERLAP_EPS):
+                if other_region != region.id and box.overlaps(other_box):
                     raise CompositionOverlap(
                         f"{moved.spec_id} in {region.id} overlaps an object of {other_region}"
                     )
@@ -95,7 +94,7 @@ def attach_supported(
                 Parent.supporter(supporter_id),
             )
             box = moved.aabb(specs[moved.spec_id].dims)
-            if not sup_box.contains(box, eps=1e-6):
+            if not sup_box.contains(box):
                 raise CompositionOverlap(
                     f"supported {moved.spec_id} escapes the top face of {supporter_id}"
                 )

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 from treelayout.grid import relation_satisfied
 from treelayout.model import (
-    OVERLAP_EPS,
     AABB,
     EventKind,
     Scene,
     SearchConfig,
     SearchTrace,
     local_anchor,
+    units,
 )
 
 
@@ -42,10 +42,11 @@ def validity_metrics(scene: Scene, config: SearchConfig | None = None) -> Validi
     (floor vs floor, or siblings on the same supporter).  Out-of-bounds
     means a floor footprint escaping the room or a supported footprint
     escaping its supporter top face (or sitting at the wrong height).
+    Every test is exact: boxes are in units, heights are q4 values.
     """
     cfg = config if config is not None else SearchConfig()
     specs = scene.spec_index()
-    room = AABB(0.0, 0.0, scene.plan.length, scene.plan.width)
+    room = AABB(0, 0, units(scene.plan.length), units(scene.plan.width))
     by_id = {p.spec_id: p for p in scene.placements}
 
     boxes = {p.spec_id: p.aabb(specs[p.spec_id].dims) for p in scene.placements}
@@ -55,24 +56,19 @@ def validity_metrics(scene: Scene, config: SearchConfig | None = None) -> Validi
         for b in placements[i + 1:]:
             if a.parent != b.parent:
                 continue
-            if boxes[a.spec_id].overlaps(boxes[b.spec_id], OVERLAP_EPS):
+            if boxes[a.spec_id].overlaps(boxes[b.spec_id]):
                 overlap_pairs += 1
 
     oob = 0
     for p in placements:
         if p.parent.kind == "floor":
-            if not room.contains(boxes[p.spec_id]) or p.z != 0.0:
-                oob += 1
+            bounds, height = room, 0.0
+        elif p.parent.ref in boxes:
+            bounds, height = boxes[p.parent.ref], specs[p.parent.ref].dims.height
         else:
-            sup = by_id.get(p.parent.ref)
-            if sup is None:
-                oob += 1
-                continue
-            sup_box = sup.aabb(specs[p.parent.ref].dims)
-            if not sup_box.contains(boxes[p.spec_id], eps=1e-6):
-                oob += 1
-            elif abs(p.z - specs[p.parent.ref].dims.height) > 1e-6:
-                oob += 1
+            oob += 1
+            continue
+        oob += not bounds.contains(boxes[p.spec_id]) or p.z != height
 
     anchored_edges = []  # (anchor id, edges that relate to it)
     for region in scene.plan.regions:
@@ -80,21 +76,12 @@ def validity_metrics(scene: Scene, config: SearchConfig | None = None) -> Validi
         for sub in region.supported.values():
             if sub.objects:
                 anchored_edges.append((local_anchor(sub.objects).id, sub.edges))
-    relation_violations = 0
-    for anchor_id, edges in anchored_edges:
-        anchor = by_id.get(anchor_id)
-        if anchor is None:
-            continue
-        for edge in edges:
-            p = by_id.get(edge.object_id)
-            if p is None:
-                continue
-            ok = relation_satisfied(
-                edge.relation, boxes[p.spec_id], anchor, specs[anchor_id].dims,
-                cfg.d_front, cfg.d_beside, cfg.d_around,
-            )
-            if not ok:
-                relation_violations += 1
+    relation_violations = sum(
+        not relation_satisfied(edge.relation, boxes[edge.object_id], by_id[anchor_id],
+                               specs[anchor_id].dims, cfg.d_front, cfg.d_beside, cfg.d_around)
+        for anchor_id, edges in anchored_edges if anchor_id in by_id
+        for edge in edges if edge.object_id in by_id
+    )
 
     total_specs = len(scene.plan.all_specs())
     placed_ratio = len(placements) / total_specs if total_specs else 1.0

@@ -2,14 +2,14 @@
 
 A region of ``length x width`` meters is discretized into
 ``ceil(length/cell) x ceil(width/cell)`` cells, row-major with row 0 at
-y = 0 (the serialized prompt prints the top row first).  Candidate cells
+y = 0 (the serialized prompt prints the top row first); its geometry and
+the relation predicates are exact, in whole length units.  Candidate cells
 offered to the oracle are named with distinct emoji names so a language
 model can answer positions by name; parsing maps names back to cells.
 """
 
 from __future__ import annotations
 
-import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -20,13 +20,13 @@ from importlib import resources
 from treelayout import kernels
 from treelayout.model import (
     AABB,
-    LENGTH_EPS,
     Dim3,
     OrientationRule,
     PlacedObject,
     RegionPlan,
     SpatialRelation,
     Yaw,
+    units,
 )
 
 # Grid markers used in serialized prompts.  These are the only token
@@ -174,10 +174,10 @@ def load_vocabulary() -> tuple[str, ...]:
     return names
 
 
-def grid_dims(length: float, width: float, cell_size: float) -> tuple[int, int]:
-    cols = max(1, math.ceil(length / cell_size - LENGTH_EPS))
-    rows = max(1, math.ceil(width / cell_size - LENGTH_EPS))
-    return cols, rows
+def grid_dims(length: int, width: int, cell: int) -> tuple[int, int]:
+    """(cols, rows) of the cells of edge ``cell`` that cover ``length x
+    width``, all in units: the ceilings of the quotients, at least 1."""
+    return max(1, -(-length // cell)), max(1, -(-width // cell))
 
 
 def rasterize(
@@ -189,16 +189,16 @@ def rasterize(
     with positive area; the anchor's cells carry the anchor code.  A
     placement outside the region bounds raises :class:`OutOfRegion`.
     """
-    bounds = AABB(0.0, 0.0, region.length, region.width)
-    rects: list[tuple[float, float, float, float, int]] = []
+    bounds = AABB(0, 0, units(region.length), units(region.width))
+    rects: list[tuple[int, int, int, int, int]] = []
     for p in placed:
         box = p.aabb(region.spec(p.spec_id).dims)
         if not bounds.contains(box):
             raise OutOfRegion(p.spec_id)
-        code = ANCHOR_OCCUPIED if p.spec_id == region.anchor_id else OCCUPIED
-        rects.append((box.x0, box.y0, box.x1, box.y1, code))
-    cols, rows = grid_dims(region.length, region.width, cell_size)
-    codes = kernels.rasterize_codes(cols, rows, cell_size, rects)
+        rects.append((*box, ANCHOR_OCCUPIED if p.spec_id == region.anchor_id else OCCUPIED))
+    cell = units(cell_size)
+    cols, rows = grid_dims(bounds.x1, bounds.y1, cell)
+    codes = kernels.rasterize_codes(cols, rows, cell, rects)
     return OccupancyGrid(cols, rows, cell_size, tuple(codes))
 
 
@@ -210,10 +210,8 @@ def candidate_cells(grid: OccupancyGrid, anchor_aabb: AABB) -> dict[Side, list[i
     sides it spills over simply have no cells (this happens when probing
     facings for a centered anchor that only fits rotated).
     """
-    buckets = kernels.free_cells_on_side(
-        grid.cols, grid.rows, grid.cell_size, grid.codes,
-        anchor_aabb.x0, anchor_aabb.y0, anchor_aabb.x1, anchor_aabb.y1,
-    )
+    buckets = kernels.free_cells_on_side(grid.cols, grid.rows, units(grid.cell_size), grid.codes,
+                                         *anchor_aabb)
     return dict(zip(Side, buckets))
 
 
@@ -313,79 +311,77 @@ def relation_satisfied(
     d_beside: float = 0.5,
     d_around: float = 2.0,
 ) -> bool:
-    """Geometric reading of the three anchor relations.
+    """Geometric reading of the three anchor relations (thresholds in meters).
 
     front: candidate center in the open half-plane the anchor faces, its
     offset across the facing axis within half the anchor's facing edge,
     and edge gap at most ``d_front``.  beside: candidate center more
     sideways than forward/backward of the anchor center (left or right
     half-plane) with edge gap at most ``d_beside``.  around: center
-    distance at most ``d_around``.  Distances get ``LENGTH_EPS`` slack, so
-    the verdict is the same in the region frame and the room frame.
+    distance at most ``d_around``.  The test is exact in units, so the
+    verdict is the same in the region frame and the room frame.
     """
-    a = anchor.aabb(anchor_dims)
     c = candidate_aabb
     return relation_rows(
-        rel, ((c.x0, c.x1),), ((c.y0, c.y1),), (1,), (a.x0, a.y0, a.x1, a.y1),
-        anchor.x, anchor.y, anchor.yaw.facing, d_front, d_beside, d_around,
+        rel, ((c.x0, c.x1),), ((c.y0, c.y1),), (1,), anchor.aabb(anchor_dims),
+        units(anchor.x), units(anchor.y), anchor.yaw.facing,
+        units(d_front), units(d_beside), units(d_around),
     ) == [1]
 
 
 def relation_rows(
     rel: SpatialRelation,
-    xspans: Sequence[tuple[float, float]],
-    yspans: Sequence[tuple[float, float]],
+    xspans: Sequence[tuple[int, int]],
+    yspans: Sequence[tuple[int, int]],
     want: Sequence[int],
-    anchor_box: tuple[float, float, float, float],
-    anchor_x: float,
-    anchor_y: float,
+    anchor_box: tuple[int, int, int, int],
+    anchor_x: int,
+    anchor_y: int,
     facing: tuple[int, int],
-    d_front: float,
-    d_beside: float,
-    d_around: float,
+    d_front: int,
+    d_beside: int,
+    d_around: int,
 ) -> list[int]:
-    """Block form of :func:`relation_satisfied`: per row ``r``, the bits
-    ``c`` of ``want[r]`` whose box ``xspans[c] x yspans[r]`` satisfies
+    """Block form of :func:`relation_satisfied` in units: per row ``r``, the
+    bits ``c`` of ``want[r]`` whose box ``xspans[c] x yspans[r]`` satisfies
     ``rel`` towards the anchor with this box, centre and facing vector.
 
     A box's centre offset from the anchor centre and its edge gap to the
     anchor box along x depend on its column alone, and along y on its row
     alone, so each is computed once per column or row; ``holds`` combines
-    them per cell.
+    them per cell.  Centre offsets are doubled (``x0 + x1 - 2 * anchor_x``)
+    and distances compared squared, so every test compares integers.
     """
     ax0, ay0, ax1, ay1 = anchor_box
     fx, fy = facing
-    hypot = math.hypot
     if rel is SpatialRelation.PLACE_AROUND:
-        around = d_around + LENGTH_EPS
+        around = (2 * d_around) ** 2
 
-        def holds(dx: float, gx: float, dy: float, gy: float) -> bool:
-            return hypot(dx, dy) <= around
+        def holds(dx: int, gx: int, dy: int, gy: int) -> bool:
+            return dx * dx + dy * dy <= around
     elif rel is SpatialRelation.PLACE_FRONT:
         facing_edge = ax1 - ax0 if fy != 0 else ay1 - ay0
-        half_edge, front = facing_edge / 2.0 + LENGTH_EPS, d_front + LENGTH_EPS
+        front = d_front * d_front
 
-        def holds(dx: float, gx: float, dy: float, gy: float) -> bool:
-            along = dx * fx + dy * fy
-            perp = dx * fy - dy * fx
-            return along > 0 and abs(perp) <= half_edge and hypot(gx, gy) <= front
+        def holds(dx: int, gx: int, dy: int, gy: int) -> bool:
+            return (dx * fx + dy * fy > 0 and abs(dx * fy - dy * fx) <= facing_edge
+                    and gx * gx + gy * gy <= front)
     elif rel is SpatialRelation.PLACE_BESIDE:
-        beside = d_beside + LENGTH_EPS
+        beside = d_beside * d_beside
 
-        def holds(dx: float, gx: float, dy: float, gy: float) -> bool:
-            along = dx * fx + dy * fy
+        def holds(dx: int, gx: int, dy: int, gy: int) -> bool:
             perp = abs(dx * fy - dy * fx)
-            return perp >= abs(along) - LENGTH_EPS and perp > LENGTH_EPS and hypot(gx, gy) <= beside
+            return perp >= abs(dx * fx + dy * fy) and perp > 0 and gx * gx + gy * gy <= beside
     else:
         raise ValueError(f"unknown relation {rel}")
 
-    cols = [(1 << c, (x0 + x1) / 2.0 - anchor_x, max(x0 - ax1, ax0 - x1, 0.0))
+    cols = [(1 << c, x0 + x1 - 2 * anchor_x, max(x0 - ax1, ax0 - x1, 0))
             for c, (x0, x1) in enumerate(xspans)]
     out = []
     for (y0, y1), todo in zip(yspans, want):
         keep = 0
         if todo:
-            dy, gy = (y0 + y1) / 2.0 - anchor_y, max(y0 - ay1, ay0 - y1, 0.0)
+            dy, gy = y0 + y1 - 2 * anchor_y, max(y0 - ay1, ay0 - y1, 0)
             for bit, dx, gx in cols:
                 if todo & bit and holds(dx, gx, dy, gy):
                     keep |= bit

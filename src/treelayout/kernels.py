@@ -4,9 +4,13 @@ Per-cell rasterization, free cells bucketed by side of an anchor (one
 pass for all four sides), and rectangle overlap scans, per box or for a
 block of boxes at once.
 
-Cells are indexed row-major: ``index = row * cols + col``; cell (r, c)
-covers ``[c*s, (c+1)*s] x [r*s, (r+1)*s]``.  Occupancy codes: 0 free,
-1 occupied, 2 anchor-occupied.
+Every coordinate is a whole number of length units (0.01 mm), so each
+test is an exact integer comparison.  Cells are indexed row-major:
+``index = row * cols + col``; cell (r, c) covers ``[c*s, (c+1)*s] x
+[r*s, (r+1)*s]``.  Occupancy codes: 0 free, 1 occupied, 2
+anchor-occupied.  Rectangles have positive extents, so two overlap with
+positive area exactly when their open x spans and their open y spans
+meet; rectangles sharing an edge do not overlap.
 
 Block scans take the boxes as column spans ``(x0, x1)`` times row spans
 ``(y0, y1)`` and answer with one integer bitmask per row, bit ``c`` for
@@ -17,33 +21,27 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-_EPS = 1e-9
+
+def _cells_meeting(lo: int, hi: int, cell: int, n: int) -> range:
+    """The cells among ``n`` of edge ``cell`` whose open span meets ``(lo, hi)``."""
+    return range(max(0, lo // cell), min(n, -(-hi // cell)))
 
 
 def rasterize_codes(
     cols: int,
     rows: int,
-    cell_size: float,
-    rects: list[tuple[float, float, float, float, int]],
+    cell: int,
+    rects: list[tuple[int, int, int, int, int]],
 ) -> list[int]:
-    """Occupancy code per cell: the highest code of any rect whose
-    intersection with the cell has area > eps (shared edges never mark)."""
+    """Occupancy code per cell: the highest code of any rect that overlaps
+    the cell with positive area (shared edges never mark)."""
     codes = [0] * (rows * cols)
     for (x0, y0, x1, y1, code) in rects:
-        for r in range(rows):
-            cy0 = r * cell_size
-            cy1 = cy0 + cell_size
-            h = min(y1, cy1) - max(y0, cy0)
-            if h <= 0.0:
-                continue
+        covered = _cells_meeting(x0, x1, cell, cols)
+        for r in _cells_meeting(y0, y1, cell, rows):
             base = r * cols
-            for c in range(cols):
-                cx0 = c * cell_size
-                cx1 = cx0 + cell_size
-                w = min(x1, cx1) - max(x0, cx0)
-                if w <= 0.0:
-                    continue
-                if w * h > _EPS and code > codes[base + c]:
+            for c in covered:
+                if code > codes[base + c]:
                     codes[base + c] = code
     return codes
 
@@ -51,80 +49,56 @@ def rasterize_codes(
 def free_cells_on_side(
     cols: int,
     rows: int,
-    cell_size: float,
+    cell: int,
     codes: Sequence[int],
-    ax0: float, ay0: float, ax1: float, ay1: float,
+    ax0: int, ay0: int, ax1: int, ay1: int,
 ) -> tuple[list[int], list[int], list[int], list[int]]:
     """Indices of the free cells strictly on each side of the anchor
     rectangle, bucketed (left, right, bottom, top), each in row-major order.
 
-    A cell is left when its max-x <= anchor min-x, right when its min-x
-    >= anchor max-x, and likewise bottom/top on y, with a 1e-9 slack so
-    flush cells count.  One pass over the grid fills all four buckets.
+    A cell is left when its max-x <= anchor min-x, that is its column is
+    below ``ax0 // cell``; right when its min-x >= anchor max-x, its column
+    at least ``ceil(ax1 / cell)``; likewise bottom/top on y, so flush cells
+    count.  One pass over the grid fills all four buckets.
     """
     left, right, bottom, top = [], [], [], []
-    col_x0 = [c * cell_size for c in range(cols)]
-    is_left = [x0 + cell_size <= ax0 + _EPS for x0 in col_x0]
-    is_right = [x0 >= ax1 - _EPS for x0 in col_x0]
+    left_end, right_start = ax0 // cell, -(-ax1 // cell)
+    bottom_end, top_start = ay0 // cell, -(-ay1 // cell)
     for r in range(rows):
-        cy0 = r * cell_size
-        is_bottom = cy0 + cell_size <= ay0 + _EPS
-        is_top = cy0 >= ay1 - _EPS
         base = r * cols
-        for c in range(cols):
-            if codes[base + c] != 0:
-                continue
-            idx = base + c
-            if is_left[c]:
-                left.append(idx)
-            if is_right[c]:
-                right.append(idx)
-            if is_bottom:
-                bottom.append(idx)
-            if is_top:
-                top.append(idx)
+        free = [c for c in range(cols) if codes[base + c] == 0]
+        left += [base + c for c in free if c < left_end]
+        right += [base + c for c in free if c >= right_start]
+        if r < bottom_end:
+            bottom += [base + c for c in free]
+        if r >= top_start:
+            top += [base + c for c in free]
     return left, right, bottom, top
 
 
 def overlap_rows(
-    xspans: Sequence[tuple[float, float]],
-    yspans: Sequence[tuple[float, float]],
-    rects: Sequence[tuple[float, float, float, float]],
-    eps: float,
-    want: Sequence[int],
+    xspans: Sequence[tuple[int, int]],
+    yspans: Sequence[tuple[int, int]],
+    rects: Sequence[tuple[int, int, int, int]],
 ) -> list[int]:
-    """Per row ``r``, the bits ``c`` of ``want[r]`` whose box
-    ``xspans[c] x yspans[r]`` overlaps some rect with area > eps.
-
-    A box's overlap width with a rect depends on its column alone and the
-    height on its row alone, so each is computed once per rect; only the
-    product ``w * h > eps`` is formed per cell.
-    """
+    """Per row ``r``, the bits ``c`` whose box ``xspans[c] x yspans[r]``
+    overlaps some rect: per rect, the mask of the columns it meets on x,
+    ORed into every row it meets on y."""
     hit = [0] * len(yspans)
     for bx0, by0, bx1, by1 in rects:
-        widths = [(1 << c, w) for c, (x0, x1) in enumerate(xspans)
-                  if (w := min(x1, bx1) - max(x0, bx0)) > 0.0]
-        for r, (y0, y1) in enumerate(yspans):
-            todo = want[r] & ~hit[r]
-            if not todo:
-                continue
-            h = min(y1, by1) - max(y0, by0)
-            if h <= 0.0:
-                continue
-            for bit, w in widths:
-                if todo & bit and w * h > eps:
-                    hit[r] |= bit
+        cols = sum(1 << c for c, (x0, x1) in enumerate(xspans) if x0 < bx1 and bx0 < x1)
+        if cols:
+            for r, (y0, y1) in enumerate(yspans):
+                if y0 < by1 and by0 < y1:
+                    hit[r] |= cols
     return hit
 
 
 def first_overlap(
-    x0: float, y0: float, x1: float, y1: float,
-    rects: Sequence[tuple[float, float, float, float]],
-    eps: float,
+    x0: int, y0: int, x1: int, y1: int,
+    rects: Sequence[tuple[int, int, int, int]],
 ) -> int:
-    """Index of the first rect overlapping (x0,y0,x1,y1) with area > eps,
-    else -1: the one-box case of :func:`overlap_rows`, rect by rect."""
-    for i, rect in enumerate(rects):
-        if overlap_rows(((x0, x1),), ((y0, y1),), (rect,), eps, (1,))[0]:
-            return i
-    return -1
+    """Index of the first rect overlapping (x0,y0,x1,y1), else -1: the
+    one-box case of :func:`overlap_rows`, rect by rect."""
+    return next((i for i, (bx0, by0, bx1, by1) in enumerate(rects)
+                 if x0 < bx1 and bx0 < x1 and y0 < by1 and by0 < y1), -1)

@@ -14,6 +14,12 @@ Coordinate conventions used throughout the package:
 All values in meters are quantized to 4 decimals (:func:`q4`) at
 construction boundaries so that canonical serialization round-trips
 exactly.
+
+Geometry is exact: every predicate compares whole numbers of 0.01 mm
+(:func:`units`).  Half of a q4 value is whole, so box edges are, and so
+are the cell edges of a q4 cell size or a fifth of one.  No predicate has
+a tolerance, so no verdict depends on the frame.  Floats remain where
+text and poses enter or leave the program.
 """
 
 from __future__ import annotations
@@ -23,19 +29,21 @@ import re
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
-#: Area tolerance used by every overlap decision in the package.  Two
-#: footprints whose intersection area is at most this value (such as
-#: rectangles sharing an edge) do not count as overlapping.
-OVERLAP_EPS = 1e-9
-
-#: Tolerance for length bookkeeping (region tiling, flush checks).
-LENGTH_EPS = 1e-9
+#: Length units per meter: geometry is measured in whole 0.01 mm.
+UNITS_PER_M = 100_000
 
 
 def q4(x: float) -> float:
     """Quantize a meter value to 4 decimals (0.1 mm)."""
     return round(float(x), 4)
+
+
+def units(meters: float) -> int:
+    """A length in meters as the nearest whole number of units; exact for
+    any q4 value (10 units per 0.1 mm)."""
+    return round(meters * UNITS_PER_M)
 
 
 class Yaw(Enum):
@@ -103,80 +111,58 @@ class Dim3:
     def __post_init__(self) -> None:
         for name in ("length", "depth", "height"):
             v = getattr(self, name)
-            if not math.isfinite(v) or v <= 0:
-                raise ValueError(f"Dim3.{name} must be finite and positive, got {v}")
-        object.__setattr__(self, "length", q4(self.length))
-        object.__setattr__(self, "depth", q4(self.depth))
-        object.__setattr__(self, "height", q4(self.height))
+            if not math.isfinite(v) or q4(v) <= 0:
+                raise ValueError(f"Dim3.{name} must be finite and at least 0.1 mm, got {v}")
+            object.__setattr__(self, name, q4(v))
 
     @property
     def footprint_area(self) -> float:
         return self.length * self.depth
 
 
-@dataclass(frozen=True)
-class AABB:
-    """Axis-aligned rectangle given by min/max corners, in meters."""
+class AABB(NamedTuple):
+    """Axis-aligned rectangle given by min/max corners, in whole units;
+    it is the ``(x0, y0, x1, y1)`` tuple the grid kernels take."""
 
-    x0: float
-    y0: float
-    x1: float
-    y1: float
+    x0: int
+    y0: int
+    x1: int
+    y1: int
 
-    def __post_init__(self) -> None:
-        if self.x1 < self.x0 or self.y1 < self.y0:
-            raise ValueError(f"AABB corners out of order: {self}")
-
-    @property
-    def width(self) -> float:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> float:
-        return self.y1 - self.y0
-
-    @property
-    def area(self) -> float:
-        return self.width * self.height
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
-    def contains(self, other: "AABB", eps: float = LENGTH_EPS) -> bool:
+    def contains(self, other: "AABB") -> bool:
         return (
-            other.x0 >= self.x0 - eps
-            and other.y0 >= self.y0 - eps
-            and other.x1 <= self.x1 + eps
-            and other.y1 <= self.y1 + eps
+            other.x0 >= self.x0 and other.y0 >= self.y0
+            and other.x1 <= self.x1 and other.y1 <= self.y1
         )
 
-    def intersection_area(self, other: "AABB") -> float:
-        w = min(self.x1, other.x1) - max(self.x0, other.x0)
-        h = min(self.y1, other.y1) - max(self.y0, other.y0)
-        if w <= 0.0 or h <= 0.0:
-            return 0.0
-        return w * h
-
-    def overlaps(self, other: "AABB", eps: float = OVERLAP_EPS) -> bool:
-        """Positive-area intersection test; shared edges do not overlap."""
-        return self.intersection_area(other) > eps
+    def overlaps(self, other: "AABB") -> bool:
+        """Positive-area intersection: the open spans meet on both axes,
+        so rectangles sharing an edge do not overlap."""
+        return (
+            self.x0 < other.x1 and other.x0 < self.x1
+            and self.y0 < other.y1 and other.y0 < self.y1
+        )
 
     def gap_to(self, other: "AABB") -> float:
-        """Edge-to-edge distance; 0 when the rectangles touch or overlap."""
-        dx = max(other.x0 - self.x1, self.x0 - other.x1, 0.0)
-        dy = max(other.y0 - self.y1, self.y0 - other.y1, 0.0)
+        """Edge-to-edge distance in units; 0 when the rectangles touch or overlap."""
+        dx = max(other.x0 - self.x1, self.x0 - other.x1, 0)
+        dy = max(other.y0 - self.y1, self.y0 - other.y1, 0)
         return math.hypot(dx, dy)
 
 
-def effective_aabb(dims: Dim3, yaw: Yaw, center: tuple[float, float]) -> AABB:
-    """Footprint rectangle of an object at the given yaw, centered on `center`.
+def extents(dims: Dim3, yaw: Yaw) -> tuple[float, float]:
+    """Footprint extents (along x, along y) in meters: (length, depth) at
+    yaw 0/180, swapped at 90/270."""
+    return (dims.depth, dims.length) if yaw.swaps_extents else (dims.length, dims.depth)
 
-    At yaw 0/180 the extents are (length, depth); at 90/270 they swap.
-    """
-    ex, ey = (dims.depth, dims.length) if yaw.swaps_extents else (dims.length, dims.depth)
-    cx, cy = center
-    return AABB(cx - ex / 2.0, cy - ey / 2.0, cx + ex / 2.0, cy + ey / 2.0)
+
+def effective_aabb(dims: Dim3, yaw: Yaw, center: tuple[float, float]) -> AABB:
+    """Footprint rectangle of an object at the given yaw, centered on
+    ``center`` (meters), in units."""
+    ex, ey = extents(dims, yaw)
+    hx, hy = units(ex) // 2, units(ey) // 2
+    cx, cy = units(center[0]), units(center[1])
+    return AABB(cx - hx, cy - hy, cx + hx, cy + hy)
 
 
 @dataclass(frozen=True)
@@ -345,7 +331,8 @@ class SearchConfig:
     Default budgets: 3 attempts for anchor objects,
     1 for others, 2 for the side step, 1 for the axis steps.  CoT mode
     forces every budget to 1.  The relation thresholds are edge-to-edge
-    clearances used by the relation predicates.
+    clearances used by the relation predicates, read to the unit.  The
+    cell size is a multiple of 0.1 mm (so a fifth of it is whole units).
     """
 
     k_global_anchor: int = 3
@@ -364,8 +351,9 @@ class SearchConfig:
         for name in ("k_global_anchor", "k_global_other", "k_local_side", "k_local_axis"):
             if getattr(self, name) < 1:
                 raise ValueError(f"SearchConfig.{name} must be >= 1")
-        if self.cell_size <= 0:
-            raise ValueError("SearchConfig.cell_size must be positive")
+        if not (0 < self.cell_size < math.inf and q4(self.cell_size) == self.cell_size):
+            raise ValueError(f"SearchConfig.cell_size must be a positive multiple of 0.1 mm, "
+                             f"got {self.cell_size}")
         if not 0.0 <= self.p_adv <= 1.0:
             raise ValueError("SearchConfig.p_adv must be in [0, 1]")
         if self.mode is SearchMode.COT:
@@ -494,12 +482,12 @@ def validate_room_plan(plan: RoomPlan) -> list[str]:
     violations: list[str] = []
     if plan.length <= 0 or plan.width <= 0:
         violations.append(f"room dims must be positive, got {plan.length}x{plan.width}")
-    total = sum(r.length for r in plan.regions)
-    if abs(total - plan.length) > 1e-9:
-        violations.append(f"region lengths sum {total:g} != room length {plan.length:g}")
+    total = sum(units(r.length) for r in plan.regions)
+    if total != units(plan.length):
+        violations.append(f"region lengths sum {total / UNITS_PER_M:g} != room length {plan.length:g}")
     seen_ids: set[str] = set()
     for r in plan.regions:
-        if abs(r.width - plan.width) > 1e-9:
+        if r.width != plan.width:
             violations.append(f"region {r.id}: width {r.width:g} != room width {plan.width:g}")
         if r.length <= 0:
             violations.append(f"region {r.id}: length must be positive")

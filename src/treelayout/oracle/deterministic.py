@@ -42,9 +42,7 @@ from treelayout.oracle.queries import (
     SideEvalQuery,
     SideQuery,
     SupportedQuery,
-    fingerprint,
 )
-from treelayout.oracle.templates import template_version
 
 NO_LEGAL_OPTION = "none available"
 
@@ -75,8 +73,7 @@ class DeterministicOracle(PlacementOracle):
             self.templates = load_room_templates()
 
     def _rng(self, q: OracleQuery) -> random.Random:
-        fp = fingerprint(q, template_version())
-        digest = hashlib.sha256(f"{self.seed}:{fp}".encode("utf-8")).digest()
+        digest = hashlib.sha256(f"{self.seed}:{q.fp}".encode("utf-8")).digest()
         return random.Random(int.from_bytes(digest[:8], "big"))
 
     def query(self, q: OracleQuery) -> OracleReply:

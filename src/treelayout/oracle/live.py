@@ -2,7 +2,8 @@
 
 Configuration comes from a JSON file (endpoint, model, temperature, and
 the name of the environment variable holding the API key).  One retry on
-transport failure, then :class:`OracleFailure`.
+transport failure (a reply that is not a completion counts as one), then
+:class:`OracleFailure`.
 """
 
 from __future__ import annotations
@@ -31,14 +32,21 @@ class LiveConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "LiveConfig":
+        """Read a config file; a document that is not a JSON object, or a
+        field of the wrong type, raises ``ValueError`` naming the field."""
         doc = json.loads(Path(path).read_text("utf-8"))
-        return cls(
-            endpoint=doc["endpoint"],
-            model=doc["model"],
-            temperature=float(doc.get("temperature", 0.2)),
-            api_key_env=doc.get("api_key_env", DEFAULT_KEY_ENV),
-            timeout_s=float(doc.get("timeout_s", 60.0)),
-        )
+        if not isinstance(doc, dict):
+            raise ValueError("live config must be a JSON object")
+        key_env = doc.get("api_key_env", DEFAULT_KEY_ENV)
+        if not isinstance(key_env, str):
+            raise ValueError("live config field 'api_key_env' must be a string")
+        config = cls(doc["endpoint"], doc["model"], api_key_env=key_env)
+        for name in ("temperature", "timeout_s"):
+            try:
+                setattr(config, name, float(doc.get(name, getattr(config, name))))
+            except (TypeError, ValueError):
+                raise ValueError(f"live config field {name!r} must be a number") from None
+        return config
 
 
 class LiveOracle(PlacementOracle):
@@ -61,9 +69,10 @@ class LiveOracle(PlacementOracle):
             raise Transport(0, str(exc)) from exc
         if resp.status_code != 200:
             raise Transport(resp.status_code, resp.text[:500])
-        doc = resp.json()
         try:
-            return doc["choices"][0]["message"]["content"]
+            return resp.json()["choices"][0]["message"]["content"]
+        except ValueError as exc:
+            raise Transport(200, f"reply is not JSON: {exc}") from exc
         except (KeyError, IndexError, TypeError) as exc:
             raise Transport(200, f"malformed completion payload: {exc}") from exc
 

@@ -32,14 +32,15 @@ bitmasks (bit ``c`` of row ``r`` stands for column ``c``):
   The primary-run and secondary-run questions read its bits.
 
 The masks are exact, not an approximation of ``legal``: every term of
-the check (region bounds, centre offset and edge gap to the anchor, the
-overlap width or height with each placed box) depends on a box's x span
-alone or its y span alone.  ``SpatialContext.legal_rows`` computes each
-term once per column and once per row and forms only the per-cell
-combine (``w * h > eps``, ``along``/``perp``, ``hypot``) with the same
-float operations, so every bit equals ``legal`` at that pose.  This is
-the configuration-space view of legality (Lozano-Pérez, IEEE Trans.
-Computers C-32, 1983), evaluated on the grid's own lattice of centres.
+the check (region bounds, centre offset and edge gap to the anchor,
+whether the box meets each placed box on x and on y) depends on a box's
+x span alone or its y span alone.  ``SpatialContext.legal_rows``
+computes each term once per column and once per row and forms only the
+per-cell combine (``along``/``perp``, squared gaps).  Every term is an
+integer test in length units, so every bit equals ``legal`` at that
+pose.  This is the configuration-space view of legality (Lozano-Pérez,
+IEEE Trans. Computers C-32, 1983), evaluated on the grid's own lattice
+of centres.
 
 Tables are cached by the context *value*: ``SpatialContext`` is a frozen,
 hashable dataclass that carries everything the policy reads (see its
@@ -68,7 +69,7 @@ from treelayout.grid import (
     orientation_from_rule,
     yaw_for_side,
 )
-from treelayout.model import OrientationRule, Yaw, effective_aabb, q4
+from treelayout.model import OrientationRule, Yaw, extents, q4, units
 from treelayout.oracle.queries import SpatialContext
 
 #: Fixed side preference for tie-breaking, led by the anchor-facing side.
@@ -84,8 +85,8 @@ def side_preference(anchor_yaw: Yaw) -> list[Side]:
 def object_spans(ctx: SpatialContext, side: Side) -> tuple[int, int]:
     """(column span, row span) of the object at its side-derived yaw."""
     yaw0 = yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side)
-    box = effective_aabb(ctx.object_dims, yaw0, (0.0, 0.0))
-    return grid_dims(box.width, box.height, ctx.grid.cell_size)
+    ex, ey = extents(ctx.object_dims, yaw0)
+    return grid_dims(units(ex), units(ey), units(ctx.grid.cell_size))
 
 
 def final_yaw(ctx: SpatialContext, side: Side, center: tuple[float, float]) -> Yaw:
@@ -127,8 +128,9 @@ class _ContextTable:
         grid = ctx.grid
         d = ctx.object_dims
         self.ctx = ctx
-        # Half-extents per "yaw swaps extents", as effective_aabb forms them.
-        self.half = {False: (d.length / 2.0, d.depth / 2.0), True: (d.depth / 2.0, d.length / 2.0)}
+        # Half-extents in units per "yaw swaps extents", as effective_aabb forms them.
+        hx, hy = units(d.length) // 2, units(d.depth) // 2
+        self.half = {False: (hx, hy), True: (hy, hx)}
         self.swap0 = {
             side: yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side).swaps_extents
             for side in Side
@@ -158,6 +160,7 @@ class _ContextTable:
     def legal_at(self, xs: list[float], ys: list[float], swap: bool, want: list[int]) -> list[int]:
         """Bits of ``want`` whose centre ``(xs[c], ys[r])`` is legal with these extents."""
         hx, hy = self.half[swap]
+        xs, ys = [units(x) for x in xs], [units(y) for y in ys]
         return self.ctx.legal_rows(
             [(cx - hx, cx + hx) for cx in xs], [(cy - hy, cy + hy) for cy in ys], want
         )

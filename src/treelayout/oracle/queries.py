@@ -5,7 +5,8 @@ Every query carries ``attempt`` (ordinal within the current budget) and
 or a backtrack produces a distinct canonical text.  Fingerprints hash
 the canonical text together with the prompt-template version, which
 makes transcripts replayable only against the templates they were
-recorded with.
+recorded with.  A query hashes its fingerprint once, and a spatial
+context renders its canonical text once, however many oracles read them.
 """
 
 from __future__ import annotations
@@ -18,17 +19,32 @@ from functools import cached_property
 from treelayout import kernels
 from treelayout.grid import EmojiMap, OccupancyGrid, Side, candidate_cells, relation_rows
 from treelayout.model import (
-    LENGTH_EPS,
-    OVERLAP_EPS,
+    UNITS_PER_M,
     Dim3,
     OrientationRule,
     PlacedObject,
     RoomPlan,
     SpatialRelation,
+    units,
 )
 
-#: Box extents along one axis, one ``(low, high)`` pair per column or row.
-Spans = Sequence[tuple[float, float]]
+#: Box extents along one axis in units, one ``(low, high)`` pair per column or row.
+Spans = Sequence[tuple[int, int]]
+
+
+def _meters(v: int) -> str:
+    """Units as meters, to 4 decimals or the 5 that tell odd multiples of 0.05 mm apart."""
+    return f"{v / UNITS_PER_M:.{4 if v % 10 == 0 else 5}f}"
+
+
+class _Query:
+    @cached_property
+    def fp(self) -> str:
+        """The fingerprint under the shipped templates, hashed once per
+        query object: a wrapping oracle and the oracle it wraps share it."""
+        from treelayout.oracle.templates import template_version  # templates imports this module
+
+        return fingerprint(self, template_version())
 
 
 @dataclass(frozen=True)
@@ -52,10 +68,10 @@ class SpatialContext:
 
     The context also owns the engine's final check of a candidate pose,
     :meth:`legal`, whose block form :meth:`legal_rows` the det policy
-    asks, so the oracle names only positions the engine accepts.
-    ``candidates`` and the check's invariants are derived from the fields
-    on first use and are not fields themselves, so equality, hashing and
-    ``canonical_text`` ignore them.
+    asks, so the oracle names only positions the engine accepts; boxes
+    are in units, so every check is exact.  ``candidates``, the check's
+    invariants and the canonical text are derived from the fields on
+    first use, so equality and hashing ignore them.
     """
 
     scope: str
@@ -63,7 +79,7 @@ class SpatialContext:
     region_length: float
     region_width: float
     grid: OccupancyGrid
-    placed_boxes: tuple[tuple[float, float, float, float], ...]
+    placed_boxes: tuple[tuple[int, int, int, int], ...]
     anchor: PlacedObject
     anchor_dims: Dim3
     object_dims: Dim3
@@ -80,27 +96,24 @@ class SpatialContext:
         return candidate_cells(self.grid, self.anchor.aabb(self.anchor_dims))
 
     @cached_property
-    def _limits(self) -> tuple[float, float, float, tuple]:
-        """Invariants of :meth:`legal`: the region bounds with ``LENGTH_EPS``
-        slack, as ``AABB.contains`` forms them (low corner, far x, far y),
-        and the anchor arguments of ``relation_rows``."""
-        a = self.anchor.aabb(self.anchor_dims)
+    def _limits(self) -> tuple[int, int, tuple]:
+        """Invariants of :meth:`legal` in units: the region's far x and far
+        y bounds, and the anchor arguments of ``relation_rows``."""
         anchor_args = (
-            (a.x0, a.y0, a.x1, a.y1), self.anchor.x, self.anchor.y, self.anchor.yaw.facing,
-            self.d_front, self.d_beside, self.d_around,
+            self.anchor.aabb(self.anchor_dims), units(self.anchor.x), units(self.anchor.y),
+            self.anchor.yaw.facing, units(self.d_front), units(self.d_beside), units(self.d_around),
         )
-        low = 0.0 - LENGTH_EPS
-        return low, self.region_length + LENGTH_EPS, self.region_width + LENGTH_EPS, anchor_args
+        return units(self.region_length), units(self.region_width), anchor_args
 
     def _inside_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
-        low, x_max, y_max, _ = self._limits
-        cols = sum(1 << c for c, (x0, x1) in enumerate(xspans) if x0 >= low and x1 <= x_max)
-        return [m & cols if y0 >= low and y1 <= y_max else 0 for (y0, y1), m in zip(yspans, want)]
+        x_max, y_max, _ = self._limits
+        cols = sum(1 << c for c, (x0, x1) in enumerate(xspans) if x0 >= 0 and x1 <= x_max)
+        return [m & cols if y0 >= 0 and y1 <= y_max else 0 for (y0, y1), m in zip(yspans, want)]
 
     def _related_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
         if self.relation is None:
             return list(want)
-        return relation_rows(self.relation, xspans, yspans, want, *self._limits[3])
+        return relation_rows(self.relation, xspans, yspans, want, *self._limits[2])
 
     def legal_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
         """Block form of :meth:`legal`: per row ``r``, the bits ``c`` of
@@ -108,27 +121,26 @@ class SpatialContext:
 
         Every term of the check depends on a box's x span alone or its y
         span alone, so the terms are computed per column and per row and
-        combined per cell with the float operations :meth:`legal` uses;
-        the verdicts are bit-identical to calling it cell by cell.
+        combined per cell, with the exact tests of :meth:`legal`.
         """
         rows = self._inside_rows(xspans, yspans, want)
-        hit = kernels.overlap_rows(xspans, yspans, self.placed_boxes, OVERLAP_EPS, rows)
+        hit = kernels.overlap_rows(xspans, yspans, self.placed_boxes)
         return self._related_rows(xspans, yspans, [m & ~h for m, h in zip(rows, hit)])
 
-    def legal(self, x0: float, y0: float, x1: float, y1: float) -> bool:
+    def legal(self, x0: int, y0: int, x1: int, y1: int) -> bool:
         """The object's box ``(x0, y0, x1, y1)`` lies in the region,
         satisfies the relation to the anchor (if any) and overlaps no
         placed box."""
         return self.rejection(x0, y0, x1, y1) is None
 
-    def rejection(self, x0: float, y0: float, x1: float, y1: float) -> str | None:
+    def rejection(self, x0: int, y0: int, x1: int, y1: int) -> str | None:
         """Why :meth:`legal` refuses the box, or None when it is legal:
         ``"bounds"`` before ``"overlap"`` before ``"relation"``.  Each
         check is the one-box case of a term of :meth:`legal_rows`."""
         xs, ys = ((x0, x1),), ((y0, y1),)
         if not self._inside_rows(xs, ys, (1,))[0]:
             return "bounds"
-        if kernels.first_overlap(x0, y0, x1, y1, self.placed_boxes, OVERLAP_EPS) != -1:
+        if kernels.first_overlap(x0, y0, x1, y1, self.placed_boxes) != -1:
             return "overlap"
         if not self._related_rows(xs, ys, (1,))[0]:
             return "relation"
@@ -138,10 +150,12 @@ class SpatialContext:
         """Everything the deterministic policy reads, so fingerprints
         separate any two states the policy could answer differently
         (the coarse grid raster alone does not)."""
+        return self._canonical
+
+    @cached_property
+    def _canonical(self) -> str:
         d = self.object_dims
-        boxes = ";".join(
-            f"{x0:.4f},{y0:.4f},{x1:.4f},{y1:.4f}" for x0, y0, x1, y1 in self.placed_boxes
-        )
+        boxes = ";".join(",".join(map(_meters, box)) for box in self.placed_boxes)
         rule = self.orientation_rule.value if self.orientation_rule else "-"
         rel = self.relation.value if self.relation else "facing"
         return (
@@ -157,7 +171,7 @@ class SpatialContext:
 
 
 @dataclass(frozen=True)
-class RoomQuery:
+class RoomQuery(_Query):
     prompt: str
     attempt: int = 1
 
@@ -166,7 +180,7 @@ class RoomQuery:
 
 
 @dataclass(frozen=True)
-class RegionQuery:
+class RegionQuery(_Query):
     room_type: str
     length: float
     width: float
@@ -181,7 +195,7 @@ class RegionQuery:
 
 
 @dataclass(frozen=True)
-class ObjectsQuery:
+class ObjectsQuery(_Query):
     region_id: str
     function: str
     length: float
@@ -199,7 +213,7 @@ class ObjectsQuery:
 
 
 @dataclass(frozen=True)
-class SupportedQuery:
+class SupportedQuery(_Query):
     floor_object_id: str
     category: str
     top_length: float
@@ -214,7 +228,7 @@ class SupportedQuery:
 
 
 @dataclass(frozen=True)
-class SideQuery:
+class SideQuery(_Query):
     """Which side of the anchor should the object go on?
 
     With ``relation`` None this is the anchor-facing question instead:
@@ -236,7 +250,7 @@ class SideQuery:
 
 
 @dataclass(frozen=True)
-class SideEvalQuery:
+class SideEvalQuery(_Query):
     """Evaluate whether the chosen side has an appropriate position."""
 
     grid_prompt: str
@@ -254,7 +268,7 @@ class SideEvalQuery:
 
 
 @dataclass(frozen=True)
-class CellsQuery:
+class CellsQuery(_Query):
     """Name the emoji cells of a contiguous run of columns or rows."""
 
     grid_prompt: str
@@ -281,7 +295,7 @@ class CellsQuery:
 
 
 @dataclass(frozen=True)
-class FullLayoutQuery:
+class FullLayoutQuery(_Query):
     """Single-shot full-layout request (IO ablation mode only)."""
 
     plan: RoomPlan

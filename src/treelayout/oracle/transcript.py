@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from treelayout.oracle.base import CALL_PATH, FingerprintMiss, PlacementOracle
-from treelayout.oracle.queries import OracleQuery, OracleReply, fingerprint
+from treelayout.oracle.queries import OracleQuery, OracleReply
 from treelayout.oracle.templates import template_version
 
 
@@ -85,7 +85,7 @@ class RecordingOracle(PlacementOracle):
         self._lock = threading.Lock()
 
     def query(self, q: OracleQuery) -> OracleReply:
-        fp = fingerprint(q, template_version())
+        fp = q.fp
         key = CALL_PATH.get().next_key()
         with self._lock:
             if fp in self._seen:
@@ -126,7 +126,7 @@ class ReplayOracle(PlacementOracle):
         return cls(Transcript.load(path))
 
     def query(self, q: OracleQuery) -> OracleReply:
-        fp = fingerprint(q, template_version())
+        fp = q.fp
         try:
             return OracleReply(self._replies[fp])
         except KeyError:

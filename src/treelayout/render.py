@@ -16,7 +16,7 @@ from treelayout.model import (
     PlacedObject,
     Scene,
     TraceEvent,
-    effective_aabb,
+    extents,
 )
 
 SCALE = 100.0  # px per meter
@@ -123,7 +123,9 @@ def render_scene(
         spec = specs.get(p.spec_id)
         if spec is None:
             continue
-        box = effective_aabb(spec.dims, p.yaw, (p.x, p.y))
+        half_x, half_y = (e / 2.0 for e in extents(spec.dims, p.yaw))
+        x0, y0, x1, y1 = p.x - half_x, p.y - half_y, p.x + half_x, p.y + half_y
+        width, height = x1 - x0, y1 - y0
         if p.spec_id in anchor_ids:
             fill = "#d9534f"
         elif p.parent.kind == "supporter":
@@ -131,15 +133,15 @@ def render_scene(
         else:
             fill = "#d8d8d0"
         parts.append(
-            f'<rect x="{sx(box.x0):.1f}" y="{sy(box.y1):.1f}" width="{box.width * SCALE:.1f}" '
-            f'height="{box.height * SCALE:.1f}" fill="{fill}" stroke="#333333" stroke-width="1"/>'
+            f'<rect x="{sx(x0):.1f}" y="{sy(y1):.1f}" width="{width * SCALE:.1f}" '
+            f'height="{height * SCALE:.1f}" fill="{fill}" stroke="#333333" stroke-width="1"/>'
         )
         fx, fy = p.yaw.facing
-        tick_len = min(box.width, box.height) / 2.0
-        ex = p.x + fx * (box.width / 2.0 if fx else 0.0)
-        ey = p.y + fy * (box.height / 2.0 if fy else 0.0)
-        tx = p.x + fx * max(box.width / 2.0 - tick_len, 0.0) if fx else p.x
-        ty = p.y + fy * max(box.height / 2.0 - tick_len, 0.0) if fy else p.y
+        tick_len = min(width, height) / 2.0
+        ex = p.x + fx * (width / 2.0 if fx else 0.0)
+        ey = p.y + fy * (height / 2.0 if fy else 0.0)
+        tx = p.x + fx * max(width / 2.0 - tick_len, 0.0) if fx else p.x
+        ty = p.y + fy * max(height / 2.0 - tick_len, 0.0) if fy else p.y
         parts.append(
             f'<line x1="{sx(tx):.1f}" y1="{sy(ty):.1f}" x2="{sx(ex):.1f}" y2="{sy(ey):.1f}" '
             f'stroke="#1a1a1a" stroke-width="2"/>'

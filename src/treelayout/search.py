@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from treelayout.grid import (
@@ -59,8 +59,10 @@ from treelayout.model import (
     SupportedSet,
     Yaw,
     effective_aabb,
+    extents,
     local_anchor,
     q4,
+    units,
 )
 from treelayout.evaluate import validity_metrics
 from treelayout.oracle.base import OracleSession, PlacementOracle
@@ -95,7 +97,7 @@ class LocalThought:
 
 @dataclass
 class GlobalState:
-    """Mutable search state for one region."""
+    """Mutable search state for one region; ``cell_size`` is its grid's cell."""
 
     region: RegionPlan
     order: list[ObjectSpec]
@@ -103,8 +105,9 @@ class GlobalState:
     session: OracleSession
     scope: str
     wall_sides: frozenset[Side]
+    cell_size: float
     placed: list[PlacedObject] = field(default_factory=list)
-    placed_boxes: list[tuple[float, float, float, float]] = field(default_factory=list)
+    placed_boxes: list[AABB] = field(default_factory=list)
     unplaced: list[str] = field(default_factory=list)
 
     @property
@@ -116,9 +119,8 @@ class GlobalState:
         return self.order[0].dims
 
     def push(self, obj: PlacedObject, dims: Dim3) -> None:
-        box = obj.aabb(dims)
         self.placed.append(obj)
-        self.placed_boxes.append((box.x0, box.y0, box.x1, box.y1))
+        self.placed_boxes.append(obj.aabb(dims))
 
     def pop(self) -> None:
         self.placed.pop()
@@ -238,7 +240,7 @@ def local_place(
     a Proposed event under the caller's global attempt."""
     cfg = state.config
     trace = state.session.trace
-    grid = rasterize(state.region, state.placed, cfg.cell_size)
+    grid = rasterize(state.region, state.placed, state.cell_size)
     ctx = _make_context(state, spec, edge, grid, state.anchor_placed, state.anchor_dims)
     _, grid_text = _named_grid(state, grid, [])
     notes: list[str] = []
@@ -283,8 +285,7 @@ def local_place(
                     notes.append(f"{side.value}: pose {key} already failed downstream")
                     continue
                 cx, cy, yaw = pose
-                box = effective_aabb(spec.dims, yaw, (cx, cy))
-                reason = ctx.rejection(box.x0, box.y0, box.x1, box.y1)
+                reason = ctx.rejection(*effective_aabb(spec.dims, yaw, (cx, cy)))
                 if reason is not None:
                     notes.append(f"{side.value}: {reason}")
                     continue
@@ -309,8 +310,7 @@ def _wall_proposals(region: RegionPlan, dims: Dim3) -> list[tuple[AnchorKey, flo
     walls.sort(key=lambda w: -w[1])
     out = []
     for name, _, yaw in walls:
-        box = effective_aabb(dims, yaw, (0.0, 0.0))
-        ex, ey = box.width, box.height
+        ex, ey = extents(dims, yaw)
         if name == "bottom":
             center = (region.length / 2.0, ey / 2.0)
         elif name == "top":
@@ -324,21 +324,20 @@ def _wall_proposals(region: RegionPlan, dims: Dim3) -> list[tuple[AnchorKey, flo
 
 
 def _corner_proposals(region: RegionPlan, dims: Dim3) -> list[tuple[AnchorKey, float, float, Yaw]]:
-    """Flush-to-two-walls poses, facing along the axis with more free depth."""
+    """Flush-to-two-walls poses, facing along the axis with more free depth
+    (the y axis on a tie)."""
     out = []
     for name, (sx, sy) in (
         ("bl", (1, 1)), ("br", (-1, 1)), ("tl", (1, -1)), ("tr", (-1, -1)),
     ):
         yaw_y = Yaw.DEG_0 if sy > 0 else Yaw.DEG_180
         yaw_x = Yaw.DEG_90 if sx > 0 else Yaw.DEG_270
-        box_y = effective_aabb(dims, yaw_y, (0.0, 0.0))
-        box_x = effective_aabb(dims, yaw_x, (0.0, 0.0))
-        free_y = region.width - box_y.height
-        free_x = region.length - box_x.width
+        free_y = units(region.width) - units(extents(dims, yaw_y)[1])
+        free_x = units(region.length) - units(extents(dims, yaw_x)[0])
         yaw = yaw_y if free_y >= free_x else yaw_x
-        box = effective_aabb(dims, yaw, (0.0, 0.0))
-        cx = box.width / 2.0 if sx > 0 else region.length - box.width / 2.0
-        cy = box.height / 2.0 if sy > 0 else region.width - box.height / 2.0
+        ex, ey = extents(dims, yaw)
+        cx = ex / 2.0 if sx > 0 else region.length - ex / 2.0
+        cy = ey / 2.0 if sy > 0 else region.width - ey / 2.0
         out.append(((name, yaw.value), q4(cx), q4(cy), yaw))
     return out
 
@@ -359,7 +358,7 @@ def place_anchor_visit(
     cfg = state.config
     spec = state.order[0]
     trace = state.session.trace
-    bounds = AABB(0.0, 0.0, region.length, region.width)
+    bounds = AABB(0, 0, units(region.length), units(region.width))
 
     def attempt_pose(key: AnchorKey, cx: float, cy: float, yaw: Yaw, attempt: int):
         box = effective_aabb(spec.dims, yaw, (cx, cy))
@@ -395,7 +394,7 @@ def place_anchor_visit(
     # place_in_center: centered on the region centroid, facing chosen by
     # the oracle among the four directions (toward the most free space).
     cx, cy = q4(region.length / 2.0), q4(region.width / 2.0)
-    grid = rasterize(region, [], cfg.cell_size)
+    grid = rasterize(region, [], state.cell_size)
     probe = PlacedObject(spec.id, cx, cy, 0.0, Yaw.DEG_0, Parent.floor(region.id))
     ctx = _make_context(state, spec, None, grid, probe, spec.dims)
     _, grid_text = _named_grid(state, grid, [])
@@ -423,11 +422,13 @@ def plan_region(
     trace: SearchTrace | None = None,
     wall_sides: frozenset[Side] = ALL_WALLS,
     scope: str | None = None,
+    cell_size: float | None = None,
 ) -> RegionResult:
     """Place every floor object of one region, or report Unsat.
 
     In tree mode the result is all-or-nothing; in CoT mode unplaceable
-    objects are skipped and reported in ``unplaced``.
+    objects are skipped and reported in ``unplaced``.  The grid cell is
+    ``cell_size`` if given (a supporter top's), else the config's.
     """
     if config.mode is SearchMode.IO:
         raise ValueError("plan_region requires tree or cot mode")
@@ -439,6 +440,7 @@ def plan_region(
         session=OracleSession(oracle, trace),
         scope=scope if scope is not None else region.id,
         wall_sides=wall_sides,
+        cell_size=cell_size if cell_size is not None else config.cell_size,
     )
     anchor_spec = state.order[0]
     used: dict[AnchorKey, tuple[float, float, Yaw]] = {}
@@ -531,8 +533,8 @@ def place_supported(
         anchor_rule=AnchorRule.IN_CENTER,
         edges=sub.edges,
     )
-    mini_config = replace(config, cell_size=config.cell_size / 5.0)
-    result = plan_region(mini, mini_config, oracle, trace=trace, scope=mini.id)
+    result = plan_region(mini, config, oracle, trace=trace, scope=mini.id,
+                         cell_size=config.cell_size / 5.0)
     if result.unsat:
         trace.record(0, supporter.spec_id, 0, EventKind.REJECTED,
                      "supported set dropped (unsat)", scope=mini.id)

@@ -5,43 +5,58 @@ grid objects, no oracle plumbing: rectangle intersection by min/max
 arithmetic, rasterization by cell-by-cell scans, the grid prompt token
 by token, side scoring by direct enumeration, and a full enumerator that re-derives the k-bounded
 deterministic search outcome from first principles.
+
+Rectangles, cell edges and distances are whole numbers of 0.01 mm units,
+converted here (not with the engine's helper), and every test is an
+exact integer or rational comparison with no tolerance.  Poses and the
+inputs of the helpers stay in meters, rounded to 4 decimals where the
+engine rounds them.
 """
 
 from __future__ import annotations
 
-import math
+from fractions import Fraction
 
-EPS = 1e-9
+UNITS_PER_M = 100_000
 
-# rect = (x0, y0, x1, y1)
+# rect = (x0, y0, x1, y1), in units
 
 
-def rect_area_overlap(a, b) -> float:
+def to_units(meters: float) -> int:
+    """Meters as the nearest whole number of units."""
+    return round(meters * UNITS_PER_M)
+
+
+def rect_area_overlap(a, b) -> int:
     w = min(a[2], b[2]) - max(a[0], b[0])
     h = min(a[3], b[3]) - max(a[1], b[1])
     if w <= 0 or h <= 0:
-        return 0.0
+        return 0
     return w * h
 
 
 def rect_at(length: float, depth: float, yaw_deg: int, cx: float, cy: float):
+    """The footprint in units of a length x depth object (4-decimal meters,
+    so each extent is an even number of units) centred on (cx, cy) meters."""
     if yaw_deg % 180 == 90:
         length, depth = depth, length
-    return (cx - length / 2, cy - depth / 2, cx + length / 2, cy + depth / 2)
+    hx, hy = to_units(length) // 2, to_units(depth) // 2
+    x, y = to_units(cx), to_units(cy)
+    return (x - hx, y - hy, x + hx, y + hy)
 
 
 def cell_rect(row: int, col: int, cell: float):
     return (col * cell, row * cell, (col + 1) * cell, (row + 1) * cell)
 
 
-def brute_rasterize(cols: int, rows: int, cell: float, rects) -> list[int]:
+def brute_rasterize(cols: int, rows: int, cell: int, rects) -> list[int]:
     """rects: (x0,y0,x1,y1,code); per-cell max code with positive-area overlap."""
     codes = [0] * (rows * cols)
     for r in range(rows):
         for c in range(cols):
             cr = cell_rect(r, c, cell)
             for x0, y0, x1, y1, code in rects:
-                if rect_area_overlap(cr, (x0, y0, x1, y1)) > EPS:
+                if rect_area_overlap(cr, (x0, y0, x1, y1)) > 0:
                     codes[r * cols + c] = max(codes[r * cols + c], code)
     return codes
 
@@ -56,10 +71,10 @@ def brute_side_cells(cols, rows, cell, codes, side: str, anchor_rect) -> list[in
                 continue
             cr = cell_rect(r, c, cell)
             keep = {
-                "left": cr[2] <= ax0 + EPS,
-                "right": cr[0] >= ax1 - EPS,
-                "bottom": cr[3] <= ay0 + EPS,
-                "top": cr[1] >= ay1 - EPS,
+                "left": cr[2] <= ax0,
+                "right": cr[0] >= ax1,
+                "bottom": cr[3] <= ay0,
+                "top": cr[1] >= ay1,
             }[side]
             if keep:
                 out.append(r * cols + c)
@@ -100,32 +115,38 @@ def brute_grid_prompt(cols, rows, codes, names: dict[int, str], wall_sides) -> s
 FACING = {0: (0, 1), 90: (1, 0), 180: (0, -1), 270: (-1, 0)}
 
 
-def rect_gap(a, b) -> float:
-    dx = max(b[0] - a[2], a[0] - b[2], 0.0)
-    dy = max(b[1] - a[3], a[1] - b[3], 0.0)
-    return math.hypot(dx, dy)
+def ceil_div(a: int, b: int) -> int:
+    return -(-a // b)
+
+
+def rect_gap_squared(a, b) -> int:
+    dx = max(b[0] - a[2], a[0] - b[2], 0)
+    dy = max(b[1] - a[3], a[1] - b[3], 0)
+    return dx * dx + dy * dy
 
 
 def brute_relation(rel: str, cand_rect, anchor_rect, anchor_center, anchor_yaw: int,
                    d_front=1.5, d_beside=0.5, d_around=2.0) -> bool:
-    ccx = (cand_rect[0] + cand_rect[2]) / 2
-    ccy = (cand_rect[1] + cand_rect[3]) / 2
-    dx, dy = ccx - anchor_center[0], ccy - anchor_center[1]
+    """Rects in units; the anchor centre and the thresholds in meters."""
+    ccx = Fraction(cand_rect[0] + cand_rect[2], 2)
+    ccy = Fraction(cand_rect[1] + cand_rect[3], 2)
+    dx, dy = ccx - to_units(anchor_center[0]), ccy - to_units(anchor_center[1])
     fx, fy = FACING[anchor_yaw]
     along = dx * fx + dy * fy
     perp = dx * fy - dy * fx
     if rel == "place_around":
-        return math.hypot(dx, dy) <= d_around + EPS
-    gap = rect_gap(anchor_rect, cand_rect)
+        return dx * dx + dy * dy <= to_units(d_around) ** 2
+    gap2 = rect_gap_squared(anchor_rect, cand_rect)
     if rel == "place_front":
         edge = (anchor_rect[2] - anchor_rect[0]) if fy != 0 else (anchor_rect[3] - anchor_rect[1])
-        return along > 0 and abs(perp) <= edge / 2 + EPS and gap <= d_front + EPS
+        return along > 0 and abs(perp) <= Fraction(edge, 2) and gap2 <= to_units(d_front) ** 2
     if rel == "place_beside":
-        return abs(perp) >= abs(along) - EPS and abs(perp) > EPS and gap <= d_beside + EPS
+        return abs(perp) >= abs(along) and perp != 0 and gap2 <= to_units(d_beside) ** 2
     raise ValueError(rel)
 
 
 def brute_orientation(rule: str, anchor_yaw: int, anchor_center, object_center) -> int:
+    """Centres in meters."""
     if rule == "same_as_anchor":
         return anchor_yaw
     if rule == "opposite_anchor":
@@ -164,40 +185,41 @@ def side_preference(anchor_yaw: int) -> list[str]:
 
 
 class BruteRegion:
-    """Plain-data mirror of one region instance for the enumerator."""
+    """Plain-data mirror of one region instance for the enumerator.
+
+    Lengths come in meters (the cell too); the grid and every rect are
+    kept in units."""
 
     def __init__(self, length, width, cell, anchor_rule, objects, thresholds=(1.5, 0.5, 2.0)):
         # objects: list of dicts with id, length, depth, relation, orientation
         # (anchor first: relation/orientation None)
         self.length = length
         self.width = width
-        self.cell = cell
+        self.cell_m = cell
+        self.cell = to_units(cell)
         self.anchor_rule = anchor_rule
         self.objects = objects
         self.d_front, self.d_beside, self.d_around = thresholds
-        self.cols = max(1, math.ceil(length / cell - EPS))
-        self.rows = max(1, math.ceil(width / cell - EPS))
+        self.cols = max(1, ceil_div(to_units(length), self.cell))
+        self.rows = max(1, ceil_div(to_units(width), self.cell))
 
     # --- geometry helpers
 
     def spans(self, obj, yaw: int) -> tuple[int, int]:
         rect = rect_at(obj["length"], obj["depth"], yaw, 0.0, 0.0)
         ex, ey = rect[2] - rect[0], rect[3] - rect[1]
-        return (
-            max(1, math.ceil(ex / self.cell - EPS)),
-            max(1, math.ceil(ey / self.cell - EPS)),
-        )
+        return max(1, ceil_div(ex, self.cell)), max(1, ceil_div(ey, self.cell))
 
     def in_bounds(self, rect) -> bool:
         return (
-            rect[0] >= -EPS
-            and rect[1] >= -EPS
-            and rect[2] <= self.length + EPS
-            and rect[3] <= self.width + EPS
+            rect[0] >= 0
+            and rect[1] >= 0
+            and rect[2] <= to_units(self.length)
+            and rect[3] <= to_units(self.width)
         )
 
     def overlaps_any(self, rect, placed_rects) -> bool:
-        return any(rect_area_overlap(rect, r) > EPS for r in placed_rects)
+        return any(rect_area_overlap(rect, r) > 0 for r in placed_rects)
 
     def free_side_cells(self, placed_rects, anchor_rect, side: str) -> set[int]:
         rects = [(r[0], r[1], r[2], r[3], 1) for r in placed_rects]
@@ -206,8 +228,8 @@ class BruteRegion:
 
     def pose_of(self, obj, side, col_start, row_start):
         m_cols, m_rows = self.spans(obj, yaw_for_side(obj["orientation"], self.anchor_yaw, side))
-        cx = round((col_start + m_cols / 2) * self.cell, 4)
-        cy = round((row_start + m_rows / 2) * self.cell, 4)
+        cx = round((col_start + m_cols / 2) * self.cell_m, 4)
+        cy = round((row_start + m_rows / 2) * self.cell_m, 4)
         rule = obj["orientation"]
         if rule in ("face_anchor", "back_to_anchor") and (cx, cy) != self.anchor_center:
             yaw = brute_orientation(rule, self.anchor_yaw, self.anchor_center, (cx, cy))
@@ -239,7 +261,7 @@ class BruteRegion:
         n = 0
         for idx in cells:
             r, c = divmod(idx, self.cols)
-            cx, cy = (c + 0.5) * self.cell, (r + 0.5) * self.cell
+            cx, cy = (c + 0.5) * self.cell_m, (r + 0.5) * self.cell_m
             if self.pose_legal(obj, side, cx, cy, yaw0, placed_rects):
                 n += 1
         return n
@@ -295,8 +317,8 @@ class BruteRegion:
     def run_distance(self, obj, side, axis, start) -> float:
         m_cols, m_rows = self.spans(obj, yaw_for_side(obj["orientation"], self.anchor_yaw, side))
         if axis == "cols":
-            return abs((start + m_cols / 2) * self.cell - self.anchor_center[0])
-        return abs((start + m_rows / 2) * self.cell - self.anchor_center[1])
+            return abs((start + m_cols / 2) * self.cell_m - self.anchor_center[0])
+        return abs((start + m_rows / 2) * self.cell_m - self.anchor_center[1])
 
     def local_place(self, obj, placed_rects, excluded, k_side, k_axis):
         """Mirror of the engine's local search under the argmax policy."""
@@ -364,7 +386,7 @@ class BruteRegion:
             out = []
             for name, _, yaw in walls:
                 rect = rect_at(obj["length"], obj["depth"], yaw, 0, 0)
-                ex, ey = rect[2] - rect[0], rect[3] - rect[1]
+                ex, ey = (rect[2] - rect[0]) / UNITS_PER_M, (rect[3] - rect[1]) / UNITS_PER_M
                 center = {
                     "bottom": (self.length / 2, ey / 2),
                     "top": (self.length / 2, self.width - ey / 2),
@@ -380,11 +402,11 @@ class BruteRegion:
                 yaw_x = 90 if sx > 0 else 270
                 r_y = rect_at(obj["length"], obj["depth"], yaw_y, 0, 0)
                 r_x = rect_at(obj["length"], obj["depth"], yaw_x, 0, 0)
-                free_y = self.width - (r_y[3] - r_y[1])
-                free_x = self.length - (r_x[2] - r_x[0])
+                free_y = to_units(self.width) - (r_y[3] - r_y[1])
+                free_x = to_units(self.length) - (r_x[2] - r_x[0])
                 yaw = yaw_y if free_y >= free_x else yaw_x
                 rect = rect_at(obj["length"], obj["depth"], yaw, 0, 0)
-                ex, ey = rect[2] - rect[0], rect[3] - rect[1]
+                ex, ey = (rect[2] - rect[0]) / UNITS_PER_M, (rect[3] - rect[1]) / UNITS_PER_M
                 cx = ex / 2 if sx > 0 else self.length - ex / 2
                 cy = ey / 2 if sy > 0 else self.width - ey / 2
                 out.append(((name, yaw), round(cx, 4), round(cy, 4), yaw))

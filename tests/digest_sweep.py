@@ -65,6 +65,30 @@ def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
     return b"".join(len(p).to_bytes(8, "big") + p for p in parts)
 
 
+def sweep_digest(prompts: list[str], seeds, modes, p_advs,
+                 cell_size: float = SearchConfig.cell_size, each=None) -> tuple[str, int]:
+    """(hex digest, generation count) over every prompt x seed x mode x
+    ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
+    generation's own digest."""
+    catalog = AssetCatalog.default()
+    total = hashlib.sha256()
+    count = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        for p_idx, prompt in enumerate(prompts):
+            for seed in seeds:
+                for mode in modes:
+                    for p_adv in p_advs:
+                        data = generation_bytes(prompt, seed, SearchMode(mode), p_adv, catalog, out,
+                                                cell_size)
+                        digest = hashlib.sha256(data).digest()
+                        total.update(digest)
+                        count += 1
+                        if each is not None:
+                            each(p_idx, seed, mode, p_adv, digest.hex()[:16])
+    return total.hexdigest(), count
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--prompts", type=int, default=100, help="first N shipped prompts")
@@ -76,23 +100,10 @@ def main() -> None:
     parser.add_argument("--each", action="store_true", help="print one digest per generation")
     args = parser.parse_args()
 
-    catalog = AssetCatalog.default()
-    total = hashlib.sha256()
-    count = 0
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
-        for p_idx, prompt in enumerate(load_prompts()[:args.prompts]):
-            for seed in args.seeds:
-                for mode in args.modes:
-                    for p_adv in args.p_adv:
-                        data = generation_bytes(prompt, seed, SearchMode(mode), p_adv, catalog, out,
-                                                args.cell_size)
-                        total.update(hashlib.sha256(data).digest())
-                        count += 1
-                        if args.each:
-                            digest = hashlib.sha256(data).hexdigest()[:16]
-                            print(f"{p_idx} {seed} {mode} {p_adv} {digest}")
-    print(f"{total.hexdigest()}  {count} generations")
+    each = print if args.each else None
+    digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
+                                 args.p_adv, args.cell_size, each)
+    print(f"{digest}  {count} generations")
 
 
 if __name__ == "__main__":

@@ -86,7 +86,7 @@ def test_criterion_1_soundness(soundness_suite):
                 continue
             sup = by_id[p.parent.ref]
             sup_box = sup.aabb(specs[p.parent.ref].dims)
-            if not sup_box.contains(p.aabb(specs[p.spec_id].dims), eps=1e-6):
+            if not sup_box.contains(p.aabb(specs[p.spec_id].dims)):
                 ok = False
                 details.append(f"{p.spec_id} escapes {p.parent.ref}")
             if abs(p.z - specs[p.parent.ref].dims.height) > 1e-9:

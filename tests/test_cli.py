@@ -369,3 +369,45 @@ class TestTooFineCellSize:
         ])
         assert r.exit_code == 4
         assert "too fine" in r.output
+
+    def test_cell_size_off_the_lattice_is_config_error(self, tmp_path):
+        r = run_cli([
+            "generate", "--prompt", PROMPT, "--cell-size", "0.12345",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert r.exit_code == 4
+        assert "multiple of 0.1 mm" in r.output
+
+
+class TestUsageErrors:
+    """Usage errors are configuration errors (exit 4), never click's 2,
+    which here means an incomplete layout."""
+
+    @pytest.mark.parametrize("args", [
+        ["generate", "--bogus"],
+        ["generate", "--prompt", PROMPT, "--seed", "x"],
+        ["ablate", "--prompts", "p.txt", "--k-anchor", "many"],
+        ["bogus-command"],
+        ["--bogus"],
+    ], ids=["unknown-option", "bad-seed", "bad-int-option", "unknown-command", "group-option"])
+    def test_usage_error_exit_4(self, tmp_path, args):
+        result = run_cli(args + (["--out-dir", str(tmp_path)] if args[0] == "generate" else []))
+        assert result.exit_code == 4, result.output
+
+
+class TestLiveConfig:
+    @pytest.mark.parametrize("doc, field", [
+        ({"endpoint": "https://example.invalid/v1", "model": "m", "temperature": None},
+         "temperature"),
+        (["endpoint", "model"], "JSON object"),
+    ], ids=["null-temperature", "top-level-list"])
+    def test_malformed_live_config_exit_4(self, tmp_path, monkeypatch, doc, field):
+        monkeypatch.setenv("TREELAYOUT_API_KEY", "k-test")
+        config = tmp_path / "live.json"
+        config.write_text(json.dumps(doc), "utf-8")
+        result = run_cli([
+            "generate", "--oracle", "live", "--live-config", str(config),
+            "--prompt", PROMPT, "--out-dir", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 4, result.output
+        assert field in result.output

@@ -18,6 +18,7 @@ from treelayout.model import (
     SearchTrace,
     SupportedSet,
     Yaw,
+    units,
 )
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.search import plan_region
@@ -87,7 +88,7 @@ class TestCompose:
                 assert not res.unsat
                 sols[region.id] = list(res.placements)
             scene = compose(plan, sols, SearchTrace())  # raises on cross overlap
-            room = AABB(0, 0, plan.length, plan.width)
+            room = AABB(0, 0, units(plan.length), units(plan.width))
             for p in scene.placements:
                 spec = scene.spec_index()[p.spec_id]
                 assert room.contains(p.aabb(spec.dims))
@@ -162,7 +163,7 @@ class TestAttachSupported:
             # containment in the rotated supporter box
             desk_placed = next(p for p in out.placements if p.spec_id == "desk_1")
             sup_box = desk_placed.aabb(desk.dims)
-            assert sup_box.contains(placed.aabb(lamp.dims), eps=1e-6)
+            assert sup_box.contains(placed.aabb(lamp.dims))
 
     def test_no_supported_unchanged(self):
         scene, *_ = self.scene_with_supporter()

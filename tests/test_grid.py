@@ -50,10 +50,17 @@ from treelayout.model import (
     SpatialRelation,
     Yaw,
     effective_aabb,
+    extents,
     q4,
+    units,
 )
 
 VOCAB = load_vocabulary()
+
+
+def aabb_m(x0, y0, x1, y1) -> AABB:
+    """An AABB from corners given in meters."""
+    return AABB(units(x0), units(y0), units(x1), units(y1))
 
 
 def centre_on_grid(u, extent, span):
@@ -119,7 +126,7 @@ class TestRasterize:
             box = p.aabb(region.spec(p.spec_id).dims)
             code = ANCHOR_OCCUPIED if p.spec_id == "a_1" else OCCUPIED
             rects.append((box.x0, box.y0, box.x1, box.y1, code))
-        assert list(grid.codes) == brute_rasterize(grid.cols, grid.rows, 0.5, rects)
+        assert list(grid.codes) == brute_rasterize(grid.cols, grid.rows, units(0.5), rects)
 
     def test_out_of_region_raises(self):
         spec = ObjectSpec("a_1", "a", Dim3(1.0, 1.0, 1.0))
@@ -144,12 +151,11 @@ class TestRasterize:
             dims = Dim3(rng.uniform(0.2, 1.0), rng.uniform(0.2, 1.0), 0.5)
             spec = ObjectSpec(f"o_{i}", "o", dims)
             yaw = rng.choice(list(Yaw))
-            box = effective_aabb(dims, yaw, (0, 0))
-            if box.width > length or box.height > width:
+            ex, ey = extents(dims, yaw)
+            if ex > length or ey > width:
                 continue
-            cx = centre_on_grid(rng.uniform(box.width / 2, length - box.width / 2), box.width, length)
-            cy = centre_on_grid(rng.uniform(box.height / 2, width - box.height / 2), box.height,
-                                width)
+            cx = centre_on_grid(rng.uniform(ex / 2, length - ex / 2), ex, length)
+            cy = centre_on_grid(rng.uniform(ey / 2, width - ey / 2), ey, width)
             specs.append(spec)
             placed.append(PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor("r1")))
         if not specs:
@@ -162,7 +168,7 @@ class TestRasterize:
             box = p.aabb(region.spec(p.spec_id).dims)
             code = ANCHOR_OCCUPIED if p.spec_id == specs[0].id else OCCUPIED
             rects.append((box.x0, box.y0, box.x1, box.y1, code))
-        assert list(grid.codes) == brute_rasterize(grid.cols, grid.rows, cell, rects)
+        assert list(grid.codes) == brute_rasterize(grid.cols, grid.rows, units(cell), rects)
 
 
 def assert_sides_match_brute_force(grid: OccupancyGrid, anchor: AABB, got: dict) -> None:
@@ -170,7 +176,7 @@ def assert_sides_match_brute_force(grid: OccupancyGrid, anchor: AABB, got: dict)
     assert list(got) == list(Side)
     box = (anchor.x0, anchor.y0, anchor.x1, anchor.y1)
     for side in Side:
-        want = brute_side_cells(grid.cols, grid.rows, grid.cell_size, list(grid.codes),
+        want = brute_side_cells(grid.cols, grid.rows, units(grid.cell_size), list(grid.codes),
                                 side.value, box)
         assert got[side] == want, side
 
@@ -184,7 +190,7 @@ class TestCandidateCells:
 
     def test_right_side(self):
         grid = self.grid_4x4()
-        anchor = AABB(0.0, 0.0, 1.0, 2.0)  # cols 0-1, full height
+        anchor = aabb_m(0.0, 0.0, 1.0, 2.0)  # cols 0-1, full height
         got = candidate_cells(grid, anchor)
         assert got[Side.RIGHT] == [i for i in range(16) if i % 4 >= 2]
         assert got[Side.LEFT] == got[Side.BOTTOM] == got[Side.TOP] == []
@@ -192,14 +198,14 @@ class TestCandidateCells:
 
     def test_empty_when_anchor_at_edge(self):
         grid = self.grid_4x4()
-        anchor = AABB(0.0, 0.0, 2.0, 2.0)
+        anchor = aabb_m(0.0, 0.0, 2.0, 2.0)
         got = candidate_cells(grid, anchor)
         assert all(cells == [] for cells in got.values())
         assert_sides_match_brute_force(grid, anchor, got)
 
     def test_excludes_occupied(self):
         grid = self.grid_4x4(occupied=[3, 7])
-        anchor = AABB(0.0, 0.0, 1.0, 2.0)
+        anchor = aabb_m(0.0, 0.0, 1.0, 2.0)
         got = candidate_cells(grid, anchor)
         assert 3 not in got[Side.RIGHT] and 7 not in got[Side.RIGHT]
         assert set(got[Side.RIGHT]) == {i for i in range(16) if i % 4 >= 2} - {3, 7}
@@ -210,7 +216,7 @@ class TestCandidateCells:
         for _ in range(50):
             codes = tuple(rng.choice([FREE, OCCUPIED]) for _ in range(24))
             grid = OccupancyGrid(6, 4, 0.5, codes)
-            anchor = AABB(0.5, 0.5, 1.5, 1.0)
+            anchor = aabb_m(0.5, 0.5, 1.5, 1.0)
             got = candidate_cells(grid, anchor)
             for side in Side:
                 for idx in got[side]:
@@ -428,8 +434,9 @@ class TestRelations:
             )
             if relation_satisfied(SpatialRelation.PLACE_FRONT, cand, anchor, dims):
                 fx, fy = yaw.facing
-                cx, cy = cand.center
-                assert (cx - anchor.x) * fx + (cy - anchor.y) * fy > 0
+                dx = cand.x0 + cand.x1 - 2 * units(anchor.x)  # doubled centre offset
+                dy = cand.y0 + cand.y1 - 2 * units(anchor.y)
+                assert dx * fx + dy * fy > 0
 
 
 class TestOrientation:
@@ -487,7 +494,7 @@ class TestCandidateCellsBlockerExample:
         for idx in (10, 11, 16):
             codes[idx] = OCCUPIED
         grid = OccupancyGrid(6, 4, 0.5, tuple(codes))
-        anchor = AABB(0.0, 0.5, 1.0, 1.5)  # cols 0-1
+        anchor = aabb_m(0.0, 0.5, 1.0, 1.5)  # cols 0-1
         got = candidate_cells(grid, anchor)
         assert_sides_match_brute_force(grid, anchor, got)
         assert all(idx not in got[Side.RIGHT] for idx in (10, 11, 16))

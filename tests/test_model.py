@@ -19,6 +19,7 @@ from treelayout.model import (
     TraceEvent,
     Yaw,
     effective_aabb,
+    units,
     validate_room_plan,
 )
 
@@ -61,15 +62,15 @@ class TestDim3:
 class TestEffectiveAabb:
     def test_yaw_0(self):
         box = effective_aabb(Dim3(2, 1, 1), Yaw.DEG_0, (0.0, 0.0))
-        assert (box.x0, box.y0, box.x1, box.y1) == (-1.0, -0.5, 1.0, 0.5)
+        assert (box.x0, box.y0, box.x1, box.y1) == (-100_000, -50_000, 100_000, 50_000)
 
     def test_yaw_90_swaps_extents(self):
         box = effective_aabb(Dim3(2, 1, 1), Yaw.DEG_90, (0.0, 0.0))
-        assert (box.x0, box.y0, box.x1, box.y1) == (-0.5, -1.0, 0.5, 1.0)
+        assert (box.x0, box.y0, box.x1, box.y1) == (-50_000, -100_000, 50_000, 100_000)
 
     def test_yaw_180_preserves_aabb(self):
         box = effective_aabb(Dim3(2, 1, 1), Yaw.DEG_180, (3.0, 2.0))
-        assert (box.x0, box.y0, box.x1, box.y1) == (2.0, 1.5, 4.0, 2.5)
+        assert (box.x0, box.y0, box.x1, box.y1) == (200_000, 150_000, 400_000, 250_000)
 
     @given(
         st.floats(0.1, 5.0), st.floats(0.1, 5.0),
@@ -86,10 +87,12 @@ class TestEffectiveAabb:
     def test_area_invariant(self, length, depth, yaw):
         dims = Dim3(length, depth, 1.0)
         box = effective_aabb(dims, yaw, (0.0, 0.0))
-        assert box.area == pytest.approx(dims.length * dims.depth, rel=1e-9)
+        assert (box.x1 - box.x0) * (box.y1 - box.y0) == units(dims.length) * units(dims.depth)
 
 
 class TestAabb:
+    """Corners are whole units."""
+
     def test_shared_edge_does_not_overlap(self):
         a = AABB(0, 0, 1, 1)
         b = AABB(1, 0, 2, 1)
@@ -159,6 +162,10 @@ class TestSearchConfig:
             SearchConfig(k_global_anchor=0)
         with pytest.raises(ValueError):
             SearchConfig(cell_size=0.0)
+        with pytest.raises(ValueError):
+            SearchConfig(cell_size=0.12345)  # not a multiple of 0.1 mm
+        with pytest.raises(ValueError):
+            SearchConfig(cell_size=math.inf)
         with pytest.raises(ValueError):
             SearchConfig(p_adv=1.5)
 

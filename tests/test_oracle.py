@@ -22,6 +22,8 @@ from treelayout.model import (
     RegionPlan,
     SpatialRelation,
     Yaw,
+    extents,
+    units,
 )
 from treelayout.oracle.base import (
     CALL_PATH,
@@ -126,19 +128,17 @@ def random_context(rng):
     """Random region, anchor, relation and orientation rule, with up to two
     blockers placed besides the anchor; about one context in five asks the
     anchor-facing question (no relation, no orientation rule)."""
-    from treelayout.model import effective_aabb
-
     length = rng.choice([2.0, 3.0])
     width = rng.choice([1.5, 2.0])
     anchor_dims = Dim3(1.0, 0.5, 0.5)
     anchor_yaw = rng.choice(list(Yaw))
-    box = effective_aabb(anchor_dims, anchor_yaw, (0, 0))
+    ex, ey = extents(anchor_dims, anchor_yaw)
     extra = []
     for _ in range(rng.randint(0, 2)):
         dims = Dim3(rng.choice([0.3, 0.5, 0.8]), rng.choice([0.3, 0.5]), 0.5)
         yaw = rng.choice(list(Yaw))
-        b = effective_aabb(dims, yaw, (0, 0))
-        extra.append((dims, (_inside(rng, length, b.width), _inside(rng, width, b.height)), yaw))
+        bx, by = extents(dims, yaw)
+        extra.append((dims, (_inside(rng, length, bx), _inside(rng, width, by)), yaw))
     if rng.random() < 0.2:
         relation, orientation = None, None
     else:
@@ -149,7 +149,7 @@ def random_context(rng):
         region_width=width,
         cell=rng.choice([0.25, 0.5]),
         anchor_dims=anchor_dims,
-        anchor_pos=(_inside(rng, length, box.width), _inside(rng, width, box.height)),
+        anchor_pos=(_inside(rng, length, ex), _inside(rng, width, ey)),
         anchor_yaw=anchor_yaw,
         object_dims=Dim3(rng.choice([0.4, 0.5, 1.0]), rng.choice([0.4, 0.5]), 0.5),
         relation=relation,
@@ -170,8 +170,6 @@ def policy_answers(ctx):
 
 class TestSidePolicy:
     def test_choice_maximizes_brute_force_score(self):
-        from treelayout.model import effective_aabb
-
         rng = random.Random(1)
         for _ in range(40):
             anchor_yaw = rng.choice(list(Yaw))
@@ -179,9 +177,9 @@ class TestSidePolicy:
             length = rng.choice([2.0, 3.0, 4.0])
             width = rng.choice([1.5, 2.0, 3.0])
             anchor_dims = Dim3(1.0, 0.5, 0.5)
-            box = effective_aabb(anchor_dims, anchor_yaw, (0, 0))
-            ax = rng.uniform(box.width / 2, length - box.width / 2)
-            ay = rng.uniform(box.height / 2, width - box.height / 2)
+            ex, ey = extents(anchor_dims, anchor_yaw)
+            ax = rng.uniform(ex / 2, length - ex / 2)
+            ay = rng.uniform(ey / 2, width - ey / 2)
             ctx = make_context(
                 region_length=length,
                 region_width=width,
@@ -265,8 +263,10 @@ class TestPolicyCache:
         if variant == "placed_box":
             # same grid raster, one placed box moved from the right of the
             # anchor to its left: only the exact boxes tell the states apart
-            a = replace(base, placed_boxes=base.placed_boxes + ((2.0, 0.0, 2.5, 0.5),))
-            b = replace(base, placed_boxes=base.placed_boxes + ((0.5, 0.0, 1.0, 0.5),))
+            a = replace(base, placed_boxes=base.placed_boxes
+                        + (tuple(map(units, (2.0, 0.0, 2.5, 0.5))),))
+            b = replace(base, placed_boxes=base.placed_boxes
+                        + (tuple(map(units, (0.5, 0.0, 1.0, 0.5))),))
         else:
             a = base
             b = replace(base, object_dims=Dim3(1.0, 0.5, 0.5))
@@ -345,23 +345,21 @@ class TestRunPolicy:
         assert worst != best
 
     def test_feasible_runs_match_brute_force(self):
-        from treelayout.model import effective_aabb
-
         rng = random.Random(9)
         for _ in range(30):
             length = rng.choice([2.0, 3.0])
             width = rng.choice([1.5, 2.0])
             anchor_yaw = rng.choice(list(Yaw))
             anchor_dims = Dim3(1.0, 0.5, 0.5)
-            box = effective_aabb(anchor_dims, anchor_yaw, (0, 0))
+            ex, ey = extents(anchor_dims, anchor_yaw)
             ctx = make_context(
                 region_length=length,
                 region_width=width,
                 cell=0.5,
                 anchor_dims=anchor_dims,
                 anchor_pos=(
-                    rng.uniform(box.width / 2, length - box.width / 2),
-                    rng.uniform(box.height / 2, width - box.height / 2),
+                    rng.uniform(ex / 2, length - ex / 2),
+                    rng.uniform(ey / 2, width - ey / 2),
                 ),
                 anchor_yaw=anchor_yaw,
                 relation=rng.choice(list(SpatialRelation)),
@@ -413,7 +411,7 @@ class TestRunPolicy:
             by_side = candidate_cells(grid, a)
             for side in Side:
                 assert by_side[side] == brute_side_cells(
-                    grid.cols, grid.rows, grid.cell_size, list(grid.codes), side.value,
+                    grid.cols, grid.rows, units(grid.cell_size), list(grid.codes), side.value,
                     (a.x0, a.y0, a.x1, a.y1),
                 )
                 cand = set(by_side[side])
@@ -446,9 +444,10 @@ class TestContextLegality:
 
     @staticmethod
     def probe_centres(extent, half, edges, rng):
-        """Centre coordinates that put the box flush with a wall or touching
-        an edge of a placed box, each also 1e-12 either way (inside the
-        checks' slack), plus random ones."""
+        """Centre coordinates in meters that put the box flush with a wall
+        or touching an edge of a placed box, each also 1e-12 either way
+        (far below the 0.01 mm unit, so the box is the same), plus random
+        ones."""
         out = set()
         for v in (half, extent - half, *(e + d for e in edges for d in (-half, half))):
             v = round(v, 4)
@@ -461,9 +460,6 @@ class TestContextLegality:
 
         from treelayout.model import effective_aabb
 
-        def near(a, b):
-            return abs(a - b) <= 1e-9
-
         rng = random.Random(71)
         seen = {"bounds": 0, "overlap": 0, "relation": 0, None: 0}
         flush_legal = 0
@@ -474,11 +470,11 @@ class TestContextLegality:
             obj = brute_obj(ctx)
             boxes = list(ctx.placed_boxes)
             for yaw in Yaw:
-                b0 = effective_aabb(ctx.object_dims, yaw, (0.0, 0.0))
-                xs = self.probe_centres(ctx.region_length, b0.x1,
-                                        [e for b in boxes for e in (b[0], b[2])], rng)
-                ys = self.probe_centres(ctx.region_width, b0.y1,
-                                        [e for b in boxes for e in (b[1], b[3])], rng)
+                ex, ey = extents(ctx.object_dims, yaw)
+                xs = self.probe_centres(ctx.region_length, ex / 2,
+                                        [e / 1e5 for b in boxes for e in (b[0], b[2])], rng)
+                ys = self.probe_centres(ctx.region_width, ey / 2,
+                                        [e / 1e5 for b in boxes for e in (b[1], b[3])], rng)
                 centres = list(product(xs, ys))
                 for cx, cy in rng.sample(centres, min(len(centres), 150)):
                     box = effective_aabb(ctx.object_dims, yaw, (cx, cy))
@@ -495,53 +491,48 @@ class TestContextLegality:
                         assert br.in_bounds(rect) and not br.overlaps_any(rect, boxes)
                     seen[reason] += 1
                     flush_legal += want and (
-                        near(box.x0, 0.0) or near(box.x1, ctx.region_length)
-                        or near(box.y0, 0.0) or near(box.y1, ctx.region_width)
-                        or any(near(box.x0, b[2]) or near(box.x1, b[0]) or near(box.y0, b[3])
-                               or near(box.y1, b[1]) for b in boxes)
+                        box.x0 == 0 or box.x1 == units(ctx.region_length)
+                        or box.y0 == 0 or box.y1 == units(ctx.region_width)
+                        or any(box.x0 == b[2] or box.x1 == b[0] or box.y0 == b[3]
+                               or box.y1 == b[1] for b in boxes)
                     )
             assert (hash(ctx), ctx.canonical_text()) == before
         assert min(seen.values()) > 0 and flush_legal > 0, (seen, flush_legal)
 
 
 def reference_legal(ctx, x0, y0, x1, y1):
-    """The per-pose check written out once more, one box at a time: the
-    bounds test, the relation test and the overlap scan with the float
-    expressions the block form must reproduce bit for bit."""
-    import math
+    """The per-pose check written out once more, one box at a time and in
+    exact arithmetic on units: the bounds test, the relation test with
+    rational centres and squared distances, and the overlap scan by
+    intersection area."""
+    from fractions import Fraction
 
-    from treelayout.model import LENGTH_EPS, OVERLAP_EPS
-
-    eps = LENGTH_EPS
-    if not (x0 >= 0.0 - eps and y0 >= 0.0 - eps
-            and x1 <= ctx.region_length + eps and y1 <= ctx.region_width + eps):
+    if not (x0 >= 0 and y0 >= 0
+            and x1 <= units(ctx.region_length) and y1 <= units(ctx.region_width)):
         return False
     rel = ctx.relation
     if rel is not None:
         a = ctx.anchor.aabb(ctx.anchor_dims)
-        dx, dy = (x0 + x1) / 2.0 - ctx.anchor.x, (y0 + y1) / 2.0 - ctx.anchor.y
+        dx = Fraction(x0 + x1, 2) - units(ctx.anchor.x)
+        dy = Fraction(y0 + y1, 2) - units(ctx.anchor.y)
         fx, fy = ctx.anchor.yaw.facing
         along = dx * fx + dy * fy
         perp = dx * fy - dy * fx
-        gap = math.hypot(max(x0 - a.x1, a.x0 - x1, 0.0), max(y0 - a.y1, a.y0 - y1, 0.0))
+        gap2 = max(x0 - a.x1, a.x0 - x1, 0) ** 2 + max(y0 - a.y1, a.y0 - y1, 0) ** 2
         if rel is SpatialRelation.PLACE_AROUND:
-            ok = math.hypot(dx, dy) <= ctx.d_around + eps
+            ok = dx * dx + dy * dy <= units(ctx.d_around) ** 2
         elif rel is SpatialRelation.PLACE_FRONT:
             facing_edge = a.x1 - a.x0 if fy != 0 else a.y1 - a.y0
-            ok = along > 0 and abs(perp) <= facing_edge / 2.0 + eps and gap <= ctx.d_front + eps
+            ok = (along > 0 and abs(perp) <= Fraction(facing_edge, 2)
+                  and gap2 <= units(ctx.d_front) ** 2)
         else:
-            ok = (abs(perp) >= abs(along) - eps and abs(perp) > eps
-                  and gap <= ctx.d_beside + eps)
+            ok = abs(perp) >= abs(along) and perp != 0 and gap2 <= units(ctx.d_beside) ** 2
         if not ok:
             return False
     for bx0, by0, bx1, by1 in ctx.placed_boxes:
         w = min(x1, bx1) - max(x0, bx0)
-        if w <= 0.0:
-            continue
         h = min(y1, by1) - max(y0, by0)
-        if h <= 0.0:
-            continue
-        if w * h > OVERLAP_EPS:
+        if w > 0 and h > 0:
             return False
     return True
 
@@ -552,7 +543,6 @@ def mask_context(rng):
     boundaries, any relation (or the facing question) and any orientation
     rule, and up to three blockers, each placed flush against the box of
     some cell centre or run centre so that edges touch exactly."""
-    from treelayout.model import effective_aabb
     from treelayout.oracle.policy import run_center
 
     cell = rng.choice([0.25, 0.05])
@@ -567,7 +557,7 @@ def mask_context(rng):
         object_dims = Dim3(rng.choice([0.1, 0.15, 0.2]), rng.choice([0.1, 0.15]), 0.1)
         blocker_sizes = (0.05, 0.1, 0.15)
     anchor_yaw = rng.choice(list(Yaw))
-    a0 = effective_aabb(anchor_dims, anchor_yaw, (0, 0))
+    a0x, a0y = extents(anchor_dims, anchor_yaw)
     if rng.random() < 0.2:
         relation, orientation = None, None
     else:
@@ -592,7 +582,7 @@ def mask_context(rng):
     return make_context(
         region_length=length, region_width=width, cell=cell,
         anchor_dims=anchor_dims,
-        anchor_pos=(_inside(rng, length, a0.width), _inside(rng, width, a0.height)),
+        anchor_pos=(_inside(rng, length, a0x), _inside(rng, width, a0y)),
         anchor_yaw=anchor_yaw, object_dims=object_dims,
         relation=relation, orientation=orientation, extra_placed=tuple(extra),
     )
@@ -621,10 +611,11 @@ class TestRowMasks:
                 lattices.add((tuple(run_center(c0, m_cols, s) for c0 in range(grid.cols - m_cols + 1)),
                               tuple(run_center(r0, m_rows, s) for r0 in range(grid.rows - m_rows + 1))))
             d = ctx.object_dims
+            half_l, half_d = units(d.length) // 2, units(d.depth) // 2
             for xs, ys in lattices:
-                for hx, hy in ((d.length / 2.0, d.depth / 2.0), (d.depth / 2.0, d.length / 2.0)):
-                    xspans = [(cx - hx, cx + hx) for cx in xs]
-                    yspans = [(cy - hy, cy + hy) for cy in ys]
+                for hx, hy in ((half_l, half_d), (half_d, half_l)):
+                    xspans = [(units(cx) - hx, units(cx) + hx) for cx in xs]
+                    yspans = [(units(cy) - hy, units(cy) + hy) for cy in ys]
                     full = (1 << len(xs)) - 1
                     got = ctx.legal_rows(xspans, yspans, [full] * len(ys))
                     assert len(got) == len(ys)
@@ -802,6 +793,32 @@ class TestTranscripts:
         replayer = ReplayOracle(rec.transcript)
         assert replayer.query(q).text == reply.text
 
+    def test_one_fingerprint_per_query(self, monkeypatch):
+        """Recording and replaying a det run hash each query once: the
+        recording wrapper and the det oracle share the fingerprint, and
+        every context renders its canonical text once."""
+        from treelayout.model import SearchConfig
+        from treelayout.oracle import queries
+        from treelayout.pipeline import generate_scene
+
+        hashed = []
+        real_fingerprint = queries.fingerprint
+        monkeypatch.setattr(queries, "fingerprint",
+                            lambda q, v: hashed.append(q) or real_fingerprint(q, v))
+        prompt = "A modern bedroom with a comfortable queen-sized bed"
+        config = SearchConfig(seed=0, p_adv=0.35)
+        rec = RecordingOracle(DeterministicOracle(seed=0, p_adv=0.35))
+        scene = generate_scene(prompt, config, rec)
+        calls = scene.trace.oracle_calls
+        assert len(hashed) == calls == len(rec.transcript.records) > 0
+        assert len({id(q) for q in hashed}) == calls
+        contexts = {id(q.context): q.context for q in hashed if hasattr(q, "context")}
+        assert contexts and all(c.canonical_text() is c.canonical_text() for c in contexts.values())
+
+        hashed.clear()
+        replayed = generate_scene(prompt, config, ReplayOracle(rec.transcript))
+        assert len(hashed) == replayed.trace.oracle_calls == calls
+
     def test_duplicate_fingerprint_rejected_while_recording(self):
         rec = RecordingOracle(DeterministicOracle(seed=3))
         q = self.ctx_query()
@@ -869,6 +886,8 @@ class TestLiveOracle:
                 self.text = str(payload)
 
             def json(self):
+                if isinstance(self._payload, Exception):
+                    raise self._payload
                 return self._payload
 
         def fake_post(url, headers=None, json=None, timeout=None):
@@ -901,6 +920,20 @@ class TestLiveOracle:
         oracle, _ = self.setup_oracle(monkeypatch, [(500, {}), (502, {})])
         with pytest.raises(OracleFailure):
             oracle.query(RoomQuery("a bedroom"))
+
+    def test_non_json_reply_retried_then_failure(self, monkeypatch):
+        not_json = ValueError("Expecting value: line 1 column 1 (char 0)")
+        oracle, calls = self.setup_oracle(monkeypatch, [(200, not_json), (200, not_json)])
+        with pytest.raises(OracleFailure, match="not JSON"):
+            oracle.query(RoomQuery("a bedroom"))
+        assert len(calls) == 2
+
+    def test_non_json_reply_then_success(self, monkeypatch):
+        oracle, calls = self.setup_oracle(
+            monkeypatch, [(200, ValueError("not json")), (200, self.ok_payload("ok"))]
+        )
+        assert oracle.query(RoomQuery("a bedroom")).text == "ok"
+        assert len(calls) == 2
 
     def test_missing_key_is_failure(self, monkeypatch):
         monkeypatch.delenv("TREELAYOUT_API_KEY", raising=False)

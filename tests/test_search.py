@@ -25,6 +25,7 @@ from treelayout.model import (
     SpatialRelation,
     SupportedSet,
     Yaw,
+    units,
 )
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.transcript import RecordingOracle
@@ -81,7 +82,7 @@ def to_brute(region: RegionPlan, config: SearchConfig) -> BruteRegion:
 
 
 def assert_sound(region: RegionPlan, placements, config: SearchConfig):
-    bounds = AABB(0.0, 0.0, region.length, region.width)
+    bounds = AABB(0, 0, units(region.length), units(region.width))
     boxes = {}
     for p in placements:
         box = p.aabb(region.spec(p.spec_id).dims)
@@ -113,10 +114,11 @@ class TestAnchorOnly:
         # flush against a wall, facing the interior
         p = result.placements[0]
         box = p.aabb(region.spec(p.spec_id).dims)
-        gaps = [box.x0, box.y0, region.length - box.x1, region.width - box.y1]
-        assert min(gaps) == pytest.approx(0.0, abs=1e-9)
+        gaps = [box.x0, box.y0, units(region.length) - box.x1, units(region.width) - box.y1]
+        assert min(gaps) == 0
         fx, fy = p.yaw.facing
-        assert box.x0 + fx * 0.1 >= 0 and box.x1 + fx * 0.1 <= region.length or fy != 0
+        step = fx * units(0.1)
+        assert box.x0 + step >= 0 and box.x1 + step <= units(region.length) or fy != 0
 
     def test_anchor_too_large_is_unsat(self):
         region = make_region("r1", 1.0, 1.0, ("bed", 2.0, 1.6, "place_along_wall"))
@@ -133,9 +135,9 @@ class TestAnchorOnly:
         )
         p = result.placements[0]
         box = p.aabb(region.spec(p.spec_id).dims)
-        gaps = sorted([box.x0, box.y0, region.length - box.x1, region.width - box.y1])
-        assert gaps[0] == pytest.approx(0.0, abs=1e-9)
-        assert gaps[1] == pytest.approx(0.0, abs=1e-9)
+        gaps = sorted([box.x0, box.y0, units(region.length) - box.x1, units(region.width) - box.y1])
+        assert gaps[0] == 0
+        assert gaps[1] == 0
 
     def test_center_anchor_at_centroid(self):
         region = make_region("r1", 4.0, 3.0, ("dining_table", 1.4, 0.9, "place_in_center"))
@@ -402,7 +404,7 @@ class TestPlaceSupported:
                               SearchTrace())
         assert len(out) == 2
         boxes = {}
-        face = AABB(0.0, 0.0, spec.dims.length, spec.dims.depth)
+        face = AABB(0, 0, units(spec.dims.length), units(spec.dims.depth))
         for p in out:
             dims = next(s.dims for s in sub.objects if s.id == p.spec_id)
             box = p.aabb(dims)
@@ -431,7 +433,7 @@ class TestPlaceSupported:
         from treelayout.grid import grid_dims
 
         spec, _ = self.supporter()
-        cols, rows = grid_dims(spec.dims.length, spec.dims.depth, 0.25 / 5.0)
+        cols, rows = grid_dims(units(spec.dims.length), units(spec.dims.depth), units(0.25) // 5)
         assert (cols, rows) == (24, 12)
 
 
@@ -520,7 +522,7 @@ class TestFinalCheck:
         config = SearchConfig(seed=0, **REFERENCE_CONFIG)
         state = GlobalState(
             region=region, order=layer_order(region), config=config, session=None,
-            scope="r1", wall_sides=frozenset(),
+            scope="r1", wall_sides=frozenset(), cell_size=config.cell_size,
         )
         anchor = PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1"))
         state.push(anchor, region.spec("sofa_0").dims)
@@ -649,6 +651,7 @@ class TestRejectionNotes:
         state = GlobalState(
             region=region, order=layer_order(region), config=config,
             session=OracleSession(oracle, SearchTrace()), scope="r1", wall_sides=frozenset(),
+            cell_size=config.cell_size,
         )
         state.push(PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1")),
                    region.spec("sofa_0").dims)
