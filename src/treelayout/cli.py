@@ -68,7 +68,7 @@ def _build_oracle(kind: str, seed: int, p_adv: float, catalog: AssetCatalog,
             _fail_config("--live-config is required with --oracle live")
         try:
             return LiveOracle(LiveConfig.from_file(live_config))
-        except (OSError, KeyError, ValueError, OracleFailure) as exc:
+        except (OSError, ValueError, OracleFailure) as exc:
             _fail_config(f"cannot set up live oracle: {exc}")
     if kind == "replay":
         if not transcript:

@@ -16,9 +16,13 @@ class OracleFailure(Exception):
 
 
 class Transport(OracleFailure):
-    def __init__(self, status: int, detail: str = ""):
+    """A failed round trip.  ``retry_after`` is the wait in seconds the
+    server asked for, if it named one."""
+
+    def __init__(self, status: int, detail: str = "", retry_after: float | None = None):
         super().__init__(f"transport error {status}: {detail}")
         self.status = status
+        self.retry_after = retry_after
 
 
 class FingerprintMiss(OracleFailure):

@@ -1,6 +1,7 @@
 """CLI surface: commands, exit codes, determinism, record/replay."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -400,7 +401,26 @@ class TestLiveConfig:
         ({"endpoint": "https://example.invalid/v1", "model": "m", "temperature": None},
          "temperature"),
         (["endpoint", "model"], "JSON object"),
-    ], ids=["null-temperature", "top-level-list"])
+        ({"endpoint": 5, "model": None}, "field 'endpoint'"),
+        ({"model": "m"}, "field 'endpoint'"),
+        ({"endpoint": "ftp://example.invalid/v1", "model": "m"}, "field 'endpoint'"),
+        ({"endpoint": "example.invalid/v1", "model": "m"}, "field 'endpoint'"),
+        ({"endpoint": "https://", "model": "m"}, "field 'endpoint'"),
+        ({"endpoint": "https://example.invalid/v1"}, "field 'model'"),
+        ({"endpoint": "https://example.invalid/v1", "model": ""}, "field 'model'"),
+        ({"endpoint": "https://example.invalid/v1", "model": 7}, "field 'model'"),
+        ({"endpoint": "https://example.invalid/v1", "model": "m", "temperature": math.nan},
+         "field 'temperature'"),
+        ({"endpoint": "https://example.invalid/v1", "model": "m", "timeout_s": 0},
+         "field 'timeout_s'"),
+        ({"endpoint": "https://example.invalid/v1", "model": "m", "timeout_s": -5},
+         "field 'timeout_s'"),
+        ({"endpoint": "https://example.invalid/v1", "model": "m", "timeout_s": math.inf},
+         "field 'timeout_s'"),
+    ], ids=["null-temperature", "top-level-list", "number-endpoint", "missing-endpoint",
+            "ftp-endpoint", "schemeless-endpoint", "hostless-endpoint", "missing-model",
+            "empty-model", "number-model", "nan-temperature", "zero-timeout",
+            "negative-timeout", "infinite-timeout"])
     def test_malformed_live_config_exit_4(self, tmp_path, monkeypatch, doc, field):
         monkeypatch.setenv("TREELAYOUT_API_KEY", "k-test")
         config = tmp_path / "live.json"
@@ -411,3 +431,15 @@ class TestLiveConfig:
         ])
         assert result.exit_code == 4, result.output
         assert field in result.output
+
+    def test_missing_requests_exit_4(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("TREELAYOUT_API_KEY", "k-test")
+        monkeypatch.setitem(sys.modules, "requests", None)
+        config = tmp_path / "live.json"
+        config.write_text(json.dumps({"endpoint": "https://example.invalid/v1", "model": "m"}))
+        result = run_cli([
+            "generate", "--oracle", "live", "--live-config", str(config),
+            "--prompt", PROMPT, "--out-dir", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 4, result.output
+        assert "pip install 'treelayout[live]'" in result.output

@@ -25,6 +25,7 @@ from treelayout.model import (
     extents,
     units,
 )
+from treelayout.oracle import live
 from treelayout.oracle.base import (
     CALL_PATH,
     CallPath,
@@ -875,15 +876,19 @@ class TestTranscripts:
 
 
 class TestLiveOracle:
-    def setup_oracle(self, monkeypatch, responses):
+    def setup_oracle(self, monkeypatch, responses, waits=None):
+        """A live oracle whose transport pops ``(status, payload[, headers])``
+        replies; its retry waits are appended to ``waits`` instead of slept,
+        and the jitter draw is 0.25."""
         monkeypatch.setenv("TREELAYOUT_API_KEY", "k-test")
         calls = []
 
         class FakeResponse:
-            def __init__(self, status, payload):
+            def __init__(self, status, payload, headers=None):
                 self.status_code = status
                 self._payload = payload
                 self.text = str(payload)
+                self.headers = headers or {}
 
             def json(self):
                 if isinstance(self._payload, Exception):
@@ -892,10 +897,11 @@ class TestLiveOracle:
 
         def fake_post(url, headers=None, json=None, timeout=None):
             calls.append(json)
-            status, payload = responses.pop(0)
-            return FakeResponse(status, payload)
+            return FakeResponse(*responses.pop(0))
 
-        monkeypatch.setattr("treelayout.oracle.live.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
+        monkeypatch.setattr(live, "sleep", (waits if waits is not None else []).append)
+        monkeypatch.setattr(live, "random", lambda: 0.25)
         cfg = LiveConfig(endpoint="https://example.invalid/v1/chat", model="m-1")
         return LiveOracle(cfg), calls
 
@@ -939,6 +945,42 @@ class TestLiveOracle:
         monkeypatch.delenv("TREELAYOUT_API_KEY", raising=False)
         with pytest.raises(OracleFailure):
             LiveOracle(LiveConfig(endpoint="https://example.invalid", model="m"))
+
+    def test_missing_requests_is_failure(self, monkeypatch):
+        monkeypatch.setenv("TREELAYOUT_API_KEY", "k-test")
+        monkeypatch.setitem(sys.modules, "requests", None)
+        with pytest.raises(OracleFailure, match=r"pip install 'treelayout\[live\]'"):
+            LiveOracle(LiveConfig(endpoint="https://example.invalid", model="m"))
+
+    @pytest.mark.parametrize("status, headers, wait", [
+        (500, {}, 0.25 * live.RETRY_JITTER_S),
+        (500, {"Retry-After": "3"}, 0.25 * live.RETRY_JITTER_S),
+        (429, {}, 0.25 * live.RETRY_JITTER_S),
+        (429, {"Retry-After": "3"}, 3.0),
+        (503, {"Retry-After": "0.5"}, 0.5),
+        (503, {"Retry-After": "0"}, 0.0),
+        (429, {"Retry-After": "3600"}, live.RETRY_MAX_WAIT_S),
+        (429, {"Retry-After": "inf"}, live.RETRY_MAX_WAIT_S),
+        (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}, 0.25 * live.RETRY_JITTER_S),
+        (429, {"Retry-After": "-1"}, 0.25 * live.RETRY_JITTER_S),
+        (503, {"Retry-After": "nan"}, 0.25 * live.RETRY_JITTER_S),
+    ], ids=["500-jitter", "500-ignores-retry-after", "429-no-header", "429-retry-after",
+            "503-fractional", "503-zero", "retry-after-capped", "retry-after-infinite",
+            "http-date-jitter", "negative-jitter", "nan-jitter"])
+    def test_waits_once_before_the_retry(self, monkeypatch, status, headers, wait):
+        waits = []
+        oracle, calls = self.setup_oracle(
+            monkeypatch, [(status, {}, headers), (200, self.ok_payload("ok"))], waits
+        )
+        assert oracle.query(RoomQuery("a bedroom")).text == "ok"
+        assert len(calls) == 2
+        assert waits == [wait]
+
+    def test_no_wait_without_a_retry(self, monkeypatch):
+        waits = []
+        oracle, _ = self.setup_oracle(monkeypatch, [(200, self.ok_payload("ok"))], waits)
+        oracle.query(RoomQuery("a bedroom"))
+        assert waits == []
 
 
 class SlowOracle(PlacementOracle):
@@ -1149,7 +1191,7 @@ class TestLiveEndToEnd:
             served[key] += 1
             return FakeResponse(replies[key])
 
-        monkeypatch.setattr("treelayout.oracle.live.requests.post", fake_post)
+        monkeypatch.setattr("requests.post", fake_post)
         oracle = LiveOracle(LiveConfig(endpoint="https://example.invalid", model="m"))
         assert oracle.io_bound
         scene = generate_scene(prompt, config, oracle)
