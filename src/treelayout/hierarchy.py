@@ -1,12 +1,19 @@
 """Level-by-level construction of the hierarchical room plan.
 
-:func:`build_room_plan` asks for the room type and dims, then for the
-functional regions, then builds each region with :func:`build_region`:
-its floor objects with anchor and edges (one query), then the supported
-objects of each kept supportable floor object (one query each).  Object
-ids are room-wide, category plus a running ordinal (:class:`IdAllocator`),
-given in reply order.  Dropped proposals and the builders' other
-rejections are recorded into the session's trace.
+:func:`build_room_frame` asks for the room type and dims, then for the
+functional regions.  Each region is then built in two halves per level:
+its floor objects with anchor and edges are asked for and parsed
+(:func:`ask_floor_objects`), then numbered and guarded
+(:func:`number_floor_objects`); the supported objects of each kept
+supportable floor object likewise (:func:`ask_supported`,
+:func:`add_supported`).  Object ids are room-wide, category plus a
+running ordinal (:class:`IdAllocator`), given in plan order: a region
+numbers its floor objects after every earlier region has numbered its
+supported ones.  An objects query names no object id, so the pipeline
+asks every region's at once; a supported query names only its
+supporter's id.  :func:`build_room_plan` runs the halves one region
+after another.  Dropped proposals and the builders' other rejections
+are recorded into the trace passed in.
 
 Replies are plain text; the parsers here are deliberately tolerant (a
 malformed reply, or one naming a category the catalog lacks, costs one
@@ -16,8 +23,8 @@ retry, up to :data:`BUILDER_RETRIES`, then :class:`OracleFailure`).
 from __future__ import annotations
 
 import re
-from collections.abc import Callable
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
+from dataclasses import dataclass, replace
 from functools import partial
 
 from treelayout.catalog import AssetCatalog, UnknownCategory
@@ -275,7 +282,7 @@ def _guard_objects(
     return sorted(kept)
 
 
-def build_region(
+def ask_floor_objects(
     region_id: str,
     function: str,
     length: float,
@@ -284,15 +291,10 @@ def build_region(
     prompt: str,
     session: OracleSession,
     catalog: AssetCatalog,
-    ids: IdAllocator,
-) -> RegionPlan:
-    """One region's plan: its floor objects, anchor and edges, then the
-    supported set of each kept supportable object, in plan order.
-
-    Every resolved proposal takes an id in reply order, also one the
-    guard then drops.
-    """
-    proposals = _retry(
+) -> list[ObjectProposal]:
+    """One region's floor-object proposals, parsed and resolved.  The query
+    names no object id, so every region can ask at once."""
+    return _retry(
         session,
         lambda a: ObjectsQuery(
             region_id=region_id,
@@ -305,15 +307,22 @@ def build_region(
         ),
         partial(_parse_and_resolve, parse_objects_reply, catalog),
     )
+
+
+def number_floor_objects(
+    region_id: str,
+    function: str,
+    length: float,
+    width: float,
+    proposals: list[ObjectProposal],
+    ids: IdAllocator,
+    trace: SearchTrace,
+) -> RegionPlan:
+    """The region's plan without its supported sets: every proposal takes
+    an id in reply order, also one the guard then drops."""
     specs = [p.spec(ids) for p in proposals]
     anchor_i = next(i for i, p in enumerate(proposals) if p.anchor_rule is not None)
-    kept = _guard_objects(specs, anchor_i, length * width, session.trace, region_id)
-    supported: dict[str, SupportedSet] = {}
-    for i in kept:
-        if specs[i].supportable:
-            sub = build_supported_level(specs[i], session, catalog, ids, region_id)
-            if sub.objects:
-                supported[specs[i].id] = sub
+    kept = _guard_objects(specs, anchor_i, length * width, trace, region_id)
     return RegionPlan(
         id=region_id,
         function=function,
@@ -327,22 +336,22 @@ def build_region(
             for i in kept
             if i != anchor_i
         ),
-        supported=supported,
     )
 
 
-def build_supported_level(
-    floor_object: ObjectSpec,
-    session: OracleSession,
-    catalog: AssetCatalog,
-    ids: IdAllocator,
-    scope: str,
-) -> SupportedSet:
+def supporters(region: RegionPlan) -> list[ObjectSpec]:
+    """The region's supportable floor objects, in plan order."""
+    return [s for s in region.objects if s.supportable]
+
+
+def ask_supported(
+    floor_object: ObjectSpec, session: OracleSession, catalog: AssetCatalog
+) -> list[ObjectProposal]:
+    """The proposals for one supporter's top, parsed and resolved."""
     if not floor_object.supportable:
         raise NotSupportable(floor_object.id)
-
     top = floor_object.dims
-    proposals = _retry(
+    return _retry(
         session,
         lambda a: SupportedQuery(
             floor_object_id=floor_object.id,
@@ -353,13 +362,25 @@ def build_supported_level(
         ),
         partial(_parse_and_resolve, parse_supported_reply, catalog),
     )
+
+
+def number_supported(
+    floor_object: ObjectSpec,
+    proposals: list[ObjectProposal],
+    ids: IdAllocator,
+    trace: SearchTrace,
+    scope: str,
+) -> SupportedSet:
+    """The supported set: proposals that fit the top, up to the cap, each
+    under the next id of its category."""
+    top = floor_object.dims
     kept: list[tuple[ObjectSpec, ObjectProposal]] = []
     for p in proposals:
         if len(kept) >= MAX_SUPPORTED_OBJECTS:
             break
         if not (p.dims.length < top.length and p.dims.depth < top.depth):
-            session.trace.record(0, p.category, 0, EventKind.REJECTED,
-                                 f"larger than {floor_object.id} top face", scope=scope)
+            trace.record(0, p.category, 0, EventKind.REJECTED,
+                         f"larger than {floor_object.id} top face", scope=scope)
             continue
         kept.append((p.spec(ids), p))
     if not kept:
@@ -374,23 +395,88 @@ def build_supported_level(
     return SupportedSet(objects=specs, edges=edges)
 
 
+def add_supported(
+    region: RegionPlan,
+    replies: Sequence[list[ObjectProposal]],
+    ids: IdAllocator,
+    trace: SearchTrace,
+) -> RegionPlan:
+    """The region with the supported set of each of its :func:`supporters`,
+    numbered in plan order from ``replies`` (one per supporter)."""
+    supported: dict[str, SupportedSet] = {}
+    for spec, proposals in zip(supporters(region), replies, strict=True):
+        sub = number_supported(spec, proposals, ids, trace, region.id)
+        if sub.objects:
+            supported[spec.id] = sub
+    return replace(region, supported=supported)
+
+
+def build_region(
+    region_id: str,
+    function: str,
+    length: float,
+    width: float,
+    room_type: str,
+    prompt: str,
+    session: OracleSession,
+    catalog: AssetCatalog,
+    ids: IdAllocator,
+) -> RegionPlan:
+    """One region's plan: its floor objects, anchor and edges, then the
+    supported set of each kept supportable object, in plan order."""
+    proposals = ask_floor_objects(region_id, function, length, width, room_type, prompt,
+                                  session, catalog)
+    region = number_floor_objects(region_id, function, length, width, proposals, ids,
+                                  session.trace)
+    replies = [ask_supported(spec, session, catalog) for spec in supporters(region)]
+    return add_supported(region, replies, ids, session.trace)
+
+
 class InvalidPlan(RuntimeError):
     """The assembled room plan fails ``validate_room_plan``; the builders
     guard every reply, so this can only come from an engine bug."""
 
 
-def build_room_plan(prompt: str, session: OracleSession, catalog: AssetCatalog) -> RoomPlan:
-    """Run all four levels and assemble a validated room plan."""
+@dataclass(frozen=True)
+class RoomFrame:
+    """The room and region levels of a plan, which every region's builder
+    starts from."""
+
+    prompt: str
+    room_type: str
+    length: float
+    width: float
+    #: (id, function, length) of each region, in plan order
+    regions: tuple[tuple[str, str, float], ...]
+
+
+def build_room_frame(prompt: str, session: OracleSession) -> RoomFrame:
+    """The room level, then the region level."""
     room_type, (length, width) = build_room_level(prompt, session)
     region_specs = build_region_level(room_type, length, width, prompt, session)
-    ids = IdAllocator()
-    regions = tuple(
-        build_region(f"r{i + 1}_{function.replace(' ', '_')}", function, region_length, width,
-                     room_type, prompt, session, catalog, ids)
+    return RoomFrame(prompt, room_type, length, width, tuple(
+        (f"r{i + 1}_{function.replace(' ', '_')}", function, region_length)
         for i, (function, region_length) in enumerate(region_specs)
-    )
-    plan = RoomPlan(room_type=room_type, length=length, width=width, regions=regions, prompt=prompt)
+    ))
+
+
+def assemble_plan(frame: RoomFrame, regions: Sequence[RegionPlan]) -> RoomPlan:
+    """The room plan of ``frame`` and its built regions, validated."""
+    plan = RoomPlan(room_type=frame.room_type, length=frame.length, width=frame.width,
+                    regions=tuple(regions), prompt=frame.prompt)
     violations = validate_room_plan(plan)
     if violations:
         raise InvalidPlan(f"builder produced an invalid plan: {violations}")
     return plan
+
+
+def build_room_plan(prompt: str, session: OracleSession, catalog: AssetCatalog) -> RoomPlan:
+    """Run all four levels, one region after another, and assemble a
+    validated room plan."""
+    frame = build_room_frame(prompt, session)
+    ids = IdAllocator()
+    return assemble_plan(frame, [
+        build_region(region_id, function, length, frame.width, frame.room_type, prompt,
+                     session, catalog, ids)
+        for region_id, function, length in frame.regions
+    ])

@@ -11,10 +11,24 @@ from typing import TypeVar
 from treelayout.catalog import AssetCatalog
 from treelayout.compose import attach_supported, compose
 from treelayout.grid import Side
-from treelayout.hierarchy import build_room_plan
+from treelayout.hierarchy import (
+    IdAllocator,
+    ObjectProposal,
+    RoomFrame,
+    add_supported,
+    ask_floor_objects,
+    ask_supported,
+    assemble_plan,
+    build_room_frame,
+    build_room_plan,
+    number_floor_objects,
+    supporters,
+)
 from treelayout.model import (
     EventKind,
+    ObjectSpec,
     PlacedObject,
+    RegionPlan,
     RoomPlan,
     Scene,
     SearchConfig,
@@ -27,7 +41,7 @@ from treelayout.search import RegionResult, place_supported, plan_region, run_io
 T = TypeVar("T")
 
 
-def region_wall_sides(plan: RoomPlan, index: int) -> frozenset[Side]:
+def region_wall_sides(plan: RoomPlan | RoomFrame, index: int) -> frozenset[Side]:
     """Which sides of a region are room walls: top/bottom always, left only
     for the first region, right only for the last (regions tile along x)."""
     sides = {Side.TOP, Side.BOTTOM}
@@ -38,6 +52,48 @@ def region_wall_sides(plan: RoomPlan, index: int) -> frozenset[Side]:
     return frozenset(sides)
 
 
+class _Task:
+    """``fn()`` run in a copy of the current context, on ``path`` if one is
+    given: on a thread of its own when ``threaded``, else at once in the
+    calling thread.  :meth:`result` joins the thread, then returns what
+    ``fn`` returned or raises what it raised."""
+
+    def __init__(self, fn: Callable[[], T], threaded: bool, path: CallPath | None = None):
+        self._value: T | None = None
+        self._error: BaseException | None = None
+        self._thread: threading.Thread | None = None
+        run = partial(contextvars.copy_context().run, self._run, fn, path)
+        if threaded:
+            self._thread = threading.Thread(target=run)
+            self._thread.start()
+        else:
+            run()
+
+    def _run(self, fn: Callable[[], T], path: CallPath | None) -> None:
+        if path is not None:
+            CALL_PATH.set(path)
+        try:
+            self._value = fn()
+        except BaseException as exc:  # raised again by result()
+            self._error = exc
+
+    def join(self) -> None:
+        if self._thread is not None:
+            self._thread.join()
+
+    def result(self) -> T:
+        self.join()
+        if self._error is not None:
+            raise self._error
+        return self._value
+
+
+def _merge(trace: SearchTrace, subs: Sequence[SearchTrace]) -> None:
+    for sub in subs:
+        trace.events.extend(sub.events)
+        trace.oracle_calls += sub.oracle_calls
+
+
 def run_subproblems(
     oracle: PlacementOracle,
     jobs: Sequence[Callable[[SearchTrace], T]],
@@ -46,14 +102,15 @@ def run_subproblems(
     """Run independent subproblems and return their results in list order.
 
     Each job takes the trace it must record into.  When there are at
-    least two jobs and ``oracle.io_bound`` is set, the jobs overlap: the
-    first runs in the calling thread and every other one on a thread of
-    its own, so there are as many threads as jobs, which the plan caps
-    bound (at most 3 regions, or the supporters of one region).  Each
-    job then has its own :class:`SearchTrace`, appended to ``trace`` in
-    list order, and its own :class:`CallPath`, so the trace and a
-    recorded transcript are those of the serial run.  Otherwise the jobs
-    run inline, one after another.
+    least two jobs and ``oracle.io_bound`` is set, the jobs overlap, each
+    on a thread of its own while the calling thread waits.  A group is
+    the supporters of one region, either their ``SupportedQuery`` chains
+    or their tops, so it holds at most
+    :data:`~treelayout.hierarchy.MAX_REGION_OBJECTS` jobs.  Each job then
+    has its own :class:`SearchTrace`, appended to ``trace`` in list
+    order, and its own :class:`CallPath`, so the trace and a recorded
+    transcript are those of the serial run.  Otherwise the jobs run
+    inline, one after another.
 
     Every thread is joined before this returns; the first failing job in
     list order raises its exception.
@@ -62,75 +119,131 @@ def run_subproblems(
         return [job(trace) for job in jobs]
     group = CALL_PATH.get().next_key()
     traces = [SearchTrace() for _ in jobs]
-    results: list = [None] * len(jobs)
-    errors: list[BaseException | None] = [None] * len(jobs)
-
-    def run(j: int) -> None:
-        CALL_PATH.set(CallPath(group + (j,)))
-        try:
-            results[j] = jobs[j](traces[j])
-        except BaseException as exc:  # raised again below, in list order
-            errors[j] = exc
-
-    threads = [
-        threading.Thread(target=contextvars.copy_context().run, args=(run, j))
-        for j in range(1, len(jobs))
-    ]
-    for t in threads:
-        t.start()
-    contextvars.copy_context().run(run, 0)
-    for t in threads:
-        t.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    for sub in traces:
-        trace.events.extend(sub.events)
-        trace.oracle_calls += sub.oracle_calls
+    tasks = [_Task(partial(job, sub), True, CallPath(group + (j,)))
+             for j, (job, sub) in enumerate(zip(jobs, traces))]
+    for task in tasks:
+        task.join()
+    results = [task.result() for task in tasks]
+    _merge(trace, traces)
     return results
 
 
-def solve_plan(plan: RoomPlan, config: SearchConfig, oracle: PlacementOracle,
-               trace: SearchTrace) -> Scene:
-    """Run the configured mode over an already-built plan.
+def _solve_tops(region: RegionPlan, result: RegionResult, config: SearchConfig,
+                oracle: PlacementOracle, trace: SearchTrace) -> dict[str, list[PlacedObject]]:
+    """The supported objects placed on each placed supporter of a searched
+    region; the supporters' tops are independent subproblems."""
+    if result.unsat:
+        return {}
+    placed = {p.spec_id: p for p in result.placements}
 
-    Regions, and the supporters of one placed region, are independent
-    subproblems (:func:`run_subproblems`).
-    """
-    if config.mode is SearchMode.IO:
-        return run_io_mode(plan, oracle, config, trace=trace)
-
-    def solve_region(
-        i: int, sub_trace: SearchTrace
-    ) -> tuple[RegionResult, dict[str, list[PlacedObject]]]:
-        region = plan.regions[i]
-        result = plan_region(
-            region, config, oracle, trace=sub_trace, wall_sides=region_wall_sides(plan, i)
+    def solve_supporter(sup_id: str, sup_trace: SearchTrace) -> list[PlacedObject]:
+        if sup_id not in placed:
+            sup_trace.record(0, sup_id, 0, EventKind.REJECTED,
+                             "supporter unplaced, supported set dropped", scope=region.id)
+            return []
+        return place_supported(
+            placed[sup_id], region.spec(sup_id), region.supported[sup_id],
+            config, oracle, sup_trace,
         )
-        if result.unsat:
-            return result, {}
-        placed = {p.spec_id: p for p in result.placements}
 
-        def solve_supporter(sup_id: str, sup_trace: SearchTrace) -> list[PlacedObject]:
-            if sup_id not in placed:
-                sup_trace.record(0, sup_id, 0, EventKind.REJECTED,
-                                 "supporter unplaced, supported set dropped", scope=region.id)
-                return []
-            return place_supported(
-                placed[sup_id], region.spec(sup_id), region.supported[sup_id],
-                config, oracle, sup_trace,
+    sup_ids = sorted(region.supported)
+    jobs = [partial(solve_supporter, sup_id) for sup_id in sup_ids]
+    supported = run_subproblems(oracle, jobs, trace)
+    return {s: locals_ for s, locals_ in zip(sup_ids, supported) if locals_}
+
+
+def _ask_supported(oracle: PlacementOracle, catalog: AssetCatalog, spec: ObjectSpec,
+                   trace: SearchTrace) -> list[ObjectProposal]:
+    return ask_supported(spec, OracleSession(oracle, trace), catalog)
+
+
+def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
+               catalog: AssetCatalog, trace: SearchTrace) -> Scene:
+    """Build and search the room's regions in tree or CoT mode, one
+    dataflow subproblem per region, and compose the scene.
+
+    Region *i* asks for its floor objects at once.  Ids are room-wide
+    and given in plan order, so it numbers them only when region *i-1*
+    has numbered its supported objects.  Then its floor search starts,
+    together with the ``SupportedQuery`` chains of its supporters; once
+    the replies are back it numbers the supported objects and passes the
+    turn on, and once the floor search is done too it searches the
+    supporters' tops.  When ``oracle.io_bound`` is set, each region and
+    each floor search runs on a thread of its own, and so does each
+    supporter's ``SupportedQuery`` chain and top search
+    (:func:`run_subproblems`); otherwise the same steps run inline,
+    region after region.
+
+    Nothing written depends on when a call ran: region *i* asks on the
+    :class:`CallPath` ``hier + (i,)`` and searches on ``search + (i,)``,
+    and records into one trace per phase, merged as every hierarchy
+    trace in region order, then every search trace.  Every thread is
+    joined before this returns or raises.  The first hierarchy error in
+    region order is raised, then
+    :class:`~treelayout.hierarchy.InvalidPlan`, then the first search
+    error: the error a serial run raises first.
+    """
+    n = len(frame.regions)
+    threaded = oracle.io_bound
+    root = CALL_PATH.get()
+    hier, search = root.next_key(), root.next_key()
+    ids = IdAllocator()
+    hier_traces = [SearchTrace() for _ in range(n)]
+    search_traces = [SearchTrace() for _ in range(n)]
+    numbered = [threading.Event() for _ in range(n)]
+    plans: list[RegionPlan | None] = [None] * n
+    hier_errors: list[BaseException | None] = [None] * n
+
+    def solve_region(i: int) -> tuple[RegionResult, dict[str, list[PlacedObject]]] | None:
+        """Region *i*'s subproblem; a hierarchy error goes to ``hier_errors``,
+        a search error is raised."""
+        region_id, function, length = frame.regions[i]
+        hier_trace, search_trace = hier_traces[i], search_traces[i]
+        search_path = CallPath(search + (i,))
+        floor_search: _Task | None = None
+        try:
+            proposals = ask_floor_objects(region_id, function, length, frame.width,
+                                          frame.room_type, frame.prompt,
+                                          OracleSession(oracle, hier_trace), catalog)
+            if i:
+                numbered[i - 1].wait()
+                if plans[i - 1] is None:  # an earlier region failed; its error is raised
+                    return None
+            floor = number_floor_objects(region_id, function, length, frame.width, proposals,
+                                         ids, hier_trace)
+            floor_search = _Task(
+                partial(plan_region, floor, config, oracle, search_trace,
+                        region_wall_sides(frame, i)),
+                threaded, search_path,
             )
+            jobs = [partial(_ask_supported, oracle, catalog, spec) for spec in supporters(floor)]
+            plans[i] = add_supported(floor, run_subproblems(oracle, jobs, hier_trace), ids,
+                                     hier_trace)
+        except BaseException as exc:  # raised again below, in region order
+            hier_errors[i] = exc
+        finally:
+            numbered[i].set()
+        if floor_search is None:
+            return None
+        result = floor_search.result()
+        if plans[i] is None:
+            return None
+        CALL_PATH.set(search_path)
+        return result, _solve_tops(plans[i], result, config, oracle, search_trace)
 
-        sup_ids = sorted(region.supported)
-        jobs = [partial(solve_supporter, sup_id) for sup_id in sup_ids]
-        supported = run_subproblems(oracle, jobs, sub_trace)
-        return result, {s: locals_ for s, locals_ in zip(sup_ids, supported) if locals_}
-
-    jobs = [partial(solve_region, i) for i in range(len(plan.regions))]
+    tasks = [_Task(partial(solve_region, i), threaded, CallPath(hier + (i,))) for i in range(n)]
+    for task in tasks:
+        task.join()
+    for exc in hier_errors:
+        if exc is not None:
+            raise exc
+    plan = assemble_plan(frame, plans)
+    solutions = [task.result() for task in tasks]
+    _merge(trace, hier_traces + search_traces)
     region_solutions: dict[str, list[PlacedObject]] = {}
     unsat: list[str] = []
     supported_map: dict[str, list[PlacedObject]] = {}
-    for region, (result, supported) in zip(plan.regions, run_subproblems(oracle, jobs, trace)):
+    for region, (result, supported) in zip(plan.regions, solutions):
         if result.unsat:
             unsat.append(region.id)
             continue
@@ -146,12 +259,15 @@ def generate_scene(
     oracle: PlacementOracle,
     catalog: AssetCatalog | None = None,
 ) -> Scene:
-    """Build the hierarchical plan from the prompt, then solve it."""
+    """The scene for the prompt.  IO mode builds the whole plan, then lays
+    it out in one shot; tree and CoT modes build and search each region
+    as it becomes ready (:func:`solve_plan`)."""
     catalog = catalog if catalog is not None else AssetCatalog.default()
     trace = SearchTrace()
     session = OracleSession(oracle, trace)
-    plan = build_room_plan(prompt, session, catalog)
-    return solve_plan(plan, config, oracle, trace)
+    if config.mode is SearchMode.IO:
+        return run_io_mode(build_room_plan(prompt, session, catalog), oracle, config, trace=trace)
+    return solve_plan(build_room_frame(prompt, session), config, oracle, catalog, trace)
 
 
 def scene_is_complete(scene: Scene) -> bool:

@@ -14,12 +14,16 @@ Run from the repository root (pytest does not collect this file)::
     PYTHONPATH=src python tests/digest_sweep.py
     PYTHONPATH=src python tests/digest_sweep.py --prompts 10 --seeds 0 --each
     PYTHONPATH=src python tests/digest_sweep.py --cell-size 0.15
+    PYTHONPATH=src python tests/digest_sweep.py --overlap
 
 The defaults are the full check: 100 prompts x seeds 0-1 x tree/cot/io x
 ``p_adv`` 0/0.35/1.0, 1,800 generations, at ``SearchConfig``'s default
 cell size.  ``--cell-size`` sweeps another grid: 0.15 gives wider rows
-and, a fifth of that, 0.03 m cells on supporter tops.  ``--each`` also
-prints one digest per generation, to find the inputs whose bytes differ.
+and, a fifth of that, 0.03 m cells on supporter tops.  ``--overlap``
+puts the det oracle behind :class:`OverlappedOracle`, so the pipeline
+overlaps its subproblems on threads; the digest must equal the inline
+one.  ``--each`` also prints one digest per generation, to find the
+inputs whose bytes differ.
 """
 
 from __future__ import annotations
@@ -28,13 +32,16 @@ import argparse
 import hashlib
 import json
 import tempfile
+import time
 from importlib import resources
 from pathlib import Path
 
 from treelayout import render, sceneio
 from treelayout.catalog import AssetCatalog
 from treelayout.model import SearchConfig, SearchMode
+from treelayout.oracle.base import PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
+from treelayout.oracle.queries import OracleQuery, OracleReply
 from treelayout.oracle.transcript import RecordingOracle
 from treelayout.pipeline import generate_scene
 
@@ -46,12 +53,29 @@ def load_prompts() -> list[str]:
     return [line.strip() for line in text.splitlines() if line.strip()]
 
 
+class OverlappedOracle(PlacementOracle):
+    """Passes queries to the det oracle after a sleep of up to 0.5 ms
+    taken from the query fingerprint, and declares itself I/O-bound: the
+    pipeline then runs its overlapped path, and calls finish out of
+    serial order."""
+
+    io_bound = True
+
+    def __init__(self, inner: PlacementOracle):
+        self.inner = inner
+
+    def query(self, q: OracleQuery) -> OracleReply:
+        time.sleep(int(q.fp[:2], 16) / 255 * 0.0005)
+        return self.inner.query(q)
+
+
 def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
                      catalog: AssetCatalog, out: Path,
-                     cell_size: float = SearchConfig.cell_size) -> bytes:
+                     cell_size: float = SearchConfig.cell_size, overlap: bool = False) -> bytes:
     """Everything one generation writes, as one byte string."""
     config = SearchConfig(seed=seed, mode=mode, p_adv=p_adv, cell_size=cell_size)
-    recording = RecordingOracle(DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog))
+    oracle: PlacementOracle = DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog)
+    recording = RecordingOracle(OverlappedOracle(oracle) if overlap else oracle)
     try:
         scene = generate_scene(prompt, config, recording, catalog)
     except Exception as exc:  # part of the behaviour under test
@@ -66,10 +90,12 @@ def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
 
 
 def sweep_digest(prompts: list[str], seeds, modes, p_advs,
-                 cell_size: float = SearchConfig.cell_size, each=None) -> tuple[str, int]:
+                 cell_size: float = SearchConfig.cell_size, each=None,
+                 overlap: bool = False) -> tuple[str, int]:
     """(hex digest, generation count) over every prompt x seed x mode x
     ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
-    generation's own digest."""
+    generation's own digest.  ``overlap`` runs the det oracle behind
+    :class:`OverlappedOracle`."""
     catalog = AssetCatalog.default()
     total = hashlib.sha256()
     count = 0
@@ -80,7 +106,7 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                 for mode in modes:
                     for p_adv in p_advs:
                         data = generation_bytes(prompt, seed, SearchMode(mode), p_adv, catalog, out,
-                                                cell_size)
+                                                cell_size, overlap)
                         digest = hashlib.sha256(data).digest()
                         total.update(digest)
                         count += 1
@@ -97,12 +123,14 @@ def main() -> None:
     parser.add_argument("--p-adv", type=float, nargs="+", default=[0.0, 0.35, 1.0])
     parser.add_argument("--cell-size", type=float, default=SearchConfig.cell_size,
                         help="grid cell size in metres (default %(default)s)")
+    parser.add_argument("--overlap", action="store_true",
+                        help="overlap subproblems on threads behind a fingerprint-derived sleep")
     parser.add_argument("--each", action="store_true", help="print one digest per generation")
     args = parser.parse_args()
 
     each = print if args.each else None
     digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
-                                 args.p_adv, args.cell_size, each)
+                                 args.p_adv, args.cell_size, each, args.overlap)
     print(f"{digest}  {count} generations")
 
 

@@ -1,7 +1,8 @@
 """Behaviour pinned by bytes: the digest of a small det sweep.
 
 ``tests/digest_sweep.py`` hashes everything a det generation writes
-(scene, trace, SVG, transcript records, oracle-call count).  A change
+(scene, trace, SVG, transcript records, oracle-call count), inline and
+with its subproblems overlapped on threads.  A change
 meant to keep behaviour keeps these digests; a change that alters bytes
 on purpose updates them and says so in CHANGES.md.  The values were
 taken before the geometry moved to exact integer units.
@@ -21,5 +22,14 @@ PINNED = {
 def test_small_sweep_digest_is_pinned(cell_size):
     digest, count = sweep_digest(load_prompts()[:10], [0], ["tree", "cot", "io"],
                                  [0.0, 0.35, 1.0], cell_size)
+    assert count == 90
+    assert digest == PINNED[cell_size]
+
+
+@pytest.mark.parametrize("cell_size", sorted(PINNED))
+def test_overlapped_sweep_digest_is_pinned(cell_size):
+    # the same generations with their subproblems overlapped on threads
+    digest, count = sweep_digest(load_prompts()[:10], [0], ["tree", "cot", "io"],
+                                 [0.0, 0.35, 1.0], cell_size, overlap=True)
     assert count == 90
     assert digest == PINNED[cell_size]

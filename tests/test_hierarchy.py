@@ -10,8 +10,9 @@ from treelayout.hierarchy import (
     build_region,
     build_region_level,
     build_room_level,
+    ask_supported,
     build_room_plan,
-    build_supported_level,
+    number_supported,
     parse_objects_reply,
     parse_region_reply,
     parse_room_reply,
@@ -246,20 +247,24 @@ class TestFloorObjectLevel:
         assert asked == ["nightstand_1"]
 
 
+def build_supported(spec, session):
+    """The supported set of ``spec``: both halves of the supported level."""
+    return number_supported(spec, ask_supported(spec, session, CATALOG), IdAllocator(),
+                            session.trace, "r1")
+
+
 class TestSupportedLevel:
     def test_not_supportable(self):
         spec = ObjectSpec("wardrobe_1", "wardrobe", Dim3(1.2, 0.6, 2.0), supportable=False)
         with pytest.raises(NotSupportable):
-            build_supported_level(spec, make_session(), CATALOG, IdAllocator(), "r1")
+            build_supported(spec, make_session())
 
     def test_desk_gets_supported_objects(self):
         spec = ObjectSpec("desk_1", "desk", Dim3(1.2, 0.6, 0.75), supportable=True)
         found = False
         lamp_and_monitor = False
         for seed in range(12):
-            sub = build_supported_level(
-                spec, make_session(DeterministicOracle(seed=seed)), CATALOG, IdAllocator(), "r1",
-            )
+            sub = build_supported(spec, make_session(DeterministicOracle(seed=seed)))
             if sub.objects:
                 found = True
                 if {o.category for o in sub.objects} == {"desk_lamp", "monitor"}:
@@ -277,7 +282,7 @@ class TestSupportedLevel:
         spec = ObjectSpec("nightstand_1", "nightstand", Dim3(0.4, 0.35, 0.55), supportable=True)
         oracle = ScriptedOracle(["monitor 0.5 x 0.2 x 0.4 | place_around"])
         trace = SearchTrace()
-        sub = build_supported_level(spec, make_session(oracle, trace), CATALOG, IdAllocator(), "r1")
+        sub = build_supported(spec, make_session(oracle, trace))
         assert sub.objects == ()
         assert any("larger than" in e.detail for e in trace.events)
 

@@ -7,12 +7,15 @@ from functools import lru_cache
 from importlib import resources
 
 import pytest
+from click.testing import CliRunner
 
+from treelayout import cli
 from treelayout.catalog import AssetCatalog
-from treelayout.hierarchy import build_room_plan
-from treelayout.model import SearchConfig, SearchMode, SearchTrace
-from treelayout.oracle.base import OracleSession, PlacementOracle
+from treelayout.hierarchy import build_room_plan, supporters
+from treelayout.model import RoomPlan, SearchConfig, SearchMode, SearchTrace
+from treelayout.oracle.base import OracleFailure, OracleSession, PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
+from treelayout.oracle.queries import ObjectsQuery, OracleReply, SupportedQuery
 from treelayout.oracle.transcript import RecordingOracle, ReplayOracle
 from treelayout.pipeline import generate_scene
 from treelayout.sceneio import scene_to_text, write_trace
@@ -42,26 +45,47 @@ class JitterOracle(PlacementOracle):
 
 
 @lru_cache(maxsize=1)
+def shipped_plans() -> tuple[tuple[str, int, RoomPlan], ...]:
+    """(prompt, seed, det plan) for the first 40 shipped prompts, seeds 0-1."""
+    text = resources.files("treelayout.data").joinpath("prompt_set.txt").read_text("utf-8")
+    prompts = [line.strip() for line in text.splitlines() if line.strip()]
+    catalog = AssetCatalog.default()
+    return tuple(
+        (prompt, seed, build_room_plan(
+            prompt, OracleSession(DeterministicOracle(seed=seed, p_adv=P_ADV), SearchTrace()),
+            catalog,
+        ))
+        for seed in (0, 1)
+        for prompt in prompts[:40]
+    )
+
+
+@lru_cache(maxsize=1)
 def multi_region_cases() -> tuple[tuple[str, int], ...]:
     """Four (prompt, seed) pairs of the shipped prompt set whose plans have
     at least two regions, those with a region of two or more supporters
     first, so that supporter groups overlap too."""
-    text = resources.files("treelayout.data").joinpath("prompt_set.txt").read_text("utf-8")
-    prompts = [line.strip() for line in text.splitlines() if line.strip()]
-    catalog = AssetCatalog.default()
     nested, flat = [], []
-    for seed in (0, 1):
-        for prompt in prompts[:40]:
-            det = DeterministicOracle(seed=seed, p_adv=P_ADV)
-            plan = build_room_plan(prompt, OracleSession(det, SearchTrace()), catalog)
-            if len(plan.regions) < 2:
-                continue
-            if any(len(r.supported) >= 2 for r in plan.regions):
-                nested.append((prompt, seed))
-            else:
-                flat.append((prompt, seed))
+    for prompt, seed, plan in shipped_plans():
+        if len(plan.regions) < 2:
+            continue
+        if any(len(r.supported) >= 2 for r in plan.regions):
+            nested.append((prompt, seed))
+        else:
+            flat.append((prompt, seed))
     assert nested
     return tuple((nested + flat)[:4])
+
+
+def first_case(regions: int) -> tuple[str, int, RoomPlan]:
+    """The first shipped (prompt, seed, plan) with this many regions whose
+    first region has a supporter and at least two floor objects, so its
+    floor search asks the oracle."""
+    return next(
+        case for case in shipped_plans()
+        if len(case[2].regions) == regions
+        and supporters(case[2].regions[0]) and len(case[2].regions[0].objects) >= 2
+    )
 
 
 def recorded_run(prompt, seed, mode, oracle, tmp_path):
@@ -125,3 +149,189 @@ def test_failing_region_raises_in_plan_order_and_joins_threads():
         generate_scene(prompt, SearchConfig(seed=seed, p_adv=P_ADV), oracle)
     assert exc.value.args == (first,)
     assert threading.active_count() == threads_before
+
+
+def label(q) -> str:
+    """A call's kind: the query class, or for spatial queries the search
+    it belongs to."""
+    scope = getattr(getattr(q, "context", None), "scope", None)
+    if scope is None:
+        return type(q).__name__
+    return "top search" if scope.startswith("top:") else "floor search"
+
+
+class TrackingOracle(PlacementOracle):
+    """The det oracle behind a sleep of ``delay(q)`` seconds per call,
+    declared I/O-bound.  ``reply(q)``, when it returns text, replaces the
+    det reply (and may raise instead).  Keeps the pairs of call kinds
+    that were in flight at once, the calls in the order they finished,
+    and the labels of every call asked."""
+
+    io_bound = True
+
+    def __init__(self, inner, delay=lambda q: 0.001, reply=lambda q: None):
+        self.inner = inner
+        self.delay = delay
+        self.reply = reply
+        self._lock = threading.Lock()
+        self._in_flight: list[str] = []
+        self.overlaps: set[frozenset[str]] = set()
+        self.finished: list = []
+        self.asked: list[str] = []
+
+    def query(self, q):
+        kind = label(q)
+        with self._lock:
+            self.overlaps.update(frozenset((other, kind)) for other in self._in_flight)
+            self._in_flight.append(kind)
+            self.asked.append(kind)
+        try:
+            time.sleep(self.delay(q))
+            text = self.reply(q)
+            return OracleReply(text) if text is not None else self.inner.query(q)
+        finally:
+            with self._lock:
+                self._in_flight.remove(kind)
+                self.finished.append(q)
+
+
+def run_joined(fn, timeout=60.0):
+    """``fn()`` on a thread joined with a timeout; fails on a hang or when
+    the run leaves a thread behind.  Returns (result, exception)."""
+    box: dict = {}
+
+    def target():
+        try:
+            box["result"] = fn()
+        except BaseException as exc:
+            box["error"] = exc
+
+    before = threading.active_count()
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(timeout)
+    assert not thread.is_alive(), "the generation hung"
+    assert threading.active_count() == before
+    return box.get("result"), box.get("error")
+
+
+def assert_inline_bytes(prompt, seed, oracle, tmp_path):
+    """A tree run over ``oracle`` writes the bytes of the inline det run."""
+    det = DeterministicOracle(seed=seed, p_adv=P_ADV)
+    scene, trace_bytes, transcript = recorded_run(prompt, seed, SearchMode.TREE, det, tmp_path)
+    result, error = run_joined(
+        lambda: recorded_run(prompt, seed, SearchMode.TREE, oracle, tmp_path))
+    assert error is None
+    o_scene, o_trace, o_transcript = result
+    assert scene_to_text(o_scene) == scene_to_text(scene)
+    assert o_trace == trace_bytes
+    assert o_transcript.records == transcript.records
+    assert o_scene.trace.oracle_calls == scene.trace.oracle_calls
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_hierarchy_calls_overlap_other_calls(case, tmp_path):
+    prompt, seed = multi_region_cases()[case]
+    oracle = TrackingOracle(
+        DeterministicOracle(seed=seed, p_adv=P_ADV),
+        delay=lambda q: 0.005 if isinstance(q, (ObjectsQuery, SupportedQuery)) else 0.001,
+    )
+    assert_inline_bytes(prompt, seed, oracle, tmp_path)
+    assert any(pair & {"ObjectsQuery", "SupportedQuery"} for pair in oracle.overlaps)
+
+
+def test_supported_query_overlaps_the_floor_search(tmp_path):
+    prompt, seed, _ = first_case(regions=1)
+    oracle = TrackingOracle(
+        DeterministicOracle(seed=seed, p_adv=P_ADV),
+        delay=lambda q: 0.05 if isinstance(q, SupportedQuery) else 0.001,
+    )
+    assert_inline_bytes(prompt, seed, oracle, tmp_path)
+    assert frozenset({"SupportedQuery", "floor search"}) in oracle.overlaps
+
+
+def test_later_region_objects_reply_first_keeps_ids(tmp_path):
+    prompt, seed, plan = first_case(regions=2)
+    first, second = plan.regions[0].id, plan.regions[1].id
+
+    def delay(q):
+        return 0.05 if isinstance(q, ObjectsQuery) and q.region_id == first else 0.001
+
+    oracle = TrackingOracle(DeterministicOracle(seed=seed, p_adv=P_ADV), delay=delay)
+    assert_inline_bytes(prompt, seed, oracle, tmp_path)
+    answered = [q.region_id for q in oracle.finished if isinstance(q, ObjectsQuery)]
+    assert answered == [second, first]
+
+
+# -- failure paths: no hang, every thread joined, the serial run's error --
+
+
+def test_unusable_objects_replies_of_region_2_exit_3(tmp_path, monkeypatch):
+    prompt, seed, plan = first_case(regions=2)
+    second = plan.regions[1].id
+
+    def unusable(q):
+        return "no objects" if isinstance(q, ObjectsQuery) and q.region_id == second else None
+
+    def delay(q):
+        return 0.02 if isinstance(q, ObjectsQuery) and q.region_id == second else 0.001
+
+    oracle = TrackingOracle(DeterministicOracle(seed=seed, p_adv=P_ADV), delay, unusable)
+    monkeypatch.setattr(cli, "_build_oracle", lambda *args: oracle)
+    out = tmp_path / "o"
+    result, error = run_joined(lambda: CliRunner().invoke(
+        cli.main, ["generate", "--seed", str(seed), "--prompt", prompt, "--out-dir", str(out)]))
+    assert error is None
+    assert result.exit_code == 3
+    assert "oracle failure" in result.output
+    assert not (out / "scene.json").exists()
+    # region 1 was searching while region 2 asked
+    assert frozenset({"ObjectsQuery", "floor search"}) in oracle.overlaps
+
+
+def test_supported_failure_in_region_1_stops_waiting_region_2():
+    prompt, seed, plan = first_case(regions=2)
+    first_supporters = {s.id for s in supporters(plan.regions[0])}
+
+    def region_1_supported(q):
+        return isinstance(q, SupportedQuery) and q.floor_object_id in first_supporters
+
+    oracle = TrackingOracle(
+        DeterministicOracle(seed=seed, p_adv=P_ADV),
+        delay=lambda q: 0.02 if region_1_supported(q) else 0.001,
+        reply=lambda q: "zeppelin 0.1 x 0.1 x 0.1 | place_around" if region_1_supported(q) else None,
+    )
+    _, error = run_joined(lambda: generate_scene(prompt, SearchConfig(seed=seed, p_adv=P_ADV),
+                                                 oracle))
+    assert isinstance(error, OracleFailure) and "zeppelin" in str(error)
+    # region 2's objects reply was back before region 1's supported chains
+    # failed; region 2 then never took its turn, so it asked nothing more
+    second = plan.regions[1].id
+    finished = oracle.finished
+    waited = next(i for i, q in enumerate(finished)
+                  if isinstance(q, ObjectsQuery) and q.region_id == second)
+    assert waited < max(i for i, q in enumerate(finished) if region_1_supported(q))
+    assert not any(getattr(getattr(q, "context", None), "scope", None) == second
+                   for q in finished)
+    assert oracle.asked.count("SupportedQuery") == 3 * len(first_supporters)
+
+
+def test_hierarchy_error_of_region_2_wins_over_search_error_of_region_1():
+    prompt, seed, plan = first_case(regions=2)
+    first, second = plan.regions[0].id, plan.regions[1].id
+
+    def reply(q):
+        if label(q) == "floor search" and q.context.scope == first:
+            raise RegionFailure(first)
+        if isinstance(q, ObjectsQuery) and q.region_id == second:
+            return "no objects"
+        return None
+
+    def delay(q):
+        return 0.02 if isinstance(q, ObjectsQuery) and q.region_id == second else 0.001
+
+    oracle = TrackingOracle(DeterministicOracle(seed=seed, p_adv=P_ADV), delay, reply)
+    _, error = run_joined(lambda: generate_scene(prompt, SearchConfig(seed=seed, p_adv=P_ADV),
+                                                 oracle))
+    assert isinstance(error, OracleFailure)
+    assert "floor search" in oracle.asked  # region 1's search failed first in time
