@@ -204,9 +204,11 @@ def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
     if recording is not None:
         recording.transcript.dump(transcript)
     metrics = validity_metrics(scene, config)
+    discarded = scene.trace.discarded_calls
     click.echo(
         f"wrote {out / 'scene.json'} ({len(scene.placements)} placements, "
         f"placed_ratio={metrics.placed_ratio:.2f})"
+        + (f" discarded_calls={discarded}" if discarded else "")
     )
     _exit_if_incomplete(scene, config, "layout incomplete (Unsat region or skipped objects)")
 

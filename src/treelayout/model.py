@@ -435,11 +435,18 @@ class SearchTrace:
     Events are recorded in occurrence order.  A Backtrack event at layer
     L means the object accepted at layer L (within the event's scope)
     was removed and the layer is being revisited.
+
+    ``oracle_calls`` counts the calls whose replies the run used.
+    ``discarded_calls`` counts the calls of speculative searches whose
+    result went unused (a supporter's top searched while the floor
+    search ran, for a supporter that ended unplaced); it is left out of
+    :meth:`summary`, so the written scene is that of the serial run.
     """
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
         self.oracle_calls: int = 0
+        self.discarded_calls: int = 0
 
     def record(self, layer: int, object_id: str, attempt_no: int, kind: EventKind,
                note: str = "", *, scope: str, visit: int | None = None,

@@ -51,6 +51,11 @@ class PlacementOracle(ABC):
     @abstractmethod
     def query(self, q: OracleQuery) -> OracleReply: ...
 
+    def discard(self, prefix: tuple[int, ...]) -> None:
+        """Forget the calls made on :class:`CallPath` keys that start with
+        ``prefix``: their replies went unused (a speculative search whose
+        result was dropped).  A no-op unless the oracle keeps its calls."""
+
 
 class OracleSession:
     """Couples an oracle to a trace so every call is counted."""

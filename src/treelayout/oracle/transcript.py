@@ -67,6 +67,8 @@ class RecordingOracle(PlacementOracle):
     Safe for concurrent calls.  Records are kept sorted by the caller's
     :data:`~treelayout.oracle.base.CALL_PATH` key, so a run whose
     subproblems overlap records them in the order a serial run calls.
+    :meth:`discard` removes the records of a speculative search whose
+    result went unused, so the transcript holds the serial run's calls.
     """
 
     def __init__(self, inner: PlacementOracle, model_id: str = "", seed: int | None = None):
@@ -102,6 +104,19 @@ class RecordingOracle(PlacementOracle):
             self._keys.insert(i, key)
             self.transcript.records.insert(i, (fp, reply.text))
         return reply
+
+    def discard(self, prefix: tuple[int, ...]) -> None:
+        """Remove the records whose call key starts with ``prefix`` and free
+        their fingerprints; the other records keep their order."""
+        n = len(prefix)
+        with self._lock:
+            lo = bisect.bisect_left(self._keys, prefix)
+            hi = lo
+            while hi < len(self._keys) and self._keys[hi][:n] == prefix:
+                hi += 1
+            for fp, _ in self.transcript.records[lo:hi]:
+                self._seen.discard(fp)
+            del self._keys[lo:hi], self.transcript.records[lo:hi]
 
 
 class ReplayOracle(PlacementOracle):

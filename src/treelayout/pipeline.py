@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextvars
 import threading
 from collections.abc import Callable, Sequence
+from dataclasses import dataclass, field
 from functools import partial
 from typing import TypeVar
 
@@ -92,6 +93,7 @@ def _merge(trace: SearchTrace, subs: Sequence[SearchTrace]) -> None:
     for sub in subs:
         trace.events.extend(sub.events)
         trace.oracle_calls += sub.oracle_calls
+        trace.discarded_calls += sub.discarded_calls
 
 
 def run_subproblems(
@@ -128,28 +130,75 @@ def run_subproblems(
     return results
 
 
-def _solve_tops(region: RegionPlan, result: RegionResult, config: SearchConfig,
-                oracle: PlacementOracle, trace: SearchTrace) -> dict[str, list[PlacedObject]]:
+@dataclass
+class _Top:
+    """One supporter's top search: the trace it recorded into, the
+    :class:`CallPath` prefix of its oracle calls, and its placements, or
+    the error it raised if it ran speculatively."""
+
+    trace: SearchTrace
+    prefix: tuple[int, ...]
+    placements: list[PlacedObject] = field(default_factory=list)
+    error: Exception | None = None
+
+
+def _search_tops(region: RegionPlan, sup_ids: Sequence[str], config: SearchConfig,
+                 oracle: PlacementOracle, speculative: bool) -> dict[str, _Top]:
+    """Search the tops of these supporters of the region as independent
+    subproblems (:func:`run_subproblems`) on the current call path.  A
+    speculative top keeps its error, to be raised only if the top is
+    kept (:func:`_keep_tops`); otherwise the first error is raised at
+    once, as in a serial run."""
+
+    def search(sup_id: str, _: SearchTrace) -> _Top:
+        # a trace of its own, so that each top can be kept or dropped alone
+        top = _Top(SearchTrace(), CALL_PATH.get().prefix)
+        try:
+            top.placements = place_supported(region.spec(sup_id), region.supported[sup_id],
+                                             config, oracle, top.trace)
+        except Exception as exc:
+            if not speculative:
+                raise
+            top.error = exc
+        return top
+
+    jobs = [partial(search, sup_id) for sup_id in sup_ids]
+    return dict(zip(sup_ids, run_subproblems(oracle, jobs, SearchTrace())))
+
+
+def _keep_tops(region: RegionPlan, result: RegionResult, tops: dict[str, _Top],
+               oracle: PlacementOracle, trace: SearchTrace) -> dict[str, list[PlacedObject]]:
     """The supported objects placed on each placed supporter of a searched
-    region; the supporters' tops are independent subproblems."""
+    region, given its searched tops.
+
+    A top whose supporter was not placed (every top of an unsat region,
+    or of a supporter CoT skipped) is dropped: its calls are counted in
+    ``trace.discarded_calls`` and discarded from the oracle, and its
+    error is ignored.  Then ``trace`` gets what a serial run records
+    after the floor search, in supporter order: each kept top's trace,
+    or a note for a supporter left unplaced.  The first kept top that
+    raised raises its error.
+    """
+    placed = set() if result.unsat else {p.spec_id for p in result.placements}
+    for sup_id, top in tops.items():
+        if sup_id not in placed:
+            trace.discarded_calls += top.trace.oracle_calls
+            oracle.discard(top.prefix)
     if result.unsat:
         return {}
-    placed = {p.spec_id: p for p in result.placements}
-
-    def solve_supporter(sup_id: str, sup_trace: SearchTrace) -> list[PlacedObject]:
+    supported: dict[str, list[PlacedObject]] = {}
+    for sup_id in sorted(region.supported):
         if sup_id not in placed:
-            sup_trace.record(0, sup_id, 0, EventKind.REJECTED,
-                             "supporter unplaced, supported set dropped", scope=region.id)
-            return []
-        return place_supported(
-            placed[sup_id], region.spec(sup_id), region.supported[sup_id],
-            config, oracle, sup_trace,
-        )
-
-    sup_ids = sorted(region.supported)
-    jobs = [partial(solve_supporter, sup_id) for sup_id in sup_ids]
-    supported = run_subproblems(oracle, jobs, trace)
-    return {s: locals_ for s, locals_ in zip(sup_ids, supported) if locals_}
+            trace.record(0, sup_id, 0, EventKind.REJECTED,
+                         "supporter unplaced, supported set dropped", scope=region.id)
+            continue
+        top = tops[sup_id]
+        if top.error is not None:
+            raise top.error
+        _merge(trace, [top.trace])
+        if top.placements:
+            supported[sup_id] = top.placements
+    return supported
 
 
 def _ask_supported(oracle: PlacementOracle, catalog: AssetCatalog, spec: ObjectSpec,
@@ -167,21 +216,31 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
     has numbered its supported objects.  Then its floor search starts,
     together with the ``SupportedQuery`` chains of its supporters; once
     the replies are back it numbers the supported objects and passes the
-    turn on, and once the floor search is done too it searches the
-    supporters' tops.  When ``oracle.io_bound`` is set, each region and
-    each floor search runs on a thread of its own, and so does each
-    supporter's ``SupportedQuery`` chain and top search
-    (:func:`run_subproblems`); otherwise the same steps run inline,
-    region after region.
+    turn on.
+
+    When ``oracle.io_bound`` is set, each region and each floor search
+    runs on a thread of its own, and so does each supporter's
+    ``SupportedQuery`` chain and top search (:func:`run_subproblems`).
+    A top reads only its supporter's spec, so the region's thread then
+    searches every supporter's top while the floor search runs, and
+    keeps only the tops of the supporters the floor search placed.  A
+    dropped top (every top of an unsat region, or of a supporter CoT
+    skipped) has its calls discarded from the oracle
+    (:meth:`PlacementOracle.discard`) and counted in
+    ``trace.discarded_calls``, and its error ignored.  Otherwise the
+    same steps run inline, region after region, and the tops of the
+    placed supporters are searched once the floor search is done.
 
     Nothing written depends on when a call ran: region *i* asks on the
-    :class:`CallPath` ``hier + (i,)`` and searches on ``search + (i,)``,
-    and records into one trace per phase, merged as every hierarchy
-    trace in region order, then every search trace.  Every thread is
-    joined before this returns or raises.  The first hierarchy error in
-    region order is raised, then
-    :class:`~treelayout.hierarchy.InvalidPlan`, then the first search
-    error: the error a serial run raises first.
+    :class:`CallPath` ``hier + (i,)``, searches its floor on ``search +
+    (i, 0)`` and its tops on ``search + (i, 1)``, and records into one
+    trace per phase and one per top, merged as every hierarchy trace in
+    region order, then every search trace, each followed by its region's
+    kept tops in supporter order.  Every thread is joined before this
+    returns or raises.  The first hierarchy error in region order is
+    raised, then :class:`~treelayout.hierarchy.InvalidPlan`, then the
+    first search error (a region's floor-search error before its kept
+    tops' errors): the error a serial run raises first.
     """
     n = len(frame.regions)
     threaded = oracle.io_bound
@@ -199,7 +258,6 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
         a search error is raised."""
         region_id, function, length = frame.regions[i]
         hier_trace, search_trace = hier_traces[i], search_traces[i]
-        search_path = CallPath(search + (i,))
         floor_search: _Task | None = None
         try:
             proposals = ask_floor_objects(region_id, function, length, frame.width,
@@ -214,7 +272,7 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
             floor_search = _Task(
                 partial(plan_region, floor, config, oracle, search_trace,
                         region_wall_sides(frame, i)),
-                threaded, search_path,
+                threaded, CallPath(search + (i, 0)),
             )
             jobs = [partial(_ask_supported, oracle, catalog, spec) for spec in supporters(floor)]
             plans[i] = add_supported(floor, run_subproblems(oracle, jobs, hier_trace), ids,
@@ -225,11 +283,21 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
             numbered[i].set()
         if floor_search is None:
             return None
+        region = plans[i]
+        CALL_PATH.set(CallPath(search + (i, 1)))
+        tops: dict[str, _Top] = {}
+        if region is not None and threaded:
+            # a top reads only its supporter's spec: search every top
+            # while the floor search runs, and drop the unused ones after
+            tops = _search_tops(region, sorted(region.supported), config, oracle, True)
         result = floor_search.result()
-        if plans[i] is None:
+        if region is None:
             return None
-        CALL_PATH.set(search_path)
-        return result, _solve_tops(plans[i], result, config, oracle, search_trace)
+        if not threaded and not result.unsat:
+            placed = {p.spec_id for p in result.placements}
+            tops = _search_tops(region, [s for s in sorted(region.supported) if s in placed],
+                                config, oracle, False)
+        return result, _keep_tops(region, result, tops, oracle, search_trace)
 
     tasks = [_Task(partial(solve_region, i), threaded, CallPath(hier + (i,))) for i in range(n)]
     for task in tasks:

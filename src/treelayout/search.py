@@ -507,7 +507,6 @@ def _solve_from(state: GlobalState, i: int) -> bool:
 
 
 def place_supported(
-    supporter: PlacedObject,
     supporter_spec: ObjectSpec,
     sub: SupportedSet,
     config: SearchConfig,
@@ -520,11 +519,14 @@ def place_supported(
     bottom-left at yaw 0) with z already set to the supporter height.
     An Unsat sub-problem drops the supported objects with a trace note
     and never fails the parent search.
+
+    Only the supporter's spec (its id and dims) is read, never its pose,
+    so the top can be searched before or while its supporter is placed.
     """
     if not sub.objects:
         return []
     mini = RegionPlan(
-        id=f"top:{supporter.spec_id}",
+        id=f"top:{supporter_spec.id}",
         function="top surface",
         length=supporter_spec.dims.length,
         width=supporter_spec.dims.depth,
@@ -536,7 +538,7 @@ def place_supported(
     result = plan_region(mini, config, oracle, trace=trace, scope=mini.id,
                          cell_size=config.cell_size / 5.0)
     if result.unsat:
-        trace.record(0, supporter.spec_id, 0, EventKind.REJECTED,
+        trace.record(0, supporter_spec.id, 0, EventKind.REJECTED,
                      "supported set dropped (unsat)", scope=mini.id)
         return []
     for dropped in result.unplaced:
@@ -544,7 +546,7 @@ def place_supported(
     return [
         PlacedObject(
             p.spec_id, p.x, p.y, supporter_spec.dims.height, p.yaw,
-            Parent.supporter(supporter.spec_id),
+            Parent.supporter(supporter_spec.id),
         )
         for p in result.placements
     ]

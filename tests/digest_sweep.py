@@ -22,13 +22,15 @@ cell size.  ``--cell-size`` sweeps another grid: 0.15 gives wider rows
 and, a fifth of that, 0.03 m cells on supporter tops.  ``--overlap``
 puts the det oracle behind :class:`OverlappedOracle`, so the pipeline
 overlaps its subproblems on threads; the digest must equal the inline
-one.  ``--each`` also prints one digest per generation, to find the
+one, and the sweep's total of discarded speculative calls (tops searched
+for supporters that ended unplaced) is printed next to it.  ``--each`` also prints one digest per generation, to find the
 inputs whose bytes differ.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import hashlib
 import json
 import tempfile
@@ -38,7 +40,7 @@ from pathlib import Path
 
 from treelayout import render, sceneio
 from treelayout.catalog import AssetCatalog
-from treelayout.model import SearchConfig, SearchMode
+from treelayout.model import SearchConfig, SearchMode, SearchTrace
 from treelayout.oracle.base import PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.queries import OracleQuery, OracleReply
@@ -71,31 +73,35 @@ class OverlappedOracle(PlacementOracle):
 
 def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
                      catalog: AssetCatalog, out: Path,
-                     cell_size: float = SearchConfig.cell_size, overlap: bool = False) -> bytes:
-    """Everything one generation writes, as one byte string."""
+                     cell_size: float = SearchConfig.cell_size,
+                     overlap: bool = False) -> tuple[bytes, SearchTrace | None]:
+    """Everything one generation writes, as one byte string, and the
+    run's trace (None when it raised)."""
     config = SearchConfig(seed=seed, mode=mode, p_adv=p_adv, cell_size=cell_size)
     oracle: PlacementOracle = DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog)
     recording = RecordingOracle(OverlappedOracle(oracle) if overlap else oracle)
     try:
         scene = generate_scene(prompt, config, recording, catalog)
     except Exception as exc:  # part of the behaviour under test
-        return f"raised {type(exc).__name__}: {exc}".encode("utf-8")
+        return f"raised {type(exc).__name__}: {exc}".encode("utf-8"), None
     sceneio.write_scene(scene, out / "scene.json")
     sceneio.write_trace(scene.trace, out / "trace.jsonl")
     (out / "scene.svg").write_text(render.render_scene(scene), "utf-8")
     parts = [(out / name).read_bytes() for name in OUTPUT_FILES]
     parts.append(json.dumps(recording.transcript.records).encode("utf-8"))
     parts.append(str(scene.trace.oracle_calls).encode("ascii"))
-    return b"".join(len(p).to_bytes(8, "big") + p for p in parts)
+    return b"".join(len(p).to_bytes(8, "big") + p for p in parts), scene.trace
 
 
 def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                  cell_size: float = SearchConfig.cell_size, each=None,
-                 overlap: bool = False) -> tuple[str, int]:
+                 overlap: bool = False, calls: collections.Counter | None = None
+                 ) -> tuple[str, int]:
     """(hex digest, generation count) over every prompt x seed x mode x
     ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
     generation's own digest.  ``overlap`` runs the det oracle behind
-    :class:`OverlappedOracle`."""
+    :class:`OverlappedOracle`.  ``calls``, when given, sums the oracle
+    calls of the generations under ``kept`` and ``discarded``."""
     catalog = AssetCatalog.default()
     total = hashlib.sha256()
     count = 0
@@ -105,8 +111,11 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
             for seed in seeds:
                 for mode in modes:
                     for p_adv in p_advs:
-                        data = generation_bytes(prompt, seed, SearchMode(mode), p_adv, catalog, out,
-                                                cell_size, overlap)
+                        data, trace = generation_bytes(prompt, seed, SearchMode(mode), p_adv,
+                                                       catalog, out, cell_size, overlap)
+                        if calls is not None and trace is not None:
+                            calls["kept"] += trace.oracle_calls
+                            calls["discarded"] += trace.discarded_calls
                         digest = hashlib.sha256(data).digest()
                         total.update(digest)
                         count += 1
@@ -129,9 +138,13 @@ def main() -> None:
     args = parser.parse_args()
 
     each = print if args.each else None
+    calls: collections.Counter = collections.Counter()
     digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
-                                 args.p_adv, args.cell_size, each, args.overlap)
-    print(f"{digest}  {count} generations")
+                                 args.p_adv, args.cell_size, each, args.overlap, calls)
+    line = f"{digest}  {count} generations"
+    if args.overlap:
+        line += f"  discarded_calls={calls['discarded']} (kept {calls['kept']})"
+    print(line)
 
 
 if __name__ == "__main__":

@@ -1117,6 +1117,46 @@ class TestConcurrency:
         assert rec.query(q).text == "room_type: bedroom"
         assert len(rec.transcript.records) == 1
 
+    def test_discard_removes_only_its_prefix_while_others_record(self):
+        # The dropped group (1, 5) sits between kept keys that share its
+        # first element, one of them nested deeper; four threads keep
+        # recording under (2, j) while the group is discarded.
+        rec = RecordingOracle(SlowOracle(delay_s=0.0))
+
+        def ask(prefix, texts):
+            ctx = contextvars.copy_context()
+            ctx.run(CALL_PATH.set, CallPath(prefix))
+            return [ctx.run(rec.query, RoomQuery(t)).text for t in texts]
+
+        def calls(name, n):
+            return [f"{name} call {k}" for k in range(n)]
+
+        ask((1, 4), calls("before", 3))
+        ask((1, 5), calls("dropped", 5))
+        ask((1, 5, 0, 2), calls("dropped nested", 2))
+        ask((1, 6), calls("after", 3))
+        writers = {j: calls(f"writer {j}", 40) for j in range(4)}
+        threads = [threading.Thread(target=ask, args=((2, j), writers[j])) for j in writers]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            rec.discard((1, 5))
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        kept = calls("before", 3) + calls("after", 3) + [c for j in range(4) for c in writers[j]]
+        assert [fp for fp, _ in rec.transcript.records] == [RoomQuery(t).fp for t in kept]
+        # a dropped fingerprint may be recorded again, in its key's place
+        ask((1, 5), calls("dropped", 1))
+        fps = [fp for fp, _ in rec.transcript.records]
+        assert fps[3] == RoomQuery("dropped call 0").fp and len(fps) == len(kept) + 1
+        with pytest.raises(ValueError, match="duplicate query fingerprint"):
+            ask((3,), calls("after", 1))
+
 
 class TestAdversarialReplay:
     def test_record_replay_full_adversarial_run(self):

@@ -12,7 +12,7 @@ from click.testing import CliRunner
 from treelayout import cli
 from treelayout.catalog import AssetCatalog
 from treelayout.hierarchy import build_room_plan, supporters
-from treelayout.model import RoomPlan, SearchConfig, SearchMode, SearchTrace
+from treelayout.model import EventKind, RoomPlan, SearchConfig, SearchMode, SearchTrace
 from treelayout.oracle.base import OracleFailure, OracleSession, PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.queries import ObjectsQuery, OracleReply, SupportedQuery
@@ -75,6 +75,18 @@ def multi_region_cases() -> tuple[tuple[str, int], ...]:
             flat.append((prompt, seed))
     assert nested
     return tuple((nested + flat)[:4])
+
+
+def top_case() -> tuple[str, int, RoomPlan, str]:
+    """The first shipped (prompt, seed, plan, supporter id) whose first
+    region has at least two supporters with supported objects; the
+    supporter is one of them that is not the region's anchor."""
+    for prompt, seed, plan in shipped_plans():
+        region = plan.regions[0]
+        tops = [s for s in sorted(region.supported) if region.supported[s].objects]
+        if len(tops) >= 2:
+            return prompt, seed, plan, next(s for s in tops if s != region.anchor_id)
+    raise AssertionError("no shipped case has two tops in its first region")
 
 
 def first_case(regions: int) -> tuple[str, int, RoomPlan]:
@@ -151,10 +163,15 @@ def test_failing_region_raises_in_plan_order_and_joins_threads():
     assert threading.active_count() == threads_before
 
 
+def scope_of(q) -> str | None:
+    """A spatial query's region or top scope; None for other queries."""
+    return getattr(getattr(q, "context", None), "scope", None)
+
+
 def label(q) -> str:
     """A call's kind: the query class, or for spatial queries the search
     it belongs to."""
-    scope = getattr(getattr(q, "context", None), "scope", None)
+    scope = scope_of(q)
     if scope is None:
         return type(q).__name__
     return "top search" if scope.startswith("top:") else "floor search"
@@ -215,18 +232,22 @@ def run_joined(fn, timeout=60.0):
     return box.get("result"), box.get("error")
 
 
-def assert_inline_bytes(prompt, seed, oracle, tmp_path):
-    """A tree run over ``oracle`` writes the bytes of the inline det run."""
-    det = DeterministicOracle(seed=seed, p_adv=P_ADV)
-    scene, trace_bytes, transcript = recorded_run(prompt, seed, SearchMode.TREE, det, tmp_path)
-    result, error = run_joined(
-        lambda: recorded_run(prompt, seed, SearchMode.TREE, oracle, tmp_path))
+def assert_inline_bytes(prompt, seed, oracle, tmp_path, mode=SearchMode.TREE):
+    """A run over the tracking ``oracle`` writes the bytes and makes the
+    oracle calls of the inline run over the same replies; returns the
+    overlapped run's scene."""
+    inline = TrackingOracle(oracle.inner, delay=lambda q: 0, reply=oracle.reply)
+    inline.io_bound = False
+    scene, trace_bytes, transcript = recorded_run(prompt, seed, mode, inline, tmp_path)
+    result, error = run_joined(lambda: recorded_run(prompt, seed, mode, oracle, tmp_path))
     assert error is None
     o_scene, o_trace, o_transcript = result
     assert scene_to_text(o_scene) == scene_to_text(scene)
     assert o_trace == trace_bytes
     assert o_transcript.records == transcript.records
-    assert o_scene.trace.oracle_calls == scene.trace.oracle_calls
+    assert o_scene.trace.oracle_calls == scene.trace.oracle_calls == len(transcript.records)
+    assert scene.trace.discarded_calls == 0
+    return o_scene
 
 
 @pytest.mark.parametrize("case", range(4))
@@ -261,6 +282,90 @@ def test_later_region_objects_reply_first_keeps_ids(tmp_path):
     assert_inline_bytes(prompt, seed, oracle, tmp_path)
     answered = [q.region_id for q in oracle.finished if isinstance(q, ObjectsQuery)]
     assert answered == [second, first]
+
+
+# -- supporter tops searched while the floor search runs --
+
+
+def test_top_search_overlaps_the_floor_search(tmp_path):
+    prompt, seed, _, _ = top_case()
+    oracle = TrackingOracle(
+        DeterministicOracle(seed=seed, p_adv=P_ADV),
+        delay=lambda q: 0.01 if label(q) == "floor search" else 0.001,
+    )
+    scene = assert_inline_bytes(prompt, seed, oracle, tmp_path)
+    assert frozenset({"top search", "floor search"}) in oracle.overlaps
+    assert scene.trace.discarded_calls == 0  # every supporter was placed
+
+
+def test_unsat_tree_region_drops_its_searched_tops(tmp_path):
+    prompt, seed, plan, _ = top_case()
+    region = plan.regions[0]
+
+    def unusable(q):  # no floor object of the first region gets a usable reply
+        return "nothing" if scope_of(q) == region.id else None
+
+    oracle = TrackingOracle(DeterministicOracle(seed=seed, p_adv=P_ADV), reply=unusable)
+    scene = assert_inline_bytes(prompt, seed, oracle, tmp_path)
+    assert region.id in scene.unsat_regions
+    assert "top search" in oracle.asked
+    assert scene.trace.discarded_calls == oracle.asked.count("top search") > 0
+    assert not any(e.scope.startswith("top:") for e in scene.trace.events)
+
+
+def skipped_supporter_oracle(seed, supporter, top_reply=lambda q: None):
+    """Unusable replies for one floor object, so CoT skips it; ``top_reply``
+    answers (or raises on) the queries of the other searches' tops."""
+    def reply(q):
+        context = getattr(q, "context", None)
+        if scope_of(q) == f"top:{supporter}":
+            return top_reply(q)
+        if context is not None and context.object_id == supporter:
+            return "nothing"
+        return None
+
+    return TrackingOracle(DeterministicOracle(seed=seed, p_adv=P_ADV), reply=reply)
+
+
+def test_supporter_skipped_by_cot_drops_its_searched_top(tmp_path):
+    prompt, seed, _, supporter = top_case()
+    oracle = skipped_supporter_oracle(seed, supporter)
+    scene = assert_inline_bytes(prompt, seed, oracle, tmp_path, SearchMode.COT)
+    assert supporter not in {p.spec_id for p in scene.placements}
+    assert any(e.object_id == supporter and e.kind is EventKind.REJECTED
+               and e.note == "supporter unplaced, supported set dropped"
+               for e in scene.trace.events)
+    asked = [scope_of(q) for q in oracle.finished]
+    dropped = asked.count(f"top:{supporter}")
+    assert scene.trace.discarded_calls == dropped > 0
+    # the other supporters' tops are kept
+    assert any(s.startswith("top:") and s != f"top:{supporter}"
+               for s in filter(None, asked))
+    assert any(e.scope.startswith("top:") for e in scene.trace.events)
+
+
+def test_generate_reports_discarded_calls(tmp_path, monkeypatch):
+    prompt, seed, _, supporter = top_case()
+    oracle = skipped_supporter_oracle(seed, supporter)
+    monkeypatch.setattr(cli, "_build_oracle", lambda *args: oracle)
+    result, error = run_joined(lambda: CliRunner().invoke(cli.main, [
+        "generate", "--seed", str(seed), "--p-adv", str(P_ADV), "--mode", "cot",
+        "--prompt", prompt, "--out-dir", str(tmp_path / "o")]))
+    assert error is None
+    dropped = sum(scope_of(q) == f"top:{supporter}" for q in oracle.finished)
+    assert f" discarded_calls={dropped}\n" in result.output
+    assert result.output.startswith("wrote ")
+
+
+def test_oracle_failure_of_a_dropped_top_does_not_fail_the_run(tmp_path):
+    prompt, seed, _, supporter = top_case()
+
+    def failing(q):
+        raise OracleFailure("transport down")
+
+    oracle = skipped_supporter_oracle(seed, supporter, failing)
+    scene = assert_inline_bytes(prompt, seed, oracle, tmp_path, SearchMode.COT)
+    assert scene.trace.discarded_calls == 1  # the top's first call raised
 
 
 # -- failure paths: no hang, every thread joined, the serial run's error --
@@ -335,3 +440,26 @@ def test_hierarchy_error_of_region_2_wins_over_search_error_of_region_1():
                                                  oracle))
     assert isinstance(error, OracleFailure)
     assert "floor search" in oracle.asked  # region 1's search failed first in time
+
+
+def test_floor_search_error_wins_over_top_error_of_the_same_region():
+    prompt, seed, plan, _ = top_case()
+    region = plan.regions[0]
+
+    def reply(q):
+        if scope_of(q) == region.id:
+            raise RegionFailure(region.id)
+        if label(q) == "top search":
+            raise RegionFailure("top")
+        return None
+
+    oracle = TrackingOracle(
+        DeterministicOracle(seed=seed, p_adv=P_ADV),
+        delay=lambda q: 0.05 if scope_of(q) == region.id else 0.001, reply=reply,
+    )
+    _, error = run_joined(lambda: generate_scene(prompt, SearchConfig(seed=seed, p_adv=P_ADV),
+                                                 oracle))
+    assert isinstance(error, RegionFailure) and error.args == (region.id,)
+    # the tops failed first in time
+    first_failed = next(q for q in oracle.finished if label(q) != type(q).__name__)
+    assert label(first_failed) == "top search"

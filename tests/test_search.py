@@ -369,19 +369,17 @@ class TestBoundedCompleteness:
 
 class TestPlaceSupported:
     def supporter(self):
-        spec = ObjectSpec("desk_1", "desk", Dim3(1.2, 0.6, 0.75), supportable=True)
-        placed = PlacedObject("desk_1", 2.0, 1.0, 0.0, Yaw.DEG_90, Parent.floor("r1"))
-        return spec, placed
+        return ObjectSpec("desk_1", "desk", Dim3(1.2, 0.6, 0.75), supportable=True)
 
     def test_lamp_on_supporter(self):
-        spec, placed = self.supporter()
+        spec = self.supporter()
         sub = SupportedSet(
             objects=(ObjectSpec("lamp_1", "desk_lamp", Dim3(0.15, 0.15, 0.4)),),
             edges=(),
         )
         config = SearchConfig(seed=0, **REFERENCE_CONFIG)
         trace = SearchTrace()
-        out = place_supported(placed, spec, sub, config, DeterministicOracle(seed=0), trace)
+        out = place_supported(spec, sub, config, DeterministicOracle(seed=0), trace)
         assert len(out) == 1
         lamp = out[0]
         assert lamp.z == spec.dims.height
@@ -391,7 +389,7 @@ class TestPlaceSupported:
         assert 0 <= lamp.y <= spec.dims.depth
 
     def test_two_objects_contained_and_disjoint(self):
-        spec, placed = self.supporter()
+        spec = self.supporter()
         sub = SupportedSet(
             objects=(
                 ObjectSpec("monitor_1", "monitor", Dim3(0.5, 0.2, 0.4)),
@@ -400,7 +398,7 @@ class TestPlaceSupported:
             edges=(Edge("lamp_1", SpatialRelation.PLACE_AROUND, None),),
         )
         config = SearchConfig(seed=0, **REFERENCE_CONFIG)
-        out = place_supported(placed, spec, sub, config, DeterministicOracle(seed=0),
+        out = place_supported(spec, sub, config, DeterministicOracle(seed=0),
                               SearchTrace())
         assert len(out) == 2
         boxes = {}
@@ -414,7 +412,7 @@ class TestPlaceSupported:
         assert not a.overlaps(b)
 
     def test_unsat_drops_all_with_note(self):
-        spec, placed = self.supporter()
+        spec = self.supporter()
         # object as large as the face cannot be centered without overflow
         sub = SupportedSet(
             objects=(
@@ -425,14 +423,14 @@ class TestPlaceSupported:
         )
         config = SearchConfig(seed=0, **REFERENCE_CONFIG)
         trace = SearchTrace()
-        out = place_supported(placed, spec, sub, config, DeterministicOracle(seed=0), trace)
+        out = place_supported(spec, sub, config, DeterministicOracle(seed=0), trace)
         assert out == []
         assert any("supported set dropped" in e.detail for e in trace.events)
 
     def test_mini_grid_dims(self):
         from treelayout.grid import grid_dims
 
-        spec, _ = self.supporter()
+        spec = self.supporter()
         cols, rows = grid_dims(units(spec.dims.length), units(spec.dims.depth), units(0.25) // 5)
         assert (cols, rows) == (24, 12)
 
