@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import contextvars
 import threading
-from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
 from functools import partial
-from typing import TypeVar
 
 from treelayout.catalog import AssetCatalog
 from treelayout.compose import attach_supported, compose
+from treelayout.dataflow import Speculation, Task, merge, run_subproblems, speculate
 from treelayout.grid import Side
 from treelayout.hierarchy import (
     IdAllocator,
@@ -39,8 +36,6 @@ from treelayout.model import (
 from treelayout.oracle.base import CALL_PATH, CallPath, OracleSession, PlacementOracle
 from treelayout.search import RegionResult, place_supported, plan_region, run_io_mode
 
-T = TypeVar("T")
-
 
 def region_wall_sides(plan: RoomPlan | RoomFrame, index: int) -> frozenset[Side]:
     """Which sides of a region are room walls: top/bottom always, left only
@@ -53,137 +48,23 @@ def region_wall_sides(plan: RoomPlan | RoomFrame, index: int) -> frozenset[Side]
     return frozenset(sides)
 
 
-class _Task:
-    """``fn()`` run in a copy of the current context, on ``path`` if one is
-    given: on a thread of its own when ``threaded``, else at once in the
-    calling thread.  :meth:`result` joins the thread, then returns what
-    ``fn`` returned or raises what it raised."""
-
-    def __init__(self, fn: Callable[[], T], threaded: bool, path: CallPath | None = None):
-        self._value: T | None = None
-        self._error: BaseException | None = None
-        self._thread: threading.Thread | None = None
-        run = partial(contextvars.copy_context().run, self._run, fn, path)
-        if threaded:
-            self._thread = threading.Thread(target=run)
-            self._thread.start()
-        else:
-            run()
-
-    def _run(self, fn: Callable[[], T], path: CallPath | None) -> None:
-        if path is not None:
-            CALL_PATH.set(path)
-        try:
-            self._value = fn()
-        except BaseException as exc:  # raised again by result()
-            self._error = exc
-
-    def join(self) -> None:
-        if self._thread is not None:
-            self._thread.join()
-
-    def result(self) -> T:
-        self.join()
-        if self._error is not None:
-            raise self._error
-        return self._value
-
-
-def _merge(trace: SearchTrace, subs: Sequence[SearchTrace]) -> None:
-    for sub in subs:
-        trace.events.extend(sub.events)
-        trace.oracle_calls += sub.oracle_calls
-        trace.discarded_calls += sub.discarded_calls
-
-
-def run_subproblems(
-    oracle: PlacementOracle,
-    jobs: Sequence[Callable[[SearchTrace], T]],
-    trace: SearchTrace,
-) -> list[T]:
-    """Run independent subproblems and return their results in list order.
-
-    Each job takes the trace it must record into.  When there are at
-    least two jobs and ``oracle.io_bound`` is set, the jobs overlap, each
-    on a thread of its own while the calling thread waits.  A group is
-    the supporters of one region, either their ``SupportedQuery`` chains
-    or their tops, so it holds at most
-    :data:`~treelayout.hierarchy.MAX_REGION_OBJECTS` jobs.  Each job then
-    has its own :class:`SearchTrace`, appended to ``trace`` in list
-    order, and its own :class:`CallPath`, so the trace and a recorded
-    transcript are those of the serial run.  Otherwise the jobs run
-    inline, one after another.
-
-    Every thread is joined before this returns; the first failing job in
-    list order raises its exception.
-    """
-    if len(jobs) < 2 or not oracle.io_bound:
-        return [job(trace) for job in jobs]
-    group = CALL_PATH.get().next_key()
-    traces = [SearchTrace() for _ in jobs]
-    tasks = [_Task(partial(job, sub), True, CallPath(group + (j,)))
-             for j, (job, sub) in enumerate(zip(jobs, traces))]
-    for task in tasks:
-        task.join()
-    results = [task.result() for task in tasks]
-    _merge(trace, traces)
-    return results
-
-
-@dataclass
-class _Top:
-    """One supporter's top search: the trace it recorded into, the
-    :class:`CallPath` prefix of its oracle calls, and its placements, or
-    the error it raised if it ran speculatively."""
-
-    trace: SearchTrace
-    prefix: tuple[int, ...]
-    placements: list[PlacedObject] = field(default_factory=list)
-    error: Exception | None = None
-
-
-def _search_tops(region: RegionPlan, sup_ids: Sequence[str], config: SearchConfig,
-                 oracle: PlacementOracle, speculative: bool) -> dict[str, _Top]:
-    """Search the tops of these supporters of the region as independent
-    subproblems (:func:`run_subproblems`) on the current call path.  A
-    speculative top keeps its error, to be raised only if the top is
-    kept (:func:`_keep_tops`); otherwise the first error is raised at
-    once, as in a serial run."""
-
-    def search(sup_id: str, _: SearchTrace) -> _Top:
-        # a trace of its own, so that each top can be kept or dropped alone
-        top = _Top(SearchTrace(), CALL_PATH.get().prefix)
-        try:
-            top.placements = place_supported(region.spec(sup_id), region.supported[sup_id],
-                                             config, oracle, top.trace)
-        except Exception as exc:
-            if not speculative:
-                raise
-            top.error = exc
-        return top
-
-    jobs = [partial(search, sup_id) for sup_id in sup_ids]
-    return dict(zip(sup_ids, run_subproblems(oracle, jobs, SearchTrace())))
-
-
-def _keep_tops(region: RegionPlan, result: RegionResult, tops: dict[str, _Top],
-               oracle: PlacementOracle, trace: SearchTrace) -> dict[str, list[PlacedObject]]:
+def _keep_tops(region: RegionPlan, result: RegionResult, tops: dict[str, Speculation],
+               config: SearchConfig, oracle: PlacementOracle,
+               trace: SearchTrace) -> dict[str, list[PlacedObject]]:
     """The supported objects placed on each placed supporter of a searched
-    region, given its searched tops.
+    region, given the tops searched ahead (none on the inline path).
 
-    A top whose supporter was not placed (every top of an unsat region,
-    or of a supporter CoT skipped) is dropped: its calls are counted in
-    ``trace.discarded_calls`` and discarded from the oracle, and its
-    error is ignored.  Then ``trace`` gets what a serial run records
-    after the floor search, in supporter order: each kept top's trace,
-    or a note for a supporter left unplaced.  The first kept top that
-    raised raises its error.
+    A top searched ahead whose supporter was not placed (every top of an
+    unsat region, or of a supporter CoT skipped) is dropped.  Then
+    ``trace`` gets what a serial run records after the floor search, in
+    supporter order: each placed supporter's top, committed if it was
+    searched ahead and else searched now, or a note for a supporter left
+    unplaced.  The first top that raised raises its error.
     """
     placed = set() if result.unsat else {p.spec_id for p in result.placements}
     for sup_id, top in tops.items():
         if sup_id not in placed:
-            trace.discarded_calls += top.trace.oracle_calls
-            oracle.discard(top.prefix)
+            top.drop(trace)
     if result.unsat:
         return {}
     supported: dict[str, list[PlacedObject]] = {}
@@ -192,12 +73,13 @@ def _keep_tops(region: RegionPlan, result: RegionResult, tops: dict[str, _Top],
             trace.record(0, sup_id, 0, EventKind.REJECTED,
                          "supporter unplaced, supported set dropped", scope=region.id)
             continue
-        top = tops[sup_id]
-        if top.error is not None:
-            raise top.error
-        _merge(trace, [top.trace])
-        if top.placements:
-            supported[sup_id] = top.placements
+        if sup_id in tops:
+            placements = tops[sup_id].commit(trace)
+        else:
+            placements = place_supported(region.spec(sup_id), region.supported[sup_id], config,
+                                         oracle, trace)
+        if placements:
+            supported[sup_id] = placements
     return supported
 
 
@@ -220,12 +102,13 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
 
     When ``oracle.io_bound`` is set, each region and each floor search
     runs on a thread of its own, and so does each supporter's
-    ``SupportedQuery`` chain and top search (:func:`run_subproblems`).
-    A top reads only its supporter's spec, so the region's thread then
-    searches every supporter's top while the floor search runs, and
-    keeps only the tops of the supporters the floor search placed.  A
-    dropped top (every top of an unsat region, or of a supporter CoT
-    skipped) has its calls discarded from the oracle
+    ``SupportedQuery`` chain (:func:`~treelayout.dataflow.run_subproblems`)
+    and top search.  A top reads only its supporter's spec, so the
+    region's thread then searches every supporter's top as a
+    speculation (:func:`~treelayout.dataflow.speculate`) while the floor
+    search runs, and commits only the tops of the supporters the floor
+    search placed.  A dropped top (every top of an unsat region, or of a
+    supporter CoT skipped) has its calls discarded from the oracle
     (:meth:`PlacementOracle.discard`) and counted in
     ``trace.discarded_calls``, and its error ignored.  Otherwise the
     same steps run inline, region after region, and the tops of the
@@ -258,7 +141,7 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
         a search error is raised."""
         region_id, function, length = frame.regions[i]
         hier_trace, search_trace = hier_traces[i], search_traces[i]
-        floor_search: _Task | None = None
+        floor_search: Task[RegionResult] | None = None
         try:
             proposals = ask_floor_objects(region_id, function, length, frame.width,
                                           frame.room_type, frame.prompt,
@@ -269,7 +152,7 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
                     return None
             floor = number_floor_objects(region_id, function, length, frame.width, proposals,
                                          ids, hier_trace)
-            floor_search = _Task(
+            floor_search = Task(
                 partial(plan_region, floor, config, oracle, search_trace,
                         region_wall_sides(frame, i)),
                 threaded, CallPath(search + (i, 0)),
@@ -284,22 +167,25 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
         if floor_search is None:
             return None
         region = plans[i]
-        CALL_PATH.set(CallPath(search + (i, 1)))
-        tops: dict[str, _Top] = {}
+        path = CallPath(search + (i, 1))
+        CALL_PATH.set(path)
+        tops: dict[str, Speculation[list[PlacedObject]]] = {}
         if region is not None and threaded:
             # a top reads only its supporter's spec: search every top
             # while the floor search runs, and drop the unused ones after
-            tops = _search_tops(region, sorted(region.supported), config, oracle, True)
-        result = floor_search.result()
+            tops = {sup_id: speculate(partial(place_supported, region.spec(sup_id), sub, config,
+                                              oracle), path.next_key(), oracle)
+                    for sup_id, sub in sorted(region.supported.items()) if sub.objects}
+        try:
+            result = floor_search.result()
+        finally:
+            for top in tops.values():
+                top.join()
         if region is None:
             return None
-        if not threaded and not result.unsat:
-            placed = {p.spec_id for p in result.placements}
-            tops = _search_tops(region, [s for s in sorted(region.supported) if s in placed],
-                                config, oracle, False)
-        return result, _keep_tops(region, result, tops, oracle, search_trace)
+        return result, _keep_tops(region, result, tops, config, oracle, search_trace)
 
-    tasks = [_Task(partial(solve_region, i), threaded, CallPath(hier + (i,))) for i in range(n)]
+    tasks = [Task(partial(solve_region, i), threaded, CallPath(hier + (i,))) for i in range(n)]
     for task in tasks:
         task.join()
     for exc in hier_errors:
@@ -307,7 +193,7 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
             raise exc
     plan = assemble_plan(frame, plans)
     solutions = [task.result() for task in tasks]
-    _merge(trace, hier_traces + search_traces)
+    merge(trace, hier_traces + search_traces)
     region_solutions: dict[str, list[PlacedObject]] = {}
     unsat: list[str] = []
     supported_map: dict[str, list[PlacedObject]] = {}
