@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 from treelayout.grid import (
@@ -64,8 +64,9 @@ from treelayout.model import (
     q4,
     units,
 )
+from treelayout.dataflow import Speculation, speculate
 from treelayout.evaluate import validity_metrics
-from treelayout.oracle.base import OracleSession, PlacementOracle
+from treelayout.oracle.base import CALL_PATH, CallPath, OracleSession, PlacementOracle
 from treelayout.oracle.policy import object_spans, pose_from_starts
 from treelayout.oracle.queries import (
     CellsQuery,
@@ -97,7 +98,9 @@ class LocalThought:
 
 @dataclass
 class GlobalState:
-    """Mutable search state for one region; ``cell_size`` is its grid's cell."""
+    """Mutable search state for one region; ``cell_size`` is its grid's
+    cell, and ``io_bound`` the oracle's flag (False for an oracle that
+    does not set one)."""
 
     region: RegionPlan
     order: list[ObjectSpec]
@@ -106,6 +109,7 @@ class GlobalState:
     scope: str
     wall_sides: frozenset[Side]
     cell_size: float
+    io_bound: bool = False
     placed: list[PlacedObject] = field(default_factory=list)
     placed_boxes: list[AABB] = field(default_factory=list)
     unplaced: list[str] = field(default_factory=list)
@@ -200,27 +204,73 @@ def _ask_sides(state: GlobalState, ctx: SpatialContext, grid_text: str, budget: 
             yield attempt, side, raw
 
 
-def _ask_runs(state: GlobalState, ctx: SpatialContext, side: Side, axis: str, cells: list[int],
-              count: int, round_no: int, notes: list[str], primary_run: tuple[int, ...] = (),
-              avoid: tuple[int, ...] = ()) -> Iterator[list[int]]:
-    """Run step: ask for ``count`` contiguous ``axis`` indices among
-    ``cells`` up to the axis budget and yield each novel run; unusable
-    and repeated replies go to ``notes``."""
+def _ask_eval(state: GlobalState, q: SideEvalQuery,
+              first: CellsQuery | None) -> tuple[bool, Speculation[str] | None]:
+    """Side-eval step: whether the reply to ``q`` says yes.
+
+    ``first`` is the side's first run question, or None when the side
+    has no candidate cells.  It does not depend on the eval's reply, so
+    with an I/O-bound oracle it is asked at the same time, on a thread,
+    as a speculation on the call key a serial run asks it on.  The
+    speculation is returned for a "yes", for :func:`_ask_runs` to
+    commit; otherwise, also when the eval raises, it is dropped.
+    """
+    if first is None or not state.io_bound:
+        return _parse_yes(state.session.ask(q)), None
+    path = CALL_PATH.get()
+    eval_key, first_key = path.next_key(), path.next_key()
+    oracle, trace = state.session.oracle, state.session.trace
+    ahead = speculate(lambda sub: OracleSession(oracle, sub).ask(first), first_key, oracle)
+    token = CALL_PATH.set(CallPath(eval_key))
+    try:
+        yes = _parse_yes(state.session.ask(q))
+    except BaseException:
+        ahead.drop(trace)
+        raise
+    finally:
+        CALL_PATH.reset(token)
+    if yes:
+        return True, ahead
+    ahead.drop(trace)
+    return False, None
+
+
+def _cells_query(state: GlobalState, ctx: SpatialContext, side: Side, axis: str,
+                 cells: list[int], count: int, round_no: int, primary_run: tuple[int, ...] = (),
+                 avoid: tuple[int, ...] = ()) -> CellsQuery:
+    """The run step's first question: ``count`` contiguous ``axis``
+    indices among ``cells``."""
     emap, grid_text = _named_grid(state, ctx.grid, cells)
+    return CellsQuery(
+        grid_prompt=grid_text, context=ctx, emap=emap, expected_count=count, axis=axis,
+        side=side, primary_run=primary_run, avoid=avoid, attempt=1, round_no=round_no,
+    )
+
+
+def _ask_runs(state: GlobalState, first: CellsQuery, notes: list[str],
+              ahead: Speculation[str] | None = None) -> Iterator[list[int]]:
+    """Run step: ask ``first``, then ask it again with the next attempt
+    number and the runs seen avoided, up to the axis budget, and yield
+    each novel run; unusable and repeated replies go to ``notes``.
+    ``ahead``, when given, is ``first`` already asked (:func:`_ask_eval`):
+    it is committed instead of asking again."""
+    tag = f"{first.side.value}/{first.axis}"
     tried: list[int] = []
     for attempt in range(1, state.config.k_local_axis + 1):
-        raw = state.session.ask(CellsQuery(
-            grid_prompt=grid_text, context=ctx, emap=emap, expected_count=count, axis=axis,
-            side=side, primary_run=primary_run, avoid=tuple(tried) + avoid,
-            attempt=attempt, round_no=round_no,
-        ))
+        if attempt == 1:
+            raw = ahead.commit(state.session.trace) if ahead else state.session.ask(first)
+        else:
+            raw = state.session.ask(replace(first, avoid=tuple(tried) + first.avoid,
+                                            attempt=attempt))
         try:
-            run = contiguous_axis_run(ctx.grid, parse_emoji_selection(raw, emap, count), axis)
+            run = contiguous_axis_run(first.context.grid,
+                                      parse_emoji_selection(raw, first.emap, first.expected_count),
+                                      first.axis)
         except SelectionError as exc:
-            notes.append(f"{side.value}/{axis}: {type(exc).__name__}")
+            notes.append(f"{tag}: {type(exc).__name__}")
             continue
         if run[0] in tried:
-            notes.append(f"{side.value}/{axis}: repeat run {run[0]}")
+            notes.append(f"{tag}: repeat run {run[0]}")
             continue
         tried.append(run[0])
         yield run
@@ -249,29 +299,31 @@ def local_place(
         if side is None:
             notes.append(f"side reply unusable: {raw[:40]!r}")
             continue
-        eval_raw = state.session.ask(SideEvalQuery(
-            grid_prompt=grid_text, context=ctx, side=side, attempt=side_attempt, round_no=round_no,
-        ))
-        if not _parse_yes(eval_raw):
-            notes.append(f"{side.value}: eval no")
-            continue
         cand = ctx.candidates[side]
-        if not cand:
-            notes.append(f"{side.value}: no candidate cells")
-            continue
         m_cols, m_rows = object_spans(ctx, side)
         if side.horizontal:
             axes, spans, axis_of = ("cols", "rows"), (m_cols, m_rows), grid.col_of
         else:
             axes, spans, axis_of = ("rows", "cols"), (m_rows, m_cols), grid.row_of
-        for run_p in _ask_runs(state, ctx, side, axes[0], cand, spans[0], round_no, notes):
+        first = _cells_query(state, ctx, side, axes[0], cand, spans[0], round_no) if cand else None
+        yes, ahead = _ask_eval(state, SideEvalQuery(
+            grid_prompt=grid_text, context=ctx, side=side, attempt=side_attempt, round_no=round_no,
+        ), first)
+        if not yes:
+            notes.append(f"{side.value}: eval no")
+            continue
+        if first is None:
+            notes.append(f"{side.value}: no candidate cells")
+            continue
+        for run_p in _ask_runs(state, first, notes, ahead):
             p_start = run_p[0]
             sub_cells = [c for c in cand if axis_of(c) in run_p]
             pose_avoid = tuple(
                 sorted(s for (sd, p, s) in excluded if sd == side.value and p == p_start)
             )
-            for run_s in _ask_runs(state, ctx, side, axes[1], sub_cells, spans[1], round_no,
-                                   notes, primary_run=(p_start,), avoid=pose_avoid):
+            second = _cells_query(state, ctx, side, axes[1], sub_cells, spans[1], round_no,
+                                  primary_run=(p_start,), avoid=pose_avoid)
+            for run_s in _ask_runs(state, second, notes):
                 s_start = run_s[0]
                 col_start, row_start = (p_start, s_start) if side.horizontal else (s_start, p_start)
                 pose = pose_from_starts(ctx, side, col_start, row_start)
@@ -441,6 +493,7 @@ def plan_region(
         scope=scope if scope is not None else region.id,
         wall_sides=wall_sides,
         cell_size=cell_size if cell_size is not None else config.cell_size,
+        io_bound=getattr(oracle, "io_bound", False),
     )
     anchor_spec = state.order[0]
     used: dict[AnchorKey, tuple[float, float, Yaw]] = {}
