@@ -143,12 +143,6 @@ class AABB(NamedTuple):
             and self.y0 < other.y1 and other.y0 < self.y1
         )
 
-    def gap_to(self, other: "AABB") -> float:
-        """Edge-to-edge distance in units; 0 when the rectangles touch or overlap."""
-        dx = max(other.x0 - self.x1, self.x0 - other.x1, 0)
-        dy = max(other.y0 - self.y1, self.y0 - other.y1, 0)
-        return math.hypot(dx, dy)
-
 
 def extents(dims: Dim3, yaw: Yaw) -> tuple[float, float]:
     """Footprint extents (along x, along y) in meters: (length, depth) at
@@ -438,9 +432,11 @@ class SearchTrace:
 
     ``oracle_calls`` counts the calls whose replies the run used.
     ``discarded_calls`` counts the calls of speculative searches whose
-    result went unused (a supporter's top searched while the floor
-    search ran, for a supporter that ended unplaced); it is left out of
-    :meth:`summary`, so the written scene is that of the serial run.
+    result went unused: a supporter's top searched while the floor
+    search ran, for a supporter that ended unplaced, and a first run
+    question asked while its side-eval was in flight, for an eval that
+    said no or failed.  It is left out of :meth:`summary`, so the
+    written scene is that of the serial run.
     """
 
     def __init__(self) -> None:

@@ -287,7 +287,9 @@ def local_place(
 ) -> tuple[LocalThought | None, str]:
     """Three-step local search; returns a complete validated thought or
     (None, failure summary).  Every completed pose candidate is logged as
-    a Proposed event under the caller's global attempt."""
+    a Proposed event under the caller's global attempt.  With an
+    I/O-bound oracle the first run question is asked while the side-eval
+    is in flight (:func:`_ask_eval`)."""
     cfg = state.config
     trace = state.session.trace
     grid = rasterize(state.region, state.placed, state.cell_size)

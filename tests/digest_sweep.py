@@ -15,6 +15,7 @@ Run from the repository root (pytest does not collect this file)::
     PYTHONPATH=src python tests/digest_sweep.py --prompts 10 --seeds 0 --each
     PYTHONPATH=src python tests/digest_sweep.py --cell-size 0.15
     PYTHONPATH=src python tests/digest_sweep.py --overlap
+    PYTHONPATH=src python tests/digest_sweep.py --faults 0.25 --modes tree cot --overlap
 
 The defaults are the full check: 100 prompts x seeds 0-1 x tree/cot/io x
 ``p_adv`` 0/0.35/1.0, 1,800 generations, at ``SearchConfig``'s default
@@ -23,8 +24,12 @@ and, a fifth of that, 0.03 m cells on supporter tops.  ``--overlap``
 puts the det oracle behind :class:`OverlappedOracle`, so the pipeline
 overlaps its subproblems on threads; the digest must equal the inline
 one, and the sweep's total of discarded speculative calls (tops searched
-for supporters that ended unplaced) is printed next to it.  ``--each`` also prints one digest per generation, to find the
-inputs whose bytes differ.
+for supporters that ended unplaced, and run questions asked with a
+side-eval that said no) is printed next to it.  ``--faults Q`` puts
+:class:`FaultyOracle` between the det oracle and the rest, so a share
+``Q`` of the local-step replies are faults: it reaches the rejection
+paths the det oracle never takes.  ``--each`` also prints one digest
+per generation, to find the inputs whose bytes differ.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ import argparse
 import collections
 import hashlib
 import json
+import random
 import tempfile
 import time
 from importlib import resources
@@ -40,10 +46,18 @@ from pathlib import Path
 
 from treelayout import render, sceneio
 from treelayout.catalog import AssetCatalog
-from treelayout.model import SearchConfig, SearchMode, SearchTrace
+from treelayout.grid import Side
+from treelayout.model import Scene, SearchConfig, SearchMode
 from treelayout.oracle.base import PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
-from treelayout.oracle.queries import OracleQuery, OracleReply
+from treelayout.oracle.queries import (
+    CellsQuery,
+    FullLayoutQuery,
+    OracleQuery,
+    OracleReply,
+    SideEvalQuery,
+    SideQuery,
+)
 from treelayout.oracle.transcript import RecordingOracle
 from treelayout.pipeline import generate_scene
 
@@ -71,37 +85,73 @@ class OverlappedOracle(PlacementOracle):
         return self.inner.query(q)
 
 
+class FaultyOracle(PlacementOracle):
+    """Passes queries to the wrapped oracle, except that a share ``rate``
+    of the hierarchy and local-step queries get a fault instead: a
+    hierarchy query gets its reply cut short, maybe to nothing; a
+    side-eval says "no"; a side query gets a random side or text that
+    names none or two; and a cells query gets 1-4 names drawn from the
+    query's own emoji map.  Which queries fail, and how, is drawn from
+    the query fingerprint, so a run replays."""
+
+    io_bound = False
+    SIDE_FAULTS = tuple(side.value for side in Side) + ("somewhere else", "left or right", "")
+
+    def __init__(self, inner: PlacementOracle, rate: float):
+        self.inner = inner
+        self.rate = rate
+
+    def query(self, q: OracleQuery) -> OracleReply:
+        rng = random.Random(q.fp)
+        if isinstance(q, FullLayoutQuery) or rng.random() >= self.rate:
+            return self.inner.query(q)
+        if not isinstance(q, (SideQuery, SideEvalQuery, CellsQuery)):
+            text = self.inner.query(q).text
+            return OracleReply(text[:rng.randrange(len(text) + 1)])
+        if isinstance(q, SideEvalQuery):
+            return OracleReply("no")
+        if isinstance(q, SideQuery):
+            return OracleReply(rng.choice(self.SIDE_FAULTS))
+        names = list(q.emap.entries.values())
+        return OracleReply(" ".join(rng.sample(names, min(len(names), rng.randint(1, 4)))))
+
+
 def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
                      catalog: AssetCatalog, out: Path,
                      cell_size: float = SearchConfig.cell_size,
-                     overlap: bool = False) -> tuple[bytes, SearchTrace | None]:
+                     overlap: bool = False, faults: float = 0.0
+                     ) -> tuple[bytes, Scene | Exception]:
     """Everything one generation writes, as one byte string, and the
-    run's trace (None when it raised)."""
+    run's scene, or the exception it raised.  ``faults`` is the
+    :class:`FaultyOracle` rate, 0 for none."""
     config = SearchConfig(seed=seed, mode=mode, p_adv=p_adv, cell_size=cell_size)
     oracle: PlacementOracle = DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog)
+    if faults:
+        oracle = FaultyOracle(oracle, faults)
     recording = RecordingOracle(OverlappedOracle(oracle) if overlap else oracle)
     try:
         scene = generate_scene(prompt, config, recording, catalog)
     except Exception as exc:  # part of the behaviour under test
-        return f"raised {type(exc).__name__}: {exc}".encode("utf-8"), None
+        return f"raised {type(exc).__name__}: {exc}".encode("utf-8"), exc
     sceneio.write_scene(scene, out / "scene.json")
     sceneio.write_trace(scene.trace, out / "trace.jsonl")
     (out / "scene.svg").write_text(render.render_scene(scene), "utf-8")
     parts = [(out / name).read_bytes() for name in OUTPUT_FILES]
     parts.append(json.dumps(recording.transcript.records).encode("utf-8"))
     parts.append(str(scene.trace.oracle_calls).encode("ascii"))
-    return b"".join(len(p).to_bytes(8, "big") + p for p in parts), scene.trace
+    return b"".join(len(p).to_bytes(8, "big") + p for p in parts), scene
 
 
 def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                  cell_size: float = SearchConfig.cell_size, each=None,
-                 overlap: bool = False, calls: collections.Counter | None = None
-                 ) -> tuple[str, int]:
+                 overlap: bool = False, calls: collections.Counter | None = None,
+                 faults: float = 0.0) -> tuple[str, int]:
     """(hex digest, generation count) over every prompt x seed x mode x
     ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
     generation's own digest.  ``overlap`` runs the det oracle behind
-    :class:`OverlappedOracle`.  ``calls``, when given, sums the oracle
-    calls of the generations under ``kept`` and ``discarded``."""
+    :class:`OverlappedOracle`, ``faults`` behind a :class:`FaultyOracle`
+    of that rate.  ``calls``, when given, sums the oracle calls of the
+    generations under ``kept`` and ``discarded``."""
     catalog = AssetCatalog.default()
     total = hashlib.sha256()
     count = 0
@@ -111,11 +161,11 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
             for seed in seeds:
                 for mode in modes:
                     for p_adv in p_advs:
-                        data, trace = generation_bytes(prompt, seed, SearchMode(mode), p_adv,
-                                                       catalog, out, cell_size, overlap)
-                        if calls is not None and trace is not None:
-                            calls["kept"] += trace.oracle_calls
-                            calls["discarded"] += trace.discarded_calls
+                        data, outcome = generation_bytes(prompt, seed, SearchMode(mode), p_adv,
+                                                         catalog, out, cell_size, overlap, faults)
+                        if calls is not None and isinstance(outcome, Scene):
+                            calls["kept"] += outcome.trace.oracle_calls
+                            calls["discarded"] += outcome.trace.discarded_calls
                         digest = hashlib.sha256(data).digest()
                         total.update(digest)
                         count += 1
@@ -134,13 +184,16 @@ def main() -> None:
                         help="grid cell size in metres (default %(default)s)")
     parser.add_argument("--overlap", action="store_true",
                         help="overlap subproblems on threads behind a fingerprint-derived sleep")
+    parser.add_argument("--faults", type=float, default=0.0, metavar="Q",
+                        help="share of local-step replies replaced by faults (default 0)")
     parser.add_argument("--each", action="store_true", help="print one digest per generation")
     args = parser.parse_args()
 
     each = print if args.each else None
     calls: collections.Counter = collections.Counter()
     digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
-                                 args.p_adv, args.cell_size, each, args.overlap, calls)
+                                 args.p_adv, args.cell_size, each, args.overlap, calls,
+                                 args.faults)
     line = f"{digest}  {count} generations"
     if args.overlap:
         line += f"  discarded_calls={calls['discarded']} (kept {calls['kept']})"

@@ -97,14 +97,6 @@ class TestAabb:
         a = AABB(0, 0, 1, 1)
         b = AABB(1, 0, 2, 1)
         assert not a.overlaps(b)
-        assert a.gap_to(b) == 0.0
-
-    def test_gap(self):
-        a = AABB(0, 0, 1, 1)
-        b = AABB(2, 0, 3, 1)
-        assert a.gap_to(b) == pytest.approx(1.0)
-        c = AABB(2, 2, 3, 3)
-        assert a.gap_to(c) == pytest.approx(math.sqrt(2))
 
 
 class TestValidateRoomPlan:

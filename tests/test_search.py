@@ -1,6 +1,8 @@
 """Tree search: soundness, budgets, backtracking, and oracle equivalence."""
 
 import random
+import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -27,6 +29,7 @@ from treelayout.model import (
     Yaw,
     units,
 )
+from treelayout.oracle.base import OracleFailure
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.transcript import RecordingOracle
 from treelayout.search import (
@@ -776,3 +779,137 @@ class TestOneScanPerGrid:
                     config = SearchConfig(seed=seed, mode=mode, p_adv=0.35)
                     generate_scene(prompt, config, DeterministicOracle(seed=seed, p_adv=0.35))
         assert 0 < calls["free_cells_on_side"] <= calls["rasterize_codes"]
+
+
+class ByQueryOracle:
+    """The det oracle, I/O-bound or not, with the replies of chosen queries
+    replaced: ``script(q)`` returns the reply text (or raises) for a
+    query it picks by content, and None for the det reply.  Answering by
+    content, not by order, gives a run that also asks a speculative
+    question the replies of the serial run.  Keeps ``(event, query)``
+    pairs, ``event`` being "ask" or "done", in the order they happened;
+    ``delay(q)`` is the seconds each call waits."""
+
+    def __init__(self, script, io_bound, delay=lambda q: 0.0):
+        self.inner = DeterministicOracle(seed=0)
+        self.script = script
+        self.io_bound = io_bound
+        self.delay = delay
+        self.log = []
+        self._lock = threading.Lock()
+
+    def query(self, q):
+        from treelayout.oracle.queries import OracleReply
+
+        with self._lock:
+            self.log.append(("ask", q))
+        try:
+            time.sleep(self.delay(q))
+            text = self.script(q)
+            return OracleReply(text) if text is not None else self.inner.query(q)
+        finally:
+            with self._lock:
+                self.log.append(("done", q))
+
+    def asked(self, kind):
+        return [q for event, q in self.log if event == "ask" and isinstance(q, kind)]
+
+
+class TestSideEvalOverlap:
+    """With an I/O-bound oracle the first primary run question is asked
+    while the side-eval is in flight, and dropped unless the eval says
+    yes: the recorded run is then the inline one."""
+
+    REGION = make_region(
+        "r1", 4.0, 3.0, ("sofa", 2.0, 0.9, "place_along_wall"),
+        [("coffee_table", 1.0, 0.6, "place_front", "face_anchor")],
+    )
+
+    @staticmethod
+    def first_eval(q):
+        """The coffee table's first side-eval with the sofa on the bottom
+        wall (the first anchor pose; the search backtracks to the top
+        wall when it fails)."""
+        from treelayout.oracle.queries import SideEvalQuery
+
+        return (isinstance(q, SideEvalQuery) and q.context.object_id == "coffee_table_1"
+                and q.context.anchor.yaw is Yaw.DEG_0 and (q.round_no, q.attempt) == (1, 1))
+
+    @staticmethod
+    def first_run(q):
+        """The primary run question that follows :meth:`first_eval`."""
+        from treelayout.oracle.queries import CellsQuery
+
+        return (isinstance(q, CellsQuery) and q.context.object_id == "coffee_table_1"
+                and q.context.anchor.yaw is Yaw.DEG_0
+                and (q.round_no, q.attempt, q.primary_run) == (1, 1, ()))
+
+    def run(self, script, io_bound, delay=lambda q: 0.0):
+        """(result, error, transcript records, oracle) of one search."""
+        oracle = ByQueryOracle(script, io_bound, delay)
+        recording = RecordingOracle(oracle)
+        result = error = None
+        try:
+            result = plan_region(self.REGION, SearchConfig(seed=0, **REFERENCE_CONFIG), recording)
+        except Exception as exc:
+            error = exc
+        return result, error, recording.transcript.records, oracle
+
+    def script(self, fails=lambda q: False, eval_no=False):
+        """Det replies, except that the queries ``fails`` picks raise, and
+        the coffee table's first side-eval says no if ``eval_no``."""
+        def script(q):
+            if fails(q):
+                raise OracleFailure(f"lost {type(q).__name__}")
+            return "no" if eval_no and self.first_eval(q) else None
+
+        return script
+
+    @staticmethod
+    def done_index(oracle, pick):
+        return next(i for i, q in enumerate(q for event, q in oracle.log if event == "done")
+                    if pick(q))
+
+    def test_eval_yes_uses_the_reply_asked_ahead(self):
+        inline, _, records, inline_oracle = self.run(self.script(), False)
+        # the eval answers last, so the run question was in flight with it
+        over, error, o_records, oracle = self.run(
+            self.script(), True, delay=lambda q: 0.02 if self.first_eval(q) else 0.0)
+        assert error is None and not inline.unsat
+        assert self.done_index(oracle, self.first_run) < self.done_index(oracle, self.first_eval)
+        assert o_records == records
+        assert over.trace.events == inline.trace.events
+        assert over.trace.oracle_calls == inline.trace.oracle_calls == len(records)
+        assert over.trace.discarded_calls == 0
+        assert len(oracle.log) == len(inline_oracle.log)  # nothing was asked twice
+
+    @pytest.mark.parametrize("run_fails", [False, True], ids=["run-ok", "run-raises"])
+    def test_eval_no_drops_the_run_question_asked_ahead(self, run_fails):
+        from treelayout.oracle.queries import CellsQuery
+
+        script = self.script(self.first_run if run_fails else lambda q: False, eval_no=True)
+        inline, _, records, inline_oracle = self.run(script, False)
+        over, error, o_records, oracle = self.run(script, True)
+        assert error is None and not inline.unsat
+        assert any(": eval no" in e.note for e in inline.trace.events)
+        assert not any(self.first_run(q) for q in inline_oracle.asked(CellsQuery))
+        dropped = [q for q in oracle.asked(CellsQuery) if self.first_run(q)]
+        assert len(dropped) == 1
+        assert dropped[0].fp not in {fp for fp, _ in o_records}
+        assert o_records == records
+        assert over.trace.events == inline.trace.events
+        assert over.trace.oracle_calls == inline.trace.oracle_calls == len(records)
+        assert (inline.trace.discarded_calls, over.trace.discarded_calls) == (0, 1)
+
+    @pytest.mark.parametrize("fails", ["eval", "run"])
+    def test_error_is_the_serial_runs_error(self, fails):
+        script = self.script(self.first_eval if fails == "eval" else self.first_run)
+        _, inline_error, records, _ = self.run(script, False)
+        # the eval answers last, so the run question asked ahead is
+        # recorded before the eval fails, and must then be discarded
+        _, error, o_records, oracle = self.run(
+            script, True, delay=lambda q: 0.02 if self.first_eval(q) else 0.0)
+        assert isinstance(inline_error, OracleFailure)
+        assert type(error) is type(inline_error) and str(error) == str(inline_error)
+        assert self.done_index(oracle, self.first_run) < self.done_index(oracle, self.first_eval)
+        assert o_records == records
