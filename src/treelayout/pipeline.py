@@ -48,9 +48,9 @@ def region_wall_sides(plan: RoomPlan | RoomFrame, index: int) -> frozenset[Side]
     return frozenset(sides)
 
 
-def _keep_tops(region: RegionPlan, result: RegionResult, tops: dict[str, Speculation],
-               config: SearchConfig, oracle: PlacementOracle,
-               trace: SearchTrace) -> dict[str, list[PlacedObject]]:
+def _keep_tops(region: RegionPlan, result: RegionResult,
+               tops: dict[str, Speculation[list[PlacedObject]]], config: SearchConfig,
+               oracle: PlacementOracle, trace: SearchTrace) -> dict[str, list[PlacedObject]]:
     """The supported objects placed on each placed supporter of a searched
     region, given the tops searched ahead (none on the inline path).
 

@@ -5,14 +5,14 @@ side-evals never say no and its run replies always parse.  Behind
 ``digest_sweep.FaultyOracle`` a quarter of the replies are faults, so
 the slice reaches every rejection path, the speculative run questions
 that an eval "no" drops among them.  It must still write the inline
-bytes when its calls overlap, place nothing illegally, and fail only
-with the engine's typed errors.
+bytes when its calls overlap, place nothing illegally, fail only with
+the engine's typed errors, and replay from its transcript.
 """
 
 import tempfile
 from pathlib import Path
 
-from digest_sweep import generation_bytes, load_prompts
+from digest_sweep import FaultyOracle, generation_bytes, load_prompts
 from treelayout.catalog import AssetCatalog
 from treelayout.compose import CompositionOverlap
 from treelayout.evaluate import validity_metrics
@@ -20,6 +20,10 @@ from treelayout.grid import VocabularyExhausted
 from treelayout.hierarchy import InvalidPlan
 from treelayout.model import Scene, SearchConfig, SearchMode
 from treelayout.oracle.base import OracleFailure
+from treelayout.oracle.deterministic import DeterministicOracle
+from treelayout.oracle.transcript import RecordingOracle, ReplayOracle
+from treelayout.pipeline import generate_scene
+from treelayout.sceneio import scene_to_text
 
 FAULTS = 0.25
 TYPED_ERRORS = (OracleFailure, VocabularyExhausted, InvalidPlan, CompositionOverlap)
@@ -56,3 +60,18 @@ def test_faulted_slice_overlapped_writes_inline_bytes_and_stays_sound():
     # dropped what they had asked ahead
     assert eval_no > 0
     assert discarded > 0
+
+
+def test_faulted_runs_replay_from_their_transcripts():
+    for prompt in load_prompts()[:5]:
+        for mode in (SearchMode.TREE, SearchMode.COT):
+            config = SearchConfig(seed=0, mode=mode, p_adv=0.35)
+            recording = RecordingOracle(FaultyOracle(DeterministicOracle(seed=0, p_adv=0.35),
+                                                     FAULTS))
+            try:
+                scene = generate_scene(prompt, config, recording)
+            except TYPED_ERRORS:
+                continue
+            replayed = generate_scene(prompt, config, ReplayOracle(recording.transcript))
+            assert scene_to_text(replayed) == scene_to_text(scene)
+            assert replayed.trace.events == scene.trace.events

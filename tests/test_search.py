@@ -905,8 +905,8 @@ class TestSideEvalOverlap:
     def test_error_is_the_serial_runs_error(self, fails):
         script = self.script(self.first_eval if fails == "eval" else self.first_run)
         _, inline_error, records, _ = self.run(script, False)
-        # the eval answers last, so the run question asked ahead is
-        # recorded before the eval fails, and must then be discarded
+        # the eval answers last, so the run question asked ahead has
+        # finished (and been recorded, unless it failed) when the eval fails
         _, error, o_records, oracle = self.run(
             script, True, delay=lambda q: 0.02 if self.first_eval(q) else 0.0)
         assert isinstance(inline_error, OracleFailure)
