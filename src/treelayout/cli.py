@@ -131,10 +131,13 @@ def _exit_if_incomplete(scene: Scene, config: SearchConfig, message: str | None 
         sys.exit(EXIT_UNSAT)
 
 
-common_options = [
+run_options = [
     click.option("--seed", type=int, default=0, show_default=True),
     click.option("--mode", default="tree", show_default=True,
                  help="Reasoning mode: io, cot, or tree."),
+]
+
+search_options = [
     click.option("--cell-size", type=float, default=0.25, show_default=True),
     click.option("--k-anchor", type=int, default=3, show_default=True),
     click.option("--k-other", type=int, default=1, show_default=True),
@@ -187,7 +190,7 @@ def main() -> None:
               help="Replay source (with --oracle replay) or recording target otherwise.")
 @click.option("--live-config", default=None, help="JSON config for the live oracle.")
 @click.option("--out-dir", default="out", show_default=True)
-@_with_options(common_options)
+@_with_options(run_options + search_options)
 def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
              seed, mode, cell_size, k_anchor, k_other, k_side, k_axis, p_adv,
              catalog_path) -> None:
@@ -220,10 +223,9 @@ def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
               help="Comma-separated seed list.")
 @click.option("--modes", default="io,cot,tree", show_default=True)
 @click.option("--out-dir", default="out", show_default=True)
-@_with_options(common_options)
+@_with_options(search_options)
 def ablate(prompts_file, seeds, modes, out_dir,
-           seed, mode, cell_size, k_anchor, k_other, k_side, k_axis, p_adv,
-           catalog_path) -> None:
+           cell_size, k_anchor, k_other, k_side, k_axis, p_adv, catalog_path) -> None:
     """Run every (prompt, seed, mode) cell and emit the comparison table."""
     try:
         prompts = [
@@ -317,7 +319,7 @@ def render(scene_file, step, trace_file, out_file) -> None:
 @click.option("--prompt", default=None)
 @click.option("--prompt-file", default=None)
 @click.option("--out-dir", default="out", show_default=True)
-@_with_options(common_options)
+@_with_options(run_options + search_options)
 def replay(transcript_file, prompt, prompt_file, out_dir,
            seed, mode, cell_size, k_anchor, k_other, k_side, k_axis, p_adv,
            catalog_path) -> None:

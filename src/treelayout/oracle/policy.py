@@ -11,9 +11,10 @@ Scoring is defined in brute-force-checkable terms:
   Runs are ranked by the distance of their center to the anchor along
   their axis, ties toward the lower start index.
 
-"Legal" is ``SpatialContext.legal`` (in bounds, relation satisfied,
-overlap-free): the same check the search applies to every completed
-pose, so the policy names only positions the engine accepts.
+"Legal" means ``SpatialContext.rejection`` gives None (in bounds,
+overlap-free, relation satisfied): the same check the search applies
+to every completed pose, so the policy names only positions the engine
+accepts.
 
 All three questions read one table per context, held as per-row integer
 bitmasks (bit ``c`` of row ``r`` stands for column ``c``):
@@ -31,16 +32,16 @@ bitmasks (bit ``c`` of row ``r`` stands for column ``c``):
   swaps are tested and ``final_yaw`` is asked only where they disagree.
   The primary-run and secondary-run questions read its bits.
 
-The masks are exact, not an approximation of ``legal``: every term of
-the check (region bounds, centre offset and edge gap to the anchor,
+The masks are exact, not an approximation of ``rejection``: every term
+of the check (region bounds, centre offset and edge gap to the anchor,
 whether the box meets each placed box on x and on y) depends on a box's
 x span alone or its y span alone.  ``SpatialContext.legal_rows``
 computes each term once per column and once per row and forms only the
 per-cell combine (``along``/``perp``, squared gaps).  Every term is an
-integer test in length units, so every bit equals ``legal`` at that
-pose.  This is the configuration-space view of legality (Lozano-Pérez,
-IEEE Trans. Computers C-32, 1983), evaluated on the grid's own lattice
-of centres.
+integer test in length units, so every bit says whether ``rejection``
+gives None at that pose.  This is the configuration-space view of
+legality (Lozano-Pérez, IEEE Trans. Computers C-32, 1983), evaluated on
+the grid's own lattice of centres.
 
 Tables are cached by the context *value*: ``SpatialContext`` is a frozen,
 hashable dataclass that carries everything the policy reads (see its

@@ -67,7 +67,7 @@ class SpatialContext:
     without parsing its own prompt.
 
     The context also owns the engine's final check of a candidate pose,
-    :meth:`legal`, whose block form :meth:`legal_rows` the det policy
+    :meth:`rejection`, whose block form :meth:`legal_rows` the det policy
     asks, so the oracle names only positions the engine accepts; boxes
     are in units, so every check is exact.  ``candidates``, the check's
     invariants and the canonical text are derived from the fields on
@@ -97,8 +97,8 @@ class SpatialContext:
 
     @cached_property
     def _limits(self) -> tuple[int, int, tuple]:
-        """Invariants of :meth:`legal` in units: the region's far x and far
-        y bounds, and the anchor arguments of ``relation_rows``."""
+        """Invariants of :meth:`rejection` in units: the region's far x and
+        far y bounds, and the anchor arguments of ``relation_rows``."""
         anchor_args = (
             self.anchor.aabb(self.anchor_dims), units(self.anchor.x), units(self.anchor.y),
             self.anchor.yaw.facing, units(self.d_front), units(self.d_beside), units(self.d_around),
@@ -116,27 +116,24 @@ class SpatialContext:
         return relation_rows(self.relation, xspans, yspans, want, *self._limits[2])
 
     def legal_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
-        """Block form of :meth:`legal`: per row ``r``, the bits ``c`` of
-        ``want[r]`` for which the box ``xspans[c] x yspans[r]`` is legal.
+        """Block form of :meth:`rejection`: per row ``r``, the bits ``c``
+        of ``want[r]`` for which the box ``xspans[c] x yspans[r]`` is
+        legal.
 
         Every term of the check depends on a box's x span alone or its y
         span alone, so the terms are computed per column and per row and
-        combined per cell, with the exact tests of :meth:`legal`.
+        combined per cell, with the exact tests of :meth:`rejection`.
         """
         rows = self._inside_rows(xspans, yspans, want)
         hit = kernels.overlap_rows(xspans, yspans, self.placed_boxes)
         return self._related_rows(xspans, yspans, [m & ~h for m, h in zip(rows, hit)])
 
-    def legal(self, x0: int, y0: int, x1: int, y1: int) -> bool:
-        """The object's box ``(x0, y0, x1, y1)`` lies in the region,
-        satisfies the relation to the anchor (if any) and overlaps no
-        placed box."""
-        return self.rejection(x0, y0, x1, y1) is None
-
     def rejection(self, x0: int, y0: int, x1: int, y1: int) -> str | None:
-        """Why :meth:`legal` refuses the box, or None when it is legal:
+        """None when the object's box ``(x0, y0, x1, y1)`` is legal: it
+        lies in the region, overlaps no placed box and satisfies the
+        relation to the anchor (if any).  Else the first test it fails:
         ``"bounds"`` before ``"overlap"`` before ``"relation"``.  Each
-        check is the one-box case of a term of :meth:`legal_rows`."""
+        test is the one-box case of a term of :meth:`legal_rows`."""
         xs, ys = ((x0, x1),), ((y0, y1),)
         if not self._inside_rows(xs, ys, (1,))[0]:
             return "bounds"

@@ -7,7 +7,7 @@ from functools import partial
 
 from treelayout.catalog import AssetCatalog
 from treelayout.compose import attach_supported, compose
-from treelayout.dataflow import Speculation, Task, merge, run_subproblems, speculate
+from treelayout.dataflow import Speculation, Task, merge, run_subproblems
 from treelayout.grid import Side
 from treelayout.hierarchy import (
     IdAllocator,
@@ -49,37 +49,29 @@ def region_wall_sides(plan: RoomPlan | RoomFrame, index: int) -> frozenset[Side]
 
 
 def _keep_tops(region: RegionPlan, result: RegionResult,
-               tops: dict[str, Speculation[list[PlacedObject]]], config: SearchConfig,
-               oracle: PlacementOracle, trace: SearchTrace) -> dict[str, list[PlacedObject]]:
+               tops: dict[str, Speculation[list[PlacedObject]]],
+               trace: SearchTrace) -> dict[str, list[PlacedObject]]:
     """The supported objects placed on each placed supporter of a searched
-    region, given the tops searched ahead (none on the inline path).
+    region, given every supporter's top in supporter order.
 
-    A top searched ahead whose supporter was not placed (every top of an
-    unsat region, or of a supporter CoT skipped) is dropped.  Then
-    ``trace`` gets what a serial run records after the floor search, in
-    supporter order: each placed supporter's top, committed if it was
-    searched ahead and else searched now, or a note for a supporter left
-    unplaced.  The first top that raised raises its error.
+    ``trace`` gets what a serial run records after the floor search: the
+    top of each placed supporter is committed, and the first that raised
+    raises its error.  The top of a supporter that was not placed (every
+    top of an unsat region, or of a supporter CoT skipped) is dropped, and
+    outside an unsat region the trace notes it.
     """
-    placed = set() if result.unsat else {p.spec_id for p in result.placements}
-    for sup_id, top in tops.items():
-        if sup_id not in placed:
-            top.drop(trace)
-    if result.unsat:
-        return {}
+    placed = {p.spec_id for p in result.placements}
     supported: dict[str, list[PlacedObject]] = {}
-    for sup_id in sorted(region.supported):
-        if sup_id not in placed:
+    for sup_id, top in tops.items():
+        if sup_id in placed:
+            placements = top.commit(trace)
+            if placements:
+                supported[sup_id] = placements
+            continue
+        top.drop(trace)
+        if not result.unsat:
             trace.record(0, sup_id, 0, EventKind.REJECTED,
                          "supporter unplaced, supported set dropped", scope=region.id)
-            continue
-        if sup_id in tops:
-            placements = tops[sup_id].commit(trace)
-        else:
-            placements = place_supported(region.spec(sup_id), region.supported[sup_id], config,
-                                         oracle, trace)
-        if placements:
-            supported[sup_id] = placements
     return supported
 
 
@@ -100,19 +92,21 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
     the replies are back it numbers the supported objects and passes the
     turn on.
 
-    When ``oracle.io_bound`` is set, each region and each floor search
-    runs on a thread of its own, and so does each supporter's
-    ``SupportedQuery`` chain (:func:`~treelayout.dataflow.run_subproblems`)
-    and top search.  A top reads only its supporter's spec, so the
-    region's thread then searches every supporter's top as a
-    speculation (:func:`~treelayout.dataflow.speculate`) while the floor
-    search runs, and commits only the tops of the supporters the floor
-    search placed.  A dropped top (every top of an unsat region, or of a
-    supporter CoT skipped) has its calls discarded from the oracle
-    (:meth:`PlacementOracle.discard`) and counted in
-    ``trace.discarded_calls``, and its error ignored.  Otherwise the
-    same steps run inline, region after region, and the tops of the
-    placed supporters are searched once the floor search is done.
+    The floor search, each supporter's ``SupportedQuery`` chain
+    (:func:`~treelayout.dataflow.run_subproblems`) and each supporter's
+    top search are :class:`~treelayout.dataflow.Speculation` objects.  A
+    top reads only its supporter's spec, so it is made as soon as the
+    region is built, and committed only for a supporter the floor search
+    placed; the others (every top of an unsat region, or of a supporter
+    CoT skipped) are dropped, as is the floor search of a region whose
+    hierarchy failed.  When ``oracle.io_bound`` is set, each region runs
+    on a thread of its own, and so does each speculation, so the tops are
+    searched while the floor search runs; a dropped speculation has its
+    calls discarded from the oracle (:meth:`PlacementOracle.discard`) and
+    counted in ``trace.discarded_calls``, and its error ignored.
+    Otherwise the same code runs inline, region after region: each
+    speculation runs when it is committed, the floor search and then the
+    placed supporters' tops, and a dropped one never runs.
 
     Nothing written depends on when a call ran: region *i* asks on the
     :class:`CallPath` ``hier + (i,)``, searches its floor on ``search +
@@ -141,7 +135,7 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
         a search error is raised."""
         region_id, function, length = frame.regions[i]
         hier_trace, search_trace = hier_traces[i], search_traces[i]
-        floor_search: Task[RegionResult] | None = None
+        floor_search: Speculation[RegionResult] | None = None
         try:
             proposals = ask_floor_objects(region_id, function, length, frame.width,
                                           frame.room_type, frame.prompt,
@@ -152,10 +146,10 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
                     return None
             floor = number_floor_objects(region_id, function, length, frame.width, proposals,
                                          ids, hier_trace)
-            floor_search = Task(
-                partial(plan_region, floor, config, oracle, search_trace,
-                        region_wall_sides(frame, i)),
-                threaded, CallPath(search + (i, 0)),
+            floor_search = Speculation(
+                partial(plan_region, floor, config, oracle,
+                        wall_sides=region_wall_sides(frame, i)),
+                search + (i, 0), oracle, threaded,
             )
             jobs = [partial(_ask_supported, oracle, catalog, spec) for spec in supporters(floor)]
             plans[i] = add_supported(floor, run_subproblems(oracle, jobs, hier_trace), ids,
@@ -164,26 +158,21 @@ def solve_plan(frame: RoomFrame, config: SearchConfig, oracle: PlacementOracle,
             hier_errors[i] = exc
         finally:
             numbered[i].set()
-        if floor_search is None:
-            return None
         region = plans[i]
+        if region is None:  # the hierarchy failed; its error is raised
+            if floor_search is not None:
+                floor_search.drop(search_trace)
+            return None
         path = CallPath(search + (i, 1))
-        CALL_PATH.set(path)
-        tops: dict[str, Speculation[list[PlacedObject]]] = {}
-        if region is not None and threaded:
-            # a top reads only its supporter's spec: search every top
-            # while the floor search runs, and drop the unused ones after
-            tops = {sup_id: speculate(partial(place_supported, region.spec(sup_id), sub, config,
-                                              oracle), path.next_key(), oracle)
-                    for sup_id, sub in sorted(region.supported.items()) if sub.objects}
+        tops = {sup_id: Speculation(partial(place_supported, region.spec(sup_id), sub, config,
+                                            oracle), path.next_key(), oracle, threaded)
+                for sup_id, sub in sorted(region.supported.items())}
         try:
-            result = floor_search.result()
+            result = floor_search.commit(search_trace)
         finally:
             for top in tops.values():
                 top.join()
-        if region is None:
-            return None
-        return result, _keep_tops(region, result, tops, config, oracle, search_trace)
+        return result, _keep_tops(region, result, tops, search_trace)
 
     tasks = [Task(partial(solve_region, i), threaded, CallPath(hier + (i,))) for i in range(n)]
     for task in tasks:

@@ -12,10 +12,10 @@ The local search places one object in three oracle-guided steps: side of
 the anchor, then the grid run on the side's primary axis (columns for
 left/right, rows for top/bottom), then the other axis.  Side choices are
 oracle-evaluated before descending; completed poses are checked
-geometrically by ``SpatialContext.rejection``, which reports why
-``SpatialContext.legal`` (the det policy's test too) refuses a pose.  A
-failed local search consumes exactly one global attempt, and each global
-attempt is its own visit of the layer, so a retry asks new queries.
+geometrically by ``SpatialContext.rejection`` (the det policy's test
+too, in block form), which names why it refuses a pose.  A failed local
+search consumes exactly one global attempt, and each global attempt is
+its own visit of the layer, so a retry asks new queries.
 
 CoT mode degenerates every budget to 1 and never backtracks: an object
 that fails to place is skipped.  IO mode asks for the whole layout in
@@ -64,7 +64,7 @@ from treelayout.model import (
     q4,
     units,
 )
-from treelayout.dataflow import Speculation, speculate
+from treelayout.dataflow import Speculation
 from treelayout.evaluate import validity_metrics
 from treelayout.oracle.base import CALL_PATH, CallPath, OracleSession, PlacementOracle
 from treelayout.oracle.policy import object_spans, pose_from_starts
@@ -210,17 +210,19 @@ def _ask_eval(state: GlobalState, q: SideEvalQuery,
 
     ``first`` is the side's first run question, or None when the side
     has no candidate cells.  It does not depend on the eval's reply, so
-    with an I/O-bound oracle it is asked at the same time, on a thread,
-    as a speculation on the call key a serial run asks it on.  The
-    speculation is returned for a "yes", for :func:`_ask_runs` to
-    commit; otherwise, also when the eval raises, it is dropped.
+    it is a speculation on the call key a serial run asks it on: with an
+    I/O-bound oracle it is asked at the same time as the eval, on a
+    thread, else not before it is committed.  The speculation is
+    returned for a "yes", for :func:`_ask_runs` to commit; otherwise,
+    also when the eval raises, it is dropped.
     """
-    if first is None or not state.io_bound:
+    if first is None:
         return _parse_yes(state.session.ask(q)), None
     path = CALL_PATH.get()
     eval_key, first_key = path.next_key(), path.next_key()
     oracle, trace = state.session.oracle, state.session.trace
-    ahead = speculate(lambda sub: OracleSession(oracle, sub).ask(first), first_key, oracle)
+    ahead = Speculation(lambda sub: OracleSession(oracle, sub).ask(first), first_key, oracle,
+                        state.io_bound)
     token = CALL_PATH.set(CallPath(eval_key))
     try:
         yes = _parse_yes(state.session.ask(q))
@@ -252,8 +254,8 @@ def _ask_runs(state: GlobalState, first: CellsQuery, notes: list[str],
     """Run step: ask ``first``, then ask it again with the next attempt
     number and the runs seen avoided, up to the axis budget, and yield
     each novel run; unusable and repeated replies go to ``notes``.
-    ``ahead``, when given, is ``first`` already asked (:func:`_ask_eval`):
-    it is committed instead of asking again."""
+    ``ahead``, when given, is the speculation that asks ``first``
+    (:func:`_ask_eval`): it is committed instead of asking ``first``."""
     tag = f"{first.side.value}/{first.axis}"
     tried: list[int] = []
     for attempt in range(1, state.config.k_local_axis + 1):

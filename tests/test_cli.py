@@ -280,6 +280,18 @@ class TestAblate:
         r = run_cli(["ablate", "--prompts", str(prompts), "--out-dir", str(tmp_path)])
         assert r.exit_code == 4
 
+    @pytest.mark.parametrize("option, value", [("--seed", "3"), ("--mode", "cot")])
+    def test_single_run_options_are_usage_errors(self, tmp_path, option, value):
+        """ablate sweeps ``--seeds`` and ``--modes``; it refuses the
+        single-run forms instead of ignoring them."""
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("A snug living room with a rustic coffee table\n")
+        r = run_cli(["ablate", "--prompts", str(prompts), option, value, "--seeds", "0",
+                     "--modes", "tree", "--out-dir", str(tmp_path / "o")])
+        assert r.exit_code == 4, r.output
+        assert f"No such option '{option}'" in r.output
+        assert not (tmp_path / "o").exists()
+
 
 def force_engine_error(monkeypatch, kind, prompt_part="bedroom"):
     """Make generations whose prompt contains ``prompt_part`` end in an

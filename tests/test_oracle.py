@@ -440,8 +440,8 @@ class TestRunPolicy:
 
 
 class TestContextLegality:
-    """``SpatialContext.legal`` and ``rejection``, the final check of every
-    completed pose, against the brute-force ``pose_legal``."""
+    """``SpatialContext.rejection``, the final check of every completed
+    pose, against the brute-force ``pose_legal``."""
 
     @staticmethod
     def probe_centres(extent, half, edges, rng):
@@ -481,9 +481,8 @@ class TestContextLegality:
                     box = effective_aabb(ctx.object_dims, yaw, (cx, cy))
                     rect = (box.x0, box.y0, box.x1, box.y1)
                     want = br.pose_legal(obj, "right", cx, cy, yaw.value, boxes)
-                    assert ctx.legal(*rect) == want, (rect, yaw)
                     reason = ctx.rejection(*rect)
-                    assert (reason is None) == want
+                    assert (reason is None) == want, (rect, yaw)
                     if reason == "bounds":
                         assert not br.in_bounds(rect)
                     elif reason == "overlap":
@@ -623,7 +622,7 @@ class TestRowMasks:
                     for r, (y0, y1) in enumerate(yspans):
                         assert got[r] >> len(xs) == 0
                         for c, (x0, x1) in enumerate(xspans):
-                            want = ctx.legal(x0, y0, x1, y1)
+                            want = ctx.rejection(x0, y0, x1, y1) is None
                             assert want == reference_legal(ctx, x0, y0, x1, y1)
                             assert bool(got[r] >> c & 1) == want, (ctx.canonical_text(), c, r)
                             counts[want] += 1

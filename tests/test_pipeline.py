@@ -129,6 +129,23 @@ def test_overlapped_run_writes_inline_bytes(case, mode, tmp_path):
         assert scene_to_text(replayed) == scene_to_text(scene)
 
 
+@pytest.mark.parametrize("mode", [SearchMode.TREE, SearchMode.COT], ids=lambda m: m.value)
+def test_inline_run_starts_no_thread(mode, monkeypatch):
+    """An oracle with ``io_bound`` False takes the same code path, every
+    floor search, supported-object chain, top and run question asked
+    ahead a speculation, but each runs in the calling thread when it is
+    committed: a det generation starts no thread and discards nothing."""
+    def refuse(thread):
+        raise AssertionError("an inline run started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    prompt, seed = multi_region_cases()[0]
+    scene = generate_scene(prompt, SearchConfig(seed=seed, mode=mode, p_adv=P_ADV),
+                           DeterministicOracle(seed=seed, p_adv=P_ADV))
+    assert any(e.scope.startswith("top:") for e in scene.trace.events)
+    assert scene.trace.discarded_calls == 0
+
+
 class RegionFailure(Exception):
     pass
 
