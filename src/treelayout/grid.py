@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
 from importlib import resources
+from itertools import repeat
 
 from treelayout import kernels
 from treelayout.model import (
@@ -112,6 +113,10 @@ _FACING_YAW = {Side.TOP: Yaw.DEG_0, Side.RIGHT: Yaw.DEG_90, Side.BOTTOM: Yaw.DEG
                Side.LEFT: Yaw.DEG_270}
 
 
+#: ``bytes.translate`` table from an occupancy code to "1" (free) or "0".
+_FREE_FLAG = bytes([ord("1")] + [ord("0")] * 255)
+
+
 @dataclass(frozen=True)
 class OccupancyGrid:
     cols: int
@@ -135,10 +140,26 @@ class OccupancyGrid:
         return idx % self.cols
 
     @cached_property
+    def stride(self) -> int:
+        """Bits per row in :attr:`free_flat`: twice the columns, so a row
+        shifted by up to its width does not reach into its neighbours."""
+        return 2 * self.cols
+
+    @cached_property
+    def free_flat(self) -> int:
+        """The free cells as one integer, bit ``r * stride + c`` for the
+        cell at row ``r`` and column ``c``; the high half of each row's
+        bits is zero."""
+        cols, stride = self.cols, self.stride
+        packed = int(bytes(self.codes).translate(_FREE_FLAG)[::-1], 2)  # bit r * cols + c
+        full = (1 << cols) - 1
+        return sum((packed >> r * cols & full) << r * stride for r in range(self.rows))
+
+    @cached_property
     def markers(self) -> tuple[str, ...]:
         """Prompt token per cell, row-major: the anchor, occupied or free marker."""
         marker_of = {ANCHOR_OCCUPIED: ANCHOR_MARKER, OCCUPIED: OCCUPIED_MARKER}
-        return tuple(marker_of.get(code, FREE_MARKER) for code in self.codes)
+        return tuple(map(marker_of.get, self.codes, repeat(FREE_MARKER)))
 
 
 @dataclass(frozen=True)
@@ -155,7 +176,7 @@ class EmojiMap:
     _by_name: dict[str, int] = field(repr=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        by_name = {name: idx for idx, name in self.entries.items()}
+        by_name = dict(zip(self.entries.values(), self.entries))
         if len(by_name) != len(self.entries):
             raise ValueError("emoji names within one map must be unique")
         object.__setattr__(self, "_by_name", by_name)
@@ -238,9 +259,11 @@ def serialize_grid_prompt(
     occupied/anchor markers, and remaining free cells as the blank marker.
     """
     tokens = list(grid.markers)
-    for idx, name in emap.entries.items():
-        if not 0 <= idx < len(tokens):
-            raise ValueError(f"emoji map cell {idx} outside grid")
+    entries = emap.entries
+    if entries and (min(entries) < 0 or max(entries) >= len(tokens)):
+        outside = next(idx for idx in entries if not 0 <= idx < len(tokens))
+        raise ValueError(f"emoji map cell {outside} outside grid")
+    for idx, name in entries.items():
         tokens[idx] = name
 
     def edge_marker(side: Side) -> str:
@@ -257,6 +280,20 @@ def serialize_grid_prompt(
 
 _TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
+#: The last vocabulary parsed against, and its names that are not markers.
+_known_names: tuple[tuple[str, ...], frozenset[str]] = ((), frozenset())
+
+
+def _names_of(vocabulary: tuple[str, ...]) -> frozenset[str]:
+    """The vocabulary's names that are not markers, as a set built once
+    per vocabulary: every map of a run draws from the same tuple."""
+    global _known_names
+    known, names = _known_names
+    if known is not vocabulary:
+        names = frozenset(vocabulary).difference(MARKERS)
+        _known_names = (vocabulary, names)
+    return names
+
 
 def parse_emoji_selection(response: str, emap: EmojiMap, expected_count: int) -> list[int]:
     """Extract emoji names from an oracle reply and map them to cells.
@@ -269,12 +306,12 @@ def parse_emoji_selection(response: str, emap: EmojiMap, expected_count: int) ->
     """
     if len(emap) == 0:
         raise ValueError("emoji map must be non-empty")
-    vocab = set(emap.vocabulary)
+    names = _names_of(emap.vocabulary)
     seen: set[str] = set()
     for token in _TOKEN_RE.findall(response.lower()):
         if emap.cell_of(token) is not None:
             seen.add(token)
-        elif token in vocab and token not in MARKERS:
+        elif token in names:
             raise UnknownEmoji(token)
     if not seen:
         raise EmptyResponse()

@@ -19,7 +19,10 @@ column ``c``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Sequence
+from itertools import compress
+from operator import not_
 
 
 def _cells_meeting(lo: int, hi: int, cell: int, n: int) -> range:
@@ -59,20 +62,27 @@ def free_cells_on_side(
     A cell is left when its max-x <= anchor min-x, that is its column is
     below ``ax0 // cell``; right when its min-x >= anchor max-x, its column
     at least ``ceil(ax1 / cell)``; likewise bottom/top on y, so flush cells
-    count.  One pass over the grid fills all four buckets.
+    count.  One pass picks the free cells of the grid; each row's share
+    is then split by column with a search of the sorted indices.
     """
     left, right, bottom, top = [], [], [], []
-    left_end, right_start = ax0 // cell, -(-ax1 // cell)
+    left_end, right_start = ax0 // cell, max(-(-ax1 // cell), 0)
     bottom_end, top_start = ay0 // cell, -(-ay1 // cell)
+    free_cells = list(compress(range(rows * cols), map(not_, codes)))
+    start = 0
     for r in range(rows):
         base = r * cols
-        free = [c for c in range(cols) if codes[base + c] == 0]
-        left += [base + c for c in free if c < left_end]
-        right += [base + c for c in free if c >= right_start]
+        end = bisect_left(free_cells, base + cols, start)
+        free = free_cells[start:end]
+        start = end
+        if left_end > 0:
+            left += free[:bisect_left(free, base + left_end)]
+        if right_start < cols:
+            right += free[bisect_left(free, base + right_start):]
         if r < bottom_end:
-            bottom += [base + c for c in free]
+            bottom += free
         if r >= top_start:
-            top += [base + c for c in free]
+            top += free
     return left, right, bottom, top
 
 

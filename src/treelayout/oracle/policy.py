@@ -19,18 +19,18 @@ accepts.
 All three questions read one table per context, held as per-row integer
 bitmasks (bit ``c`` of row ``r`` stands for column ``c``):
 
-* a candidate mask per side, from the context's ``candidates`` (one grid
+* a candidate mask per side, the context's ``candidate_rows`` (one grid
   scan per context, shared with the search);
 * a legal-centre mask per yaw extent-swap over the cell centres, shared
   by the four sides, so a side score is a popcount of candidates AND
   legal centres;
 * per side, on first use, a completion mask over (column start, row
-  start).  Its covered starts come from shifted ANDs of the candidate
-  mask (along a row for the column span, then across rows for the row
-  span), intersected with legality at the ``run_center`` poses.  Under
-  the face/back rules ``final_yaw`` picks the extents per pose, so both
-  swaps are tested and ``final_yaw`` is asked only where they disagree.
-  The primary-run and secondary-run questions read its bits.
+  start): the context's feasibility set (``SpatialContext.feasible``,
+  legality at the ``pose_from_starts`` poses whose runs can be named,
+  which the search's forward check reads too) AND the covered starts.
+  Those come from shifted ANDs of the candidate mask (along a row for
+  the column span, then across rows for the row span).  The
+  primary-run and secondary-run questions read its bits.
 
 The masks are exact, not an approximation of ``rejection``: every term
 of the check (region bounds, centre offset and edge gap to the anchor,
@@ -52,10 +52,10 @@ construction only by adding a side's completion mask, which comes out
 the same whichever thread builds it, so the oracle's thread-safe
 ``query`` holds.
 
-``pose_from_starts`` is the single source of truth for turning a
-(side, column start, row start) triple into a pose; the search uses it
-for oracle-named runs too, so with the shared legality check, policy
-legality equals engine acceptance.
+``pose_from_starts`` (in :mod:`treelayout.oracle.queries`) is the single
+source of truth for turning a (side, column start, row start) triple
+into a pose; the search uses it for oracle-named runs too, so with the
+shared legality check, policy legality equals engine acceptance.
 """
 
 from __future__ import annotations
@@ -63,15 +63,22 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 from operator import and_, or_
 
-from treelayout.grid import (
-    DegenerateDirection,
-    Side,
-    grid_dims,
-    orientation_from_rule,
-    yaw_for_side,
+from treelayout.grid import Side
+from treelayout.model import Yaw, units
+from treelayout.oracle.queries import (
+    SpatialContext,
+    bit_indices,
+    final_yaw,
+    object_spans,
+    pose_from_starts,
+    run_center,
 )
-from treelayout.model import OrientationRule, Yaw, extents, q4, units
-from treelayout.oracle.queries import SpatialContext
+
+__all__ = [
+    "choose_run", "choose_side", "feasible_primary_starts", "feasible_secondary_starts",
+    "final_yaw", "object_spans", "pose_from_starts", "run_center", "side_preference",
+    "side_scores",
+]
 
 #: Fixed side preference for tie-breaking, led by the anchor-facing side.
 _BASE_ORDER = (Side.RIGHT, Side.LEFT, Side.BOTTOM, Side.TOP)
@@ -83,84 +90,33 @@ def side_preference(anchor_yaw: Yaw) -> list[Side]:
     return [front] + [s for s in _BASE_ORDER if s is not front]
 
 
-def object_spans(ctx: SpatialContext, side: Side) -> tuple[int, int]:
-    """(column span, row span) of the object at its side-derived yaw."""
-    yaw0 = yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side)
-    ex, ey = extents(ctx.object_dims, yaw0)
-    return grid_dims(units(ex), units(ey), units(ctx.grid.cell_size))
-
-
-def final_yaw(ctx: SpatialContext, side: Side, center: tuple[float, float]) -> Yaw:
-    """Resolve the definitive yaw once the center is known."""
-    rule = ctx.orientation_rule
-    yaw0 = yaw_for_side(rule, ctx.anchor.yaw, side)
-    if rule in (OrientationRule.FACE_ANCHOR, OrientationRule.BACK_TO_ANCHOR):
-        try:
-            return orientation_from_rule(rule, ctx.anchor.yaw, (ctx.anchor.x, ctx.anchor.y), center)
-        except DegenerateDirection:
-            return yaw0
-    return yaw0
-
-
-def run_center(start: int, span: int, cell_size: float) -> float:
-    """Center coordinate of a run of ``span`` cells beginning at ``start``."""
-    return q4((start + span / 2.0) * cell_size)
-
-
-def pose_from_starts(
-    ctx: SpatialContext, side: Side, col_start: int, row_start: int
-) -> tuple[float, float, Yaw]:
-    """Pose implied by a column run and a row run (starts of each)."""
-    m_cols, m_rows = object_spans(ctx, side)
-    cx = run_center(col_start, m_cols, ctx.grid.cell_size)
-    cy = run_center(row_start, m_rows, ctx.grid.cell_size)
-    return cx, cy, final_yaw(ctx, side, (cx, cy))
-
-
-def _bits(mask: int) -> list[int]:
-    """Indices of the set bits of ``mask``, ascending."""
-    return [i for i in range(mask.bit_length()) if mask >> i & 1]
-
-
 class _ContextTable:
     """Everything the policy decides in one context, as per-row bitmasks."""
 
     def __init__(self, ctx: SpatialContext):
         grid = ctx.grid
-        d = ctx.object_dims
         self.ctx = ctx
-        # Half-extents in units per "yaw swaps extents", as effective_aabb forms them.
-        hx, hy = units(d.length) // 2, units(d.depth) // 2
-        self.half = {False: (hx, hy), True: (hy, hx)}
-        self.swap0 = {
-            side: yaw_for_side(ctx.orientation_rule, ctx.anchor.yaw, side).swaps_extents
-            for side in Side
-        }
-        self.cand = {}
-        full = (1 << grid.cols) - 1
-        for side, cells in ctx.candidates.items():
-            flat = sum(map((1).__lshift__, cells))  # bit idx for cell idx, row-major
-            self.cand[side] = [flat >> (r * grid.cols) & full for r in range(grid.rows)]
+        self.cand = ctx.candidate_rows
         if ctx.relation is None:
             self.scores = {side: len(cells) for side, cells in ctx.candidates.items()}
         else:
             s = grid.cell_size
             xs = [(c + 0.5) * s for c in range(grid.cols)]
             ys = [(r + 0.5) * s for r in range(grid.rows)]
+            swap0 = {side: swap for side, (_, _, swap) in ctx.side_shapes.items()}
             legal = {}
-            for swap in set(self.swap0.values()):
-                sides = [self.cand[side] for side in Side if self.swap0[side] == swap]
+            for swap in set(swap0.values()):
+                sides = [self.cand[side] for side in Side if swap0[side] == swap]
                 legal[swap] = self.legal_at(xs, ys, swap, [reduce(or_, m) for m in zip(*sides)])
             self.scores = {
-                side: sum((m & ok).bit_count()
-                          for m, ok in zip(self.cand[side], legal[self.swap0[side]]))
+                side: sum((m & ok).bit_count() for m, ok in zip(self.cand[side], legal[swap0[side]]))
                 for side in Side
             }
         self._completions: dict[Side, list[int]] = {}
 
     def legal_at(self, xs: list[float], ys: list[float], swap: bool, want: list[int]) -> list[int]:
         """Bits of ``want`` whose centre ``(xs[c], ys[r])`` is legal with these extents."""
-        hx, hy = self.half[swap]
+        hx, hy = self.ctx.half_extents(swap)
         xs, ys = [units(x) for x in xs], [units(y) for y in ys]
         return self.ctx.legal_rows(
             [(cx - hx, cx + hx) for cx in xs], [(cy - hy, cy + hy) for cy in ys], want
@@ -169,36 +125,22 @@ class _ContextTable:
     def covered(self, side: Side) -> list[int]:
         """Bit ``c0`` of entry ``r0``: the object's rectangle at these
         starts lies in the grid and every cell it covers is a candidate."""
-        m_cols, m_rows = object_spans(self.ctx, side)
-        runs = [reduce(and_, (m >> k for k in range(m_cols))) for m in self.cand[side]]
-        return [reduce(and_, runs[r0:r0 + m_rows]) for r0 in range(len(runs) - m_rows + 1)]
+        ctx = self.ctx
+        grid = ctx.grid
+        m_cols, m_rows = object_spans(ctx, side)
+        cand, stride = ctx.candidate_flat[side], grid.stride
+        runs = reduce(and_, [cand >> k for k in range(m_cols)])
+        block = reduce(and_, [runs >> j * stride for j in range(m_rows)])
+        full = (1 << grid.cols) - 1
+        return [block >> r0 * stride & full for r0 in range(grid.rows - m_rows + 1)]
 
     def completion(self, side: Side) -> list[int]:
-        """Bit ``c0`` of entry ``r0``: covered, and legal at the pose
-        ``pose_from_starts`` gives."""
+        """Bit ``c0`` of entry ``r0``: covered, and in the context's
+        feasibility set (legal at the pose ``pose_from_starts`` gives)."""
         done = self._completions.get(side)
         if done is None:
-            done = self._completions[side] = self._complete(side)
+            done = self._completions[side] = self.ctx.feasible(side, self.covered(side))
         return done
-
-    def _complete(self, side: Side) -> list[int]:
-        ctx = self.ctx
-        covered = self.covered(side)
-        if not any(covered):
-            return covered
-        s = ctx.grid.cell_size
-        m_cols, m_rows = object_spans(ctx, side)
-        xs = [run_center(c0, m_cols, s) for c0 in range(ctx.grid.cols - m_cols + 1)]
-        ys = [run_center(r0, m_rows, s) for r0 in range(len(covered))]
-        swap0 = self.swap0[side]
-        legal = self.legal_at(xs, ys, swap0, covered)
-        if ctx.orientation_rule in (OrientationRule.FACE_ANCHOR, OrientationRule.BACK_TO_ANCHOR):
-            other = self.legal_at(xs, ys, not swap0, covered)
-            for r0, (a, b) in enumerate(zip(legal, other)):
-                for c0 in _bits(a ^ b):
-                    if final_yaw(ctx, side, (xs[c0], ys[r0])).swaps_extents != swap0:
-                        legal[r0] ^= 1 << c0
-        return legal
 
 
 @lru_cache(maxsize=4)
@@ -229,7 +171,7 @@ def feasible_primary_starts(ctx: SpatialContext, side: Side) -> list[int]:
     """
     done = _context_table(ctx).completion(side)
     if side.horizontal:
-        return _bits(reduce(or_, done, 0))
+        return bit_indices(reduce(or_, done, 0))
     return [r0 for r0, m in enumerate(done) if m]
 
 
@@ -239,7 +181,7 @@ def feasible_secondary_starts(ctx: SpatialContext, side: Side, primary_start: in
         if primary_start < 0:
             return []
         return [r0 for r0, m in enumerate(done) if m >> primary_start & 1]
-    return _bits(done[primary_start]) if 0 <= primary_start < len(done) else []
+    return bit_indices(done[primary_start]) if 0 <= primary_start < len(done) else []
 
 
 def choose_run(

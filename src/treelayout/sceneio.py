@@ -37,44 +37,50 @@ from treelayout.model import (
 SCENE_FORMAT = "treelayout-scene-v1"
 
 
+#: ``json.dumps`` of a string, without its dispatch: the same bytes.
+_string = json.encoder.encode_basestring_ascii
+_LITERALS = {True: "true", False: "false", None: "null"}
+
+
 def canonical_json(value) -> str:
     """Render a document with sorted keys and fixed float formatting."""
     out: list[str] = []
+    put = out.append
 
-    def emit(v, indent: int) -> None:
-        pad = "  " * indent
+    def emit(v, pad: str) -> None:
         if isinstance(v, dict):
             if not v:
-                out.append("{}")
+                put("{}")
                 return
-            out.append("{\n")
-            items = sorted(v.items())
-            for i, (k, item) in enumerate(items):
-                out.append(f"{pad}  {json.dumps(str(k))}: ")
-                emit(item, indent + 1)
-                out.append(",\n" if i < len(items) - 1 else "\n")
-            out.append(pad + "}")
+            inner = pad + "  "
+            sep = "{\n"
+            for k, item in sorted(v.items()):
+                put(f"{sep}{inner}{_string(str(k))}: ")
+                emit(item, inner)
+                sep = ",\n"
+            put(f"\n{pad}}}")
         elif isinstance(v, (list, tuple)):
             if not v:
-                out.append("[]")
+                put("[]")
                 return
-            out.append("[\n")
-            for i, item in enumerate(v):
-                out.append(pad + "  ")
-                emit(item, indent + 1)
-                out.append(",\n" if i < len(v) - 1 else "\n")
-            out.append(pad + "]")
+            inner = pad + "  "
+            sep = "[\n"
+            for item in v:
+                put(sep + inner)
+                emit(item, inner)
+                sep = ",\n"
+            put(f"\n{pad}]")
         elif isinstance(v, bool) or v is None:
-            out.append(json.dumps(v))
+            put(_LITERALS[v])
         elif isinstance(v, float):
-            out.append(f"{v:.4f}")
+            put(f"{v:.4f}")
         elif isinstance(v, int):
-            out.append(str(v))
+            put(str(v))
         else:
-            out.append(json.dumps(str(v)))
+            put(_string(str(v)))
 
-    emit(value, 0)
-    out.append("\n")
+    emit(value, "")
+    put("\n")
     return "".join(out)
 
 
@@ -227,12 +233,11 @@ def read_scene(path: str | Path) -> Scene:
 
 def write_trace(trace: SearchTrace, path: str | Path) -> None:
     """One JSON object per event, keys in sorted order, byte-identical to
-    ``json.dumps(event_dict, sort_keys=True)``; only the strings go
-    through ``json.dumps``, the integers are written as they print."""
-    dumps = json.dumps
+    ``json.dumps(event_dict, sort_keys=True)``; the strings are encoded as
+    ``json.dumps`` encodes them, the integers written as they print."""
     lines = [
-        f'{{"attempt_no": {e.attempt_no}, "detail": {dumps(e.detail)}, '
-        f'"kind": {dumps(e.kind.value)}, "layer": {e.layer}, "object_id": {dumps(e.object_id)}}}'
+        f'{{"attempt_no": {e.attempt_no}, "detail": {_string(e.detail)}, '
+        f'"kind": {_string(e.kind.value)}, "layer": {e.layer}, "object_id": {_string(e.object_id)}}}'
         for e in trace.events
     ]
     Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")

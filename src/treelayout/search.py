@@ -13,9 +13,12 @@ the anchor, then the grid run on the side's primary axis (columns for
 left/right, rows for top/bottom), then the other axis.  Side choices are
 oracle-evaluated before descending; completed poses are checked
 geometrically by ``SpatialContext.rejection`` (the det policy's test
-too, in block form), which names why it refuses a pose.  A failed local
-search consumes exactly one global attempt, and each global attempt is
-its own visit of the layer, so a retry asks new queries.
+too, in block form), which names why it refuses a pose.  Each step is
+forward-checked against the context's feasibility sets: a side, or a
+whole object, with no pose that any parseable reply could make the
+search accept gets no question.  A failed local search consumes exactly
+one global attempt, and each global attempt is its own visit of the
+layer, so a retry asks new queries.
 
 CoT mode degenerates every budget to 1 and never backtracks: an object
 that fails to place is skipped.  IO mode asks for the whole layout in
@@ -67,13 +70,14 @@ from treelayout.model import (
 from treelayout.dataflow import Speculation
 from treelayout.evaluate import validity_metrics
 from treelayout.oracle.base import CALL_PATH, CallPath, OracleSession, PlacementOracle
-from treelayout.oracle.policy import object_spans, pose_from_starts
 from treelayout.oracle.queries import (
     CellsQuery,
     FullLayoutQuery,
     SideEvalQuery,
     SideQuery,
     SpatialContext,
+    object_spans,
+    pose_from_starts,
 )
 
 PoseKey = tuple[str, int, int]
@@ -113,6 +117,7 @@ class GlobalState:
     placed: list[PlacedObject] = field(default_factory=list)
     placed_boxes: list[AABB] = field(default_factory=list)
     unplaced: list[str] = field(default_factory=list)
+    contexts: dict[tuple[int, str], SpatialContext] = field(default_factory=dict)
 
     @property
     def anchor_placed(self) -> PlacedObject:
@@ -123,12 +128,31 @@ class GlobalState:
         return self.order[0].dims
 
     def push(self, obj: PlacedObject, dims: Dim3) -> None:
+        self._forget(len(self.placed))
         self.placed.append(obj)
         self.placed_boxes.append(obj.aabb(dims))
 
     def pop(self) -> None:
         self.placed.pop()
         self.placed_boxes.pop()
+
+    def _forget(self, depth: int) -> None:
+        """Drop the contexts built with more than ``depth`` objects placed."""
+        for key in [key for key in self.contexts if key[0] > depth]:
+            del self.contexts[key]
+
+    def context(self, spec: ObjectSpec, edge: Edge | None) -> SpatialContext:
+        """The context of a local step for ``spec`` among the objects
+        placed now.  It is kept while those placements stand, so every
+        attempt and every revisit of the layer after a backtrack reads
+        the same grid, candidates and feasibility sets."""
+        key = (len(self.placed), spec.id)
+        ctx = self.contexts.get(key)
+        if ctx is None:
+            grid = rasterize(self.region, self.placed, self.cell_size)
+            ctx = self.contexts[key] = _make_context(self, spec, edge, grid, self.anchor_placed,
+                                                     self.anchor_dims)
+        return ctx
 
 
 @dataclass(frozen=True)
@@ -204,20 +228,29 @@ def _ask_sides(state: GlobalState, ctx: SpatialContext, grid_text: str, budget: 
             yield attempt, side, raw
 
 
+def _live(ctx: SpatialContext, side: Side, excluded: set[PoseKey]) -> bool:
+    """Forward check: whether the side's feasibility set holds a pose
+    outside ``excluded``, that is, whether some parseable pair of run
+    replies would make :func:`local_place` accept a pose there."""
+    skip: dict[int, int] = {}
+    for sd, p, s in excluded:
+        if sd == side.value:
+            c0, r0 = (p, s) if side.horizontal else (s, p)
+            skip[r0] = skip.get(r0, 0) | 1 << c0
+    return ctx.has_feasible(side, skip)
+
+
 def _ask_eval(state: GlobalState, q: SideEvalQuery,
-              first: CellsQuery | None) -> tuple[bool, Speculation[str] | None]:
+              first: CellsQuery) -> tuple[bool, Speculation[str] | None]:
     """Side-eval step: whether the reply to ``q`` says yes.
 
-    ``first`` is the side's first run question, or None when the side
-    has no candidate cells.  It does not depend on the eval's reply, so
-    it is a speculation on the call key a serial run asks it on: with an
-    I/O-bound oracle it is asked at the same time as the eval, on a
-    thread, else not before it is committed.  The speculation is
-    returned for a "yes", for :func:`_ask_runs` to commit; otherwise,
-    also when the eval raises, it is dropped.
+    ``first`` is the side's first run question.  It does not depend on
+    the eval's reply, so it is a speculation on the call key a serial run
+    asks it on: with an I/O-bound oracle it is asked at the same time as
+    the eval, on a thread, else not before it is committed.  The
+    speculation is returned for a "yes", for :func:`_ask_runs` to commit;
+    otherwise, also when the eval raises, it is dropped.
     """
-    if first is None:
-        return _parse_yes(state.session.ask(q)), None
     path = CALL_PATH.get()
     eval_key, first_key = path.next_key(), path.next_key()
     oracle, trace = state.session.oracle, state.session.trace
@@ -291,11 +324,20 @@ def local_place(
     (None, failure summary).  Every completed pose candidate is logged as
     a Proposed event under the caller's global attempt.  With an
     I/O-bound oracle the first run question is asked while the side-eval
-    is in flight (:func:`_ask_eval`)."""
+    is in flight (:func:`_ask_eval`).
+
+    Forward checking (:func:`_live`): an object with no feasible pose
+    outside ``excluded`` on any side fails with "no feasible pose" and
+    asks nothing; a side reply naming a side without one is noted as
+    "<side>: no feasible pose" and asks neither the eval nor the runs.
+    The sides with the most candidate cells are checked first."""
     cfg = state.config
     trace = state.session.trace
-    grid = rasterize(state.region, state.placed, state.cell_size)
-    ctx = _make_context(state, spec, edge, grid, state.anchor_placed, state.anchor_dims)
+    ctx = state.context(spec, edge)
+    grid = ctx.grid
+    if not any(_live(ctx, side, excluded)
+               for side in sorted(Side, key=lambda sd: -len(ctx.candidates[sd]))):
+        return None, "no feasible pose"
     _, grid_text = _named_grid(state, grid, [])
     notes: list[str] = []
 
@@ -303,21 +345,21 @@ def local_place(
         if side is None:
             notes.append(f"side reply unusable: {raw[:40]!r}")
             continue
+        if not _live(ctx, side, excluded):
+            notes.append(f"{side.value}: no feasible pose")
+            continue
         cand = ctx.candidates[side]
         m_cols, m_rows = object_spans(ctx, side)
         if side.horizontal:
             axes, spans, axis_of = ("cols", "rows"), (m_cols, m_rows), grid.col_of
         else:
             axes, spans, axis_of = ("rows", "cols"), (m_rows, m_cols), grid.row_of
-        first = _cells_query(state, ctx, side, axes[0], cand, spans[0], round_no) if cand else None
+        first = _cells_query(state, ctx, side, axes[0], cand, spans[0], round_no)
         yes, ahead = _ask_eval(state, SideEvalQuery(
             grid_prompt=grid_text, context=ctx, side=side, attempt=side_attempt, round_no=round_no,
         ), first)
         if not yes:
             notes.append(f"{side.value}: eval no")
-            continue
-        if first is None:
-            notes.append(f"{side.value}: no candidate cells")
             continue
         for run_p in _ask_runs(state, first, notes, ahead):
             p_start = run_p[0]

@@ -314,6 +314,39 @@ class BruteRegion:
                     out.append(c0)
         return out
 
+    def accepted_pairs(self, obj, side, placed_rects) -> set[tuple[int, int]]:
+        """Every (column start, row start) that some parseable pair of run
+        replies names on ``side`` and the engine then accepts.
+
+        A run reply parses when it names exactly one candidate cell on
+        each index of a run of the wanted length; the secondary reply
+        chooses among the cells of the primary run.  So a pair is named
+        by some reply pair exactly when every primary index of its
+        primary run holds a candidate, and every secondary index of its
+        secondary run holds one of those cells."""
+        horizontal = side in ("left", "right")
+        cells = [divmod(idx, self.cols)[::-1] for idx in
+                 self.free_side_cells(placed_rects, placed_rects[0], side)]  # (col, row)
+        if not horizontal:
+            cells = [(r, c) for c, r in cells]  # (primary, secondary) indices
+        m_cols, m_rows = self.spans(obj, yaw_for_side(obj["orientation"], self.anchor_yaw, side))
+        m_p, m_s = (m_cols, m_rows) if horizontal else (m_rows, m_cols)
+        n_p, n_s = (self.cols, self.rows) if horizontal else (self.rows, self.cols)
+        out = set()
+        for p0 in range(n_p):
+            run_p = set(range(p0, p0 + m_p))
+            if not run_p <= {p for p, _ in cells}:
+                continue
+            in_run = {s for p, s in cells if p in run_p}
+            for s0 in range(n_s):
+                if not set(range(s0, s0 + m_s)) <= in_run:
+                    continue
+                c0, r0 = (p0, s0) if horizontal else (s0, p0)
+                cx, cy, yaw = self.pose_of(obj, side, c0, r0)
+                if self.pose_legal(obj, side, cx, cy, yaw, placed_rects):
+                    out.add((c0, r0))
+        return out
+
     def run_distance(self, obj, side, axis, start) -> float:
         m_cols, m_rows = self.spans(obj, yaw_for_side(obj["orientation"], self.anchor_yaw, side))
         if axis == "cols":

@@ -16,6 +16,7 @@ Run from the repository root (pytest does not collect this file)::
     PYTHONPATH=src python tests/digest_sweep.py --cell-size 0.15
     PYTHONPATH=src python tests/digest_sweep.py --overlap
     PYTHONPATH=src python tests/digest_sweep.py --faults 0.25 --modes tree cot --overlap
+    PYTHONPATH=src python tests/digest_sweep.py --placements
 
 The defaults are the full check: 100 prompts x seeds 0-1 x tree/cot/io x
 ``p_adv`` 0/0.35/1.0, 1,800 generations, at ``SearchConfig``'s default
@@ -25,11 +26,16 @@ puts the det oracle behind :class:`OverlappedOracle`, so the pipeline
 overlaps its subproblems on threads; the digest must equal the inline
 one, and the sweep's total of discarded speculative calls (tops searched
 for supporters that ended unplaced, and run questions asked with a
-side-eval that said no) is printed next to it.  ``--faults Q`` puts
-:class:`FaultyOracle` between the det oracle and the rest, so a share
-``Q`` of the local-step replies are faults: it reaches the rejection
-paths the det oracle never takes.  ``--each`` also prints one digest
-per generation, to find the inputs whose bytes differ.
+side-eval that said no) is printed next to it.  Every run prints the
+sweep's total of kept oracle calls, ``calls=N``.  ``--placements``
+hashes only what each generation placed: ``scene.json`` without its
+``trace_summary`` (or the exception raised), so a change that saves
+oracle calls on purpose can show that it moved no object.
+``--faults Q`` puts :class:`FaultyOracle` between the det oracle and
+the rest, so a share ``Q`` of the local-step replies are faults: it
+reaches the rejection paths the det oracle never takes.  ``--each``
+also prints one digest per generation, to find the inputs whose bytes
+differ.
 """
 
 from __future__ import annotations
@@ -142,16 +148,28 @@ def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
     return b"".join(len(p).to_bytes(8, "big") + p for p in parts), scene
 
 
+def placement_bytes(outcome: Scene | Exception) -> bytes:
+    """What a generation placed, apart from the calls it took: its
+    ``scene.json`` without ``trace_summary``, or the exception it raised."""
+    if isinstance(outcome, Exception):
+        return f"raised {type(outcome).__name__}: {outcome}".encode("utf-8")
+    doc = sceneio.scene_to_doc(outcome)
+    del doc["trace_summary"]
+    return sceneio.canonical_json(doc).encode("utf-8")
+
+
 def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                  cell_size: float = SearchConfig.cell_size, each=None,
                  overlap: bool = False, calls: collections.Counter | None = None,
-                 faults: float = 0.0) -> tuple[str, int]:
+                 faults: float = 0.0, placements: bool = False) -> tuple[str, int]:
     """(hex digest, generation count) over every prompt x seed x mode x
     ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
     generation's own digest.  ``overlap`` runs the det oracle behind
     :class:`OverlappedOracle`, ``faults`` behind a :class:`FaultyOracle`
-    of that rate.  ``calls``, when given, sums the oracle calls of the
-    generations under ``kept`` and ``discarded``."""
+    of that rate.  ``placements`` hashes each generation's
+    :func:`placement_bytes` instead of everything it writes.  ``calls``,
+    when given, sums the oracle calls of the generations under ``kept``
+    and ``discarded``."""
     catalog = AssetCatalog.default()
     total = hashlib.sha256()
     count = 0
@@ -166,6 +184,8 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                         if calls is not None and isinstance(outcome, Scene):
                             calls["kept"] += outcome.trace.oracle_calls
                             calls["discarded"] += outcome.trace.discarded_calls
+                        if placements:
+                            data = placement_bytes(outcome)
                         digest = hashlib.sha256(data).digest()
                         total.update(digest)
                         count += 1
@@ -186,6 +206,8 @@ def main() -> None:
                         help="overlap subproblems on threads behind a fingerprint-derived sleep")
     parser.add_argument("--faults", type=float, default=0.0, metavar="Q",
                         help="share of local-step replies replaced by faults (default 0)")
+    parser.add_argument("--placements", action="store_true",
+                        help="hash only scene.json without its trace summary")
     parser.add_argument("--each", action="store_true", help="print one digest per generation")
     args = parser.parse_args()
 
@@ -193,10 +215,10 @@ def main() -> None:
     calls: collections.Counter = collections.Counter()
     digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
                                  args.p_adv, args.cell_size, each, args.overlap, calls,
-                                 args.faults)
-    line = f"{digest}  {count} generations"
+                                 args.faults, args.placements)
+    line = f"{digest}  {count} generations  calls={calls['kept']}"
     if args.overlap:
-        line += f"  discarded_calls={calls['discarded']} (kept {calls['kept']})"
+        line += f"  discarded_calls={calls['discarded']}"
     print(line)
 
 

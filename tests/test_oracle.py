@@ -2,12 +2,14 @@
 
 import contextvars
 import random
+from dataclasses import replace
 import subprocess
 import sys
 import threading
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import BruteRegion, brute_side_cells
 from treelayout.grid import Side, rasterize, serialize_grid_prompt, assign_emojis, load_vocabulary
@@ -657,6 +659,104 @@ class TestRowMasks:
                     for c0 in range(grid.cols):
                         bit = r0 < len(covered) and bool(covered[r0] >> c0 & 1)
                         assert bit == br.rect_cells_ok(cand, c0, m_cols, r0, m_rows), (side, c0, r0)
+
+
+def aligned_contexts():
+    """Contexts whose anchor is centred on run centres, so that centre
+    offsets are exactly 0 and exactly the around distance on some rows
+    and columns, with a blocker whose edges meet lattice boxes exactly."""
+    blocker = ((Dim3(0.5, 0.25, 0.5), (3.25, 3.125), Yaw.DEG_0),)
+    return [make_context(region_length=5.0, region_width=4.5, cell=0.25,
+                         anchor_dims=Dim3(0.5, 0.5, 0.5), anchor_pos=pos, anchor_yaw=yaw,
+                         object_dims=Dim3(size, size, 0.5), relation=relation,
+                         orientation=OrientationRule.FACE_ANCHOR, extra_placed=extra)
+            for relation in SpatialRelation for yaw in Yaw
+            for pos, size in (((2.5, 2.0), 0.5), ((2.375, 1.875), 0.25))
+            for extra in ((), blocker)]
+
+
+class TestFeasibilitySets:
+    """``SpatialContext.feasible`` and the search's forward check against
+    the brute-force enumeration of every parseable pair of run replies:
+    a side is called dead only when no such pair would be accepted."""
+
+    @staticmethod
+    def pairs(ctx, side):
+        stride = ctx.grid.stride
+        return {(c0, r0) for r0, m in enumerate(ctx.feasible(side)) for c0 in range(stride)
+                if m >> c0 & 1}
+
+    @given(seed=st.integers(0, 2**32 - 1), excluded_share=st.sampled_from([0.0, 0.5, 1.0]))
+    @settings(max_examples=60, deadline=None)
+    @example(seed=0, excluded_share=1.0)
+    def test_dead_only_when_no_reply_pair_is_accepted(self, seed, excluded_share):
+        from treelayout.search import _live
+
+        rng = random.Random(seed)
+        ctx = mask_context(rng)
+        br = brute_of(ctx)
+        obj = brute_obj(ctx)
+        for side in Side:
+            want = br.accepted_pairs(obj, side.value, list(ctx.placed_boxes))
+            assert self.pairs(ctx, side) == want, side
+            # excluded poses are keyed (side, primary start, secondary start)
+            gone = {pair for pair in sorted(want) if rng.random() < excluded_share}
+            excluded = {(side.value, *(pair if side.horizontal else pair[::-1])) for pair in gone}
+            excluded.add((next(s for s in Side if s is not side).value, 0, 0))
+            fresh = replace(ctx)  # the check first, with no set built yet
+            assert _live(fresh, side, excluded) == bool(want - gone), side
+            assert _live(ctx, side, excluded) == bool(want - gone), side
+
+    def test_feasible_at_exact_boundaries(self):
+        for ctx in aligned_contexts():
+            br = brute_of(ctx)
+            obj = brute_obj(ctx)
+            for side in Side:
+                want = br.accepted_pairs(obj, side.value, list(ctx.placed_boxes))
+                assert self.pairs(ctx, side) == want, (ctx.relation, ctx.anchor, side)
+
+    def test_relation_ranges_equal_relation_rows(self):
+        # the relation term as index ranges per row start, against the
+        # block form the det policy reads, on every lattice and swap
+        from treelayout.grid import relation_rows
+
+        rng = random.Random(11)
+        held = missed = 0
+        for ctx in aligned_contexts() + [mask_context(rng) for _ in range(120)]:
+            if ctx.relation is None:
+                continue
+            for m_cols, m_rows, _swap in set(ctx.side_shapes.values()):
+                for swap in (False, True):
+                    lattice = ctx.lattice(m_cols, m_rows, swap)
+                    hx, hy = ctx.half_extents(swap)
+                    full = (1 << len(lattice.xs)) - 1
+                    want = relation_rows(ctx.relation, [(x - hx, x + hx) for x in lattice.xs],
+                                         [(y - hy, y + hy) for y in lattice.ys],
+                                         [full] * len(lattice.ys), *ctx._limits[2])
+                    got = [lattice.related(r0, full) for r0 in range(len(lattice.ys))]
+                    assert got == want, (ctx.relation, ctx.anchor, swap)
+                    held += sum(m.bit_count() for m in want)
+                    missed += sum((full & ~m).bit_count() for m in want)
+        assert held > 0 and missed > 0
+
+    def test_completions_are_feasible_pairs_that_cover_candidates(self):
+        rng = random.Random(77)
+        for _ in range(40):
+            ctx = mask_context(rng)
+            table = _context_table(ctx)
+            for side in Side:
+                feasible = ctx.feasible(side)
+                assert table.completion(side) == [f & c for f, c in zip(feasible, table.covered(side))]
+
+    def test_candidate_masks_hold_the_candidate_cells(self):
+        rng = random.Random(5)
+        for _ in range(60):
+            ctx = random_context(rng)
+            cols = ctx.grid.cols
+            for side in Side:
+                rows = ctx.candidate_rows[side]
+                got = [r * cols + c for r, m in enumerate(rows) for c in range(cols) if m >> c & 1]
+                assert got == ctx.candidates[side]
 
 
 class TestDeterministicOracleReplies:

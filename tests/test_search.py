@@ -490,7 +490,7 @@ class ForcedFirstSideOracle:
 class TestSideEvalBudget:
     def test_failed_side_eval_consumes_attempt(self):
         # anchor spans the full region width, so "top" has no candidate
-        # cells; the oracle-forced first side fails evaluation and the
+        # cells; the oracle-forced first side has no feasible pose and the
         # second side attempt succeeds.
         region = make_region(
             "r1", 3.0, 1.0, ("cabinet", 1.0, 1.0, "place_along_wall"),
@@ -679,9 +679,10 @@ class TestRejectionNotes:
         assert self.local_notes(oracle) == "top: eval no; side reply unusable: 'top'"
 
     def test_no_candidate_cells(self):
-        # the anchor is flush to the bottom wall
-        oracle = ScriptedOracle(sides=["bottom"], evals=["yes"])
-        assert self.local_notes(oracle, k_local_side=1) == "bottom: no candidate cells"
+        # the anchor is flush to the bottom wall, so the bottom side has no
+        # candidate cells and no feasible pose: no eval is asked about it
+        oracle = ScriptedOracle(sides=["bottom"])
+        assert self.local_notes(oracle, k_local_side=1) == "bottom: no feasible pose"
 
     def test_selection_error_kinds(self):
         def one_name(q):
@@ -746,6 +747,32 @@ class TestRejectionNotes:
             (EventKind.PROPOSED, 2, "anchor=top"),
             (EventKind.ACCEPTED, 2, "anchor=top"),
         ]
+
+
+class TestForwardCheck:
+    """An object with no feasible pose on any side is rejected before any
+    oracle call: the scripted oracle below has no replies, so any
+    question it gets fails the test."""
+
+    @pytest.mark.parametrize("region", [
+        # 2.1 m deep either way round in a 2.0 m wide region
+        make_region("r1", 3.0, 2.0, ("sofa", 2.0, 0.9, "place_along_wall"),
+                    [("wardrobe", 2.1, 2.1, "place_front", "face_anchor")]),
+        # free cells on three sides, but in front of the sofa (within its
+        # length) there is 0.6 m, and the table is 0.8 m deep either way
+        make_region("r1", 4.0, 1.5, ("sofa", 2.0, 0.9, "place_along_wall"),
+                    [("table", 1.0, 0.8, "place_front", "face_anchor")]),
+    ], ids=["too-deep", "no-room-in-front"])
+    def test_object_without_feasible_pose_asks_nothing(self, region):
+        oracle = ScriptedOracle()
+        result = plan_region(region, SearchConfig(seed=0, **REFERENCE_CONFIG), oracle)
+        assert result.unsat
+        assert result.trace.oracle_calls == 0
+        events = result.trace.events
+        notes = [e.note for e in events
+                 if e.kind is EventKind.REJECTED and e.object_id != region.anchor_id]
+        anchors = [e for e in events if e.kind is EventKind.ACCEPTED]
+        assert notes == ["no feasible pose"] * len(anchors) and anchors  # one per anchor pose
 
 
 class TestOneScanPerGrid:
