@@ -1,8 +1,8 @@
 """Grid-geometry kernels: the hot inner loops of the engine.
 
 Per-cell rasterization, free cells bucketed by side of an anchor (one
-pass for all four sides), and rectangle overlap scans, per box or for a
-block of boxes at once.
+pass for all four sides), and the overlap scan of one box against the
+placed boxes.
 
 Every coordinate is a whole number of length units (0.01 mm), so each
 test is an exact integer comparison.  Cells are indexed row-major:
@@ -11,10 +11,6 @@ test is an exact integer comparison.  Cells are indexed row-major:
 anchor-occupied.  Rectangles have positive extents, so two overlap with
 positive area exactly when their open x spans and their open y spans
 meet; rectangles sharing an edge do not overlap.
-
-Block scans take the boxes as column spans ``(x0, x1)`` times row spans
-``(y0, y1)`` and answer with one integer bitmask per row, bit ``c`` for
-column ``c``.
 """
 
 from __future__ import annotations
@@ -86,29 +82,12 @@ def free_cells_on_side(
     return left, right, bottom, top
 
 
-def overlap_rows(
-    xspans: Sequence[tuple[int, int]],
-    yspans: Sequence[tuple[int, int]],
-    rects: Sequence[tuple[int, int, int, int]],
-) -> list[int]:
-    """Per row ``r``, the bits ``c`` whose box ``xspans[c] x yspans[r]``
-    overlaps some rect: per rect, the mask of the columns it meets on x,
-    ORed into every row it meets on y."""
-    hit = [0] * len(yspans)
-    for bx0, by0, bx1, by1 in rects:
-        cols = sum(1 << c for c, (x0, x1) in enumerate(xspans) if x0 < bx1 and bx0 < x1)
-        if cols:
-            for r, (y0, y1) in enumerate(yspans):
-                if y0 < by1 and by0 < y1:
-                    hit[r] |= cols
-    return hit
-
-
 def first_overlap(
     x0: int, y0: int, x1: int, y1: int,
     rects: Sequence[tuple[int, int, int, int]],
 ) -> int:
-    """Index of the first rect overlapping (x0,y0,x1,y1), else -1: the
-    one-box case of :func:`overlap_rows`, rect by rect."""
+    """Index of the first rect overlapping (x0,y0,x1,y1), else -1,
+    scanning the rects in order: the overlap test of
+    ``SpatialContext.rejection``."""
     return next((i for i, (bx0, by0, bx1, by1) in enumerate(rects)
                  if x0 < bx1 and bx0 < x1 and y0 < by1 and by0 < y1), -1)

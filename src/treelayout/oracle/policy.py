@@ -16,32 +16,24 @@ overlap-free, relation satisfied): the same check the search applies
 to every completed pose, so the policy names only positions the engine
 accepts.
 
-All three questions read one table per context, held as per-row integer
-bitmasks (bit ``c`` of row ``r`` stands for column ``c``):
+All three questions read one table per context, built on one legality
+engine: ``_Lattice`` (in :mod:`treelayout.oracle.queries`) evaluates
+``rejection`` on a lattice of centres at once, each term an integer
+index range on the sorted centres, so every bit it gives is exact.
+This is the configuration-space view of legality (Lozano-Pérez, IEEE
+Trans. Computers C-32, 1983), on the grid's own lattices of centres.
+Masks are laid out as the grid's ``free_flat``, bit ``r * stride + c``:
 
-* a candidate mask per side, the context's ``candidate_rows`` (one grid
-  scan per context, shared with the search);
-* a legal-centre mask per yaw extent-swap over the cell centres, shared
-  by the four sides, so a side score is a popcount of candidates AND
-  legal centres;
+* a side score is the popcount of the side's candidates (the context's
+  ``candidate_flat``, one grid scan shared with the search) that pass
+  the lattice of the grid's cell centres, built per yaw extent-swap
+  while the table is built and then let go;
 * per side, on first use, a completion mask over (column start, row
   start): the context's feasibility set (``SpatialContext.feasible``,
-  legality at the ``pose_from_starts`` poses whose runs can be named,
-  which the search's forward check reads too) AND the covered starts.
-  Those come from shifted ANDs of the candidate mask (along a row for
-  the column span, then across rows for the row span).  The
-  primary-run and secondary-run questions read its bits.
-
-The masks are exact, not an approximation of ``rejection``: every term
-of the check (region bounds, centre offset and edge gap to the anchor,
-whether the box meets each placed box on x and on y) depends on a box's
-x span alone or its y span alone.  ``SpatialContext.legal_rows``
-computes each term once per column and once per row and forms only the
-per-cell combine (``along``/``perp``, squared gaps).  Every term is an
-integer test in length units, so every bit says whether ``rejection``
-gives None at that pose.  This is the configuration-space view of
-legality (Lozano-Pérez, IEEE Trans. Computers C-32, 1983), evaluated on
-the grid's own lattice of centres.
+  the same engine on run centres, which the search's forward check
+  reads too) AND the starts whose covered cells are all candidates,
+  from shifted ANDs of the candidate mask.  The primary-run and
+  secondary-run questions read its bits.
 
 Tables are cached by the context *value*: ``SpatialContext`` is a frozen,
 hashable dataclass that carries everything the policy reads (see its
@@ -67,6 +59,7 @@ from treelayout.grid import Side
 from treelayout.model import Yaw, units
 from treelayout.oracle.queries import (
     SpatialContext,
+    _Lattice,
     bit_indices,
     final_yaw,
     object_spans,
@@ -91,36 +84,19 @@ def side_preference(anchor_yaw: Yaw) -> list[Side]:
 
 
 class _ContextTable:
-    """Everything the policy decides in one context, as per-row bitmasks."""
+    """Everything the policy decides in one context: the side scores,
+    and each side's completion mask on first use."""
 
     def __init__(self, ctx: SpatialContext):
-        grid = ctx.grid
         self.ctx = ctx
-        self.cand = ctx.candidate_rows
         if ctx.relation is None:
             self.scores = {side: len(cells) for side, cells in ctx.candidates.items()}
         else:
-            s = grid.cell_size
-            xs = [(c + 0.5) * s for c in range(grid.cols)]
-            ys = [(r + 0.5) * s for r in range(grid.rows)]
-            swap0 = {side: swap for side, (_, _, swap) in ctx.side_shapes.items()}
-            legal = {}
-            for swap in set(swap0.values()):
-                sides = [self.cand[side] for side in Side if swap0[side] == swap]
-                legal[swap] = self.legal_at(xs, ys, swap, [reduce(or_, m) for m in zip(*sides)])
-            self.scores = {
-                side: sum((m & ok).bit_count() for m, ok in zip(self.cand[side], legal[swap0[side]]))
-                for side in Side
-            }
+            swaps = {side: swap for side, (_, _, swap) in ctx.side_shapes.items()}
+            lattices = {swap: _cell_lattice(ctx, swap) for swap in set(swaps.values())}
+            self.scores = {side: _legal_count(lattices[swaps[side]], ctx.candidate_flat[side])
+                           for side in Side}
         self._completions: dict[Side, list[int]] = {}
-
-    def legal_at(self, xs: list[float], ys: list[float], swap: bool, want: list[int]) -> list[int]:
-        """Bits of ``want`` whose centre ``(xs[c], ys[r])`` is legal with these extents."""
-        hx, hy = self.ctx.half_extents(swap)
-        xs, ys = [units(x) for x in xs], [units(y) for y in ys]
-        return self.ctx.legal_rows(
-            [(cx - hx, cx + hx) for cx in xs], [(cy - hy, cy + hy) for cy in ys], want
-        )
 
     def covered(self, side: Side) -> list[int]:
         """Bit ``c0`` of entry ``r0``: the object's rectangle at these
@@ -141,6 +117,30 @@ class _ContextTable:
         if done is None:
             done = self._completions[side] = self.ctx.feasible(side, self.covered(side))
         return done
+
+
+@lru_cache(maxsize=64)
+def _cell_centres(count: int, cell_size: float) -> tuple[int, ...]:
+    """The centres of ``count`` cells along one axis in units, exact:
+    ``run_center`` rounds to q4, which moves the centre of a cell whose
+    edge is not a multiple of 0.2 mm."""
+    return tuple(units((c + 0.5) * cell_size) for c in range(count))
+
+
+def _cell_lattice(ctx: SpatialContext, swap: bool) -> _Lattice:
+    """The legality lattice of the grid's cell centres, with the object's
+    extents swapped if ``swap``."""
+    grid = ctx.grid
+    return _Lattice(ctx, _cell_centres(grid.cols, grid.cell_size),
+                    _cell_centres(grid.rows, grid.cell_size), swap)
+
+
+def _legal_count(lattice: _Lattice, cand: int) -> int:
+    """How many cells of ``cand`` (a flat candidate mask) are centres at
+    which the object is legal."""
+    open_, stride, full = cand & lattice.clear, lattice.stride, (1 << len(lattice.xs)) - 1
+    return sum(lattice.related(r, want).bit_count() for r in range(len(lattice.ys))
+               if (want := open_ >> r * stride & full))
 
 
 @lru_cache(maxsize=4)

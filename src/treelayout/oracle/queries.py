@@ -42,10 +42,6 @@ from treelayout.model import (
     units,
 )
 
-#: Box extents along one axis in units, one ``(low, high)`` pair per column or row.
-Spans = Sequence[tuple[int, int]]
-
-
 def _meters(v: int) -> str:
     """Units as meters, to 4 decimals or the 5 that tell odd multiples of 0.05 mm apart."""
     return f"{v / UNITS_PER_M:.{4 if v % 10 == 0 else 5}f}"
@@ -81,13 +77,14 @@ class SpatialContext:
     without parsing its own prompt.
 
     The context also owns the engine's final check of a candidate pose,
-    :meth:`rejection`, whose block form :meth:`legal_rows` the det policy
-    asks, so the oracle names only positions the engine accepts; boxes
-    are in units, so every check is exact.  From the same check it
-    derives each side's feasibility set (:meth:`feasible`), the poses
-    some parseable pair of run replies would make the search accept, so
-    the search asks nothing about a side or an object with none.
-    ``candidates``, their row masks, the feasibility sets, the check's
+    :meth:`rejection`; boxes are in units, so every check is exact.  One
+    engine, :class:`_Lattice`, evaluates the same check on a whole
+    lattice of centres: on run centres it gives each side's feasibility
+    set (:meth:`feasible`), the poses some parseable pair of run replies
+    would make the search accept, so the search asks nothing about a side
+    or an object with none; on cell centres it gives the det policy's
+    side scores.  So the oracle names only positions the engine accepts.
+    ``candidates``, their flat masks, the feasibility sets, the check's
     invariants and the canonical text are derived from the fields on
     first use, so equality and hashing ignore them.
     """
@@ -130,15 +127,6 @@ class SpatialContext:
             Side.BOTTOM: free & (1 << below * stride) - 1,
             Side.TOP: free >> above * stride << above * stride,
         }
-
-    @cached_property
-    def candidate_rows(self) -> dict[Side, list[int]]:
-        """``candidates`` as one bitmask per grid row, bit ``c`` for
-        column ``c``; callers share the lists and must not mutate them."""
-        grid = self.grid
-        full, stride = (1 << grid.cols) - 1, grid.stride
-        return {side: [flat >> r * stride & full for r in range(grid.rows)]
-                for side, flat in self.candidate_flat.items()}
 
     @cached_property
     def side_shapes(self) -> dict[Side, tuple[int, int, bool]]:
@@ -196,29 +184,6 @@ class SpatialContext:
         )
         return units(self.region_length), units(self.region_width), anchor_args
 
-    def _inside_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
-        x_max, y_max, _ = self._limits
-        cols = sum(1 << c for c, (x0, x1) in enumerate(xspans) if x0 >= 0 and x1 <= x_max)
-        return [m & cols if y0 >= 0 and y1 <= y_max else 0 for (y0, y1), m in zip(yspans, want)]
-
-    def _related_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
-        if self.relation is None:
-            return list(want)
-        return relation_rows(self.relation, xspans, yspans, want, *self._limits[2])
-
-    def legal_rows(self, xspans: Spans, yspans: Spans, want: Sequence[int]) -> list[int]:
-        """Block form of :meth:`rejection`: per row ``r``, the bits ``c``
-        of ``want[r]`` for which the box ``xspans[c] x yspans[r]`` is
-        legal.
-
-        Every term of the check depends on a box's x span alone or its y
-        span alone, so the terms are computed per column and per row and
-        combined per cell, with the exact tests of :meth:`rejection`.
-        """
-        rows = self._inside_rows(xspans, yspans, want)
-        hit = kernels.overlap_rows(xspans, yspans, self.placed_boxes)
-        return self._related_rows(xspans, yspans, [m & ~h for m, h in zip(rows, hit)])
-
     @cached_property
     def _lattices(self) -> dict[tuple[int, int, bool], _Lattice]:
         return {}
@@ -229,7 +194,9 @@ class SpatialContext:
         key = (m_cols, m_rows, swap)
         found = self._lattices.get(key)
         if found is None:  # threads racing here build equal lattices
-            found = self._lattices[key] = _Lattice(self, m_cols, m_rows, swap)
+            cols, rows, cell = self.grid.cols, self.grid.rows, self.grid.cell_size
+            found = self._lattices[key] = _Lattice(
+                self, _run_centres(cols, m_cols, cell), _run_centres(rows, m_rows, cell), swap)
         return found
 
     def half_extents(self, swap: bool) -> tuple[int, int]:
@@ -247,14 +214,15 @@ class SpatialContext:
         """None when the object's box ``(x0, y0, x1, y1)`` is legal: it
         lies in the region, overlaps no placed box and satisfies the
         relation to the anchor (if any).  Else the first test it fails:
-        ``"bounds"`` before ``"overlap"`` before ``"relation"``.  Each
-        test is the one-box case of a term of :meth:`legal_rows`."""
-        xs, ys = ((x0, x1),), ((y0, y1),)
-        if not self._inside_rows(xs, ys, (1,))[0]:
+        ``"bounds"`` before ``"overlap"`` before ``"relation"``: the
+        one-box case of the terms :class:`_Lattice` evaluates."""
+        x_max, y_max, anchor_args = self._limits
+        if x0 < 0 or y0 < 0 or x1 > x_max or y1 > y_max:
             return "bounds"
         if kernels.first_overlap(x0, y0, x1, y1, self.placed_boxes) != -1:
             return "overlap"
-        if not self._related_rows(xs, ys, (1,))[0]:
+        if self.relation is not None and not relation_rows(
+                self.relation, ((x0, x1),), ((y0, y1),), (1,), *anchor_args)[0]:
             return "relation"
         return None
 
@@ -283,9 +251,9 @@ class SpatialContext:
 
 
 @lru_cache(maxsize=256)
-def _run_centres(count: int, span: int, cell_size: float) -> tuple[int, ...]:
-    """``run_center`` in units for the starts ``0 .. count - 1``."""
-    return tuple(units(run_center(start, span, cell_size)) for start in range(count))
+def _run_centres(cells: int, span: int, cell_size: float) -> tuple[int, ...]:
+    """``run_center`` in units for every start of a run of ``span`` of ``cells`` cells."""
+    return tuple(units(run_center(start, span, cell_size)) for start in range(cells - span + 1))
 
 
 @lru_cache(maxsize=256)
@@ -296,11 +264,13 @@ def _row_repeat(rows: int, stride: int) -> int:
 
 
 class _Lattice:
-    """The pairs (column start, row start) of runs of ``m_cols x m_rows``
-    cells in one context, with the object's extents swapped or not: the
-    centres ``pose_from_starts`` gives them, in units, and the bounds,
-    overlap and relation terms of :meth:`SpatialContext.rejection` there.
-    Shared by the sides whose runs and extents agree.
+    """The pairs (column index, row index) of a lattice of object centres
+    in one context, given as ascending x and y centres in units, with the
+    object's extents swapped or not, and the bounds, overlap and relation
+    terms of :meth:`SpatialContext.rejection` there.  The centres are
+    those ``pose_from_starts`` gives runs (:meth:`SpatialContext.lattice`,
+    shared by the sides whose runs and extents agree) or the grid's cell
+    centres (the det policy's side scores), at most ``stride`` along x.
 
     The bounds and overlap terms are index ranges on the sorted centres:
     a box ``(xc - hx, xc + hx)`` on x lies in the region when ``hx <= xc
@@ -314,11 +284,8 @@ class _Lattice:
     found on first need (:meth:`_related_cols`).
     """
 
-    def __init__(self, ctx: SpatialContext, m_cols: int, m_rows: int, swap: bool):
-        grid = ctx.grid
-        self.ctx, self.stride = ctx, grid.stride
-        self.xs = xs = _run_centres(max(grid.cols - m_cols + 1, 0), m_cols, grid.cell_size)
-        self.ys = ys = _run_centres(max(grid.rows - m_rows + 1, 0), m_rows, grid.cell_size)
+    def __init__(self, ctx: SpatialContext, xs: tuple[int, ...], ys: tuple[int, ...], swap: bool):
+        self.ctx, self.stride, self.xs, self.ys = ctx, ctx.grid.stride, xs, ys
         self.hx, self.hy = hx, hy = ctx.half_extents(swap)
         x_max, y_max, _ = ctx._limits
         x0, x1, y0, y1 = hx, x_max - hx, hy, y_max - hy  # centres inside the region

@@ -12,13 +12,14 @@ The local search places one object in three oracle-guided steps: side of
 the anchor, then the grid run on the side's primary axis (columns for
 left/right, rows for top/bottom), then the other axis.  Side choices are
 oracle-evaluated before descending; completed poses are checked
-geometrically by ``SpatialContext.rejection`` (the det policy's test
-too, in block form), which names why it refuses a pose.  Each step is
-forward-checked against the context's feasibility sets: a side, or a
-whole object, with no pose that any parseable reply could make the
-search accept gets no question.  A failed local search consumes exactly
-one global attempt, and each global attempt is its own visit of the
-layer, so a retry asks new queries.
+geometrically by ``SpatialContext.rejection``, which names why it
+refuses a pose (the det policy and the feasibility sets evaluate it on
+lattices of centres).  Each step is forward-checked against the
+context's feasibility sets: a side, or a whole object, with no pose
+that any parseable reply could make the search accept gets no
+question.  A failed local search consumes exactly one global attempt,
+and each global attempt is its own visit of the layer, so a retry asks
+new queries.
 
 CoT mode degenerates every budget to 1 and never backtracks: an object
 that fails to place is skipped.  IO mode asks for the whole layout in
@@ -28,9 +29,9 @@ one query and validates without repairing.
 from __future__ import annotations
 
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from treelayout.grid import (
     AABB,
@@ -241,21 +242,25 @@ def _live(ctx: SpatialContext, side: Side, excluded: set[PoseKey]) -> bool:
 
 
 def _ask_eval(state: GlobalState, q: SideEvalQuery,
-              first: CellsQuery) -> tuple[bool, Speculation[str] | None]:
-    """Side-eval step: whether the reply to ``q`` says yes.
+              first: Callable[[], CellsQuery]) -> Speculation[tuple[CellsQuery, str]] | None:
+    """Side-eval step: ask ``q``; None unless the reply says yes.
 
-    ``first`` is the side's first run question.  It does not depend on
-    the eval's reply, so it is a speculation on the call key a serial run
-    asks it on: with an I/O-bound oracle it is asked at the same time as
-    the eval, on a thread, else not before it is committed.  The
-    speculation is returned for a "yes", for :func:`_ask_runs` to commit;
-    otherwise, also when the eval raises, it is dropped.
+    ``first`` builds the side's first run question.  It does not depend
+    on the eval's reply, so building and asking it is a speculation on
+    the call key a serial run asks it on: with an I/O-bound oracle it
+    runs at the same time as the eval, on a thread, else not before it
+    is committed.  The speculation is returned for a "yes", for the run
+    step to commit; otherwise, also when the eval raises, it is dropped.
     """
     path = CALL_PATH.get()
     eval_key, first_key = path.next_key(), path.next_key()
     oracle, trace = state.session.oracle, state.session.trace
-    ahead = Speculation(lambda sub: OracleSession(oracle, sub).ask(first), first_key, oracle,
-                        state.io_bound)
+
+    def ask_first(sub: SearchTrace) -> tuple[CellsQuery, str]:
+        query = first()
+        return query, OracleSession(oracle, sub).ask(query)
+
+    ahead = Speculation(ask_first, first_key, oracle, state.io_bound)
     token = CALL_PATH.set(CallPath(eval_key))
     try:
         yes = _parse_yes(state.session.ask(q))
@@ -265,9 +270,9 @@ def _ask_eval(state: GlobalState, q: SideEvalQuery,
     finally:
         CALL_PATH.reset(token)
     if yes:
-        return True, ahead
+        return ahead
     ahead.drop(trace)
-    return False, None
+    return None
 
 
 def _cells_query(state: GlobalState, ctx: SpatialContext, side: Side, axis: str,
@@ -282,19 +287,16 @@ def _cells_query(state: GlobalState, ctx: SpatialContext, side: Side, axis: str,
     )
 
 
-def _ask_runs(state: GlobalState, first: CellsQuery, notes: list[str],
-              ahead: Speculation[str] | None = None) -> Iterator[list[int]]:
-    """Run step: ask ``first``, then ask it again with the next attempt
-    number and the runs seen avoided, up to the axis budget, and yield
-    each novel run; unusable and repeated replies go to ``notes``.
-    ``ahead``, when given, is the speculation that asks ``first``
-    (:func:`_ask_eval`): it is committed instead of asking ``first``."""
+def _ask_runs(state: GlobalState, first: CellsQuery, raw: str,
+              notes: list[str]) -> Iterator[list[int]]:
+    """Run step: ``raw`` is the reply to ``first``; ask ``first`` again
+    with the next attempt number and the runs seen avoided, up to the
+    axis budget, and yield each novel run; unusable and repeated replies
+    go to ``notes``."""
     tag = f"{first.side.value}/{first.axis}"
     tried: list[int] = []
     for attempt in range(1, state.config.k_local_axis + 1):
-        if attempt == 1:
-            raw = ahead.commit(state.session.trace) if ahead else state.session.ask(first)
-        else:
+        if attempt > 1:
             raw = state.session.ask(replace(first, avoid=tuple(tried) + first.avoid,
                                             attempt=attempt))
         try:
@@ -323,8 +325,9 @@ def local_place(
     """Three-step local search; returns a complete validated thought or
     (None, failure summary).  Every completed pose candidate is logged as
     a Proposed event under the caller's global attempt.  With an
-    I/O-bound oracle the first run question is asked while the side-eval
-    is in flight (:func:`_ask_eval`).
+    I/O-bound oracle the first run question is built and asked while the
+    side-eval is in flight (:func:`_ask_eval`); else it is built only
+    after a "yes".
 
     Forward checking (:func:`_live`): an object with no feasible pose
     outside ``excluded`` on any side fails with "no feasible pose" and
@@ -354,14 +357,13 @@ def local_place(
             axes, spans, axis_of = ("cols", "rows"), (m_cols, m_rows), grid.col_of
         else:
             axes, spans, axis_of = ("rows", "cols"), (m_rows, m_cols), grid.row_of
-        first = _cells_query(state, ctx, side, axes[0], cand, spans[0], round_no)
-        yes, ahead = _ask_eval(state, SideEvalQuery(
+        ahead = _ask_eval(state, SideEvalQuery(
             grid_prompt=grid_text, context=ctx, side=side, attempt=side_attempt, round_no=round_no,
-        ), first)
-        if not yes:
+        ), partial(_cells_query, state, ctx, side, axes[0], cand, spans[0], round_no))
+        if ahead is None:
             notes.append(f"{side.value}: eval no")
             continue
-        for run_p in _ask_runs(state, first, notes, ahead):
+        for run_p in _ask_runs(state, *ahead.commit(trace), notes):
             p_start = run_p[0]
             sub_cells = [c for c in cand if axis_of(c) in run_p]
             pose_avoid = tuple(
@@ -369,7 +371,7 @@ def local_place(
             )
             second = _cells_query(state, ctx, side, axes[1], sub_cells, spans[1], round_no,
                                   primary_run=(p_start,), avoid=pose_avoid)
-            for run_s in _ask_runs(state, second, notes):
+            for run_s in _ask_runs(state, second, state.session.ask(second), notes):
                 s_start = run_s[0]
                 col_start, row_start = (p_start, s_start) if side.horizontal else (s_start, p_start)
                 pose = pose_from_starts(ctx, side, col_start, row_start)

@@ -156,29 +156,36 @@ def translated(ctx: SpatialContext, tx: int, ty: int) -> SpatialContext:
 class TestContextLegality:
     @given(st.integers(0, 2**32 - 1), shifts.map(abs), shifts.map(abs))
     @settings(max_examples=150, deadline=None)
-    def test_legal_rows_and_rejection_are_translation_invariant(self, seed, tx, ty):
+    def test_lattice_and_rejection_are_translation_invariant(self, seed, tx, ty):
+        from treelayout.oracle.queries import _Lattice
+
         rng = random.Random(seed)
         ctx = random_context(rng)
         moved_ctx = translated(ctx, tx, ty)
-        d, s = ctx.object_dims, ctx.grid.cell_size
-        spans = [units(d.length) // 2, units(d.depth) // 2]
+        s = ctx.grid.cell_size
         # Run centres of 1-4 cells and random q4 centres, each box starting
         # at or after the region's near walls.
         xs = [units(run_center(c, rng.randint(1, 4), s)) for c in range(ctx.grid.cols)]
         ys = [units(run_center(r, rng.randint(1, 4), s)) for r in range(ctx.grid.rows)]
         xs += [units(q4(rng.uniform(0, ctx.region_length + 0.5))) for _ in range(4)]
         ys += [units(q4(rng.uniform(0, ctx.region_width + 0.5))) for _ in range(4)]
-        for hx, hy in (spans, spans[::-1]):
-            xspans = [(x - hx, x + hx) for x in xs if x >= hx]
-            yspans = [(y - hy, y + hy) for y in ys if y >= hy]
-            want = [(1 << len(xspans)) - 1] * len(yspans)
-            got = ctx.legal_rows(xspans, yspans, want)
-            assert moved_ctx.legal_rows([(x0 + tx, x1 + tx) for x0, x1 in xspans],
-                                        [(y0 + ty, y1 + ty) for y0, y1 in yspans], want) == got
-            for r, (y0, y1) in enumerate(yspans):
-                for c, (x0, x1) in enumerate(xspans):
+        stride = ctx.grid.stride
+        for swap in (False, True):
+            hx, hy = ctx.half_extents(swap)
+            cxs = tuple(sorted({x for x in xs if x >= hx}))
+            cys = tuple(sorted({y for y in ys if y >= hy}))
+            assert len(cxs) <= stride  # what a lattice holds
+            lattice = _Lattice(ctx, cxs, cys, swap)
+            moved = _Lattice(moved_ctx, tuple(x + tx for x in cxs), tuple(y + ty for y in cys), swap)
+            assert moved.clear == lattice.clear
+            full = (1 << len(cxs)) - 1
+            for r, yc in enumerate(cys):
+                got = lattice.related(r, lattice.clear >> r * stride & full)
+                assert moved.related(r, full) == lattice.related(r, full)
+                for c, xc in enumerate(cxs):
+                    x0, y0, x1, y1 = xc - hx, yc - hy, xc + hx, yc + hy
                     reason = ctx.rejection(x0, y0, x1, y1)
-                    assert (reason is None) == bool(got[r] >> c & 1)
+                    assert (reason is None) == bool(got >> c & 1)
                     assert moved_ctx.rejection(x0 + tx, y0 + ty, x1 + tx, y1 + ty) == reason
 
 

@@ -591,50 +591,57 @@ def mask_context(rng):
 
 
 class TestRowMasks:
-    """The det policy's row bitmasks against per-pose legality and the
+    """The det policy's bitmasks against per-pose legality and the
     brute-force covered test."""
 
-    def test_legal_rows_equal_legal_at_cell_and_run_centres(self):
-        from treelayout.oracle.policy import object_spans, run_center
+    def test_lattices_equal_rejection_at_cell_and_run_centres(self):
+        # The one legality engine on the lattice of cell centres (side
+        # scores) and on every lattice of run centres (feasibility sets),
+        # for both extent swaps, bit for bit against the per-pose check.
+        from treelayout.oracle.policy import _cell_lattice, object_spans, run_center
 
         rng = random.Random(2024)
         kinds, counts = set(), {True: 0, False: 0, "touching": 0}
         for _ in range(80):
             ctx = mask_context(rng)
             grid = ctx.grid
-            s = grid.cell_size
+            s, stride = grid.cell_size, grid.stride
             kinds.update({("relation", ctx.relation), ("rule", ctx.orientation_rule),
                           ("cell", s), ("blockers", len(ctx.placed_boxes) > 1),
                           ("on boundary", (ctx.region_length / s).is_integer())})
-            lattices = {(tuple((c + 0.5) * s for c in range(grid.cols)),
-                         tuple((r + 0.5) * s for r in range(grid.rows)))}
-            for side in Side:
-                m_cols, m_rows = object_spans(ctx, side)
-                lattices.add((tuple(run_center(c0, m_cols, s) for c0 in range(grid.cols - m_cols + 1)),
-                              tuple(run_center(r0, m_rows, s) for r0 in range(grid.rows - m_rows + 1))))
+            # (lattice, its x centres, its y centres, swap), centres in units:
+            # cell centres exact, run centres as pose_from_starts gives them
+            cells = (tuple(units((c + 0.5) * s) for c in range(grid.cols)),
+                     tuple(units((r + 0.5) * s) for r in range(grid.rows)))
+            lattices = [(_cell_lattice(ctx, swap), *cells, swap) for swap in (False, True)]
+            for m_cols, m_rows in {object_spans(ctx, side) for side in Side}:
+                runs = (tuple(units(run_center(c0, m_cols, s)) for c0 in range(grid.cols - m_cols + 1)),
+                        tuple(units(run_center(r0, m_rows, s)) for r0 in range(grid.rows - m_rows + 1)))
+                lattices += [(ctx.lattice(m_cols, m_rows, swap), *runs, swap) for swap in (False, True)]
             d = ctx.object_dims
             half_l, half_d = units(d.length) // 2, units(d.depth) // 2
-            for xs, ys in lattices:
-                for hx, hy in ((half_l, half_d), (half_d, half_l)):
-                    xspans = [(units(cx) - hx, units(cx) + hx) for cx in xs]
-                    yspans = [(units(cy) - hy, units(cy) + hy) for cy in ys]
-                    full = (1 << len(xs)) - 1
-                    got = ctx.legal_rows(xspans, yspans, [full] * len(ys))
-                    assert len(got) == len(ys)
-                    for r, (y0, y1) in enumerate(yspans):
-                        assert got[r] >> len(xs) == 0
-                        for c, (x0, x1) in enumerate(xspans):
-                            want = ctx.rejection(x0, y0, x1, y1) is None
-                            assert want == reference_legal(ctx, x0, y0, x1, y1)
-                            assert bool(got[r] >> c & 1) == want, (ctx.canonical_text(), c, r)
-                            counts[want] += 1
-                            counts["touching"] += want and any(
-                                x1 == b[0] or x0 == b[2] or y1 == b[1] or y0 == b[3]
-                                for b in ctx.placed_boxes[1:]
-                            )
-                    # A narrower want only masks the answer.
-                    some = [rng.getrandbits(len(xs)) for _ in ys]
-                    assert ctx.legal_rows(xspans, yspans, some) == [g & m for g, m in zip(got, some)]
+            for lattice, xs, ys, swap in lattices:
+                hx, hy = (half_d, half_l) if swap else (half_l, half_d)
+                assert (lattice.xs, lattice.ys, lattice.hx, lattice.hy) == (xs, ys, hx, hy)
+                assert lattice.clear >> len(ys) * stride == 0
+                rows = [lattice.clear >> r * stride & (1 << stride) - 1 for r in range(len(ys))]
+                got = [lattice.related(r, row) for r, row in enumerate(rows)]
+                for r, cy in enumerate(ys):
+                    assert rows[r] >> len(xs) == 0
+                    for c, cx in enumerate(xs):
+                        x0, y0, x1, y1 = cx - hx, cy - hy, cx + hx, cy + hy
+                        want = ctx.rejection(x0, y0, x1, y1) is None
+                        assert want == reference_legal(ctx, x0, y0, x1, y1)
+                        assert bool(got[r] >> c & 1) == want, (ctx.canonical_text(), c, r)
+                        counts[want] += 1
+                        counts["touching"] += want and any(
+                            x1 == b[0] or x0 == b[2] or y1 == b[1] or y0 == b[3]
+                            for b in ctx.placed_boxes[1:]
+                        )
+                # A narrower want only masks the answer.
+                some = [rng.getrandbits(len(xs)) for _ in ys]
+                assert [lattice.related(r, row & m) for r, (row, m) in enumerate(zip(rows, some))] \
+                    == [g & m for g, m in zip(got, some)]
         assert kinds >= {("relation", r) for r in (None, *SpatialRelation)}
         assert kinds >= {("rule", r) for r in OrientationRule}
         assert kinds >= {("cell", 0.25), ("cell", 0.05), ("blockers", True),
@@ -752,10 +759,15 @@ class TestFeasibilitySets:
         rng = random.Random(5)
         for _ in range(60):
             ctx = random_context(rng)
-            cols = ctx.grid.cols
+            grid = ctx.grid
+            cols, stride = grid.cols, grid.stride
             for side in Side:
-                rows = ctx.candidate_rows[side]
-                got = [r * cols + c for r, m in enumerate(rows) for c in range(cols) if m >> c & 1]
+                flat = ctx.candidate_flat[side]
+                assert flat >> grid.rows * stride == 0
+                assert all(flat >> r * stride >> cols & (1 << stride - cols) - 1 == 0
+                           for r in range(grid.rows))
+                got = [r * cols + c for r in range(grid.rows) for c in range(cols)
+                       if flat >> r * stride + c & 1]
                 assert got == ctx.candidates[side]
 
 
