@@ -11,7 +11,6 @@ model can answer positions by name; parsing maps names back to cells.
 from __future__ import annotations
 
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
@@ -355,75 +354,25 @@ def relation_satisfied(
     and edge gap at most ``d_front``.  beside: candidate center more
     sideways than forward/backward of the anchor center (left or right
     half-plane) with edge gap at most ``d_beside``.  around: center
-    distance at most ``d_around``.  The test is exact in units, so the
-    verdict is the same in the region frame and the room frame.
+    distance at most ``d_around``.  The test is exact in units: centre
+    offsets are doubled (``x0 + x1 - 2 * anchor_x``) and distances compared
+    squared, so every term compares integers and the verdict is the same
+    in the region frame and the room frame.
     """
-    c = candidate_aabb
-    return relation_rows(
-        rel, ((c.x0, c.x1),), ((c.y0, c.y1),), (1,), anchor.aabb(anchor_dims),
-        units(anchor.x), units(anchor.y), anchor.yaw.facing,
-        units(d_front), units(d_beside), units(d_around),
-    ) == [1]
-
-
-def relation_rows(
-    rel: SpatialRelation,
-    xspans: Sequence[tuple[int, int]],
-    yspans: Sequence[tuple[int, int]],
-    want: Sequence[int],
-    anchor_box: tuple[int, int, int, int],
-    anchor_x: int,
-    anchor_y: int,
-    facing: tuple[int, int],
-    d_front: int,
-    d_beside: int,
-    d_around: int,
-) -> list[int]:
-    """Block form of :func:`relation_satisfied` in units: per row ``r``, the
-    bits ``c`` of ``want[r]`` whose box ``xspans[c] x yspans[r]`` satisfies
-    ``rel`` towards the anchor with this box, centre and facing vector.
-
-    A box's centre offset from the anchor centre and its edge gap to the
-    anchor box along x depend on its column alone, and along y on its row
-    alone, so each is computed once per column or row; ``holds`` combines
-    them per cell.  Centre offsets are doubled (``x0 + x1 - 2 * anchor_x``)
-    and distances compared squared, so every test compares integers.
-    """
-    ax0, ay0, ax1, ay1 = anchor_box
-    fx, fy = facing
+    x0, y0, x1, y1 = candidate_aabb
+    ax0, ay0, ax1, ay1 = anchor.aabb(anchor_dims)
+    fx, fy = anchor.yaw.facing
+    dx, dy = x0 + x1 - 2 * units(anchor.x), y0 + y1 - 2 * units(anchor.y)
+    gap2 = max(x0 - ax1, ax0 - x1, 0) ** 2 + max(y0 - ay1, ay0 - y1, 0) ** 2
+    along, across = dx * fx + dy * fy, abs(dx * fy - dy * fx)
     if rel is SpatialRelation.PLACE_AROUND:
-        around = (2 * d_around) ** 2
-
-        def holds(dx: int, gx: int, dy: int, gy: int) -> bool:
-            return dx * dx + dy * dy <= around
-    elif rel is SpatialRelation.PLACE_FRONT:
+        return dx * dx + dy * dy <= (2 * units(d_around)) ** 2
+    if rel is SpatialRelation.PLACE_FRONT:
         facing_edge = ax1 - ax0 if fy != 0 else ay1 - ay0
-        front = d_front * d_front
-
-        def holds(dx: int, gx: int, dy: int, gy: int) -> bool:
-            return (dx * fx + dy * fy > 0 and abs(dx * fy - dy * fx) <= facing_edge
-                    and gx * gx + gy * gy <= front)
-    elif rel is SpatialRelation.PLACE_BESIDE:
-        beside = d_beside * d_beside
-
-        def holds(dx: int, gx: int, dy: int, gy: int) -> bool:
-            perp = abs(dx * fy - dy * fx)
-            return perp >= abs(dx * fx + dy * fy) and perp > 0 and gx * gx + gy * gy <= beside
-    else:
-        raise ValueError(f"unknown relation {rel}")
-
-    cols = [(1 << c, x0 + x1 - 2 * anchor_x, max(x0 - ax1, ax0 - x1, 0))
-            for c, (x0, x1) in enumerate(xspans)]
-    out = []
-    for (y0, y1), todo in zip(yspans, want):
-        keep = 0
-        if todo:
-            dy, gy = y0 + y1 - 2 * anchor_y, max(y0 - ay1, ay0 - y1, 0)
-            for bit, dx, gx in cols:
-                if todo & bit and holds(dx, gx, dy, gy):
-                    keep |= bit
-        out.append(keep)
-    return out
+        return along > 0 and across <= facing_edge and gap2 <= units(d_front) ** 2
+    if rel is SpatialRelation.PLACE_BESIDE:
+        return across >= abs(along) and across > 0 and gap2 <= units(d_beside) ** 2
+    raise ValueError(f"unknown relation {rel}")
 
 
 def orientation_from_rule(

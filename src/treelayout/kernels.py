@@ -87,7 +87,7 @@ def first_overlap(
     rects: Sequence[tuple[int, int, int, int]],
 ) -> int:
     """Index of the first rect overlapping (x0,y0,x1,y1), else -1,
-    scanning the rects in order: the overlap test of
-    ``SpatialContext.rejection``."""
+    scanning the rects in order: the overlap term of the legality
+    verdict on a completed pose (``_Lattice.verdict``)."""
     return next((i for i, (bx0, by0, bx1, by1) in enumerate(rects)
                  if x0 < bx1 and bx0 < x1 and y0 < by1 and by0 < y1), -1)

@@ -11,15 +11,16 @@ Scoring is defined in brute-force-checkable terms:
   Runs are ranked by the distance of their center to the anchor along
   their axis, ties toward the lower start index.
 
-"Legal" means ``SpatialContext.rejection`` gives None (in bounds,
-overlap-free, relation satisfied): the same check the search applies
+"Legal" means in bounds, overlap-free and relation satisfied, as the
+one legality engine decides it: ``_Lattice`` (in
+:mod:`treelayout.oracle.queries`), whose verdict the search also applies
 to every completed pose, so the policy names only positions the engine
 accepts.
 
-All three questions read one table per context, built on one legality
-engine: ``_Lattice`` (in :mod:`treelayout.oracle.queries`) evaluates
-``rejection`` on a lattice of centres at once, each term an integer
-index range on the sorted centres, so every bit it gives is exact.
+All three questions read one table per context, built on that engine,
+which evaluates legality on a lattice of centres at once, each term an
+integer index range on the sorted centres, so every bit it gives is
+exact.
 This is the configuration-space view of legality (Lozano-Pérez, IEEE
 Trans. Computers C-32, 1983), on the grid's own lattices of centres.
 Masks are laid out as the grid's ``free_flat``, bit ``r * stride + c``:

@@ -27,7 +27,6 @@ from treelayout.grid import (
     candidate_cells,
     grid_dims,
     orientation_from_rule,
-    relation_rows,
     yaw_for_side,
 )
 from treelayout.model import (
@@ -76,17 +75,18 @@ class SpatialContext:
     fields let the deterministic heuristic answer the same question
     without parsing its own prompt.
 
-    The context also owns the engine's final check of a candidate pose,
-    :meth:`rejection`; boxes are in units, so every check is exact.  One
-    engine, :class:`_Lattice`, evaluates the same check on a whole
-    lattice of centres: on run centres it gives each side's feasibility
-    set (:meth:`feasible`), the poses some parseable pair of run replies
-    would make the search accept, so the search asks nothing about a side
-    or an object with none; on cell centres it gives the det policy's
-    side scores.  So the oracle names only positions the engine accepts.
-    ``candidates``, their flat masks, the feasibility sets, the check's
-    invariants and the canonical text are derived from the fields on
-    first use, so equality and hashing ignore them.
+    The context also owns the engine's one legality check, :class:`_Lattice`,
+    which decides a pose's bounds, overlap and relation terms in units,
+    so exactly, on a whole lattice of centres.  On run centres it gives
+    each side's feasibility set (:meth:`feasible`), the poses some
+    parseable pair of run replies would make the search accept, so the
+    search asks nothing about a side or an object with none, and the
+    verdict on the completed pose (:meth:`_Lattice.verdict`); on cell
+    centres it gives the det policy's side scores.  So the oracle names
+    only positions the engine accepts.  ``candidates``, their flat masks,
+    the feasibility sets, the lattices, their invariants and the
+    canonical text are derived from the fields on first use, so equality
+    and hashing ignore them.
     """
 
     scope: str
@@ -154,8 +154,9 @@ class SpatialContext:
     def feasible(self, side: Side, within: Sequence[int] | None = None) -> list[int]:
         """The side's feasibility set: bit ``c0`` of entry ``r0`` when the
         column start ``c0`` and row start ``r0`` can be named by a
-        parseable pair of run replies, and :meth:`rejection` passes the
-        pose :func:`pose_from_starts` gives there.
+        parseable pair of run replies, and the object is legal at the pose
+        :func:`pose_from_starts` gives there (:meth:`_Lattice.verdict` is
+        None).
 
         A run reply parses when it names one candidate cell on each index
         of its run, so the primary run needs a candidate cell on every
@@ -176,8 +177,9 @@ class SpatialContext:
 
     @cached_property
     def _limits(self) -> tuple[int, int, tuple]:
-        """Invariants of :meth:`rejection` in units: the region's far x and
-        far y bounds, and the anchor arguments of ``relation_rows``."""
+        """Invariants of the legality terms in units: the region's far x
+        and far y bounds, and the anchor's box, centre and facing with the
+        front, beside and around thresholds."""
         anchor_args = (
             self.anchor.aabb(self.anchor_dims), units(self.anchor.x), units(self.anchor.y),
             self.anchor.yaw.facing, units(self.d_front), units(self.d_beside), units(self.d_around),
@@ -209,22 +211,6 @@ class SpatialContext:
     def _halves(self) -> tuple[int, int]:
         d = self.object_dims
         return units(d.length) // 2, units(d.depth) // 2
-
-    def rejection(self, x0: int, y0: int, x1: int, y1: int) -> str | None:
-        """None when the object's box ``(x0, y0, x1, y1)`` is legal: it
-        lies in the region, overlaps no placed box and satisfies the
-        relation to the anchor (if any).  Else the first test it fails:
-        ``"bounds"`` before ``"overlap"`` before ``"relation"``: the
-        one-box case of the terms :class:`_Lattice` evaluates."""
-        x_max, y_max, anchor_args = self._limits
-        if x0 < 0 or y0 < 0 or x1 > x_max or y1 > y_max:
-            return "bounds"
-        if kernels.first_overlap(x0, y0, x1, y1, self.placed_boxes) != -1:
-            return "overlap"
-        if self.relation is not None and not relation_rows(
-                self.relation, ((x0, x1),), ((y0, y1),), (1,), *anchor_args)[0]:
-            return "relation"
-        return None
 
     def canonical_text(self) -> str:
         """Everything the deterministic policy reads, so fingerprints
@@ -266,9 +252,10 @@ def _row_repeat(rows: int, stride: int) -> int:
 class _Lattice:
     """The pairs (column index, row index) of a lattice of object centres
     in one context, given as ascending x and y centres in units, with the
-    object's extents swapped or not, and the bounds, overlap and relation
-    terms of :meth:`SpatialContext.rejection` there.  The centres are
-    those ``pose_from_starts`` gives runs (:meth:`SpatialContext.lattice`,
+    object's extents swapped or not, and the legality of the object's box
+    there: it lies in the region, overlaps no placed box and satisfies
+    the relation to the anchor (if any).  The centres are those
+    ``pose_from_starts`` gives runs (:meth:`SpatialContext.lattice`,
     shared by the sides whose runs and extents agree) or the grid's cell
     centres (the det policy's side scores), at most ``stride`` along x.
 
@@ -281,7 +268,8 @@ class _Lattice:
     It is also cut to the relation's reach (:meth:`_reach`), a rectangle
     of centres outside which the relation never holds.  Inside it the
     relation term is an index range per row start too (two for beside),
-    found on first need (:meth:`_related_cols`).
+    found on first need (:meth:`_related_cols`).  :meth:`verdict` reads
+    the three terms at one pair, and names the first one it fails.
     """
 
     def __init__(self, ctx: SpatialContext, xs: tuple[int, ...], ys: tuple[int, ...], swap: bool):
@@ -302,6 +290,20 @@ class _Lattice:
         self.clear = clear
         self._related: dict[int, int] = {}  # row start -> _related_cols
 
+    def verdict(self, c0: int, r0: int) -> str | None:
+        """None when the object is legal at the pair ``(c0, r0)``, else the
+        first term it fails: ``"bounds"`` before ``"overlap"`` before
+        ``"relation"``.  It reads the centres, not ``clear``."""
+        xc, yc, hx, hy = self.xs[c0], self.ys[r0], self.hx, self.hy
+        x_max, y_max, _ = self.ctx._limits
+        if not (hx <= xc <= x_max - hx and hy <= yc <= y_max - hy):
+            return "bounds"
+        if kernels.first_overlap(xc - hx, yc - hy, xc + hx, yc + hy, self.ctx.placed_boxes) != -1:
+            return "overlap"
+        if not self.related(r0, 1 << c0):
+            return "relation"
+        return None
+
     def _block(self, c0: int, c1: int, r0: int, r1: int) -> int:
         """The pairs with column start in ``[c0, c1)`` and row start in ``[r0, r1)``."""
         if c0 >= c1 or r0 >= r1:
@@ -311,8 +313,8 @@ class _Lattice:
     def _reach(self) -> tuple[int, int, int, int]:
         """Inclusive bounds ``(x0, x1, y0, y1)`` on a centre ``(xc, yc)``
         that every box satisfying the relation meets, read off the terms
-        of ``grid.relation_rows`` one axis at a time: the centre offset
-        ``2 * |xc - ax|`` is at most ``2 * d_around`` (around) or the
+        of ``grid.relation_satisfied`` one axis at a time: the centre
+        offset ``2 * |xc - ax|`` is at most ``2 * d_around`` (around) or the
         anchor's facing edge across the facing axis (front, which also
         wants the centre ahead of the anchor's); the edge gap on each
         axis is at most the gap allowed (front, beside)."""
@@ -345,14 +347,15 @@ class _Lattice:
 
     def _related_cols(self, r0: int) -> int:
         """The column starts at row start ``r0`` whose box satisfies the
-        relation.  With the row fixed, each term of ``grid.relation_rows``
-        bounds the centre ``xc`` to an interval: writing ``dx = 2 (xc -
-        ax)``, around wants ``dx * dx <= (2 d)^2 - dy * dy``; front wants
-        the row ahead, ``|dx|`` at most the facing edge across a facing
-        along y (or ``|dy|`` across one along x and ``xc`` ahead), and the
-        edge gap ``gx <= isqrt(d^2 - gy^2)``; beside wants that gap and
-        ``|dx| >= max(|dy|, 1)`` beside a facing along y (two intervals),
-        or ``0 < |dx| <= |dy|`` with ``dy`` nonzero beside one along x."""
+        relation.  With the row fixed, each term of
+        ``grid.relation_satisfied`` bounds the centre ``xc`` to an
+        interval: writing ``dx = 2 (xc - ax)``, around wants ``dx * dx <=
+        (2 d)^2 - dy * dy``; front wants the row ahead, ``|dx|`` at most
+        the facing edge across a facing along y (or ``|dy|`` across one
+        along x and ``xc`` ahead), and the edge gap ``gx <= isqrt(d^2 -
+        gy^2)``; beside wants that gap and ``|dx| >= max(|dy|, 1)`` beside
+        a facing along y (two intervals), or ``0 < |dx| <= |dy|`` with
+        ``dy`` nonzero beside one along x."""
         ctx, hx, hy, yc = self.ctx, self.hx, self.hy, self.ys[r0]
         (ax0, ay0, ax1, ay1), ax, ay, (fx, fy), d_front, d_beside, d_around = ctx._limits[2]
         oy = abs(yc - ay)  # |dy| / 2

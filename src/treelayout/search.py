@@ -11,10 +11,11 @@ budget, which bounds the whole search.
 The local search places one object in three oracle-guided steps: side of
 the anchor, then the grid run on the side's primary axis (columns for
 left/right, rows for top/bottom), then the other axis.  Side choices are
-oracle-evaluated before descending; completed poses are checked
-geometrically by ``SpatialContext.rejection``, which names why it
-refuses a pose (the det policy and the feasibility sets evaluate it on
-lattices of centres).  Each step is forward-checked against the
+oracle-evaluated before descending; a completed pose is checked
+geometrically by the verdict of the context's legality lattice at the
+pair of run starts it comes from (``_Lattice.verdict``), which names why
+it refuses a pose; the det policy and the feasibility sets read the
+same lattices.  Each step is forward-checked against the
 context's feasibility sets: a side, or a whole object, with no pose
 that any parseable reply could make the search accept gets no
 question.  A failed local search consumes exactly one global attempt,
@@ -384,8 +385,8 @@ def local_place(
                 if key in excluded:
                     notes.append(f"{side.value}: pose {key} already failed downstream")
                     continue
-                cx, cy, yaw = pose
-                reason = ctx.rejection(*effective_aabb(spec.dims, yaw, (cx, cy)))
+                reason = ctx.lattice(m_cols, m_rows, pose[2].swaps_extents).verdict(
+                    col_start, row_start)
                 if reason is not None:
                     notes.append(f"{side.value}: {reason}")
                     continue

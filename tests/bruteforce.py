@@ -316,7 +316,13 @@ class BruteRegion:
 
     def accepted_pairs(self, obj, side, placed_rects) -> set[tuple[int, int]]:
         """Every (column start, row start) that some parseable pair of run
-        replies names on ``side`` and the engine then accepts.
+        replies names on ``side`` and the engine then accepts."""
+        return {(c0, r0) for c0, r0 in self.named_pairs(obj, side, placed_rects)
+                if self.pose_legal(obj, side, *self.pose_of(obj, side, c0, r0), placed_rects)}
+
+    def named_pairs(self, obj, side, placed_rects) -> set[tuple[int, int]]:
+        """Every (column start, row start) that some parseable pair of run
+        replies names on ``side``.
 
         A run reply parses when it names exactly one candidate cell on
         each index of a run of the wanted length; the secondary reply
@@ -341,10 +347,7 @@ class BruteRegion:
             for s0 in range(n_s):
                 if not set(range(s0, s0 + m_s)) <= in_run:
                     continue
-                c0, r0 = (p0, s0) if horizontal else (s0, p0)
-                cx, cy, yaw = self.pose_of(obj, side, c0, r0)
-                if self.pose_legal(obj, side, cx, cy, yaw, placed_rects):
-                    out.add((c0, r0))
+                out.add((p0, s0) if horizontal else (s0, p0))
         return out
 
     def run_distance(self, obj, side, axis, start) -> float:

@@ -2,8 +2,8 @@
 
 Every predicate compares whole length units (0.01 mm), so translating the
 whole picture by whole units changes no verdict: not of the relation
-test, not of a context's legality check (per pose and per block of
-poses), not of the validity metrics of a composed scene.  Translations go
+test, not of a context's legality lattice (its masks and its verdict
+at each pair), not of the validity metrics of a composed scene.  Translations go
 up to kilometres, where a float test with a fixed tolerance would flip.
 """
 
@@ -16,7 +16,7 @@ from digest_sweep import load_prompts
 from treelayout import pipeline
 from treelayout.catalog import AssetCatalog
 from treelayout.evaluate import validity_metrics
-from treelayout.grid import rasterize, relation_rows, relation_satisfied
+from treelayout.grid import rasterize, relation_satisfied
 from treelayout.model import (
     AABB,
     AnchorRule,
@@ -77,28 +77,33 @@ class TestRelations:
         box = AABB(*shifted((cand.x0, cand.y0, cand.x1, cand.y1), tx, ty))
         assert relation_satisfied(rel, box, moved(anchor, tx, ty), dims) == got
 
-    @given(st.integers(0, 2**32 - 1), st.integers(-10**9, 10**9), st.integers(-10**9, 10**9))
+    @given(st.integers(0, 2**32 - 1), shifts, shifts)
     @settings(max_examples=100, deadline=None)
     def test_relation_rows_is_translation_invariant(self, seed, tx, ty):
+        # relation_satisfied on a block of boxes given in whole units, moved
+        # with the anchor by up to 10**9 units (ten kilometres); the anchor's
+        # pose and dims are q4, so its centre and extents are whole q4 steps
         rng = random.Random(seed)
-        anchor_box = (rng.randint(0, 200_000), rng.randint(0, 200_000))
-        anchor_box += (anchor_box[0] + 2 * rng.randint(1, 60_000),
-                       anchor_box[1] + 2 * rng.randint(1, 60_000))
-        ax, ay = (anchor_box[0] + anchor_box[2]) // 2, (anchor_box[1] + anchor_box[3]) // 2
+        ax, ay = 10 * rng.randint(0, 20_000), 10 * rng.randint(0, 20_000)
+        half_x, half_y = 5 * rng.randint(1, 12_000), 5 * rng.randint(1, 12_000)
+        yaw = rng.choice(list(Yaw))
+        anchor_box = (ax - half_x, ay - half_y, ax + half_x, ay + half_y)
+        along_x, along_y = 2 * half_x / M, 2 * half_y / M
+        dims = Dim3(along_y, along_x, 0.5) if yaw.swaps_extents else Dim3(along_x, along_y, 0.5)
         xspans = [(x, x + rng.randint(1, 80_000)) for x in
                   (rng.randint(-100_000, 400_000) for _ in range(6))]
         yspans = [(y, y + rng.randint(1, 80_000)) for y in
                   (rng.randint(-100_000, 400_000) for _ in range(6))]
-        want = [rng.getrandbits(6) for _ in yspans]
-        facing = rng.choice([(0, 1), (1, 0), (0, -1), (-1, 0)])
-        limits = (150_000, 50_000, 200_000)
+
+        def verdicts(rel, tx, ty):
+            anchor = PlacedObject("a", (ax + tx) / M, (ay + ty) / M, 0.0, yaw, Parent.floor("r"))
+            assert anchor.aabb(dims) == shifted(anchor_box, tx, ty)
+            return [relation_satisfied(rel, AABB(x0 + tx, y0 + ty, x1 + tx, y1 + ty), anchor, dims,
+                                       1.5, 0.5, 2.0)
+                    for y0, y1 in yspans for x0, x1 in xspans]
+
         for rel in SpatialRelation:
-            got = relation_rows(rel, xspans, yspans, want, anchor_box, ax, ay, facing, *limits)
-            assert relation_rows(
-                rel, [(x0 + tx, x1 + tx) for x0, x1 in xspans],
-                [(y0 + ty, y1 + ty) for y0, y1 in yspans], want,
-                shifted(anchor_box, tx, ty), ax + tx, ay + ty, facing, *limits,
-            ) == got
+            assert verdicts(rel, tx, ty) == verdicts(rel, 0, 0)
 
 
 def random_context(rng) -> SpatialContext:
@@ -157,6 +162,8 @@ class TestContextLegality:
     @given(st.integers(0, 2**32 - 1), shifts.map(abs), shifts.map(abs))
     @settings(max_examples=150, deadline=None)
     def test_lattice_and_rejection_are_translation_invariant(self, seed, tx, ty):
+        # the lattice's masks and its verdict at every pair, the search's
+        # final check
         from treelayout.oracle.queries import _Lattice
 
         rng = random.Random(seed)
@@ -179,14 +186,13 @@ class TestContextLegality:
             moved = _Lattice(moved_ctx, tuple(x + tx for x in cxs), tuple(y + ty for y in cys), swap)
             assert moved.clear == lattice.clear
             full = (1 << len(cxs)) - 1
-            for r, yc in enumerate(cys):
+            for r in range(len(cys)):
                 got = lattice.related(r, lattice.clear >> r * stride & full)
                 assert moved.related(r, full) == lattice.related(r, full)
-                for c, xc in enumerate(cxs):
-                    x0, y0, x1, y1 = xc - hx, yc - hy, xc + hx, yc + hy
-                    reason = ctx.rejection(x0, y0, x1, y1)
+                for c in range(len(cxs)):
+                    reason = lattice.verdict(c, r)
                     assert (reason is None) == bool(got >> c & 1)
-                    assert moved_ctx.rejection(x0 + tx, y0 + ty, x1 + tx, y1 + ty) == reason
+                    assert moved.verdict(c, r) == reason
 
 
 def region_local(scene: Scene, plan: RoomPlan):

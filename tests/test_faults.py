@@ -3,10 +3,15 @@
 The det oracle, even at ``p_adv`` 1.0, gives only legal answers: its
 side-evals never say no and its run replies always parse.  Behind
 ``digest_sweep.FaultyOracle`` a quarter of the replies are faults, so
-the slice reaches every rejection path, the speculative run questions
-that an eval "no" drops among them.  It must still write the inline
-bytes when its calls overlap, place nothing illegally, fail only with
-the engine's typed errors, and replay from its transcript.
+the slice reaches the parse-error, eval-"no" and final-check rejection
+paths, the speculative run questions that an eval "no" drops among them.
+It must still write the inline bytes when its calls overlap, place
+nothing illegally, fail only with the engine's typed errors, and replay
+from its transcript.
+
+The final check rejects few poses: over 1,200 faulted generations
+(tree and cot, every ``p_adv``) 3 for bounds, 3 for the relation and none
+for overlap, so its ``overlap`` term is covered by unit tests only.
 """
 
 import tempfile
@@ -18,7 +23,7 @@ from treelayout.compose import CompositionOverlap
 from treelayout.evaluate import validity_metrics
 from treelayout.grid import VocabularyExhausted
 from treelayout.hierarchy import InvalidPlan
-from treelayout.model import Scene, SearchConfig, SearchMode
+from treelayout.model import EventKind, Scene, SearchConfig, SearchMode
 from treelayout.oracle.base import OracleFailure
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.transcript import RecordingOracle, ReplayOracle
@@ -60,6 +65,22 @@ def test_faulted_slice_overlapped_writes_inline_bytes_and_stays_sound():
     # dropped what they had asked ahead
     assert eval_no > 0
     assert discarded > 0
+
+
+def test_final_check_rejects_faulted_poses_end_to_end():
+    # (prompt index, mode, the final-check note its trace must hold), seed 0, p_adv 1.0
+    catalog = AssetCatalog.default()
+    with tempfile.TemporaryDirectory() as tmp:
+        for index, mode, note in ((9, SearchMode.COT, "top: bounds"),
+                                  (20, SearchMode.TREE, "left: relation")):
+            _, scene = generation_bytes(load_prompts()[index], 0, mode, 1.0, catalog, Path(tmp),
+                                        faults=FAULTS)
+            assert isinstance(scene, Scene), (index, scene)
+            m = validity_metrics(scene, SearchConfig(seed=0, mode=mode, p_adv=1.0))
+            assert (m.overlap_pairs, m.oob_objects, m.relation_violations) == (0, 0, 0), index
+            reasons = {reason for e in scene.trace.events if e.kind is EventKind.REJECTED
+                       for reason in e.note.removeprefix("skipped: ").split("; ")}
+            assert note in reasons, (index, reasons)
 
 
 def test_faulted_runs_replay_from_their_transcripts():

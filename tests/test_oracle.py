@@ -434,7 +434,9 @@ class TestRunPolicy:
                             continue
                         cx, cy, yaw = pose_from_starts(ctx, side, c0, r0)
                         box = effective_aabb(ctx.object_dims, yaw, (cx, cy))
-                        ok = ctx.rejection(box.x0, box.y0, box.x1, box.y1) is None
+                        # the final check of the search, at the pair the pose comes from
+                        ok = ctx.lattice(m_cols, m_rows, yaw.swaps_extents).verdict(c0, r0) is None
+                        assert ok == reference_legal(ctx, *box), (side, c0, r0)
                         assert ok == ((c0, r0) in reported), (side, c0, r0)
                         checked += 1
                         rejected += not ok
@@ -442,8 +444,8 @@ class TestRunPolicy:
 
 
 class TestContextLegality:
-    """``SpatialContext.rejection``, the final check of every completed
-    pose, against the brute-force ``pose_legal``."""
+    """``_Lattice.verdict``, the final check of every completed pose, on a
+    lattice of probe centres, against the brute-force ``pose_legal``."""
 
     @staticmethod
     def probe_centres(extent, half, edges, rng):
@@ -462,6 +464,7 @@ class TestContextLegality:
         from itertools import product
 
         from treelayout.model import effective_aabb
+        from treelayout.oracle.queries import _Lattice
 
         rng = random.Random(71)
         seen = {"bounds": 0, "overlap": 0, "relation": 0, None: 0}
@@ -479,11 +482,19 @@ class TestContextLegality:
                 ys = self.probe_centres(ctx.region_width, ey / 2,
                                         [e / 1e5 for b in boxes for e in (b[1], b[3])], rng)
                 centres = list(product(xs, ys))
+                # the probes in units; the 1e-12 variants share a centre.  The
+                # verdict reads the centres alone, so the lattice may hold more
+                # of them along x than a row of its ``clear`` mask has bits.
+                ux, uy = sorted({units(x) for x in xs}), sorted({units(y) for y in ys})
+                lattice = _Lattice(ctx, tuple(ux), tuple(uy), yaw.swaps_extents)
                 for cx, cy in rng.sample(centres, min(len(centres), 150)):
                     box = effective_aabb(ctx.object_dims, yaw, (cx, cy))
                     rect = (box.x0, box.y0, box.x1, box.y1)
+                    c0, r0 = ux.index(units(cx)), uy.index(units(cy))
+                    assert rect == (ux[c0] - lattice.hx, uy[r0] - lattice.hy,
+                                    ux[c0] + lattice.hx, uy[r0] + lattice.hy)
                     want = br.pose_legal(obj, "right", cx, cy, yaw.value, boxes)
-                    reason = ctx.rejection(*rect)
+                    reason = lattice.verdict(c0, r0)
                     assert (reason is None) == want, (rect, yaw)
                     if reason == "bounds":
                         assert not br.in_bounds(rect)
@@ -597,7 +608,8 @@ class TestRowMasks:
     def test_lattices_equal_rejection_at_cell_and_run_centres(self):
         # The one legality engine on the lattice of cell centres (side
         # scores) and on every lattice of run centres (feasibility sets),
-        # for both extent swaps, bit for bit against the per-pose check.
+        # for both extent swaps: its masks bit for bit against its verdict
+        # at each pair (the search's final check) and the reference.
         from treelayout.oracle.policy import _cell_lattice, object_spans, run_center
 
         rng = random.Random(2024)
@@ -630,9 +642,16 @@ class TestRowMasks:
                     assert rows[r] >> len(xs) == 0
                     for c, cx in enumerate(xs):
                         x0, y0, x1, y1 = cx - hx, cy - hy, cx + hx, cy + hy
-                        want = ctx.rejection(x0, y0, x1, y1) is None
+                        reason = lattice.verdict(c, r)
+                        want = reason is None
                         assert want == reference_legal(ctx, x0, y0, x1, y1)
                         assert bool(got[r] >> c & 1) == want, (ctx.canonical_text(), c, r)
+                        # clear pairs pass bounds and overlap; it is cut to the
+                        # relation's reach, so it is exact only without one
+                        if rows[r] >> c & 1:
+                            assert reason in (None, "relation")
+                        if ctx.relation is None:
+                            assert bool(rows[r] >> c & 1) == want
                         counts[want] += 1
                         counts["touching"] += want and any(
                             x1 == b[0] or x0 == b[2] or y1 == b[1] or y0 == b[3]
@@ -693,6 +712,24 @@ class TestFeasibilitySets:
         return {(c0, r0) for r0, m in enumerate(ctx.feasible(side)) for c0 in range(stride)
                 if m >> c0 & 1}
 
+    def assert_verdicts_match(self, ctx, side, br, obj):
+        """At every nameable pair, the search's final check (the verdict
+        at the pair the pose comes from) passes exactly on the
+        feasibility set.  Returns the verdicts seen."""
+        from treelayout.oracle.policy import object_spans, pose_from_starts
+
+        m_cols, m_rows = object_spans(ctx, side)
+        feasible = self.pairs(ctx, side)
+        named = br.named_pairs(obj, side.value, list(ctx.placed_boxes))
+        assert feasible <= named
+        seen = set()
+        for c0, r0 in named:
+            yaw = pose_from_starts(ctx, side, c0, r0)[2]
+            verdict = ctx.lattice(m_cols, m_rows, yaw.swaps_extents).verdict(c0, r0)
+            assert (verdict is None) == ((c0, r0) in feasible), (side, c0, r0, verdict)
+            seen.add(verdict)
+        return seen
+
     @given(seed=st.integers(0, 2**32 - 1), excluded_share=st.sampled_from([0.0, 0.5, 1.0]))
     @settings(max_examples=60, deadline=None)
     @example(seed=0, excluded_share=1.0)
@@ -706,6 +743,7 @@ class TestFeasibilitySets:
         for side in Side:
             want = br.accepted_pairs(obj, side.value, list(ctx.placed_boxes))
             assert self.pairs(ctx, side) == want, side
+            self.assert_verdicts_match(ctx, side, br, obj)
             # excluded poses are keyed (side, primary start, secondary start)
             gone = {pair for pair in sorted(want) if rng.random() < excluded_share}
             excluded = {(side.value, *(pair if side.horizontal else pair[::-1])) for pair in gone}
@@ -715,17 +753,22 @@ class TestFeasibilitySets:
             assert _live(ctx, side, excluded) == bool(want - gone), side
 
     def test_feasible_at_exact_boundaries(self):
+        seen = set()
         for ctx in aligned_contexts():
             br = brute_of(ctx)
             obj = brute_obj(ctx)
             for side in Side:
                 want = br.accepted_pairs(obj, side.value, list(ctx.placed_boxes))
                 assert self.pairs(ctx, side) == want, (ctx.relation, ctx.anchor, side)
+                seen |= self.assert_verdicts_match(ctx, side, br, obj)
+        assert seen == {None, "overlap", "relation"}  # square objects: no pose leaves the region
 
     def test_relation_ranges_equal_relation_rows(self):
         # the relation term as index ranges per row start, against the
-        # block form the det policy reads, on every lattice and swap
-        from treelayout.grid import relation_rows
+        # scalar predicate the output check reads, built from the
+        # context's anchor, dims and thresholds, on every lattice and swap
+        from treelayout.grid import relation_satisfied
+        from treelayout.model import AABB
 
         rng = random.Random(11)
         held = missed = 0
@@ -737,9 +780,11 @@ class TestFeasibilitySets:
                     lattice = ctx.lattice(m_cols, m_rows, swap)
                     hx, hy = ctx.half_extents(swap)
                     full = (1 << len(lattice.xs)) - 1
-                    want = relation_rows(ctx.relation, [(x - hx, x + hx) for x in lattice.xs],
-                                         [(y - hy, y + hy) for y in lattice.ys],
-                                         [full] * len(lattice.ys), *ctx._limits[2])
+                    want = [sum(relation_satisfied(ctx.relation, AABB(x - hx, y - hy, x + hx, y + hy),
+                                                   ctx.anchor, ctx.anchor_dims, ctx.d_front,
+                                                   ctx.d_beside, ctx.d_around) << c0
+                                for c0, x in enumerate(lattice.xs))
+                            for y in lattice.ys]
                     got = [lattice.related(r0, full) for r0 in range(len(lattice.ys))]
                     assert got == want, (ctx.relation, ctx.anchor, swap)
                     held += sum(m.bit_count() for m in want)

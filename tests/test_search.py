@@ -508,12 +508,15 @@ class TestSideEvalBudget:
 
 
 class TestFinalCheck:
-    """``SpatialContext.rejection`` on the context ``local_place`` builds:
-    the geometric check every completed pose faces."""
+    """The verdict ``local_place`` reads on a completed pose: that of the
+    context's lattice at the pair of run starts the pose comes from.  It
+    names the first term the box fails, and agrees with the output
+    check's terms (``AABB`` containment and overlap, ``relation_satisfied``)."""
 
-    def rejection(self, pose):
-        from treelayout.grid import rasterize
-        from treelayout.model import effective_aabb
+    def verdict(self, side, col_start, row_start):
+        from treelayout.grid import Side, rasterize
+        from treelayout.model import AABB, effective_aabb, units
+        from treelayout.oracle.queries import object_spans, pose_from_starts
         from treelayout.search import GlobalState, _make_context
 
         region = make_region(
@@ -531,20 +534,33 @@ class TestFinalCheck:
         grid = rasterize(region, state.placed, config.cell_size)
         ctx = _make_context(state, spec, region.edge_for(spec.id), grid,
                             state.anchor_placed, state.anchor_dims)
-        cx, cy, yaw = pose
+        side = Side(side)
+        m_cols, m_rows = object_spans(ctx, side)
+        pose = cx, cy, yaw = pose_from_starts(ctx, side, col_start, row_start)
+        lattice = ctx.lattice(m_cols, m_rows, yaw.swaps_extents)
         box = effective_aabb(spec.dims, yaw, (cx, cy))
-        return ctx.rejection(box.x0, box.y0, box.x1, box.y1)
+        xc, yc = lattice.xs[col_start], lattice.ys[row_start]
+        assert box == (xc - lattice.hx, yc - lattice.hy, xc + lattice.hx, yc + lattice.hy)
+        reason = lattice.verdict(col_start, row_start)
+        legal = (AABB(0, 0, units(4.0), units(3.0)).contains(box)
+                 and not any(box.overlaps(AABB(*b)) for b in ctx.placed_boxes)
+                 and relation_satisfied(ctx.relation, box, ctx.anchor, ctx.anchor_dims,
+                                        ctx.d_front, ctx.d_beside, ctx.d_around))
+        assert (reason is None) == legal
+        return pose, reason
 
     def test_overlap_rejected(self):
-        assert self.rejection((2.0, 0.6, Yaw.DEG_180)) == "overlap"
+        assert self.verdict("top", 6, 1) == ((2.0, 0.625, Yaw.DEG_180), "overlap")
 
     def test_bounds_rejected(self):
-        assert self.rejection((3.9, 2.0, Yaw.DEG_180)) == "bounds"
+        # a left-side run three columns wide, but the final yaw turns the
+        # table's 1.0 m length along x, past the left wall
+        assert self.verdict("left", 0, 7) == ((0.375, 2.25, Yaw.DEG_180), "bounds")
 
     def test_relation_rejected_and_ok(self):
         # legal spot but far outside the facing band
-        assert self.rejection((0.5, 2.7, Yaw.DEG_180)) == "relation"
-        assert self.rejection((2.0, 1.5, Yaw.DEG_180)) is None
+        assert self.verdict("top", 0, 9) == ((0.5, 2.625, Yaw.DEG_180), "relation")
+        assert self.verdict("top", 6, 4) == ((2.0, 1.375, Yaw.DEG_180), None)
 
 
 class TestBoundedCompletenessVariedBudgets:
