@@ -131,11 +131,11 @@ def _exit_if_incomplete(scene: Scene, config: SearchConfig, message: str | None 
         sys.exit(EXIT_UNSAT)
 
 
-run_options = [
-    click.option("--seed", type=int, default=0, show_default=True),
-    click.option("--mode", default="tree", show_default=True,
-                 help="Reasoning mode: io, cot, or tree."),
-]
+seed_option = click.option("--seed", type=int, default=0, show_default=True)
+mode_option = click.option("--mode", default="tree", show_default=True,
+                           help="Reasoning mode: io, cot, or tree.")
+p_adv_option = click.option("--p-adv", type=float, default=0.0, show_default=True,
+                            help="Adversarial-choice probability of the det oracle.")
 
 search_options = [
     click.option("--cell-size", type=float, default=0.25, show_default=True),
@@ -143,8 +143,6 @@ search_options = [
     click.option("--k-other", type=int, default=1, show_default=True),
     click.option("--k-side", type=int, default=2, show_default=True),
     click.option("--k-axis", type=int, default=1, show_default=True),
-    click.option("--p-adv", type=float, default=0.0, show_default=True,
-                 help="Adversarial-choice probability of the det oracle."),
     click.option("--catalog", "catalog_path", type=str, default=None,
                  help="Asset catalog JSON (defaults to the shipped one)."),
 ]
@@ -190,7 +188,7 @@ def main() -> None:
               help="Replay source (with --oracle replay) or recording target otherwise.")
 @click.option("--live-config", default=None, help="JSON config for the live oracle.")
 @click.option("--out-dir", default="out", show_default=True)
-@_with_options(run_options + search_options)
+@_with_options([seed_option, mode_option, p_adv_option] + search_options)
 def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
              seed, mode, cell_size, k_anchor, k_other, k_side, k_axis, p_adv,
              catalog_path) -> None:
@@ -223,7 +221,7 @@ def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
               help="Comma-separated seed list.")
 @click.option("--modes", default="io,cot,tree", show_default=True)
 @click.option("--out-dir", default="out", show_default=True)
-@_with_options(search_options)
+@_with_options([p_adv_option] + search_options)
 def ablate(prompts_file, seeds, modes, out_dir,
            cell_size, k_anchor, k_other, k_side, k_axis, p_adv, catalog_path) -> None:
     """Run every (prompt, seed, mode) cell and emit the comparison table."""
@@ -319,15 +317,17 @@ def render(scene_file, step, trace_file, out_file) -> None:
 @click.option("--prompt", default=None)
 @click.option("--prompt-file", default=None)
 @click.option("--out-dir", default="out", show_default=True)
-@_with_options(run_options + search_options)
+@_with_options([mode_option] + search_options)
 def replay(transcript_file, prompt, prompt_file, out_dir,
-           seed, mode, cell_size, k_anchor, k_other, k_side, k_axis, p_adv,
-           catalog_path) -> None:
-    """Reproduce a recorded run byte-identically from its transcript."""
+           mode, cell_size, k_anchor, k_other, k_side, k_axis, catalog_path) -> None:
+    """Reproduce a recorded run byte-identically from its transcript.
+
+    The replies come from the transcript, so the det oracle's --seed and
+    --p-adv are not options here."""
     text = _read_prompt(prompt, prompt_file)
-    config = _build_config(mode, seed, cell_size, k_anchor, k_other, k_side, k_axis, p_adv)
+    config = _build_config(mode, 0, cell_size, k_anchor, k_other, k_side, k_axis, 0.0)
     catalog = _load_catalog(catalog_path)
-    oracle = _build_oracle("replay", seed, p_adv, catalog, transcript_file, None)
+    oracle = _build_oracle("replay", 0, 0.0, catalog, transcript_file, None)
     scene, out = _solve_and_write(text, config, oracle, catalog, out_dir)
     click.echo(f"wrote {out / 'scene.json'}")
     _exit_if_incomplete(scene, config)

@@ -162,72 +162,100 @@ def write_scene(scene: Scene, path: str | Path) -> None:
     Path(path).write_text(scene_to_text(scene), "utf-8")
 
 
+_NUMBER = (int, float)
+
+
+def _get(d, key: str, *kinds: type, default=...):
+    """``d[key]``, or ``default`` when it is given and the key is absent.
+    ValueError unless ``d`` is an object and the value's JSON type is one
+    of ``kinds`` (a bool is not a number)."""
+    if type(d) is not dict:
+        raise ValueError(f"expected an object with {key!r}, got {type(d).__name__}")
+    if key not in d and default is not ...:
+        return default
+    if key not in d:
+        raise ValueError(f"missing field {key!r}")
+    value = d[key]
+    if type(value) not in kinds:
+        raise ValueError(f"field {key!r} must be {' or '.join(k.__name__ for k in kinds)}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
 def _spec_from_doc(d: dict) -> ObjectSpec:
     return ObjectSpec(
-        id=d["id"],
-        category=d["category"],
-        dims=Dim3(d["length"], d["depth"], d["height"]),
-        supportable=bool(d["supportable"]),
-        description=d.get("description", ""),
+        id=_get(d, "id", str),
+        category=_get(d, "category", str),
+        dims=Dim3(_get(d, "length", *_NUMBER), _get(d, "depth", *_NUMBER),
+                  _get(d, "height", *_NUMBER)),
+        supportable=_get(d, "supportable", bool),
+        description=_get(d, "description", str, default=""),
     )
 
 
 def _edge_from_doc(d: dict) -> Edge:
+    orientation = _get(d, "orientation", str, type(None), default=None)
     return Edge(
-        object_id=d["object_id"],
-        relation=SpatialRelation(d["relation"]),
-        orientation_rule=OrientationRule(d["orientation"]) if d.get("orientation") else None,
+        object_id=_get(d, "object_id", str),
+        relation=SpatialRelation(_get(d, "relation", str)),
+        orientation_rule=OrientationRule(orientation) if orientation else None,
     )
 
 
 def read_scene(path: str | Path) -> Scene:
+    """The scene of a scene file.  ValueError for a file that is not a
+    scene document, or that has a field missing or of the wrong type."""
     doc = json.loads(Path(path).read_text("utf-8"))
-    if doc.get("format") != SCENE_FORMAT:
+    if type(doc) is not dict or doc.get("format") != SCENE_FORMAT:
         raise ValueError(f"not a {SCENE_FORMAT} file: {path}")
     regions = []
-    for rd in doc["regions"]:
+    for rd in _get(doc, "regions", list):
         regions.append(
             RegionPlan(
-                id=rd["id"],
-                function=rd["function"],
-                length=rd["length"],
-                width=rd["width"],
-                objects=tuple(_spec_from_doc(s) for s in rd["objects"]),
-                anchor_id=rd["anchor_id"],
-                anchor_rule=AnchorRule(rd["anchor_rule"]),
-                edges=tuple(_edge_from_doc(e) for e in rd["edges"]),
+                id=_get(rd, "id", str),
+                function=_get(rd, "function", str),
+                length=_get(rd, "length", *_NUMBER),
+                width=_get(rd, "width", *_NUMBER),
+                objects=tuple(_spec_from_doc(s) for s in _get(rd, "objects", list)),
+                anchor_id=_get(rd, "anchor_id", str),
+                anchor_rule=AnchorRule(_get(rd, "anchor_rule", str)),
+                edges=tuple(_edge_from_doc(e) for e in _get(rd, "edges", list)),
                 supported={
                     sup_id: SupportedSet(
-                        objects=tuple(_spec_from_doc(s) for s in sub["objects"]),
-                        edges=tuple(_edge_from_doc(e) for e in sub["edges"]),
+                        objects=tuple(_spec_from_doc(s) for s in _get(sub, "objects", list)),
+                        edges=tuple(_edge_from_doc(e) for e in _get(sub, "edges", list)),
                     )
-                    for sup_id, sub in rd.get("supported", {}).items()
+                    for sup_id, sub in _get(rd, "supported", dict, default={}).items()
                 },
             )
         )
+    room = _get(doc, "room", dict)
     plan = RoomPlan(
-        room_type=doc["room"]["type"],
-        length=doc["room"]["length"],
-        width=doc["room"]["width"],
+        room_type=_get(room, "type", str),
+        length=_get(room, "length", *_NUMBER),
+        width=_get(room, "width", *_NUMBER),
         regions=tuple(regions),
-        prompt=doc["room"].get("prompt", ""),
+        prompt=_get(room, "prompt", str, default=""),
     )
     placements = tuple(
         PlacedObject(
-            spec_id=pd["id"],
-            x=pd["x"],
-            y=pd["y"],
-            z=pd["z"],
-            yaw=Yaw.of(pd["yaw"]),
-            parent=Parent(pd["parent_kind"], pd["parent_ref"]),
+            spec_id=_get(pd, "id", str),
+            x=_get(pd, "x", *_NUMBER),
+            y=_get(pd, "y", *_NUMBER),
+            z=_get(pd, "z", *_NUMBER),
+            yaw=Yaw.of(_get(pd, "yaw", int)),
+            parent=Parent(_get(pd, "parent_kind", str), _get(pd, "parent_ref", str)),
         )
-        for pd in doc["placements"]
+        for pd in _get(doc, "placements", list)
     )
+    unsat = _get(doc, "unsat_regions", list, default=[])
+    if any(type(r) is not str for r in unsat):
+        raise ValueError("field 'unsat_regions' must hold region ids")
     return Scene(
         plan=plan,
         placements=placements,
         trace=SearchTrace(),
-        unsat_regions=tuple(doc.get("unsat_regions", [])),
+        unsat_regions=tuple(unsat),
     )
 
 
@@ -244,16 +272,18 @@ def write_trace(trace: SearchTrace, path: str | Path) -> None:
 
 
 def read_trace(path: str | Path) -> list[TraceEvent]:
+    """The events of a trace file.  ValueError, naming the line, for a
+    line that is not JSON or not an event record of the written types."""
     events = []
-    for line in Path(path).read_text("utf-8").splitlines():
+    for no, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
         if not line.strip():
             continue
-        d = json.loads(line)
-        if not isinstance(d, dict):
-            raise ValueError(f"trace line is not an object: {line[:40]!r}")
-        events.append(
-            TraceEvent.from_detail(
-                d["layer"], d["object_id"], d["attempt_no"], EventKind(d["kind"]), d["detail"]
-            )
-        )
+        try:
+            d = json.loads(line)
+            events.append(TraceEvent.from_detail(
+                _get(d, "layer", int), _get(d, "object_id", str), _get(d, "attempt_no", int),
+                EventKind(_get(d, "kind", str)), _get(d, "detail", str),
+            ))
+        except ValueError as exc:
+            raise ValueError(f"trace line {no}: {exc}") from exc
     return events

@@ -1,11 +1,14 @@
 """Global-local tree search over object placements.
 
-The global search is a DFS over objects (anchor first, then descending
-footprint area) with a per-layer attempt budget.  Backtracking removes
-the previous object and revisits its layer with a fresh budget; poses
-whose subtree failed are excluded from later visits, and re-proposed
-anchor poses must differ in (wall, yaw) and in position from every
-earlier visit.  Total anchor-layer visits are capped by the anchor
+The global search is one depth-first loop over the layers, one object
+each (anchor first, then descending footprint area).  Each layer yields
+its poses to that loop: the anchor layer from its proposals, every
+other layer from local searches with a per-layer attempt budget, all
+in one context built when the search enters the layer.  Backtracking
+removes the previous object and revisits its layer with a fresh budget;
+poses whose subtree failed are excluded from later visits, and
+re-proposed anchor poses must differ in (wall, yaw) and in position from
+every earlier visit.  Total anchor-layer visits are capped by the anchor
 budget, which bounds the whole search.
 
 The local search places one object in three oracle-guided steps: side of
@@ -119,42 +122,14 @@ class GlobalState:
     placed: list[PlacedObject] = field(default_factory=list)
     placed_boxes: list[AABB] = field(default_factory=list)
     unplaced: list[str] = field(default_factory=list)
-    contexts: dict[tuple[int, str], SpatialContext] = field(default_factory=dict)
-
-    @property
-    def anchor_placed(self) -> PlacedObject:
-        return self.placed[0]
-
-    @property
-    def anchor_dims(self) -> Dim3:
-        return self.order[0].dims
 
     def push(self, obj: PlacedObject, dims: Dim3) -> None:
-        self._forget(len(self.placed))
         self.placed.append(obj)
         self.placed_boxes.append(obj.aabb(dims))
 
     def pop(self) -> None:
         self.placed.pop()
         self.placed_boxes.pop()
-
-    def _forget(self, depth: int) -> None:
-        """Drop the contexts built with more than ``depth`` objects placed."""
-        for key in [key for key in self.contexts if key[0] > depth]:
-            del self.contexts[key]
-
-    def context(self, spec: ObjectSpec, edge: Edge | None) -> SpatialContext:
-        """The context of a local step for ``spec`` among the objects
-        placed now.  It is kept while those placements stand, so every
-        attempt and every revisit of the layer after a backtrack reads
-        the same grid, candidates and feasibility sets."""
-        key = (len(self.placed), spec.id)
-        ctx = self.contexts.get(key)
-        if ctx is None:
-            grid = rasterize(self.region, self.placed, self.cell_size)
-            ctx = self.contexts[key] = _make_context(self, spec, edge, grid, self.anchor_placed,
-                                                     self.anchor_dims)
-        return ctx
 
 
 @dataclass(frozen=True)
@@ -174,17 +149,18 @@ def layer_order(region: RegionPlan) -> list[ObjectSpec]:
 
 
 def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
-                  grid: OccupancyGrid, anchor: PlacedObject, anchor_dims: Dim3) -> SpatialContext:
+                  anchor: PlacedObject) -> SpatialContext:
+    """The context of a local step for ``spec`` among the objects placed now."""
     cfg = state.config
     return SpatialContext(
         scope=state.scope,
         object_id=spec.id,
         region_length=state.region.length,
         region_width=state.region.width,
-        grid=grid,
+        grid=rasterize(state.region, state.placed, state.cell_size),
         placed_boxes=tuple(state.placed_boxes),
         anchor=anchor,
-        anchor_dims=anchor_dims,
+        anchor_dims=state.order[0].dims,
         object_dims=spec.dims,
         relation=edge.relation if edge else None,
         orientation_rule=edge.orientation_rule if edge else None,
@@ -316,19 +292,19 @@ def _ask_runs(state: GlobalState, first: CellsQuery, raw: str,
 
 def local_place(
     spec: ObjectSpec,
-    edge: Edge | None,
+    ctx: SpatialContext,
     state: GlobalState,
     excluded: set[PoseKey],
     round_no: int,
     global_attempt: int,
     layer: int,
 ) -> tuple[LocalThought | None, str]:
-    """Three-step local search; returns a complete validated thought or
-    (None, failure summary).  Every completed pose candidate is logged as
-    a Proposed event under the caller's global attempt.  With an
-    I/O-bound oracle the first run question is built and asked while the
-    side-eval is in flight (:func:`_ask_eval`); else it is built only
-    after a "yes".
+    """Three-step local search for ``spec`` in its layer's context
+    ``ctx``; returns a complete validated thought or (None, failure
+    summary).  Every completed pose candidate is logged as a Proposed
+    event under the caller's global attempt.  With an I/O-bound oracle
+    the first run question is built and asked while the side-eval is in
+    flight (:func:`_ask_eval`); else it is built only after a "yes".
 
     Forward checking (:func:`_live`): an object with no feasible pose
     outside ``excluded`` on any side fails with "no feasible pose" and
@@ -337,7 +313,6 @@ def local_place(
     The sides with the most candidate cells are checked first."""
     cfg = state.config
     trace = state.session.trace
-    ctx = state.context(spec, edge)
     grid = ctx.grid
     if not any(_live(ctx, side, excluded)
                for side in sorted(Side, key=lambda sd: -len(ctx.candidates[sd]))):
@@ -445,17 +420,18 @@ def _corner_proposals(region: RegionPlan, dims: Dim3) -> list[tuple[AnchorKey, f
 
 def place_anchor_visit(
     state: GlobalState,
-    rule: AnchorRule,
     visit_no: int,
     used: dict[AnchorKey, tuple[float, float, Yaw]],
 ) -> tuple[PlacedObject, AnchorKey] | None:
     """One visit of the anchor layer: up to the anchor budget of novel
-    proposals, each validated against the region bounds.
+    proposals under the region's anchor rule, each validated against the
+    region bounds.
 
     ``used`` maps the key of every earlier visit to its pose.  A proposal
     is novel when both differ: in a narrow region two corners can give
     the same pose, whose subtree has already failed."""
     region = state.region
+    rule = region.anchor_rule
     cfg = state.config
     spec = state.order[0]
     trace = state.session.trace
@@ -495,10 +471,9 @@ def place_anchor_visit(
     # place_in_center: centered on the region centroid, facing chosen by
     # the oracle among the four directions (toward the most free space).
     cx, cy = q4(region.length / 2.0), q4(region.width / 2.0)
-    grid = rasterize(region, [], state.cell_size)
     probe = PlacedObject(spec.id, cx, cy, 0.0, Yaw.DEG_0, Parent.floor(region.id))
-    ctx = _make_context(state, spec, None, grid, probe, spec.dims)
-    _, grid_text = _named_grid(state, grid, [])
+    ctx = _make_context(state, spec, None, probe)
+    _, grid_text = _named_grid(state, ctx.grid, [])
     faced = [Side(name) for name, _ in used]
     for attempt, side, _ in _ask_sides(state, ctx, grid_text, cfg.k_global_anchor, visit_no, faced):
         if side is None:
@@ -522,7 +497,6 @@ def plan_region(
     oracle: PlacementOracle,
     trace: SearchTrace | None = None,
     wall_sides: frozenset[Side] = ALL_WALLS,
-    scope: str | None = None,
     cell_size: float | None = None,
 ) -> RegionResult:
     """Place every floor object of one region, or report Unsat.
@@ -539,70 +513,86 @@ def plan_region(
         order=layer_order(region),
         config=config,
         session=OracleSession(oracle, trace),
-        scope=scope if scope is not None else region.id,
+        scope=region.id,
         wall_sides=wall_sides,
         cell_size=cell_size if cell_size is not None else config.cell_size,
         io_bound=getattr(oracle, "io_bound", False),
     )
-    anchor_spec = state.order[0]
-    used: dict[AnchorKey, tuple[float, float, Yaw]] = {}
-    for visit in range(1, config.k_global_anchor + 1):
-        result = place_anchor_visit(state, region.anchor_rule, visit, used)
-        if result is None:
-            trace.record(1, anchor_spec.id, 0, EventKind.BACKTRACK,
-                         "root budget exhausted (no anchor pose)",
-                         scope=state.scope, visit=visit)
-            break
-        placed, key = result
-        state.push(placed, anchor_spec.dims)
-        if _solve_from(state, 1):
-            return RegionResult(tuple(state.placed), False, tuple(state.unplaced), trace)
-        state.pop()
-        used[key] = (placed.x, placed.y, placed.yaw)
-        trace.record(1, anchor_spec.id, 0, EventKind.BACKTRACK, "from_layer=2",
-                     scope=state.scope, visit=visit)
+    if _solve_from(state, 0):
+        return RegionResult(tuple(state.placed), False, tuple(state.unplaced), trace)
     return RegionResult((), True, tuple(s.id for s in state.order), trace)
 
 
 def _solve_from(state: GlobalState, i: int) -> bool:
+    """Depth-first search from layer ``i + 1``: place each pose the layer
+    yields and search on; a failed subtree takes it back as a backtrack.
+    When the poses run out, CoT skips a non-anchor object, else it fails."""
     if i >= len(state.order):
         return True
     spec = state.order[i]
     layer = i + 1
-    edge = state.region.edge_for(spec.id)
+    trace = state.session.trace
+    for placed, visit in _anchor_poses(state) if i == 0 else _object_poses(state, i):
+        state.push(placed, spec.dims)
+        if _solve_from(state, i + 1):
+            return True
+        state.pop()
+        trace.record(layer, spec.id, 0, EventKind.BACKTRACK, f"from_layer={layer + 1}",
+                     scope=state.scope, visit=visit)
+    if i and state.config.mode is SearchMode.COT:
+        state.unplaced.append(spec.id)
+        return _solve_from(state, i + 1)
+    return False
+
+
+def _anchor_poses(state: GlobalState) -> Iterator[tuple[PlacedObject, int]]:
+    """The anchor layer's poses and visits: one :func:`place_anchor_visit`
+    per visit, up to the anchor budget, never repeating a failed pose."""
+    used: dict[AnchorKey, tuple[float, float, Yaw]] = {}
+    for visit in range(1, state.config.k_global_anchor + 1):
+        result = place_anchor_visit(state, visit, used)
+        if result is None:
+            state.session.trace.record(1, state.order[0].id, 0, EventKind.BACKTRACK,
+                                       "root budget exhausted (no anchor pose)",
+                                       scope=state.scope, visit=visit)
+            return
+        placed, key = result
+        yield placed, visit
+        used[key] = (placed.x, placed.y, placed.yaw)
+
+
+def _object_poses(state: GlobalState, i: int) -> Iterator[tuple[PlacedObject, int]]:
+    """Layer ``i + 1``'s poses and visits: up to the layer budget of local
+    searches each time the search returns to the layer, excluding poses
+    whose subtree failed.  The objects placed before the layer stay
+    placed while it runs, so it builds its context once."""
+    spec = state.order[i]
+    layer = i + 1
     cfg = state.config
     trace = state.session.trace
     skip = cfg.mode is SearchMode.COT
+    ctx = _make_context(state, spec, state.region.edge_for(spec.id), state.placed[0])
     excluded: set[PoseKey] = set()
     round_no = 0
     while True:
         for attempt in range(1, cfg.k_global_other + 1):
             round_no += 1  # each global attempt is its own visit, so it asks new queries
-            thought, notes = local_place(spec, edge, state, excluded, round_no, attempt, layer)
+            thought, notes = local_place(spec, ctx, state, excluded, round_no, attempt, layer)
             if thought is not None:
                 break
             trace.record(layer, spec.id, attempt, EventKind.REJECTED,
                          f"{'skipped: ' if skip else ''}{notes}",
                          scope=state.scope, visit=round_no)
         else:
-            if skip:
-                state.unplaced.append(spec.id)
-                return _solve_from(state, i + 1)
-            return False
+            return
         cx, cy, yaw = thought.pose
-        placed = PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(state.region.id))
         trace.record(
             layer, spec.id, attempt, EventKind.ACCEPTED,
             f"side={thought.side.value} side_attempt={thought.side_attempt}",
             scope=state.scope, visit=round_no, pose=thought.pose,
         )
-        state.push(placed, spec.dims)
-        if _solve_from(state, i + 1):
-            return True
-        state.pop()
+        yield PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(state.region.id)), round_no
         excluded.add(thought.pose_key)
-        trace.record(layer, spec.id, 0, EventKind.BACKTRACK, f"from_layer={layer + 1}",
-                     scope=state.scope, visit=round_no)
 
 
 # -- supported objects ----------------------------------------------------------
@@ -637,8 +627,7 @@ def place_supported(
         anchor_rule=AnchorRule.IN_CENTER,
         edges=sub.edges,
     )
-    result = plan_region(mini, config, oracle, trace=trace, scope=mini.id,
-                         cell_size=config.cell_size / 5.0)
+    result = plan_region(mini, config, oracle, trace=trace, cell_size=config.cell_size / 5.0)
     if result.unsat:
         trace.record(0, supporter_spec.id, 0, EventKind.REJECTED,
                      "supported set dropped (unsat)", scope=mini.id)

@@ -17,6 +17,7 @@ Run from the repository root (pytest does not collect this file)::
     PYTHONPATH=src python tests/digest_sweep.py --overlap
     PYTHONPATH=src python tests/digest_sweep.py --faults 0.25 --modes tree cot --overlap
     PYTHONPATH=src python tests/digest_sweep.py --placements
+    PYTHONPATH=src python tests/digest_sweep.py --backtracks
 
 The defaults are the full check: 100 prompts x seeds 0-1 x tree/cot/io x
 ``p_adv`` 0/0.35/1.0, 1,800 generations, at ``SearchConfig``'s default
@@ -35,7 +36,9 @@ oracle calls on purpose can show that it moved no object.
 the rest, so a share ``Q`` of the local-step replies are faults: it
 reaches the rejection paths the det oracle never takes.  ``--each``
 also prints one digest per generation, to find the inputs whose bytes
-differ.
+differ.  ``--backtracks`` also prints, on a second line, the sweep's
+backtracks per layer: the ``from_layer=`` BACKTRACK events of the
+traces, by the layer they return to.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from pathlib import Path
 from treelayout import render, sceneio
 from treelayout.catalog import AssetCatalog
 from treelayout.grid import Side
-from treelayout.model import Scene, SearchConfig, SearchMode
+from treelayout.model import EventKind, Scene, SearchConfig, SearchMode
 from treelayout.oracle.base import PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.queries import (
@@ -161,7 +164,8 @@ def placement_bytes(outcome: Scene | Exception) -> bytes:
 def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                  cell_size: float = SearchConfig.cell_size, each=None,
                  overlap: bool = False, calls: collections.Counter | None = None,
-                 faults: float = 0.0, placements: bool = False) -> tuple[str, int]:
+                 faults: float = 0.0, placements: bool = False,
+                 backtracks: collections.Counter | None = None) -> tuple[str, int]:
     """(hex digest, generation count) over every prompt x seed x mode x
     ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
     generation's own digest.  ``overlap`` runs the det oracle behind
@@ -169,7 +173,8 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
     of that rate.  ``placements`` hashes each generation's
     :func:`placement_bytes` instead of everything it writes.  ``calls``,
     when given, sums the oracle calls of the generations under ``kept``
-    and ``discarded``."""
+    and ``discarded``; ``backtracks``, when given, counts the traces'
+    ``from_layer=`` backtracks by layer."""
     catalog = AssetCatalog.default()
     total = hashlib.sha256()
     count = 0
@@ -184,6 +189,11 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                         if calls is not None and isinstance(outcome, Scene):
                             calls["kept"] += outcome.trace.oracle_calls
                             calls["discarded"] += outcome.trace.discarded_calls
+                        if backtracks is not None and isinstance(outcome, Scene):
+                            backtracks.update(
+                                e.layer for e in outcome.trace.events
+                                if e.kind is EventKind.BACKTRACK
+                                and e.note.startswith("from_layer="))
                         if placements:
                             data = placement_bytes(outcome)
                         digest = hashlib.sha256(data).digest()
@@ -209,17 +219,23 @@ def main() -> None:
     parser.add_argument("--placements", action="store_true",
                         help="hash only scene.json without its trace summary")
     parser.add_argument("--each", action="store_true", help="print one digest per generation")
+    parser.add_argument("--backtracks", action="store_true",
+                        help="also print the from_layer backtracks per layer")
     args = parser.parse_args()
 
     each = print if args.each else None
     calls: collections.Counter = collections.Counter()
+    backtracks: collections.Counter = collections.Counter()
     digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
                                  args.p_adv, args.cell_size, each, args.overlap, calls,
-                                 args.faults, args.placements)
+                                 args.faults, args.placements, backtracks)
     line = f"{digest}  {count} generations  calls={calls['kept']}"
     if args.overlap:
         line += f"  discarded_calls={calls['discarded']}"
     print(line)
+    if args.backtracks:
+        per_layer = "  ".join(f"layer {layer}={n}" for layer, n in sorted(backtracks.items()))
+        print(f"backtracks={sum(backtracks.values())}  {per_layer}".rstrip())
 
 
 if __name__ == "__main__":

@@ -96,8 +96,7 @@ class TestRecordReplay:
 
         out2 = tmp_path / "rep"
         r2 = run_cli([
-            "replay", str(transcript), "--seed", "4", "--prompt", PROMPT,
-            "--out-dir", str(out2),
+            "replay", str(transcript), "--prompt", PROMPT, "--out-dir", str(out2),
         ])
         assert r2.exit_code == 0, r2.output
         assert (out1 / "scene.json").read_bytes() == (out2 / "scene.json").read_bytes()
@@ -105,11 +104,11 @@ class TestRecordReplay:
     def test_record_then_replay_with_two_global_attempts(self, tmp_path):
         # Each global attempt is its own visit, so a retry asks new queries
         # instead of repeating the failed attempt's fingerprints.
-        args = ["--seed", "0", "--p-adv", "0.35", "--k-other", "2",
-                "--prompt", "A compact bedroom with a king bed and a work desk"]
+        args = ["--k-other", "2", "--prompt", "A compact bedroom with a king bed and a work desk"]
         transcript = tmp_path / "transcript.jsonl"
         out1, out2 = tmp_path / "rec", tmp_path / "rep"
-        r1 = run_cli(["generate", *args, "--out-dir", str(out1), "--transcript", str(transcript)])
+        r1 = run_cli(["generate", "--seed", "0", "--p-adv", "0.35", *args,
+                      "--out-dir", str(out1), "--transcript", str(transcript)])
         assert r1.exit_code in (0, 2), r1.output
         retries = [
             e for e in map(json.loads, (out1 / "trace.jsonl").read_text().splitlines())
@@ -139,11 +138,22 @@ class TestRecordReplay:
         transcript.write_text("\n".join(lines) + "\n")
         out2 = tmp_path / "rep"
         r = run_cli([
-            "replay", str(transcript), "--seed", "4", "--prompt", PROMPT,
-            "--out-dir", str(out2),
+            "replay", str(transcript), "--prompt", PROMPT, "--out-dir", str(out2),
         ])
         # divergence or incompleteness is fine; a crash or transport error is not
         assert r.exit_code in (0, 2, 3)
+
+    @pytest.mark.parametrize("option, value", [("--seed", "4"), ("--p-adv", "0.35")])
+    def test_det_oracle_options_are_usage_errors(self, tmp_path, option, value):
+        """replay takes every reply from the transcript; it refuses the
+        det oracle's options instead of ignoring them."""
+        transcript = tmp_path / "transcript.jsonl"
+        transcript.write_text('{"kind": "meta"}\n', "utf-8")
+        r = run_cli(["replay", str(transcript), option, value, "--prompt", PROMPT,
+                     "--out-dir", str(tmp_path / "o")])
+        assert r.exit_code == 4, r.output
+        assert f"No such option '{option}'" in r.output
+        assert not (tmp_path / "o").exists()
 
     def test_replay_missing_transcript_exit_4(self, tmp_path):
         r = run_cli([
@@ -223,6 +233,35 @@ class TestRender:
         r = run_cli(["render", str(out / "scene.json"), "--step", "0"])
         assert r.exit_code == 4
         assert "cannot read trace" in r.output
+
+    @pytest.mark.parametrize("case", [
+        "scene-array", "regions-int", "supported-list", "x-null", "layer-string",
+    ])
+    def test_wrongly_typed_file_exit_4(self, tmp_path, case):
+        """A scene or trace file of valid JSON but the wrong types is a
+        read error (exit 4), not a traceback."""
+        out = tmp_path / "o"
+        run_cli(["generate", "--seed", "1", "--prompt", PROMPT, "--out-dir", str(out)])
+        scene, trace = out / "scene.json", out / "trace.jsonl"
+        doc = json.loads(scene.read_text("utf-8"))
+        records = [json.loads(line) for line in trace.read_text("utf-8").splitlines()]
+        if case == "scene-array":
+            doc = [doc]
+        elif case == "regions-int":
+            doc["regions"] = 5
+        elif case == "supported-list":
+            doc["regions"][0]["supported"] = []
+        elif case == "x-null":
+            doc["placements"][0]["x"] = None
+        else:
+            records[0]["layer"] = "1"
+        scene.write_text(json.dumps(doc), "utf-8")
+        trace.write_text("".join(json.dumps(d) + "\n" for d in records), "utf-8")
+        r = run_cli(["render", str(scene), "--step", "1", "-o", str(tmp_path / "x.svg")])
+        assert r.exit_code == 4, r.output
+        expected = "cannot read trace: trace line 1" if case == "layer-string" else "cannot read scene"
+        assert expected in r.output
+        assert not (tmp_path / "x.svg").exists()
 
     def test_trace_naming_unknown_object_exit_4(self, tmp_path):
         out = tmp_path / "o"
@@ -337,7 +376,7 @@ class TestEngineErrors:
                       "--out-dir", str(tmp_path / "rec"), "--transcript", str(transcript)])
         assert r1.exit_code == 0, r1.output
         force_engine_error(monkeypatch, kind)
-        r2 = run_cli(["replay", str(transcript), "--seed", "4", "--prompt", PROMPT,
+        r2 = run_cli(["replay", str(transcript), "--prompt", PROMPT,
                       "--out-dir", str(tmp_path / "rep")])
         assert r2.exit_code == 5
         assert "engine error" in r2.output

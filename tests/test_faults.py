@@ -17,6 +17,8 @@ for overlap, so its ``overlap`` term is covered by unit tests only.
 import tempfile
 from pathlib import Path
 
+import pytest
+
 from digest_sweep import FaultyOracle, generation_bytes, load_prompts
 from treelayout.catalog import AssetCatalog
 from treelayout.compose import CompositionOverlap
@@ -96,3 +98,34 @@ def test_faulted_runs_replay_from_their_transcripts():
             replayed = generate_scene(prompt, config, ReplayOracle(recording.transcript))
             assert scene_to_text(replayed) == scene_to_text(scene)
             assert replayed.trace.events == scene.trace.events
+
+
+@pytest.mark.parametrize("faults", [0.0, FAULTS])
+def test_every_backtrack_pairs_with_the_pose_it_removes(faults):
+    """``render.replay_placements`` pops a layer's pose on a backtrack, so
+    every ``from_layer=`` backtrack at (scope, L) reads ``from_layer=L+1``
+    and has the visit of the last pose accepted at (scope, L).  CoT
+    never backtracks."""
+    catalog = AssetCatalog.default()
+    backtracks = 0
+    for prompt in load_prompts()[:40]:
+        for mode in (SearchMode.TREE, SearchMode.COT):
+            oracle = DeterministicOracle(seed=0, p_adv=1.0, catalog=catalog)
+            if faults:
+                oracle = FaultyOracle(oracle, faults)
+            try:
+                scene = generate_scene(prompt, SearchConfig(seed=0, mode=mode, p_adv=1.0),
+                                       oracle, catalog)
+            except TYPED_ERRORS:
+                continue
+            accepted: dict[tuple[str, int], int] = {}
+            for e in scene.trace.events:
+                if e.kind is EventKind.ACCEPTED:
+                    accepted[(e.scope, e.layer)] = e.visit
+                elif e.kind is EventKind.BACKTRACK and e.note.startswith("from_layer="):
+                    case = (prompt, mode.value, e.scope, e.layer)
+                    assert mode is SearchMode.TREE, case
+                    assert e.note == f"from_layer={e.layer + 1}", case
+                    assert e.visit == accepted[(e.scope, e.layer)], case
+                    backtracks += 1
+    assert backtracks > 0

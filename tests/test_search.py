@@ -514,7 +514,7 @@ class TestFinalCheck:
     check's terms (``AABB`` containment and overlap, ``relation_satisfied``)."""
 
     def verdict(self, side, col_start, row_start):
-        from treelayout.grid import Side, rasterize
+        from treelayout.grid import Side
         from treelayout.model import AABB, effective_aabb, units
         from treelayout.oracle.queries import object_spans, pose_from_starts
         from treelayout.search import GlobalState, _make_context
@@ -531,9 +531,7 @@ class TestFinalCheck:
         anchor = PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1"))
         state.push(anchor, region.spec("sofa_0").dims)
         spec = region.spec("coffee_table_1")
-        grid = rasterize(region, state.placed, config.cell_size)
-        ctx = _make_context(state, spec, region.edge_for(spec.id), grid,
-                            state.anchor_placed, state.anchor_dims)
+        ctx = _make_context(state, spec, region.edge_for(spec.id), anchor)
         side = Side(side)
         m_cols, m_rows = object_spans(ctx, side)
         pose = cx, cy, yaw = pose_from_starts(ctx, side, col_start, row_start)
@@ -657,7 +655,7 @@ class TestRejectionNotes:
 
     def local_notes(self, oracle, excluded=(), obstacle=False, **budgets):
         from treelayout.oracle.base import OracleSession
-        from treelayout.search import GlobalState, local_place
+        from treelayout.search import GlobalState, _make_context, local_place
 
         region = make_region(
             "r1", 4.0, 3.1, ("sofa", 2.0, 0.9, "place_along_wall"),
@@ -670,16 +668,15 @@ class TestRejectionNotes:
             session=OracleSession(oracle, SearchTrace()), scope="r1", wall_sides=frozenset(),
             cell_size=config.cell_size,
         )
-        state.push(PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1")),
-                   region.spec("sofa_0").dims)
+        anchor = PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1"))
+        state.push(anchor, region.spec("sofa_0").dims)
         if obstacle:  # True: the lamp covers cols 2-3, rows 7-8; else its (x, y)
             x, y = (0.75, 2.0) if obstacle is True else obstacle
             state.push(PlacedObject("lamp_2", x, y, 0.0, Yaw.DEG_0, Parent.floor("r1")),
                        region.spec("lamp_2").dims)
         spec = region.spec("coffee_table_1")
-        thought, notes = local_place(
-            spec, region.edge_for(spec.id), state, set(excluded), 1, 1, 2
-        )
+        ctx = _make_context(state, spec, region.edge_for(spec.id), anchor)
+        thought, notes = local_place(spec, ctx, state, set(excluded), 1, 1, 2)
         assert oracle.exhausted()
         assert thought is None
         return notes
