@@ -14,6 +14,10 @@ without its ``trace_summary``): a change that saves oracle calls keeps
 these while the full-byte values move.  They were taken before the
 forward check and hold unchanged after it.
 
+``PLACEMENTS_P0`` pins the placements of the 0.25 slice at ``p_adv`` 0
+alone, where the det oracle names only the best legal option: a change
+that stops asking questions whose answer is forced moves no object there.
+
 ``EXACT_CENTRES`` pins a slice at cell 0.2501 m, whose cell centres
 (and those of the 0.05002 m cells of its supporter tops) are not q4
 values: the det side scores test the exact centres, and rounding them
@@ -35,6 +39,7 @@ PLACEMENTS = {
     0.15: "a7823bf1c3112074ec672d7a503883bd88c2d71f8ef298273351275a8c0ac71c",
 }
 
+PLACEMENTS_P0 = "184c7f09cea54505ab7cb953d316256bbe5f0afae95aa6f0ba3130b176b2a801"
 
 EXACT_CENTRES = "c09b967fb2f034e56acf2219d960045dc2b4b2455dd4d0c75f77acc88889b5b7"
 
@@ -62,6 +67,13 @@ def test_small_sweep_placements_are_pinned(cell_size):
                                  [0.0, 0.35, 1.0], cell_size, placements=True)
     assert count == 90
     assert digest == PLACEMENTS[cell_size]
+
+
+def test_small_sweep_placements_at_p_adv_0_are_pinned():
+    digest, count = sweep_digest(load_prompts()[:10], [0], ["tree", "cot", "io"], [0.0], 0.25,
+                                 placements=True)
+    assert count == 30
+    assert digest == PLACEMENTS_P0
 
 
 @pytest.mark.parametrize("overlap", [False, True])
