@@ -15,6 +15,7 @@ import sys
 from pathlib import Path
 
 import click
+from click.core import ParameterSource
 
 from treelayout.catalog import AssetCatalog
 from treelayout.compose import CompositionOverlap
@@ -28,7 +29,7 @@ from treelayout.oracle.live import LiveConfig, LiveOracle
 from treelayout.oracle.transcript import RecordingOracle, ReplayOracle
 from treelayout.pipeline import generate_scene, scene_is_complete
 from treelayout.render import TraceMismatch, render_scene
-from treelayout.sceneio import read_scene, read_trace, write_scene, write_trace
+from treelayout.sceneio import read_scene, read_trace, write_scene, write_text, write_trace
 
 EXIT_OK = 0
 EXIT_UNSAT = 2
@@ -119,7 +120,7 @@ def _solve_and_write(text: str, config: SearchConfig, oracle: PlacementOracle,
     out.mkdir(parents=True, exist_ok=True)
     write_scene(scene, out / "scene.json")
     write_trace(scene.trace, out / "trace.jsonl")
-    (out / "scene.svg").write_text(render_scene(scene), "utf-8")
+    write_text(out / "scene.svg", render_scene(scene))
     return scene, out
 
 
@@ -192,7 +193,17 @@ def main() -> None:
 def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
              seed, mode, cell_size, k_anchor, k_other, k_side, k_axis, p_adv,
              catalog_path) -> None:
-    """Generate one scene: writes scene.json, scene.svg, and trace.jsonl."""
+    """Generate one scene: writes scene.json, scene.svg, and trace.jsonl.
+
+    --p-adv is the det oracle's, and so is --seed with --oracle replay,
+    whose replies come from the transcript: given with another oracle,
+    they are usage errors rather than ignored."""
+    det_only = {"live": ("p_adv",), "replay": ("seed", "p_adv")}.get(oracle_kind, ())
+    context = click.get_current_context()
+    for name in det_only:
+        if context.get_parameter_source(name) is not ParameterSource.DEFAULT:
+            option = "--" + name.replace("_", "-")
+            raise click.UsageError(f"{option} is not an option of --oracle {oracle_kind}")
     text = _read_prompt(prompt, prompt_file)
     config = _build_config(mode, seed, cell_size, k_anchor, k_other, k_side, k_axis, p_adv)
     catalog = _load_catalog(catalog_path)
@@ -308,7 +319,7 @@ def render(scene_file, step, trace_file, out_file) -> None:
     except (CompositionOverlap, KeyError, TraceMismatch) as exc:
         _fail_config(f"trace does not match scene: {exc}")
     target = Path(out_file) if out_file else Path(scene_file).with_suffix(".svg")
-    target.write_text(svg, "utf-8")
+    write_text(target, svg)
     click.echo(f"wrote {target}")
 
 

@@ -63,11 +63,12 @@ class Task(Generic[T]):
 
 
 def merge(trace: SearchTrace, subs: Sequence[SearchTrace]) -> None:
-    """Append the events and call counts of ``subs`` to ``trace``, in order."""
+    """Append the events, call counts and forced steps of ``subs`` to ``trace``, in order."""
     for sub in subs:
         trace.events.extend(sub.events)
         trace.oracle_calls += sub.oracle_calls
         trace.discarded_calls += sub.discarded_calls
+        trace.forced_steps.update(sub.forced_steps)
 
 
 def run_subproblems(

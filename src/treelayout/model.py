@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -433,16 +434,19 @@ class SearchTrace:
     ``oracle_calls`` counts the calls whose replies the run used.
     ``discarded_calls`` counts the calls of speculative searches whose
     result went unused: a supporter's top searched while the floor
-    search ran, for a supporter that ended unplaced, and a first run
+    search ran, for a supporter that ended unplaced, and a next run
     question asked while its side-eval was in flight, for an eval that
     said no or failed.  It is left out of :meth:`summary`, so the
-    written scene is that of the serial run.
+    written scene is that of the serial run.  ``forced_steps`` counts,
+    per query kind (``side``, ``cells``), the local steps taken without
+    asking because they had one live answer; it is left out too.
     """
 
     def __init__(self) -> None:
         self.events: list[TraceEvent] = []
         self.oracle_calls: int = 0
         self.discarded_calls: int = 0
+        self.forced_steps: Counter[str] = Counter()
 
     def record(self, layer: int, object_id: str, attempt_no: int, kind: EventKind,
                note: str = "", *, scope: str, visit: int | None = None,

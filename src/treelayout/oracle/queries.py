@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, bisect_right
-from collections.abc import Mapping, Sequence
+from collections.abc import Collection, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
@@ -80,7 +80,8 @@ class SpatialContext:
     so exactly, on a whole lattice of centres.  On run centres it gives
     each side's feasibility set (:meth:`feasible`), the poses some
     parseable pair of run replies would make the search accept, so the
-    search asks nothing about a side or an object with none, and the
+    search asks nothing about a side or an object with none, nor a
+    question with one live answer (:meth:`live_starts`), and the
     verdict on the completed pose (:meth:`_Lattice.verdict`); on cell
     centres it gives the det policy's side scores.  So the oracle names
     only positions the engine accepts.  ``candidates``, their flat masks,
@@ -169,11 +170,17 @@ class SpatialContext:
         """
         return self._side_set(side).rows(within)
 
-    def has_feasible(self, side: Side, skip: Mapping[int, int]) -> bool:
-        """Whether the side's feasibility set holds a pair outside
-        ``skip`` (row start -> mask of column starts), evaluating rows
-        only until one does."""
-        return self._side_set(side).any_outside(skip)
+    def live_starts(self, side: Side, skip: Mapping[int, int], primary: int | None = None,
+                    avoid: Collection[int] = (), limit: int = 2) -> list[int]:
+        """The starts a reply to one of the side's run questions could
+        name and the search then accept: the primary starts of the pairs
+        of the feasibility set outside ``skip`` (row start -> mask of
+        column starts), or with ``primary`` the secondary starts of those
+        pairs with that primary start, less the starts in ``avoid``.  Rows
+        are evaluated lowest first, only until ``limit`` distinct starts
+        are found: ``limit=1`` asks whether any is left, and the default
+        whether the step is forced."""
+        return self._side_set(side).starts(skip, primary, avoid, limit)
 
     @cached_property
     def _limits(self) -> tuple[int, int, tuple]:
@@ -398,8 +405,9 @@ class _SideSet:
     on the primary axis every index of the run needs a candidate, on the
     secondary axis every index one among the primary run's cells.  Those
     that are also clear are open; the relation then decides, a row start
-    at a time, so the search's question "is some pair left" stops at the
-    first row that has one.  Under the face/back rules ``final_yaw`` picks
+    at a time, so the search's questions "is some pair left" and "is one
+    start left, or two" (:meth:`starts`) stop at the first row that
+    answers them.  Under the face/back rules ``final_yaw`` picks
     the extents per pose, so both swaps are tested and ``final_yaw`` is
     asked only where they disagree.
     """
@@ -475,19 +483,43 @@ class _SideSet:
         return [self._legal_row(r0, w) if w and self.any_open >> r0 * stride & w else 0
                 for r0, w in zip(range(count), within)]
 
-    def any_outside(self, skip: Mapping[int, int]) -> bool:
-        """Whether a feasible pair lies outside ``skip`` (row start ->
-        column starts), reading rows only until one does."""
+    def starts(self, skip: Mapping[int, int], primary: int | None,
+               avoid: Collection[int], limit: int) -> list[int]:
+        """:meth:`SpatialContext.live_starts`: the open rows are read
+        lowest first, each only while it could add a start."""
         stride, full, left = self.stride, self.full, self.any_open
+        # the answer is a column start on the primary axis of a left/right
+        # side, and on the secondary axis of a top/bottom side
+        cols = self.side.horizontal == (primary is None)
+        mask = full
+        if cols:
+            for c in avoid:
+                mask &= ~(1 << c)
+        if primary is not None:
+            if not 0 <= primary < (self.count if cols else stride):
+                return []
+            if cols:  # the one row start ``primary``
+                left &= full << primary * stride
+            else:  # the one column start ``primary``
+                mask = 1 << primary
+        found_cols, found_rows = 0, []
         while left:  # the open rows, lowest first
             r0 = ((left & -left).bit_length() - 1) // stride
             want = left >> r0 * stride & full
             left ^= want << r0 * stride
-            if skip:
-                want &= ~skip.get(r0, 0)
-            if want and self.row(r0) & want:
-                return True
-        return False
+            if not cols and r0 in avoid:
+                continue
+            want &= mask & ~(skip.get(r0, 0) | found_cols)
+            if want and (got := self.row(r0) & want):
+                if cols:
+                    found_cols |= got
+                    if found_cols.bit_count() >= limit:
+                        break
+                else:
+                    found_rows.append(r0)
+                    if len(found_rows) >= limit:
+                        break
+        return bit_indices(found_cols)[:limit] if cols else found_rows
 
 
 def bit_indices(mask: int) -> list[int]:

@@ -19,6 +19,7 @@ from pathlib import Path
 from treelayout.oracle.base import CALL_PATH, FingerprintMiss, PlacementOracle
 from treelayout.oracle.queries import OracleQuery, OracleReply
 from treelayout.oracle.templates import template_version
+from treelayout.sceneio import write_text
 
 
 @dataclass
@@ -33,7 +34,7 @@ class Transcript:
         lines = [json.dumps({"kind": "meta", **self.metadata}, sort_keys=True)]
         for fp, reply in self.records:
             lines.append(json.dumps({"fp": fp, "reply": reply}, sort_keys=True))
-        Path(path).write_text("\n".join(lines) + "\n", "utf-8")
+        write_text(path, "\n".join(lines) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> "Transcript":

@@ -13,6 +13,7 @@ text, written by :attr:`TraceEvent.detail` and read back by
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 from treelayout.model import (
@@ -158,8 +159,27 @@ def scene_to_text(scene: Scene) -> str:
     return canonical_json(scene_to_doc(scene))
 
 
+def write_text(path: str | Path, text: str) -> None:
+    """Write ``text`` to ``path`` in UTF-8, creating the file or writing
+    over it in place: the file is opened without truncation, written, then
+    cut to the written length.  Bytes, inode and permissions are those
+    ``Path.write_text`` leaves, but on ext4 a file truncated to zero on
+    open is flushed to disk when it is closed (its ``auto_da_alloc``
+    guard), which made overwriting a 4 KB file an order of magnitude
+    slower."""
+    data = text.encode("utf-8")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        view = memoryview(data)
+        while view:
+            view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
+
+
 def write_scene(scene: Scene, path: str | Path) -> None:
-    Path(path).write_text(scene_to_text(scene), "utf-8")
+    write_text(path, scene_to_text(scene))
 
 
 _NUMBER = (int, float)
@@ -268,7 +288,7 @@ def write_trace(trace: SearchTrace, path: str | Path) -> None:
         f'"kind": {_string(e.kind.value)}, "layer": {e.layer}, "object_id": {_string(e.object_id)}}}'
         for e in trace.events
     ]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), "utf-8")
+    write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def read_trace(path: str | Path) -> list[TraceEvent]:

@@ -18,12 +18,13 @@ oracle-evaluated before descending; a completed pose is checked
 geometrically by the verdict of the context's legality lattice at the
 pair of run starts it comes from (``_Lattice.verdict``), which names why
 it refuses a pose; the det policy and the feasibility sets read the
-same lattices.  Each step is forward-checked against the
-context's feasibility sets: a side, or a whole object, with no pose
-that any parseable reply could make the search accept gets no
-question.  A failed local search consumes exactly one global attempt,
-and each global attempt is its own visit of the layer, so a retry asks
-new queries.
+same lattices.  Each step is forward-checked against the context's
+feasibility sets: a side, or a whole object, with no pose that any
+parseable reply could make the search accept gets no question, and a
+step with one such answer takes it without one; only the side-eval, the
+oracle's veto, is always asked.  A failed local search consumes exactly
+one global attempt, and each global attempt is its own visit of the
+layer, so a retry asks new queries.
 
 CoT mode degenerates every budget to 1 and never backtracks: an object
 that fails to place is skipped.  IO mode asks for the whole layout in
@@ -35,7 +36,8 @@ from __future__ import annotations
 import re
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field, replace
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
+from itertools import islice
 
 from treelayout.grid import (
     AABB,
@@ -97,12 +99,13 @@ def _vocabulary() -> tuple[str, ...]:
 
 @dataclass(frozen=True)
 class LocalThought:
-    """The decision of the three local steps: a side and a validated pose."""
+    """The decision of the three local steps: a side and a validated pose,
+    and the steps of it that were forced (``side``, ``cols``, ``rows``)."""
 
     side: Side
     pose: tuple[float, float, Yaw]
-    pose_key: PoseKey
     side_attempt: int
+    forced: tuple[str, ...]
 
 
 @dataclass
@@ -188,12 +191,24 @@ def _parse_yes(text: str) -> bool:
 
 
 def _ask_sides(state: GlobalState, ctx: SpatialContext, grid_text: str, budget: int,
-               round_no: int, avoid: Iterable[Side] = ()) -> Iterator[tuple[int, Side | None, str]]:
-    """Side step: ask for a side up to ``budget`` times and yield
-    ``(attempt, side, reply)`` per reply, ``side`` None when the reply
-    names no single side or a side already tried."""
+               round_no: int, avoid: Iterable[Side] = (),
+               live: Callable[[list[Side]], list[Side]] | None = None,
+               ) -> Iterator[tuple[int, Side | None, str | None]]:
+    """Side step: up to ``budget`` attempts, yielding ``(attempt, side,
+    reply)`` per attempt, ``side`` None when the reply names no single
+    side or a side already tried.  ``live(tried)``, if given, names up to
+    two sides outside ``tried`` that some reply could make the search
+    accept a pose on: with one, the attempt takes it without asking and
+    yields the reply None; with none, the step ends."""
     tried = list(avoid)
     for attempt in range(1, budget + 1):
+        if live is not None and len(left := live(tried)) < 2:
+            if not left:
+                return
+            state.session.trace.forced_steps["side"] += 1
+            tried.append(left[0])
+            yield attempt, left[0], None
+            continue
         raw = state.session.ask(SideQuery(
             grid_prompt=grid_text, context=ctx, avoid=tuple(s.value for s in tried),
             attempt=attempt, round_no=round_no,
@@ -206,38 +221,67 @@ def _ask_sides(state: GlobalState, ctx: SpatialContext, grid_text: str, budget: 
             yield attempt, side, raw
 
 
-def _live(ctx: SpatialContext, side: Side, excluded: set[PoseKey]) -> bool:
-    """Forward check: whether the side's feasibility set holds a pose
-    outside ``excluded``, that is, whether some parseable pair of run
-    replies would make :func:`local_place` accept a pose there."""
+def _skip(excluded: set[PoseKey], side: Side) -> dict[int, int]:
+    """The poses of ``excluded`` on ``side``, as row start -> mask of
+    column starts."""
     skip: dict[int, int] = {}
     for sd, p, s in excluded:
         if sd == side.value:
             c0, r0 = (p, s) if side.horizontal else (s, p)
             skip[r0] = skip.get(r0, 0) | 1 << c0
-    return ctx.has_feasible(side, skip)
+    return skip
 
 
-def _ask_eval(state: GlobalState, q: SideEvalQuery,
-              first: Callable[[], CellsQuery]) -> Speculation[tuple[CellsQuery, str]] | None:
-    """Side-eval step: ask ``q``; None unless the reply says yes.
+def _pose_keys(ctx: SpatialContext, pose: tuple[float, float, Yaw]) -> set[PoseKey]:
+    """The keys of every pair of runs that gives ``pose``: a cell beside
+    a corner of the anchor is a candidate on two sides (left of it and
+    below it, say), so one pose can come from two sides."""
+    cx, cy, _ = pose
+    grid = ctx.grid
+    keys: set[PoseKey] = set()
+    for side in Side:
+        m_cols, m_rows = object_spans(ctx, side)
+        c0 = round(cx / grid.cell_size - m_cols / 2)
+        r0 = round(cy / grid.cell_size - m_rows / 2)
+        if (0 <= c0 <= grid.cols - m_cols and 0 <= r0 <= grid.rows - m_rows
+                and pose_from_starts(ctx, side, c0, r0) == pose):
+            keys.add((side.value, c0, r0) if side.horizontal else (side.value, r0, c0))
+    return keys
 
-    ``first`` builds the side's first run question.  It does not depend
+
+def _live(ctx: SpatialContext, side: Side, excluded: set[PoseKey]) -> bool:
+    """Forward check: whether the side's feasibility set holds a pose
+    outside ``excluded``, that is, whether some parseable pair of run
+    replies would make :func:`local_place` accept a pose there."""
+    return bool(ctx.live_starts(side, _skip(excluded, side), limit=1))
+
+
+def _ask_eval(state: GlobalState, q: SideEvalQuery, after: Callable[[], CellsQuery] | None,
+              ) -> tuple[bool, Speculation[tuple[CellsQuery, str]] | None]:
+    """Side-eval step: ask ``q``; whether the reply says yes, and the
+    question asked ahead, if any.
+
+    The eval is asked even about the only live side: it is the oracle's
+    veto, not a choice.  ``after`` builds the next question the side
+    still needs (the first run question, or the second when the first
+    run is forced), None when every run is forced.  It does not depend
     on the eval's reply, so building and asking it is a speculation on
     the call key a serial run asks it on: with an I/O-bound oracle it
     runs at the same time as the eval, on a thread, else not before it
     is committed.  The speculation is returned for a "yes", for the run
     step to commit; otherwise, also when the eval raises, it is dropped.
     """
+    if after is None:
+        return _parse_yes(state.session.ask(q)), None
     path = CALL_PATH.get()
-    eval_key, first_key = path.next_key(), path.next_key()
+    eval_key, after_key = path.next_key(), path.next_key()
     oracle, trace = state.session.oracle, state.session.trace
 
-    def ask_first(sub: SearchTrace) -> tuple[CellsQuery, str]:
-        query = first()
+    def ask_after(sub: SearchTrace) -> tuple[CellsQuery, str]:
+        query = after()
         return query, OracleSession(oracle, sub).ask(query)
 
-    ahead = Speculation(ask_first, first_key, oracle, state.io_bound)
+    ahead = Speculation(ask_after, after_key, oracle, state.io_bound)
     token = CALL_PATH.set(CallPath(eval_key))
     try:
         yes = _parse_yes(state.session.ask(q))
@@ -247,9 +291,9 @@ def _ask_eval(state: GlobalState, q: SideEvalQuery,
     finally:
         CALL_PATH.reset(token)
     if yes:
-        return ahead
+        return True, ahead
     ahead.drop(trace)
-    return None
+    return False, None
 
 
 def _cells_query(state: GlobalState, ctx: SpatialContext, side: Side, axis: str,
@@ -264,16 +308,41 @@ def _cells_query(state: GlobalState, ctx: SpatialContext, side: Side, axis: str,
     )
 
 
-def _ask_runs(state: GlobalState, first: CellsQuery, raw: str,
-              notes: list[str]) -> Iterator[list[int]]:
-    """Run step: ``raw`` is the reply to ``first``; ask ``first`` again
-    with the next attempt number and the runs seen avoided, up to the
-    axis budget, and yield each novel run; unusable and repeated replies
-    go to ``notes``."""
-    tag = f"{first.side.value}/{first.axis}"
+def _ask_runs(state: GlobalState, tag: str, count: int, question: Callable[[], CellsQuery],
+              live: Callable[[tuple[int, ...]], list[int]], notes: list[str],
+              ahead: Speculation[tuple[CellsQuery, str]] | None = None,
+              ) -> Iterator[tuple[list[int], bool]]:
+    """Run step: up to the axis budget of attempts, yielding ``(run,
+    forced)`` for each novel run of ``count`` indices.
+
+    ``live(tried)`` names up to two run starts outside ``tried`` that some
+    reply could make the search accept a pose with: with one, the
+    attempt takes its run without asking (``forced``); with none, the
+    step ends, with a note if it had no live start at all.  Otherwise
+    the first asked attempt asks ``question()``, or commits ``ahead``,
+    which asked it already, and later ones ask it again with the next
+    attempt number and the runs tried avoided; unusable and repeated
+    replies go to ``notes``."""
+    first: CellsQuery | None = None
     tried: list[int] = []
     for attempt in range(1, state.config.k_local_axis + 1):
-        if attempt > 1:
+        left = live(tuple(tried))
+        if len(left) < 2:
+            if not left:
+                if attempt == 1:
+                    notes.append(f"{tag}: no feasible pose")
+                return
+            state.session.trace.forced_steps["cells"] += 1
+            tried.append(left[0])
+            yield list(range(left[0], left[0] + count)), True
+            continue
+        if first is None:
+            if ahead is not None:
+                first, raw = ahead.commit(state.session.trace)
+            else:
+                first = question()
+                raw = state.session.ask(first)
+        else:
             raw = state.session.ask(replace(first, avoid=tuple(tried) + first.avoid,
                                             attempt=attempt))
         try:
@@ -287,7 +356,7 @@ def _ask_runs(state: GlobalState, first: CellsQuery, raw: str,
             notes.append(f"{tag}: repeat run {run[0]}")
             continue
         tried.append(run[0])
-        yield run
+        yield run, False
 
 
 def local_place(
@@ -303,51 +372,75 @@ def local_place(
     ``ctx``; returns a complete validated thought or (None, failure
     summary).  Every completed pose candidate is logged as a Proposed
     event under the caller's global attempt.  With an I/O-bound oracle
-    the first run question is built and asked while the side-eval is in
+    the next run question is built and asked while the side-eval is in
     flight (:func:`_ask_eval`); else it is built only after a "yes".
 
     Forward checking (:func:`_live`): an object with no feasible pose
     outside ``excluded`` on any side fails with "no feasible pose" and
     asks nothing; a side reply naming a side without one is noted as
     "<side>: no feasible pose" and asks neither the eval nor the runs.
-    The sides with the most candidate cells are checked first."""
-    cfg = state.config
+    The sides with the most candidate cells are checked first.
+
+    A step whose live answers (those of the feasibility sets outside
+    ``excluded`` and the answers already tried) number one is forced:
+    it takes that answer without asking, and the thought names it in
+    ``forced``.  A step with none left ends.  The side-eval is always
+    asked."""
     trace = state.session.trace
     grid = ctx.grid
-    if not any(_live(ctx, side, excluded)
-               for side in sorted(Side, key=lambda sd: -len(ctx.candidates[sd]))):
+    live = cache(partial(_live, ctx, excluded=excluded))
+    order = sorted(Side, key=lambda sd: -len(ctx.candidates[sd]))
+    if not any(live(side) for side in order):
         return None, "no feasible pose"
     _, grid_text = _named_grid(state, grid, [])
     notes: list[str] = []
 
-    for side_attempt, side, raw in _ask_sides(state, ctx, grid_text, cfg.k_local_side, round_no):
+    def live_sides(tried: list[Side]) -> list[Side]:
+        return list(islice((sd for sd in order if sd not in tried and live(sd)), 2))
+
+    for side_attempt, side, raw in _ask_sides(state, ctx, grid_text, state.config.k_local_side,
+                                              round_no, live=live_sides):
         if side is None:
             notes.append(f"side reply unusable: {raw[:40]!r}")
             continue
-        if not _live(ctx, side, excluded):
+        if not live(side):
             notes.append(f"{side.value}: no feasible pose")
             continue
-        cand = ctx.candidates[side]
+        cand, skip = ctx.candidates[side], _skip(excluded, side)
         m_cols, m_rows = object_spans(ctx, side)
         if side.horizontal:
             axes, spans, axis_of = ("cols", "rows"), (m_cols, m_rows), grid.col_of
         else:
             axes, spans, axis_of = ("rows", "cols"), (m_rows, m_cols), grid.row_of
-        ahead = _ask_eval(state, SideEvalQuery(
-            grid_prompt=grid_text, context=ctx, side=side, attempt=side_attempt, round_no=round_no,
-        ), partial(_cells_query, state, ctx, side, axes[0], cand, spans[0], round_no))
-        if ahead is None:
-            notes.append(f"{side.value}: eval no")
-            continue
-        for run_p in _ask_runs(state, *ahead.commit(trace), notes):
-            p_start = run_p[0]
-            sub_cells = [c for c in cand if axis_of(c) in run_p]
+
+        def second(run_p: list[int]) -> CellsQuery:
+            p_start, p_end = run_p[0], run_p[-1]
             pose_avoid = tuple(
                 sorted(s for (sd, p, s) in excluded if sd == side.value and p == p_start)
             )
-            second = _cells_query(state, ctx, side, axes[1], sub_cells, spans[1], round_no,
-                                  primary_run=(p_start,), avoid=pose_avoid)
-            for run_s in _ask_runs(state, second, state.session.ask(second), notes):
+            cells = [c for c in cand if p_start <= axis_of(c) <= p_end]
+            return _cells_query(state, ctx, side, axes[1], cells, spans[1], round_no,
+                                primary_run=(p_start,), avoid=pose_avoid)
+
+        first = partial(_cells_query, state, ctx, side, axes[0], cand, spans[0], round_no)
+        starts = cache(partial(ctx.live_starts, side, skip))  # (primary, tried) -> starts
+        after: Callable[[], CellsQuery] | None = first
+        if len(primaries := starts(None, ())) == 1:  # the first run is forced
+            run = list(range(primaries[0], primaries[0] + spans[0]))
+            after = None if len(starts(primaries[0], ())) == 1 else partial(second, run)
+        yes, ahead = _ask_eval(state, SideEvalQuery(
+            grid_prompt=grid_text, context=ctx, side=side, attempt=side_attempt, round_no=round_no,
+        ), after)
+        if not yes:
+            notes.append(f"{side.value}: eval no")
+            continue
+        p_ahead, s_ahead = (ahead, None) if after is first else (None, ahead)
+        for run_p, p_forced in _ask_runs(state, f"{side.value}/{axes[0]}", spans[0], first,
+                                         partial(starts, None), notes, p_ahead):
+            p_start = run_p[0]
+            for run_s, s_forced in _ask_runs(state, f"{side.value}/{axes[1]}", spans[1],
+                                             partial(second, run_p), partial(starts, p_start),
+                                             notes, s_ahead):
                 s_start = run_s[0]
                 col_start, row_start = (p_start, s_start) if side.horizontal else (s_start, p_start)
                 pose = pose_from_starts(ctx, side, col_start, row_start)
@@ -365,7 +458,9 @@ def local_place(
                 if reason is not None:
                     notes.append(f"{side.value}: {reason}")
                     continue
-                return LocalThought(side, pose, key, side_attempt), "ok"
+                forced = tuple(step for step, taken in (
+                    ("side", raw is None), (axes[0], p_forced), (axes[1], s_forced)) if taken)
+                return LocalThought(side, pose, side_attempt, forced), "ok"
     return None, "; ".join(notes) if notes else "no side worked"
 
 
@@ -564,8 +659,9 @@ def _anchor_poses(state: GlobalState) -> Iterator[tuple[PlacedObject, int]]:
 def _object_poses(state: GlobalState, i: int) -> Iterator[tuple[PlacedObject, int]]:
     """Layer ``i + 1``'s poses and visits: up to the layer budget of local
     searches each time the search returns to the layer, excluding poses
-    whose subtree failed.  The objects placed before the layer stay
-    placed while it runs, so it builds its context once."""
+    whose subtree failed, from whichever side they come.  The objects
+    placed before the layer stay placed while it runs, so it builds its
+    context once."""
     spec = state.order[i]
     layer = i + 1
     cfg = state.config
@@ -588,11 +684,12 @@ def _object_poses(state: GlobalState, i: int) -> Iterator[tuple[PlacedObject, in
         cx, cy, yaw = thought.pose
         trace.record(
             layer, spec.id, attempt, EventKind.ACCEPTED,
-            f"side={thought.side.value} side_attempt={thought.side_attempt}",
+            f"side={thought.side.value} side_attempt={thought.side_attempt}"
+            + (f" forced={','.join(thought.forced)}" if thought.forced else ""),
             scope=state.scope, visit=round_no, pose=thought.pose,
         )
         yield PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(state.region.id)), round_no
-        excluded.add(thought.pose_key)
+        excluded |= _pose_keys(ctx, thought.pose)
 
 
 # -- supported objects ----------------------------------------------------------

@@ -356,56 +356,84 @@ class BruteRegion:
             return abs((start + m_cols / 2) * self.cell_m - self.anchor_center[0])
         return abs((start + m_rows / 2) * self.cell_m - self.anchor_center[1])
 
+    def live_pairs(self, obj, side, placed_rects, excluded) -> set[tuple[int, int]]:
+        """The pairs of ``accepted_pairs`` on ``side`` whose key
+        ``(side, primary start, secondary start)`` is not in ``excluded``,
+        as (primary start, secondary start): the poses a reply could
+        still make the search accept."""
+        horizontal = side in ("left", "right")
+        pairs = ((c0, r0) if horizontal else (r0, c0)
+                 for c0, r0 in self.accepted_pairs(obj, side, placed_rects))
+        return {pair for pair in pairs if (side, *pair) not in excluded}
+
+    def pose_keys(self, obj, pose) -> set[tuple[str, int, int]]:
+        """The key of every pair of runs, on any side, whose pose is ``pose``."""
+        keys = set()
+        for side in BASE_ORDER:
+            m_cols, m_rows = self.spans(obj, yaw_for_side(obj["orientation"], self.anchor_yaw, side))
+            for c0 in range(self.cols - m_cols + 1):
+                for r0 in range(self.rows - m_rows + 1):
+                    if self.pose_of(obj, side, c0, r0) == pose:
+                        keys.add((side, c0, r0) if side in ("left", "right") else (side, r0, c0))
+        return keys
+
     def local_place(self, obj, placed_rects, excluded, k_side, k_axis):
-        """Mirror of the engine's local search under the argmax policy."""
+        """Mirror of the engine's local search under the argmax policy.
+
+        A step is forced (:class:`ForcedSteps`): with one live answer it
+        takes that answer without asking the policy, with none it ends.
+        A side is live when ``live_pairs`` holds a pair on it; the eval
+        says yes when the side scores above zero."""
         anchor_rect = placed_rects[0]
+        steps = ForcedSteps(self, obj, placed_rects, excluded)
+        scores = {s: self.side_score(obj, s, placed_rects, anchor_rect) for s in BASE_ORDER}
         tried_sides: list[str] = []
         for _ in range(k_side):
-            scores = {
-                s: self.side_score(obj, s, placed_rects, anchor_rect)
-                for s in side_preference(self.anchor_yaw)
-            }
-            legal = [s for s in side_preference(self.anchor_yaw)
-                     if s not in tried_sides and scores[s] > 0]
-            if not legal:
+            side = steps.side(tried_sides)
+            if side is None:
                 return None
-            side = max(legal, key=lambda s: scores[s])
+            if side is ASK:
+                legal = [s for s in side_preference(self.anchor_yaw)
+                         if s not in tried_sides and scores[s] > 0]
+                if not legal:  # "none available", and so every later reply
+                    return None
+                side = max(legal, key=lambda s: scores[s])
             tried_sides.append(side)
+            if not steps.live[side] or scores[side] <= 0:  # no feasible pose, or eval no
+                continue
             cand = self.free_side_cells(placed_rects, anchor_rect, side)
             primary_axis = "cols" if side in ("left", "right") else "rows"
             secondary_axis = "rows" if side in ("left", "right") else "cols"
             tried_primary: list[int] = []
-            found = None
             for _ in range(k_axis):
-                starts = [
-                    s for s in self.primary_starts(obj, side, cand, placed_rects)
-                    if s not in tried_primary
-                ]
-                if not starts:
+                p0 = steps.primary(side, tried_primary)
+                if p0 is None:
                     break
-                p0 = min(starts, key=lambda s: (self.run_distance(obj, side, primary_axis, s), s))
+                if p0 is ASK:
+                    starts = [
+                        s for s in self.primary_starts(obj, side, cand, placed_rects)
+                        if s not in tried_primary
+                    ]
+                    if not starts:
+                        break
+                    p0 = min(starts, key=lambda s: (self.run_distance(obj, side, primary_axis, s), s))
                 tried_primary.append(p0)
-                tried_secondary: list[int] = []
-                for _ in range(k_axis):
+                s0 = steps.secondary(side, p0, ())
+                if s0 is None:  # no feasible pose in the named run
+                    continue
+                if s0 is ASK:
                     pose_avoid = {s for (sd, p, s) in excluded if sd == side and p == p0}
                     starts2 = [
                         s for s in self.secondary_starts(obj, side, cand, p0, placed_rects)
-                        if s not in tried_secondary and s not in pose_avoid
+                        if s not in pose_avoid
                     ]
                     if not starts2:
-                        break
+                        continue
                     s0 = min(
                         starts2, key=lambda s: (self.run_distance(obj, side, secondary_axis, s), s)
                     )
-                    tried_secondary.append(s0)
-                    c0, r0 = (p0, s0) if side in ("left", "right") else (s0, p0)
-                    cx, cy, yaw = self.pose_of(obj, side, c0, r0)
-                    found = ((side, p0, s0), (cx, cy, yaw))
-                    break
-                if found:
-                    break
-            if found:
-                return found
+                c0, r0 = (p0, s0) if side in ("left", "right") else (s0, p0)
+                return (side, p0, s0), self.pose_of(obj, side, c0, r0)
         return None
 
     # --- anchor proposals (engine order)
@@ -520,4 +548,50 @@ class BruteRegion:
             rect = rect_at(obj["length"], obj["depth"], yaw, cx, cy)
             if self._solve(i + 1, placed_rects + [rect], k_other, k_side, k_axis):
                 return True
-            excluded.add(key)
+            excluded |= self.pose_keys(obj, (cx, cy, yaw))
+
+
+# -- forced steps ---------------------------------------------------------------
+
+#: What a step with two live answers or more does: ask.
+ASK = "ask"
+
+
+def forced_answer(answers):
+    """The step's move given its live answers: None with none (the step
+    ends), the one answer with one (taken without asking), else ``ASK``."""
+    if not answers:
+        return None
+    if len(answers) == 1:
+        return next(iter(answers))
+    return ASK
+
+
+class ForcedSteps:
+    """The live answers of the local search's steps in one context, from
+    ``accepted_pairs`` less the ``excluded`` keys: the sides holding a live
+    pair, the primary starts of a side's live pairs, and the secondary
+    starts of the live pairs with a given primary start, each less the
+    answers already tried."""
+
+    def __init__(self, region: BruteRegion, obj, placed_rects, excluded):
+        self.live = {side: region.live_pairs(obj, side, placed_rects, excluded)
+                     for side in BASE_ORDER}
+
+    def sides(self, tried) -> set[str]:
+        return {side for side, pairs in self.live.items() if pairs and side not in tried}
+
+    def primaries(self, side, tried) -> set[int]:
+        return {p for p, _ in self.live[side]} - set(tried)
+
+    def secondaries(self, side, primary, tried) -> set[int]:
+        return {s for p, s in self.live[side] if p == primary} - set(tried)
+
+    def side(self, tried):
+        return forced_answer(self.sides(tried))
+
+    def primary(self, side, tried):
+        return forced_answer(self.primaries(side, tried))
+
+    def secondary(self, side, primary, tried):
+        return forced_answer(self.secondaries(side, primary, tried))

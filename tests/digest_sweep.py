@@ -18,6 +18,7 @@ Run from the repository root (pytest does not collect this file)::
     PYTHONPATH=src python tests/digest_sweep.py --faults 0.25 --modes tree cot --overlap
     PYTHONPATH=src python tests/digest_sweep.py --placements
     PYTHONPATH=src python tests/digest_sweep.py --backtracks
+    PYTHONPATH=src python tests/digest_sweep.py --calls
 
 The defaults are the full check: 100 prompts x seeds 0-1 x tree/cot/io x
 ``p_adv`` 0/0.35/1.0, 1,800 generations, at ``SearchConfig``'s default
@@ -38,7 +39,9 @@ reaches the rejection paths the det oracle never takes.  ``--each``
 also prints one digest per generation, to find the inputs whose bytes
 differ.  ``--backtracks`` also prints, on a second line, the sweep's
 backtracks per layer: the ``from_layer=`` BACKTRACK events of the
-traces, by the layer they return to.
+traces, by the layer they return to.  ``--calls`` also prints, per
+query kind, the kept oracle calls and the local steps taken without a
+call because they had one live answer (``SearchTrace.forced_steps``).
 """
 
 from __future__ import annotations
@@ -71,6 +74,8 @@ from treelayout.oracle.transcript import RecordingOracle
 from treelayout.pipeline import generate_scene
 
 OUTPUT_FILES = ("scene.json", "trace.jsonl", "scene.svg")
+QUERY_KINDS = ("room", "regions", "objects", "supported", "side", "side_eval", "cells",
+               "full_layout")
 
 
 def load_prompts() -> list[str]:
@@ -125,23 +130,45 @@ class FaultyOracle(PlacementOracle):
         return OracleReply(" ".join(rng.sample(names, min(len(names), rng.randint(1, 4)))))
 
 
+class KindOracle(PlacementOracle):
+    """Passes queries on and keeps the kind of each (the ``kind=`` line of
+    its canonical text) by fingerprint."""
+
+    def __init__(self, inner: PlacementOracle):
+        self.inner = inner
+        self.io_bound = inner.io_bound
+        self.kinds: dict[str, str] = {}
+
+    def query(self, q: OracleQuery) -> OracleReply:
+        self.kinds[q.fp] = q.canonical_text().split("\n", 1)[0].removeprefix("kind=")
+        return self.inner.query(q)
+
+
 def generation_bytes(prompt: str, seed: int, mode: SearchMode, p_adv: float,
                      catalog: AssetCatalog, out: Path,
                      cell_size: float = SearchConfig.cell_size,
-                     overlap: bool = False, faults: float = 0.0
+                     overlap: bool = False, faults: float = 0.0,
+                     kinds: collections.Counter | None = None,
                      ) -> tuple[bytes, Scene | Exception]:
     """Everything one generation writes, as one byte string, and the
     run's scene, or the exception it raised.  ``faults`` is the
-    :class:`FaultyOracle` rate, 0 for none."""
+    :class:`FaultyOracle` rate, 0 for none.  ``kinds``, when given, counts
+    the kept calls of a generation that returns by query kind."""
     config = SearchConfig(seed=seed, mode=mode, p_adv=p_adv, cell_size=cell_size)
     oracle: PlacementOracle = DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog)
     if faults:
         oracle = FaultyOracle(oracle, faults)
-    recording = RecordingOracle(OverlappedOracle(oracle) if overlap else oracle)
+    if overlap:
+        oracle = OverlappedOracle(oracle)
+    if kinds is not None:
+        oracle = KindOracle(oracle)
+    recording = RecordingOracle(oracle)
     try:
         scene = generate_scene(prompt, config, recording, catalog)
     except Exception as exc:  # part of the behaviour under test
         return f"raised {type(exc).__name__}: {exc}".encode("utf-8"), exc
+    if kinds is not None:
+        kinds.update(oracle.kinds[fp] for fp, _ in recording.transcript.records)
     sceneio.write_scene(scene, out / "scene.json")
     sceneio.write_trace(scene.trace, out / "trace.jsonl")
     (out / "scene.svg").write_text(render.render_scene(scene), "utf-8")
@@ -165,7 +192,9 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                  cell_size: float = SearchConfig.cell_size, each=None,
                  overlap: bool = False, calls: collections.Counter | None = None,
                  faults: float = 0.0, placements: bool = False,
-                 backtracks: collections.Counter | None = None) -> tuple[str, int]:
+                 backtracks: collections.Counter | None = None,
+                 kinds: collections.Counter | None = None,
+                 forced: collections.Counter | None = None) -> tuple[str, int]:
     """(hex digest, generation count) over every prompt x seed x mode x
     ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
     generation's own digest.  ``overlap`` runs the det oracle behind
@@ -174,7 +203,8 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
     :func:`placement_bytes` instead of everything it writes.  ``calls``,
     when given, sums the oracle calls of the generations under ``kept``
     and ``discarded``; ``backtracks``, when given, counts the traces'
-    ``from_layer=`` backtracks by layer."""
+    ``from_layer=`` backtracks by layer; ``kinds`` and ``forced``, when
+    given, count the kept calls and the forced steps by query kind."""
     catalog = AssetCatalog.default()
     total = hashlib.sha256()
     count = 0
@@ -185,10 +215,13 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                 for mode in modes:
                     for p_adv in p_advs:
                         data, outcome = generation_bytes(prompt, seed, SearchMode(mode), p_adv,
-                                                         catalog, out, cell_size, overlap, faults)
+                                                         catalog, out, cell_size, overlap, faults,
+                                                         kinds)
                         if calls is not None and isinstance(outcome, Scene):
                             calls["kept"] += outcome.trace.oracle_calls
                             calls["discarded"] += outcome.trace.discarded_calls
+                        if forced is not None and isinstance(outcome, Scene):
+                            forced.update(outcome.trace.forced_steps)
                         if backtracks is not None and isinstance(outcome, Scene):
                             backtracks.update(
                                 e.layer for e in outcome.trace.events
@@ -221,14 +254,18 @@ def main() -> None:
     parser.add_argument("--each", action="store_true", help="print one digest per generation")
     parser.add_argument("--backtracks", action="store_true",
                         help="also print the from_layer backtracks per layer")
+    parser.add_argument("--calls", action="store_true",
+                        help="also print the kept calls and forced steps per query kind")
     args = parser.parse_args()
 
     each = print if args.each else None
     calls: collections.Counter = collections.Counter()
     backtracks: collections.Counter = collections.Counter()
+    kinds = collections.Counter() if args.calls else None
+    forced: collections.Counter = collections.Counter()
     digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
                                  args.p_adv, args.cell_size, each, args.overlap, calls,
-                                 args.faults, args.placements, backtracks)
+                                 args.faults, args.placements, backtracks, kinds, forced)
     line = f"{digest}  {count} generations  calls={calls['kept']}"
     if args.overlap:
         line += f"  discarded_calls={calls['discarded']}"
@@ -236,6 +273,9 @@ def main() -> None:
     if args.backtracks:
         per_layer = "  ".join(f"layer {layer}={n}" for layer, n in sorted(backtracks.items()))
         print(f"backtracks={sum(backtracks.values())}  {per_layer}".rstrip())
+    if kinds is not None:
+        for kind in QUERY_KINDS:
+            print(f"{kind:<12} calls={kinds[kind]:<7} forced={forced[kind]}")
 
 
 if __name__ == "__main__":

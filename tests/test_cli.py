@@ -155,6 +155,20 @@ class TestRecordReplay:
         assert f"No such option '{option}'" in r.output
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("oracle, option, value", [
+        ("replay", "--seed", "4"), ("replay", "--p-adv", "0.35"), ("live", "--p-adv", "0.35"),
+    ])
+    def test_generate_refuses_det_options_of_other_oracles(self, tmp_path, oracle, option, value):
+        """``generate`` with a replayed or live oracle refuses the det
+        oracle's options it would ignore, before it reads any file."""
+        r = run_cli(["generate", "--oracle", oracle, option, value, "--prompt", PROMPT,
+                     "--transcript", str(tmp_path / "t.jsonl"),
+                     "--live-config", str(tmp_path / "live.json"),
+                     "--out-dir", str(tmp_path / "o")])
+        assert r.exit_code == 4, r.output
+        assert f"{option} is not an option of --oracle {oracle}" in r.output
+        assert not (tmp_path / "o").exists()
+
     def test_replay_missing_transcript_exit_4(self, tmp_path):
         r = run_cli([
             "replay", str(tmp_path / "nope.jsonl"), "--prompt", PROMPT,

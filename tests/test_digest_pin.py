@@ -5,14 +5,16 @@
 with its subproblems overlapped on threads.  A change
 meant to keep behaviour keeps these digests; a change that alters bytes
 on purpose updates them and says so in CHANGES.md.  The full-byte
-values were last re-pinned when the search began forward-checking its
-local steps, which changed trace notes, transcripts and call counts on
-purpose.
+values were last re-pinned when the search began to take a local step
+with one live answer without asking, which changed trace notes,
+transcripts and call counts on purpose.
 
 ``PLACEMENTS`` pins only what the same generations placed (``scene.json``
 without its ``trace_summary``): a change that saves oracle calls keeps
-these while the full-byte values move.  They were taken before the
-forward check and hold unchanged after it.
+these while the full-byte values move.  They were re-pinned with the
+forced steps too: where the det oracle named a side with no feasible
+pose and ran out of side attempts, the forced side now places the
+object.
 
 ``PLACEMENTS_P0`` pins the placements of the 0.25 slice at ``p_adv`` 0
 alone, where the det oracle names only the best legal option: a change
@@ -30,18 +32,18 @@ import pytest
 from digest_sweep import load_prompts, sweep_digest
 
 PINNED = {
-    0.25: "6d8af68632aa7a3d679ddc2187773f44ea53670b1c8537b732b90030004c2227",
-    0.15: "d003539c4e20f5b3054b0ab741465a3a5b6d36b3bf4fee0c291e8ab0011abf79",
+    0.25: "c331828146e3214bb9b18b778415f50bda10791a13efe7aa34c4e2e53c82759a",
+    0.15: "c4044b32508785098ab50d99ad8943f5844cdcdc75671445dc0d57279267a5f9",
 }
 
 PLACEMENTS = {
-    0.25: "0ced2c2bb8a17051b2a32147437b1777ab41c9666353a58d462ad3736d987bcd",
-    0.15: "a7823bf1c3112074ec672d7a503883bd88c2d71f8ef298273351275a8c0ac71c",
+    0.25: "42258a3d3beaaf6a740089ffb282f85a0a81f4403dc0fd941c8d11997c63b65c",
+    0.15: "0a6e6cf8a57319b8cfb47a104476c96ff6b1a154355157c2abc67bead1cbba56",
 }
 
 PLACEMENTS_P0 = "184c7f09cea54505ab7cb953d316256bbe5f0afae95aa6f0ba3130b176b2a801"
 
-EXACT_CENTRES = "c09b967fb2f034e56acf2219d960045dc2b4b2455dd4d0c75f77acc88889b5b7"
+EXACT_CENTRES = "46b5d1b2edd0628fa4b711d317edbc0de5ea2c879df4c9aa56050a2e6408b35f"
 
 
 @pytest.mark.parametrize("cell_size", sorted(PINNED))

@@ -10,8 +10,11 @@ nothing illegally, fail only with the engine's typed errors, and replay
 from its transcript.
 
 The final check rejects few poses: over 1,200 faulted generations
-(tree and cot, every ``p_adv``) 3 for bounds, 3 for the relation and none
-for overlap, so its ``overlap`` term is covered by unit tests only.
+(tree and cot, every ``p_adv``, seeds 0-1) 2 for bounds, 1 for the
+relation and none for overlap, so its ``overlap`` term is covered by unit
+tests only.  A run reply now reaches it only when its step has at least
+two live answers, and a faulted reply must name exactly the cells of a
+run to parse.
 """
 
 import tempfile
@@ -70,15 +73,15 @@ def test_faulted_slice_overlapped_writes_inline_bytes_and_stays_sound():
 
 
 def test_final_check_rejects_faulted_poses_end_to_end():
-    # (prompt index, mode, the final-check note its trace must hold), seed 0, p_adv 1.0
+    # (prompt index, seed, mode, the final-check note its trace must hold), p_adv 1.0
     catalog = AssetCatalog.default()
     with tempfile.TemporaryDirectory() as tmp:
-        for index, mode, note in ((9, SearchMode.COT, "top: bounds"),
-                                  (20, SearchMode.TREE, "left: relation")):
-            _, scene = generation_bytes(load_prompts()[index], 0, mode, 1.0, catalog, Path(tmp),
-                                        faults=FAULTS)
+        for index, seed, mode, note in ((7, 5, SearchMode.COT, "left: bounds"),
+                                        (20, 0, SearchMode.TREE, "left: relation")):
+            _, scene = generation_bytes(load_prompts()[index], seed, mode, 1.0, catalog,
+                                        Path(tmp), faults=FAULTS)
             assert isinstance(scene, Scene), (index, scene)
-            m = validity_metrics(scene, SearchConfig(seed=0, mode=mode, p_adv=1.0))
+            m = validity_metrics(scene, SearchConfig(seed=seed, mode=mode, p_adv=1.0))
             assert (m.overlap_pairs, m.oob_objects, m.relation_violations) == (0, 0, 0), index
             reasons = {reason for e in scene.trace.events if e.kind is EventKind.REJECTED
                        for reason in e.note.removeprefix("skipped: ").split("; ")}
@@ -129,3 +132,34 @@ def test_every_backtrack_pairs_with_the_pose_it_removes(faults):
                     assert e.visit == accepted[(e.scope, e.layer)], case
                     backtracks += 1
     assert backtracks > 0
+
+
+def poses_placed_again(events):
+    """(scope, layer, object, pose) of each pose accepted at a layer whose
+    subtree had already failed there while the layers below held the poses
+    they hold now."""
+    again, failed, current = [], {}, {}
+    for e in events:
+        key = (e.scope, e.layer)
+        if e.kind is EventKind.ACCEPTED:
+            if e.pose in failed.get(key, ()):
+                again.append((e.scope, e.layer, e.object_id, e.pose))
+            current[key] = e.pose
+            failed[(e.scope, e.layer + 1)] = set()
+        elif e.kind is EventKind.BACKTRACK and e.note.startswith("from_layer="):
+            failed.setdefault(key, set()).add(current.pop(key))
+    return again
+
+
+def test_a_failed_pose_is_not_placed_again_from_another_side():
+    """A cell beside a corner of the anchor is a candidate on two sides,
+    so one pose has a key on each.  Here the armchair's pose at
+    (0.5, 2.25) fails from the bottom side; excluded by that key alone, it
+    was placed again from the left side, and the coffee table's questions
+    were asked twice (the recording oracle refuses a repeated fingerprint)."""
+    catalog = AssetCatalog.default()
+    with tempfile.TemporaryDirectory() as tmp:
+        _, scene = generation_bytes(load_prompts()[91], 0, SearchMode.TREE, 0.35, catalog,
+                                    Path(tmp), faults=FAULTS)
+    assert isinstance(scene, Scene), scene
+    assert poses_placed_again(scene.trace.events) == []

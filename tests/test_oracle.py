@@ -11,7 +11,7 @@ import time
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from bruteforce import BruteRegion, brute_side_cells
+from bruteforce import ASK, BruteRegion, ForcedSteps, brute_side_cells
 from treelayout.grid import Side, rasterize, serialize_grid_prompt, assign_emojis, load_vocabulary
 from treelayout.model import (
     AnchorRule,
@@ -814,6 +814,159 @@ class TestFeasibilitySets:
                 got = [r * cols + c for r in range(grid.rows) for c in range(cols)
                        if flat >> r * stride + c & 1]
                 assert got == ctx.candidates[side]
+
+
+class StepOracle(PlacementOracle):
+    """Answers the local steps of one context at random from the
+    forced-step mirror and logs them: a side question gets a live side it
+    does not avoid, an eval "yes" or "no", and a run question a live start
+    it does not avoid or, now and then, text that names no cell.  A
+    question with fewer than two live answers fails the test."""
+
+    io_bound = False
+
+    def __init__(self, steps: ForcedSteps, rng: random.Random):
+        self.steps, self.rng, self.log = steps, rng, []
+
+    def query(self, q):
+        if isinstance(q, SideQuery):
+            answers = self.steps.sides(q.avoid)
+            assert len(answers) >= 2, ("side", q.avoid, answers)
+            side = self.rng.choice(sorted(answers))
+            self.log.append(("side", set(q.avoid), side))
+            return OracleReply(side)
+        if isinstance(q, SideEvalQuery):
+            yes = self.rng.random() < 0.7
+            self.log.append(("eval", q.side.value, yes))
+            return OracleReply("yes" if yes else "no")
+        assert isinstance(q, CellsQuery)
+        side = q.side.value
+        if q.primary_run:
+            answers = self.steps.secondaries(side, q.primary_run[0], q.avoid)
+        else:
+            answers = self.steps.primaries(side, q.avoid)
+        assert len(answers) >= 2, (side, q.primary_run, q.avoid, answers)
+        start = None if self.rng.random() < 0.2 else self.rng.choice(sorted(answers))
+        self.log.append(("cells", q.primary_run, set(q.avoid), start))
+        if start is None:
+            return OracleReply("nothing")
+        grid = q.context.grid
+        axis_of = grid.col_of if q.axis == "cols" else grid.row_of
+        return OracleReply(" ".join(
+            next(name for idx, name in q.emap.entries.items() if axis_of(idx) == i)
+            for i in range(start, start + q.expected_count)))
+
+
+def mirror_local_search(steps: ForcedSteps, log, k_side: int, k_axis: int, axes):
+    """Replay a :class:`StepOracle` log through the forced-step mirror.
+
+    A step with one live answer must have no question in the log, and
+    the search must go on with that answer; a step with more must have
+    one, avoiding the answers tried; a step with none ends.  Returns the
+    thought the search must return, as (side, primary start, secondary
+    start, forced steps) or None, and the count of forced steps."""
+    log = list(log)
+
+    def take(kind):
+        assert log and log[0][0] == kind, (kind, log[:1])
+        return log.pop(0)[1:]
+
+    def step(answer, forced, name, kind, primary_run, tried):
+        """The step's answer (None: none usable), from the mirror or the log."""
+        if answer is ASK:
+            run, avoid, answer = take(kind)
+            assert run == primary_run and avoid >= set(tried)
+        else:
+            forced.append(name)
+        return answer
+
+    count = 0
+    tried_sides: list[str] = []
+    for _ in range(k_side):
+        side = steps.side(tried_sides)
+        if side is None:
+            break
+        forced: list[str] = []
+        if side is ASK:
+            avoid, side = take("side")
+            assert avoid == set(tried_sides)
+        else:
+            forced.append("side")
+        eval_side, yes = take("eval")
+        assert eval_side == side
+        tried_sides.append(side)
+        count += len(forced)
+        if not yes:
+            continue
+        tried_p: list[int] = []
+        for _ in range(k_axis):
+            p = steps.primary(side, tried_p)
+            if p is None:
+                break
+            p_forced: list[str] = []
+            p = step(p, p_forced, axes[side][0], "cells", (), tried_p)
+            count += len(p_forced)
+            if p is None:
+                continue
+            tried_p.append(p)
+            tried_s: list[int] = []
+            for _ in range(k_axis):
+                s = steps.secondary(side, p, tried_s)
+                if s is None:
+                    break
+                s_forced: list[str] = []
+                s = step(s, s_forced, axes[side][1], "cells", (p,), tried_s)
+                count += len(s_forced)
+                if s is None:
+                    continue
+                assert not log, log
+                return (side, p, s, tuple(forced + p_forced + s_forced)), count
+    assert not log, log
+    return None, count
+
+
+class TestForcedSteps:
+    """The referee of the forced steps: over random contexts and excluded
+    poses, ``local_place`` asks a question exactly when the brute-force
+    mirror (:class:`ForcedSteps`, built from ``accepted_pairs``) leaves two
+    live answers or more, goes on with the only one when it leaves one,
+    and ends the step when it leaves none."""
+
+    @given(seed=st.integers(0, 2**32 - 1), excluded_share=st.sampled_from([0.0, 0.3, 0.9]))
+    @settings(max_examples=80, deadline=None)
+    def test_asks_exactly_the_steps_with_two_live_answers(self, seed, excluded_share):
+        from treelayout.model import SearchConfig, SearchTrace
+        from treelayout.oracle.base import OracleSession
+        from treelayout.search import GlobalState, local_place
+
+        rng = random.Random(seed)
+        ctx = mask_context(rng)
+        br, obj = brute_of(ctx), brute_obj(ctx)
+        placed = list(ctx.placed_boxes)
+        everything = ForcedSteps(br, obj, placed, set())
+        excluded = {(side, *pair) for side, pairs in everything.live.items()
+                    for pair in sorted(pairs) if rng.random() < excluded_share}
+        steps = ForcedSteps(br, obj, placed, excluded)
+        config = SearchConfig(k_local_side=4, k_local_axis=2)
+        oracle = StepOracle(steps, rng)
+        state = GlobalState(region=None, order=[], config=config,
+                            session=OracleSession(oracle, SearchTrace()), scope=ctx.scope,
+                            wall_sides=frozenset(), cell_size=ctx.grid.cell_size)
+        spec = ObjectSpec(ctx.object_id, "obj", ctx.object_dims)
+        thought, _ = local_place(spec, ctx, state, excluded, 1, 1, 2)
+        axes = {side.value: ("cols", "rows") if side.horizontal else ("rows", "cols")
+                for side in Side}
+        want, forced = mirror_local_search(steps, oracle.log, config.k_local_side,
+                                           config.k_local_axis, axes)
+        assert sum(state.session.trace.forced_steps.values()) == forced
+        if want is None:
+            assert thought is None
+            return
+        side, p, s, steps_forced = want
+        c0, r0 = (p, s) if side in ("left", "right") else (s, p)
+        cx, cy, yaw = thought.pose
+        assert (thought.side.value, (cx, cy, yaw.value)) == (side, br.pose_of(obj, side, c0, r0))
+        assert thought.forced == steps_forced
 
 
 class TestDeterministicOracleReplies:

@@ -15,7 +15,7 @@ from treelayout.hierarchy import build_room_plan, supporters
 from treelayout.model import EventKind, RoomPlan, SearchConfig, SearchMode, SearchTrace
 from treelayout.oracle.base import OracleFailure, OracleSession, PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
-from treelayout.oracle.queries import ObjectsQuery, OracleReply, SupportedQuery
+from treelayout.oracle.queries import CellsQuery, ObjectsQuery, OracleReply, SupportedQuery
 from treelayout.oracle.transcript import RecordingOracle, ReplayOracle
 from treelayout.pipeline import generate_scene
 from treelayout.sceneio import scene_to_text, write_trace
@@ -326,7 +326,12 @@ def test_unsat_tree_region_drops_its_searched_tops(tmp_path):
     scene = assert_inline_bytes(prompt, seed, oracle, tmp_path)
     assert region.id in scene.unsat_regions
     assert "top search" in oracle.asked
-    assert scene.trace.discarded_calls == oracle.asked.count("top search") > 0
+    # every eval says no, so each run question of the region was asked
+    # ahead of one and dropped with it
+    dropped_runs = sum(isinstance(q, CellsQuery) and scope_of(q) == region.id
+                       for q in oracle.finished)
+    assert scene.trace.discarded_calls == oracle.asked.count("top search") + dropped_runs
+    assert oracle.asked.count("top search") > 0
     assert not any(e.scope.startswith("top:") for e in scene.trace.events)
 
 

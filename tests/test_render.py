@@ -15,6 +15,7 @@ from treelayout.sceneio import (
     read_trace,
     scene_to_text,
     write_scene,
+    write_text,
     write_trace,
 )
 
@@ -35,6 +36,25 @@ class TestCanonicalJson:
 
     def test_ints_stay_ints(self):
         assert "3\n" == canonical_json(3)
+
+
+class TestWriteText:
+    def test_shorter_write_over_longer_file_leaves_exactly_the_new_bytes(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("a much longer first version\n" * 40, "utf-8")
+        path.chmod(0o640)
+        before = path.stat()
+        write_text(path, "short \u00e9\n")
+        after = path.stat()
+        assert path.read_bytes() == "short \u00e9\n".encode("utf-8")
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_new_file_matches_path_write_text(self, tmp_path):
+        write_text(tmp_path / "a.txt", "x\ny\n")
+        (tmp_path / "b.txt").write_text("x\ny\n", "utf-8")
+        a, b = (tmp_path / "a.txt").stat(), (tmp_path / "b.txt").stat()
+        assert (tmp_path / "a.txt").read_bytes() == (tmp_path / "b.txt").read_bytes()
+        assert a.st_mode == b.st_mode
 
 
 class TestSceneFile:

@@ -648,17 +648,21 @@ class ScriptedOracle:
 class TestRejectionNotes:
     """The text of every local-search rejection note (it lands in trace.jsonl).
 
-    A 4.0 x 3.1 region on a 0.25 grid (16 cols, 13 rows) with the sofa
+    A 4.0 x 2.3 region on a 0.25 grid (16 cols, 10 rows) with the sofa
     anchor flush to the bottom wall.  On its top side the coffee table
     spans 3 rows and 4 cols, so the first step names rows and the second
-    columns; rows 4-12 are above the anchor."""
+    columns; rows 4-9 are above the anchor, and only rows 4-6 have a
+    feasible pose.  The top side is the table's only live side, so its
+    side step is forced and the scripts below hold no side reply; the
+    lamp, placed around the sofa, has three live sides."""
 
-    def local_notes(self, oracle, excluded=(), obstacle=False, **budgets):
+    def local_notes(self, oracle, excluded=(), obstacle=False, obj="coffee_table_1",
+                    **budgets):
         from treelayout.oracle.base import OracleSession
         from treelayout.search import GlobalState, _make_context, local_place
 
         region = make_region(
-            "r1", 4.0, 3.1, ("sofa", 2.0, 0.9, "place_along_wall"),
+            "r1", 4.0, 2.3, ("sofa", 2.0, 0.9, "place_along_wall"),
             [("coffee_table", 1.0, 0.6, "place_front", "face_anchor"),
              ("lamp", 0.5, 0.5, "place_around", None)],
         )
@@ -670,11 +674,11 @@ class TestRejectionNotes:
         )
         anchor = PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1"))
         state.push(anchor, region.spec("sofa_0").dims)
-        if obstacle:  # True: the lamp covers cols 2-3, rows 7-8; else its (x, y)
-            x, y = (0.75, 2.0) if obstacle is True else obstacle
+        if obstacle:  # True: the lamp covers cols 2-3, rows 5-6; else its (x, y)
+            x, y = (0.75, 1.5) if obstacle is True else obstacle
             state.push(PlacedObject("lamp_2", x, y, 0.0, Yaw.DEG_0, Parent.floor("r1")),
                        region.spec("lamp_2").dims)
-        spec = region.spec("coffee_table_1")
+        spec = region.spec(obj)
         ctx = _make_context(state, spec, region.edge_for(spec.id), anchor)
         thought, notes = local_place(spec, ctx, state, set(excluded), 1, 1, 2)
         assert oracle.exhausted()
@@ -683,19 +687,21 @@ class TestRejectionNotes:
 
     def test_side_reply_unusable(self):
         oracle = ScriptedOracle(sides=["nowhere", "left or right"])
-        assert self.local_notes(oracle) == (
+        assert self.local_notes(oracle, obj="lamp_2") == (
             "side reply unusable: 'nowhere'; side reply unusable: 'left or right'"
         )
 
     def test_eval_no_then_repeated_side(self):
         oracle = ScriptedOracle(sides=["top", "top"], evals=["no"])
-        assert self.local_notes(oracle) == "top: eval no; side reply unusable: 'top'"
+        assert self.local_notes(oracle, obj="lamp_2") == (
+            "top: eval no; side reply unusable: 'top'")
 
     def test_no_candidate_cells(self):
         # the anchor is flush to the bottom wall, so the bottom side has no
         # candidate cells and no feasible pose: no eval is asked about it
         oracle = ScriptedOracle(sides=["bottom"])
-        assert self.local_notes(oracle, k_local_side=1) == "bottom: no feasible pose"
+        assert self.local_notes(oracle, obj="lamp_2", k_local_side=1) == (
+            "bottom: no feasible pose")
 
     def test_selection_error_kinds(self):
         def one_name(q):
@@ -705,33 +711,39 @@ class TestRejectionNotes:
             return q.emap.vocabulary[-1]
 
         # the second reply names rows 4-6 and leads to the columns question
-        oracle = ScriptedOracle(sides=["top"], evals=["yes"],
-                                runs=["I cannot say", 4, one_name, unlisted_name])
+        oracle = ScriptedOracle(evals=["yes"], runs=["I cannot say", 4, one_name, unlisted_name])
         assert self.local_notes(oracle, k_local_side=1, k_local_axis=2) == (
             "top/rows: EmptyResponse; top/cols: WrongCount; top/cols: UnknownEmoji"
         )
 
     def test_repeat_runs(self):
-        oracle = ScriptedOracle(sides=["top"], evals=["yes"], runs=[4, 12, 12, 4])
+        oracle = ScriptedOracle(evals=["yes"], runs=[4, 12, 12, 4])
         assert self.local_notes(oracle, k_local_side=1, k_local_axis=2) == (
             "top: relation; top/cols: repeat run 12; top/rows: repeat run 4"
         )
 
     def test_pose_already_failed_downstream(self):
-        oracle = ScriptedOracle(sides=["top"], evals=["yes"], runs=[4, 6])
+        oracle = ScriptedOracle(evals=["yes"], runs=[4, 6])
         notes = self.local_notes(oracle, excluded={("top", 4, 6)}, k_local_side=1)
         assert notes == "top: pose ('top', 4, 6) already failed downstream"
 
+    def test_named_run_without_feasible_pose(self):
+        # rows 7-9 reach past the wall at every column: no second question
+        oracle = ScriptedOracle(evals=["yes"], runs=[7])
+        assert self.local_notes(oracle) == "top/cols: no feasible pose"
+
     @pytest.mark.parametrize("runs, obstacle, reason", [
-        ([10, 4], False, "bounds"),  # rows 10-12 reach y = 3.25 > 3.1
-        ([7, 1], True, "overlap"),  # cols 1-4 x rows 7-9 cover the obstacle
+        # at cols 0-3 the table faces the sofa along x, so its 1.0 m
+        # length stands along y, from 1.375 to 2.375 > 2.3
+        ([6, 0], False, "bounds"),
+        ([5, 1], True, "overlap"),  # cols 1-4 x rows 5-7 cover the obstacle
         ([4, 12], False, "relation"),  # cols 12-15 are off the sofa's front
-        # rows 10-12 reach past the wall and cols 1-4 cover the lamp on
-        # cols 2-3, rows 10-11: bounds is reported before overlap
-        ([10, 1], (0.75, 2.75), "bounds"),
+        # the pose of the first case also covers the lamp on cols 1-2,
+        # rows 7-8: bounds is reported before overlap
+        ([6, 0], (0.5, 2.0), "bounds"),
     ])
     def test_pose_checks(self, runs, obstacle, reason):
-        oracle = ScriptedOracle(sides=["top"], evals=["yes"], runs=runs)
+        oracle = ScriptedOracle(evals=["yes"], runs=runs)
         assert self.local_notes(oracle, obstacle=obstacle, k_local_side=1) == f"top: {reason}"
 
     @pytest.mark.parametrize("mode, sides, evals, note", [
@@ -740,9 +752,10 @@ class TestRejectionNotes:
         (SearchMode.COT, ["nowhere"], [], "skipped: side reply unusable: 'nowhere'"),
     ])
     def test_rejected_event_joins_notes(self, mode, sides, evals, note):
+        # the lamp has three live sides, so its side step asks
         region = make_region(
             "r1", 4.0, 3.0, ("sofa", 2.0, 0.9, "place_along_wall"),
-            [("coffee_table", 1.0, 0.6, "place_front", "face_anchor")],
+            [("lamp", 0.5, 0.5, "place_around", None)],
         )
         config = SearchConfig(seed=0, mode=mode, **{**REFERENCE_CONFIG, "k_global_anchor": 1})
         oracle = ScriptedOracle(sides=sides, evals=evals)
@@ -760,6 +773,72 @@ class TestRejectionNotes:
             (EventKind.PROPOSED, 2, "anchor=top"),
             (EventKind.ACCEPTED, 2, "anchor=top"),
         ]
+
+
+class TestForcedSteps:
+    """A step with one live answer is taken without a question, and a step
+    with none left ends.  A 1.25 x 1.0 region on a 0.25 grid with a
+    1.0 x 1.0 cabinet flush to its left wall: a 0.25 x 1.0 panel beside
+    it fits only in column 4, rows 0-3, so every step but the eval is
+    forced."""
+
+    def local_place(self, oracle, **budgets):
+        from treelayout.oracle.base import OracleSession
+        from treelayout.search import GlobalState, _make_context, local_place
+
+        region = make_region("r1", 1.25, 1.0, ("cabinet", 1.0, 1.0, "place_along_wall"),
+                             [("panel", 0.25, 1.0, "place_beside", "same_as_anchor")])
+        config = SearchConfig(seed=0, **{**REFERENCE_CONFIG, **budgets})
+        state = GlobalState(
+            region=region, order=layer_order(region), config=config,
+            session=OracleSession(oracle, SearchTrace()), scope="r1", wall_sides=frozenset(),
+            cell_size=config.cell_size,
+        )
+        anchor = PlacedObject("cabinet_0", 0.5, 0.5, 0.0, Yaw.DEG_0, Parent.floor("r1"))
+        state.push(anchor, region.spec("cabinet_0").dims)
+        spec = region.spec("panel_1")
+        ctx = _make_context(state, spec, region.edge_for(spec.id), anchor)
+        result = local_place(spec, ctx, state, set(), 1, 1, 2)
+        assert oracle.exhausted()
+        return result, state.session.trace
+
+    def test_only_the_eval_is_asked(self):
+        (thought, notes), trace = self.local_place(ScriptedOracle(evals=["yes"]))
+        assert notes == "ok"
+        assert (thought.side.value, thought.pose, thought.forced) == (
+            "right", (1.125, 0.5, Yaw.DEG_0), ("side", "cols", "rows"))
+        assert trace.oracle_calls == 1
+        assert trace.forced_steps == {"side": 1, "cells": 2}
+
+    def test_eval_no_ends_the_search_with_no_side_left(self):
+        # the side budget is 2, but no other side holds a feasible pose
+        (thought, notes), trace = self.local_place(ScriptedOracle(evals=["no"]))
+        assert (thought, notes) == (None, "right: eval no")
+        assert trace.oracle_calls == 1
+
+    def test_a_pose_is_keyed_on_every_side_it_comes_from(self):
+        # a cell left of the sofa and above its back is a candidate on the
+        # left and on the top side: the lamp at cols 0-1, rows 4-5 is one
+        # pose with a key on each, and a failed pose is excluded by both
+        # (and by keys on the other sides, which name no candidate there)
+        from treelayout.grid import Side
+        from treelayout.oracle.queries import pose_from_starts
+        from treelayout.search import GlobalState, _make_context, _pose_keys
+
+        region = make_region("r1", 4.0, 3.0, ("sofa", 2.0, 0.9, "place_along_wall"),
+                             [("lamp", 0.5, 0.5, "place_around", None)])
+        config = SearchConfig(seed=0, **REFERENCE_CONFIG)
+        state = GlobalState(region=region, order=layer_order(region), config=config,
+                            session=None, scope="r1", wall_sides=frozenset(),
+                            cell_size=config.cell_size)
+        anchor = PlacedObject("sofa_0", 2.0, 0.45, 0.0, Yaw.DEG_0, Parent.floor("r1"))
+        state.push(anchor, region.spec("sofa_0").dims)
+        spec = region.spec("lamp_1")
+        ctx = _make_context(state, spec, region.edge_for(spec.id), anchor)
+        pose = pose_from_starts(ctx, Side.LEFT, 0, 4)
+        assert pose == pose_from_starts(ctx, Side.TOP, 0, 4) == (0.25, 1.25, Yaw.DEG_0)
+        assert _pose_keys(ctx, pose) == {("left", 0, 4), ("right", 0, 4),
+                                         ("top", 4, 0), ("bottom", 4, 0)}
 
 
 class TestForwardCheck:
@@ -940,6 +1019,35 @@ class TestSideEvalOverlap:
         assert over.trace.events == inline.trace.events
         assert over.trace.oracle_calls == inline.trace.oracle_calls == len(records)
         assert (inline.trace.discarded_calls, over.trace.discarded_calls) == (0, 1)
+
+    def test_forced_first_run_asks_the_second_ahead(self):
+        """On the left of a sofa flush to a 3.0 m wall there is one column
+        run for the lamp, so the run question asked while the eval is in
+        flight is the second one."""
+        from treelayout.oracle.queries import CellsQuery, SideEvalQuery, SideQuery
+
+        region = make_region("r1", 3.0, 2.0, ("sofa", 2.0, 0.9, "place_along_wall"),
+                             [("lamp", 0.5, 0.5, "place_beside", "same_as_anchor")])
+
+        def script(q):
+            return "left" if isinstance(q, SideQuery) else None
+
+        def run(io_bound):
+            oracle = ByQueryOracle(script, io_bound,
+                                   delay=lambda q: 0.02 if isinstance(q, SideEvalQuery) else 0.0)
+            recording = RecordingOracle(oracle)
+            result = plan_region(region, SearchConfig(seed=0, **REFERENCE_CONFIG), recording)
+            return result, recording.transcript.records, oracle
+
+        inline, records, _ = run(False)
+        over, o_records, oracle = run(True)
+        [asked] = oracle.asked(CellsQuery)
+        assert asked.primary_run == (0,)
+        assert self.done_index(oracle, lambda q: q is asked) < self.done_index(
+            oracle, lambda q: isinstance(q, SideEvalQuery))
+        assert o_records == records and over.trace.events == inline.trace.events
+        assert [e.note for e in inline.trace.events if e.kind is EventKind.ACCEPTED][-1] == (
+            "side=left side_attempt=1 forced=cols")
 
     @pytest.mark.parametrize("fails", ["eval", "run"])
     def test_error_is_the_serial_runs_error(self, fails):
