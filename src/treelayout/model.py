@@ -438,8 +438,9 @@ class SearchTrace:
     question asked while its side-eval was in flight, for an eval that
     said no or failed.  It is left out of :meth:`summary`, so the
     written scene is that of the serial run.  ``forced_steps`` counts,
-    per query kind (``side``, ``cells``), the local steps taken without
-    asking because they had one live answer; it is left out too.
+    per query kind (``side``, ``cells``), the local steps and centred
+    anchor facings taken without asking because they had one live
+    answer; it is left out too.
     """
 
     def __init__(self) -> None:

@@ -34,7 +34,7 @@ one query and validates without repairing.
 from __future__ import annotations
 
 import re
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import dataclass, field, replace
 from functools import cache, lru_cache, partial
 from itertools import islice
@@ -192,25 +192,35 @@ def _parse_yes(text: str) -> bool:
 
 def _ask_sides(state: GlobalState, ctx: SpatialContext, grid_text: str, budget: int,
                round_no: int, avoid: Iterable[Side] = (),
-               live: Callable[[list[Side]], list[Side]] | None = None,
+               live: Callable[[Side], bool] | None = None, order: Sequence[Side] = tuple(Side),
                ) -> Iterator[tuple[int, Side | None, str | None]]:
     """Side step: up to ``budget`` attempts, yielding ``(attempt, side,
     reply)`` per attempt, ``side`` None when the reply names no single
-    side or a side already tried.  ``live(tried)``, if given, names up to
-    two sides outside ``tried`` that some reply could make the search
-    accept a pose on: with one, the attempt takes it without asking and
-    yields the reply None; with none, the step ends."""
+    side or a side already tried (``avoid`` holds those tried before).
+
+    ``live(side)``, if given, says whether some reply naming ``side``
+    could make the search accept a pose; the live sides outside those
+    tried are looked for in ``order``, up to two.  With one, the attempt
+    takes it without asking and yields the reply None; with none, the
+    step ends.  Otherwise the question's "Do not answer" names the sides
+    tried and the dead ones, so only an asked question tests every side;
+    a reply that names a dead side anyway is yielded as it is, for the
+    caller to spend the attempt on."""
     tried = list(avoid)
     for attempt in range(1, budget + 1):
-        if live is not None and len(left := live(tried)) < 2:
-            if not left:
-                return
-            state.session.trace.forced_steps["side"] += 1
-            tried.append(left[0])
-            yield attempt, left[0], None
-            continue
+        dead: list[Side] = []
+        if live is not None:
+            left = list(islice((sd for sd in order if sd not in tried and live(sd)), 2))
+            if len(left) < 2:
+                if not left:
+                    return
+                state.session.trace.forced_steps["side"] += 1
+                tried.append(left[0])
+                yield attempt, left[0], None
+                continue
+            dead = [sd for sd in order if sd not in tried and not live(sd)]
         raw = state.session.ask(SideQuery(
-            grid_prompt=grid_text, context=ctx, avoid=tuple(s.value for s in tried),
+            grid_prompt=grid_text, context=ctx, avoid=tuple(s.value for s in tried + dead),
             attempt=attempt, round_no=round_no,
         ))
         side = _parse_side(raw)
@@ -377,7 +387,8 @@ def local_place(
 
     Forward checking (:func:`_live`): an object with no feasible pose
     outside ``excluded`` on any side fails with "no feasible pose" and
-    asks nothing; a side reply naming a side without one is noted as
+    asks nothing; an asked side question tells the oracle not to answer
+    a side without one, and a reply that names one anyway is noted as
     "<side>: no feasible pose" and asks neither the eval nor the runs.
     The sides with the most candidate cells are checked first.
 
@@ -394,12 +405,8 @@ def local_place(
         return None, "no feasible pose"
     _, grid_text = _named_grid(state, grid, [])
     notes: list[str] = []
-
-    def live_sides(tried: list[Side]) -> list[Side]:
-        return list(islice((sd for sd in order if sd not in tried and live(sd)), 2))
-
     for side_attempt, side, raw in _ask_sides(state, ctx, grid_text, state.config.k_local_side,
-                                              round_no, live=live_sides):
+                                              round_no, live=live, order=order):
         if side is None:
             notes.append(f"side reply unusable: {raw[:40]!r}")
             continue
@@ -532,13 +539,17 @@ def place_anchor_visit(
     trace = state.session.trace
     bounds = AABB(0, 0, units(region.length), units(region.width))
 
-    def attempt_pose(key: AnchorKey, cx: float, cy: float, yaw: Yaw, attempt: int):
-        box = effective_aabb(spec.dims, yaw, (cx, cy))
+    def fits(cx: float, cy: float, yaw: Yaw) -> bool:
+        return bounds.contains(effective_aabb(spec.dims, yaw, (cx, cy)))
+
+    def attempt_pose(key: AnchorKey, cx: float, cy: float, yaw: Yaw, attempt: int,
+                     forced: bool = False):
         trace.record(1, spec.id, attempt, EventKind.PROPOSED, f"anchor={key[0]}",
                      scope=state.scope, visit=visit_no, pose=(cx, cy, yaw))
-        if bounds.contains(box):
+        if fits(cx, cy, yaw):
             placed = PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(region.id))
-            trace.record(1, spec.id, attempt, EventKind.ACCEPTED, f"anchor={key[0]}",
+            trace.record(1, spec.id, attempt, EventKind.ACCEPTED,
+                         f"anchor={key[0]}" + (" forced=facing" if forced else ""),
                          scope=state.scope, visit=visit_no, pose=(cx, cy, yaw))
             return placed
         trace.record(1, spec.id, attempt, EventKind.REJECTED,
@@ -565,19 +576,22 @@ def place_anchor_visit(
 
     # place_in_center: centered on the region centroid, facing chosen by
     # the oracle among the four directions (toward the most free space).
+    # Forward checked as the side step is: a facing whose box does not
+    # fit is never offered, and one that fits alone is taken unasked.
     cx, cy = q4(region.length / 2.0), q4(region.width / 2.0)
     probe = PlacedObject(spec.id, cx, cy, 0.0, Yaw.DEG_0, Parent.floor(region.id))
     ctx = _make_context(state, spec, None, probe)
     _, grid_text = _named_grid(state, ctx.grid, [])
     faced = [Side(name) for name, _ in used]
-    for attempt, side, _ in _ask_sides(state, ctx, grid_text, cfg.k_global_anchor, visit_no, faced):
+    for attempt, side, raw in _ask_sides(state, ctx, grid_text, cfg.k_global_anchor, visit_no,
+                                         faced, live=lambda sd: fits(cx, cy, sd.facing_yaw)):
         if side is None:
             trace.record(1, spec.id, attempt, EventKind.REJECTED, "facing reply unusable",
                          scope=state.scope, visit=visit_no)
             continue
         yaw = side.facing_yaw
         key: AnchorKey = (side.value, yaw.value)
-        placed = attempt_pose(key, cx, cy, yaw, attempt)
+        placed = attempt_pose(key, cx, cy, yaw, attempt, forced=raw is None)
         if placed is not None:
             return placed, key
     return None

@@ -382,8 +382,9 @@ class BruteRegion:
 
         A step is forced (:class:`ForcedSteps`): with one live answer it
         takes that answer without asking the policy, with none it ends.
-        A side is live when ``live_pairs`` holds a pair on it; the eval
-        says yes when the side scores above zero."""
+        A side is live when ``live_pairs`` holds a pair on it, and an
+        asked side question avoids the sides tried and the dead ones; the
+        eval says yes when the side scores above zero."""
         anchor_rect = placed_rects[0]
         steps = ForcedSteps(self, obj, placed_rects, excluded)
         scores = {s: self.side_score(obj, s, placed_rects, anchor_rect) for s in BASE_ORDER}
@@ -394,7 +395,7 @@ class BruteRegion:
                 return None
             if side is ASK:
                 legal = [s for s in side_preference(self.anchor_yaw)
-                         if s not in tried_sides and scores[s] > 0]
+                         if s not in tried_sides and steps.live[s] and scores[s] > 0]
                 if not legal:  # "none available", and so every later reply
                     return None
                 side = max(legal, key=lambda s: scores[s])
@@ -475,29 +476,26 @@ class BruteRegion:
                 cy = ey / 2 if sy > 0 else self.width - ey / 2
                 out.append(((name, yaw), round(cx, 4), round(cy, 4), yaw))
             return out
-        # place_in_center: facing directions ranked by free-cell count on
-        # that side of the yaw-0 probe rectangle at the centroid, ties in
-        # the fixed order top, right, left, bottom.
+        # place_in_center: the facings whose box fits the region at the
+        # centroid (the others are never offered), ranked by
+        # facing_scores, ties in the fixed order top, right, left, bottom.
+        cx, cy = round(self.length / 2, 4), round(self.width / 2, 4)
+        scores = self.facing_scores()
+        out = []
+        for s in sorted(("top", "right", "left", "bottom"), key=lambda s: -scores[s]):
+            yaw = {"top": 0, "right": 90, "bottom": 180, "left": 270}[s]
+            if self.in_bounds(rect_at(obj["length"], obj["depth"], yaw, cx, cy)):
+                out.append(((s, yaw), cx, cy, yaw))
+        return out
+
+    def facing_scores(self) -> dict[str, int]:
+        """The policy's score of each facing of a centred anchor: the
+        free-cell count on that side of the yaw-0 probe rectangle."""
         cx, cy = round(self.length / 2, 4), round(self.width / 2, 4)
         probe = rect_at(self.objects[0]["length"], self.objects[0]["depth"], 0, cx, cy)
         codes = [0] * (self.rows * self.cols)
-        ranked: list[str] = []
-        remaining = ["top", "right", "left", "bottom"]
-        while remaining:
-            scores = {
-                s: len(brute_side_cells(self.cols, self.rows, self.cell, codes, s, probe))
-                for s in remaining
-            }
-            best = max(remaining, key=lambda s: scores[s])
-            if scores[best] <= 0:
-                break
-            ranked.append(best)
-            remaining.remove(best)
-        out = []
-        for s in ranked:
-            yaw = {"top": 0, "right": 90, "bottom": 180, "left": 270}[s]
-            out.append(((s, yaw), cx, cy, yaw))
-        return out
+        return {s: len(brute_side_cells(self.cols, self.rows, self.cell, codes, s, probe))
+                for s in ("top", "right", "left", "bottom")}
 
     # --- full search mirror
 
@@ -507,7 +505,8 @@ class BruteRegion:
         Mirrors the engine's anchor semantics: only accepted-then-
         backtracked poses are barred from re-proposal, by key and by
         position; each visit burns attempts on (possibly repeated)
-        out-of-bounds proposals.
+        out-of-bounds wall and corner proposals, while a centred anchor
+        is offered only the facings that fit.
         """
         obj0 = self.objects[0]
         proposals = self.anchor_proposals()
@@ -515,7 +514,16 @@ class BruteRegion:
         for _visit in range(k_anchor):
             placed = None
             attempt = 0
-            for key, cx, cy, yaw in proposals:
+            if self.anchor_rule == "place_in_center":
+                # every facing offered fits: one left is taken unasked,
+                # else the policy names the best, if it scores above zero
+                fresh = [p for p in proposals if p[0] not in used]
+                if len(fresh) > 1 and self.facing_scores()[fresh[0][0][0]] <= 0:
+                    fresh = []
+                offered = fresh[:1]
+            else:
+                offered = proposals
+            for key, cx, cy, yaw in offered:
                 if key in used or (cx, cy, yaw) in used.values():
                     continue
                 attempt += 1
@@ -580,6 +588,11 @@ class ForcedSteps:
 
     def sides(self, tried) -> set[str]:
         return {side for side, pairs in self.live.items() if pairs and side not in tried}
+
+    def dead_sides(self) -> set[str]:
+        """The sides with no live pair, which an asked side question
+        tells the oracle not to answer."""
+        return {side for side, pairs in self.live.items() if not pairs}
 
     def primaries(self, side, tried) -> set[int]:
         return {p for p, _ in self.live[side]} - set(tried)

@@ -41,7 +41,13 @@ differ.  ``--backtracks`` also prints, on a second line, the sweep's
 backtracks per layer: the ``from_layer=`` BACKTRACK events of the
 traces, by the layer they return to.  ``--calls`` also prints, per
 query kind, the kept oracle calls and the local steps taken without a
-call because they had one live answer (``SearchTrace.forced_steps``).
+call because they had one live answer (``SearchTrace.forced_steps``),
+and the dead answers the traces note: a side reply that names a side
+with no feasible pose (``<side>: no feasible pose``) and a facing reply
+whose anchor box leaves the region (``anchor does not fit on
+<facing>``).  An asked question tells the oracle not to give either, so
+the det oracle gives none; a local search that goes on to place its
+object returns no notes, so its dead answers are not counted.
 """
 
 from __future__ import annotations
@@ -51,6 +57,7 @@ import collections
 import hashlib
 import json
 import random
+import re
 import tempfile
 import time
 from importlib import resources
@@ -59,7 +66,7 @@ from pathlib import Path
 from treelayout import render, sceneio
 from treelayout.catalog import AssetCatalog
 from treelayout.grid import Side
-from treelayout.model import EventKind, Scene, SearchConfig, SearchMode
+from treelayout.model import AnchorRule, EventKind, Scene, SearchConfig, SearchMode
 from treelayout.oracle.base import PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.queries import (
@@ -76,6 +83,7 @@ from treelayout.pipeline import generate_scene
 OUTPUT_FILES = ("scene.json", "trace.jsonl", "scene.svg")
 QUERY_KINDS = ("room", "regions", "objects", "supported", "side", "side_eval", "cells",
                "full_layout")
+DEAD_SIDE = re.compile(r"(left|right|top|bottom): no feasible pose")
 
 
 def load_prompts() -> list[str]:
@@ -188,13 +196,32 @@ def placement_bytes(outcome: Scene | Exception) -> bytes:
     return sceneio.canonical_json(doc).encode("utf-8")
 
 
+def dead_answers(scene: Scene) -> collections.Counter:
+    """The dead-answer notes of the scene's REJECTED events, as ``side``
+    and ``facing`` counts.  An anchor that does not fit is a dead facing
+    only where the anchor is centred (a supporter top, or a region whose
+    rule is ``place_in_center``); elsewhere the engine proposed it."""
+    centred = {r.id for r in scene.plan.regions if r.anchor_rule is AnchorRule.IN_CENTER}
+    found: collections.Counter = collections.Counter()
+    for e in scene.trace.events:
+        if e.kind is EventKind.REJECTED:
+            for reason in e.note.removeprefix("skipped: ").split("; "):
+                if DEAD_SIDE.fullmatch(reason):
+                    found["side"] += 1
+                elif reason.startswith("anchor does not fit on ") and (
+                        e.scope in centred or e.scope.startswith("top:")):
+                    found["facing"] += 1
+    return found
+
+
 def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                  cell_size: float = SearchConfig.cell_size, each=None,
                  overlap: bool = False, calls: collections.Counter | None = None,
                  faults: float = 0.0, placements: bool = False,
                  backtracks: collections.Counter | None = None,
                  kinds: collections.Counter | None = None,
-                 forced: collections.Counter | None = None) -> tuple[str, int]:
+                 forced: collections.Counter | None = None,
+                 dead: collections.Counter | None = None) -> tuple[str, int]:
     """(hex digest, generation count) over every prompt x seed x mode x
     ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
     generation's own digest.  ``overlap`` runs the det oracle behind
@@ -204,7 +231,9 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
     when given, sums the oracle calls of the generations under ``kept``
     and ``discarded``; ``backtracks``, when given, counts the traces'
     ``from_layer=`` backtracks by layer; ``kinds`` and ``forced``, when
-    given, count the kept calls and the forced steps by query kind."""
+    given, count the kept calls and the forced steps by query kind;
+    ``dead``, when given, counts the traces' dead-answer notes under
+    ``side`` and ``facing``."""
     catalog = AssetCatalog.default()
     total = hashlib.sha256()
     count = 0
@@ -222,6 +251,8 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                             calls["discarded"] += outcome.trace.discarded_calls
                         if forced is not None and isinstance(outcome, Scene):
                             forced.update(outcome.trace.forced_steps)
+                        if dead is not None and isinstance(outcome, Scene):
+                            dead.update(dead_answers(outcome))
                         if backtracks is not None and isinstance(outcome, Scene):
                             backtracks.update(
                                 e.layer for e in outcome.trace.events
@@ -255,7 +286,8 @@ def main() -> None:
     parser.add_argument("--backtracks", action="store_true",
                         help="also print the from_layer backtracks per layer")
     parser.add_argument("--calls", action="store_true",
-                        help="also print the kept calls and forced steps per query kind")
+                        help="also print the kept calls and forced steps per query kind, "
+                             "and the dead answers")
     args = parser.parse_args()
 
     each = print if args.each else None
@@ -263,9 +295,10 @@ def main() -> None:
     backtracks: collections.Counter = collections.Counter()
     kinds = collections.Counter() if args.calls else None
     forced: collections.Counter = collections.Counter()
+    dead: collections.Counter = collections.Counter()
     digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
                                  args.p_adv, args.cell_size, each, args.overlap, calls,
-                                 args.faults, args.placements, backtracks, kinds, forced)
+                                 args.faults, args.placements, backtracks, kinds, forced, dead)
     line = f"{digest}  {count} generations  calls={calls['kept']}"
     if args.overlap:
         line += f"  discarded_calls={calls['discarded']}"
@@ -276,6 +309,7 @@ def main() -> None:
     if kinds is not None:
         for kind in QUERY_KINDS:
             print(f"{kind:<12} calls={kinds[kind]:<7} forced={forced[kind]}")
+        print(f"dead answers: side={dead['side']}  facing={dead['facing']}")
 
 
 if __name__ == "__main__":

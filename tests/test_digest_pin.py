@@ -5,16 +5,18 @@
 with its subproblems overlapped on threads.  A change
 meant to keep behaviour keeps these digests; a change that alters bytes
 on purpose updates them and says so in CHANGES.md.  The full-byte
-values were last re-pinned when the search began to take a local step
-with one live answer without asking, which changed trace notes,
-transcripts and call counts on purpose.
+values were last re-pinned when an asked side or facing question began
+to tell the oracle not to answer the sides with no feasible pose and the
+facings that do not fit, which changed fingerprints, transcripts, trace
+notes and call counts on purpose.
 
 ``PLACEMENTS`` pins only what the same generations placed (``scene.json``
 without its ``trace_summary``): a change that saves oracle calls keeps
 these while the full-byte values move.  They were re-pinned with the
-forced steps too: where the det oracle named a side with no feasible
-pose and ran out of side attempts, the forced side now places the
-object.
+dead options too: the det oracle draws its adversarial choices from the
+query fingerprint, which holds the avoided sides, so at ``p_adv`` > 0
+other choices are drawn, and it no longer names a side with no feasible
+pose.
 
 ``PLACEMENTS_P0`` pins the placements of the 0.25 slice at ``p_adv`` 0
 alone, where the det oracle names only the best legal option: a change
@@ -32,18 +34,18 @@ import pytest
 from digest_sweep import load_prompts, sweep_digest
 
 PINNED = {
-    0.25: "c331828146e3214bb9b18b778415f50bda10791a13efe7aa34c4e2e53c82759a",
-    0.15: "c4044b32508785098ab50d99ad8943f5844cdcdc75671445dc0d57279267a5f9",
+    0.25: "864f8d4f6527fb1f2e3c79254f24b10f5503d4844d74e1cb42f519e553acc835",
+    0.15: "e068eb9d9d54b3be7b41e67f61a6c83b776f07b555533e09f28bc192f8726e49",
 }
 
 PLACEMENTS = {
-    0.25: "42258a3d3beaaf6a740089ffb282f85a0a81f4403dc0fd941c8d11997c63b65c",
-    0.15: "0a6e6cf8a57319b8cfb47a104476c96ff6b1a154355157c2abc67bead1cbba56",
+    0.25: "ce751e434c652be0f22728b694a4142ee4469aadbafba66041adf027d37a667b",
+    0.15: "b99557c81dfac76a9cc86edd0567251d9ce092a3aea4a144d8684a30b62fc3e6",
 }
 
 PLACEMENTS_P0 = "184c7f09cea54505ab7cb953d316256bbe5f0afae95aa6f0ba3130b176b2a801"
 
-EXACT_CENTRES = "46b5d1b2edd0628fa4b711d317edbc0de5ea2c879df4c9aa56050a2e6408b35f"
+EXACT_CENTRES = "3e4656e7d9777f21ba33865575cc7e68a42ceb8ddb7b03e37ed2ef83dca5ce44"
 
 
 @pytest.mark.parametrize("cell_size", sorted(PINNED))

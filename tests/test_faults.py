@@ -10,11 +10,11 @@ nothing illegally, fail only with the engine's typed errors, and replay
 from its transcript.
 
 The final check rejects few poses: over 1,200 faulted generations
-(tree and cot, every ``p_adv``, seeds 0-1) 2 for bounds, 1 for the
-relation and none for overlap, so its ``overlap`` term is covered by unit
-tests only.  A run reply now reaches it only when its step has at least
-two live answers, and a faulted reply must name exactly the cells of a
-run to parse.
+(tree and cot, every ``p_adv``, seeds 0-1) none for bounds, 4 for the
+relation and none for overlap, so the bounds case below comes from seed
+13 and the ``overlap`` term is covered by unit tests only.  A run reply
+reaches it only when its step has at least two live answers, and a
+faulted reply must name exactly the cells of a run to parse.
 """
 
 import tempfile
@@ -73,15 +73,16 @@ def test_faulted_slice_overlapped_writes_inline_bytes_and_stays_sound():
 
 
 def test_final_check_rejects_faulted_poses_end_to_end():
-    # (prompt index, seed, mode, the final-check note its trace must hold), p_adv 1.0
+    # (prompt index, seed, mode, p_adv, the final-check note its trace must hold)
     catalog = AssetCatalog.default()
     with tempfile.TemporaryDirectory() as tmp:
-        for index, seed, mode, note in ((7, 5, SearchMode.COT, "left: bounds"),
-                                        (20, 0, SearchMode.TREE, "left: relation")):
-            _, scene = generation_bytes(load_prompts()[index], seed, mode, 1.0, catalog,
+        for index, seed, mode, p_adv, note in (
+                (9, 13, SearchMode.COT, 0.35, "left: bounds"),
+                (20, 0, SearchMode.TREE, 1.0, "left: relation")):
+            _, scene = generation_bytes(load_prompts()[index], seed, mode, p_adv, catalog,
                                         Path(tmp), faults=FAULTS)
             assert isinstance(scene, Scene), (index, scene)
-            m = validity_metrics(scene, SearchConfig(seed=seed, mode=mode, p_adv=1.0))
+            m = validity_metrics(scene, SearchConfig(seed=seed, mode=mode, p_adv=p_adv))
             assert (m.overlap_pairs, m.oob_objects, m.relation_violations) == (0, 0, 0), index
             reasons = {reason for e in scene.trace.events if e.kind is EventKind.REJECTED
                        for reason in e.note.removeprefix("skipped: ").split("; ")}

@@ -17,6 +17,7 @@ from treelayout.model import (
     AnchorRule,
     Dim3,
     Edge,
+    EventKind,
     ObjectSpec,
     OrientationRule,
     Parent,
@@ -862,7 +863,8 @@ def mirror_local_search(steps: ForcedSteps, log, k_side: int, k_axis: int, axes)
 
     A step with one live answer must have no question in the log, and
     the search must go on with that answer; a step with more must have
-    one, avoiding the answers tried; a step with none ends.  Returns the
+    one, avoiding the answers tried (and a side question the sides with
+    no live answer too); a step with none ends.  Returns the
     thought the search must return, as (side, primary start, secondary
     start, forced steps) or None, and the count of forced steps."""
     log = list(log)
@@ -889,7 +891,7 @@ def mirror_local_search(steps: ForcedSteps, log, k_side: int, k_axis: int, axes)
         forced: list[str] = []
         if side is ASK:
             avoid, side = take("side")
-            assert avoid == set(tried_sides)
+            assert avoid == set(tried_sides) | steps.dead_sides()
         else:
             forced.append("side")
         eval_side, yes = take("eval")
@@ -967,6 +969,129 @@ class TestForcedSteps:
         cx, cy, yaw = thought.pose
         assert (thought.side.value, (cx, cy, yaw.value)) == (side, br.pose_of(obj, side, c0, r0))
         assert thought.forced == steps_forced
+
+
+class AvoidLogOracle(PlacementOracle):
+    """Answers side questions with a random side, now and then one the
+    question says not to answer or text that names none, and evals and
+    run questions at random too.  It keeps the sides the search has
+    tried, as the search keeps them (starting from ``tried``): a reply
+    that names a side not tried yet, and the side of an eval asked
+    without a side question before it (a forced side).  For each side
+    question it logs the avoided sides and the sides tried when asked."""
+
+    io_bound = False
+
+    def __init__(self, rng: random.Random, tried=()):
+        self.rng, self.tried, self.log = rng, list(tried), []
+
+    def query(self, q):
+        if isinstance(q, SideQuery):
+            self.log.append((set(q.avoid), set(self.tried)))
+            pick = self.rng.random()
+            if pick < 0.1:
+                return OracleReply("somewhere")
+            sides = [s.value for s in Side]
+            if pick > 0.3:
+                sides = [s for s in sides if s not in q.avoid] or sides
+            side = self.rng.choice(sides)
+            if side not in self.tried:
+                self.tried.append(side)
+            return OracleReply(side)
+        if isinstance(q, SideEvalQuery):
+            if q.side.value not in self.tried:
+                self.tried.append(q.side.value)
+            return OracleReply("yes" if self.rng.random() < 0.7 else "no")
+        return OracleReply("nothing")
+
+
+class TestDeadOptionsAvoided:
+    """The referee of what an asked side question tells the oracle not to
+    answer: the answers already tried, and every answer the brute-force
+    mirror finds dead.  A side is dead when ``accepted_pairs`` leaves it
+    no pair outside the excluded poses; a facing of a centred anchor is
+    dead when its box at the centroid leaves the region."""
+
+    @given(seed=st.integers(0, 2**32 - 1), excluded_share=st.sampled_from([0.0, 0.3, 0.9]))
+    @settings(max_examples=80, deadline=None)
+    def test_side_question_avoids_tried_and_dead_sides(self, seed, excluded_share):
+        from treelayout.model import SearchConfig, SearchTrace
+        from treelayout.oracle.base import OracleSession
+        from treelayout.search import GlobalState, local_place
+
+        rng = random.Random(seed)
+        ctx = mask_context(rng)
+        br, obj = brute_of(ctx), brute_obj(ctx)
+        placed = list(ctx.placed_boxes)
+        everything = ForcedSteps(br, obj, placed, set())
+        excluded = {(side, *pair) for side, pairs in everything.live.items()
+                    for pair in sorted(pairs) if rng.random() < excluded_share}
+        dead = ForcedSteps(br, obj, placed, excluded).dead_sides()
+        oracle = AvoidLogOracle(rng)
+        state = GlobalState(region=None, order=[], config=SearchConfig(k_local_side=4),
+                            session=OracleSession(oracle, SearchTrace()), scope=ctx.scope,
+                            wall_sides=frozenset(), cell_size=ctx.grid.cell_size)
+        spec = ObjectSpec(ctx.object_id, "obj", ctx.object_dims)
+        thought, notes = local_place(spec, ctx, state, excluded, 1, 1, 2)
+        for avoid, tried in oracle.log:
+            assert avoid == tried | dead, (avoid, tried, dead)
+        # a reply that names a dead side anyway spends its attempt (the
+        # notes of a search that places the object are not returned)
+        for side in dead & set(oracle.tried) if thought is None else ():
+            assert f"{side}: no feasible pose" in notes.split("; ")
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_facing_question_avoids_tried_and_unfitting_facings(self, seed):
+        from bruteforce import rect_at
+        from treelayout.grid import AABB
+        from treelayout.model import SearchConfig, SearchTrace, effective_aabb, q4
+        from treelayout.oracle.base import OracleSession
+        from treelayout.search import GlobalState, layer_order, place_anchor_visit
+
+        rng = random.Random(seed)
+        cell, scale = rng.choice([(0.25, 1.0), (0.05, 0.2)])  # a floor region or a top
+        length = round(rng.choice([2.0, 3.0, 3.5]) * scale, 4)
+        width = round(rng.choice([1.0, 1.5, 2.0]) * scale, 4)
+        dims = Dim3(round(rng.choice([0.8, 1.2, 1.8, 2.5, 3.2]) * scale, 4),
+                    round(rng.choice([0.5, 0.9, 1.4, 2.2]) * scale, 4), 0.5)
+        region = RegionPlan(id="r1", function="test", length=length, width=width,
+                            objects=(ObjectSpec("anchor_1", "obj", dims),), anchor_id="anchor_1",
+                            anchor_rule=AnchorRule.IN_CENTER, edges=())
+        cx, cy = q4(length / 2), q4(width / 2)
+        used = {(side.value, side.facing_yaw.value): (cx, cy, side.facing_yaw)
+                for side in Side if rng.random() < 0.3}
+        faced = {name for name, _ in used}
+        oracle = AvoidLogOracle(rng, tried=faced)
+        trace = SearchTrace()
+        state = GlobalState(region=region, order=layer_order(region),
+                            config=SearchConfig(cell_size=cell),
+                            session=OracleSession(oracle, trace), scope="r1",
+                            wall_sides=frozenset(Side), cell_size=cell)
+        result = place_anchor_visit(state, 1, used)
+
+        br = BruteRegion(length, width, cell, "place_in_center",
+                         [{"length": dims.length, "depth": dims.depth,
+                           "relation": None, "orientation": None}])
+        bounds = AABB(0, 0, units(length), units(width))
+        fits = {}
+        for side in Side:
+            yaw = side.facing_yaw
+            fits[side.value] = br.in_bounds(rect_at(dims.length, dims.depth, yaw.value, cx, cy))
+            assert fits[side.value] == bounds.contains(effective_aabb(dims, yaw, (cx, cy)))
+        unfit = {name for name, ok in fits.items() if not ok}
+        for avoid, tried in oracle.log:
+            assert avoid == tried | unfit, (avoid, tried, unfit)
+        live = set(fits) - unfit - faced
+        if len(live) < 2:  # taken unasked, or no facing left
+            assert oracle.log == []
+            assert (result[1][0] if result else None) == (live.pop() if live else None)
+        else:
+            assert oracle.log
+        # a reply that names an unfitting facing anyway spends its attempt
+        rejected = {e.note for e in trace.events if e.kind is EventKind.REJECTED}
+        for name in unfit & (set(oracle.tried) - faced):
+            assert f"anchor does not fit on {name}" in rejected
 
 
 class TestDeterministicOracleReplies:

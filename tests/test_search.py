@@ -473,16 +473,20 @@ class TestIoMode:
 
 
 class ForcedFirstSideOracle:
-    """Deterministic oracle with the first side reply forced elsewhere."""
+    """Deterministic oracle with the first side reply forced elsewhere,
+    whatever the question's "Do not answer" names; it keeps the ``avoid``
+    of the side questions it forced."""
 
     def __init__(self, inner, forced="top"):
         self.inner = inner
         self.forced = forced
+        self.forced_avoid = []
 
     def query(self, q):
         from treelayout.oracle.queries import OracleReply, SideQuery
 
-        if isinstance(q, SideQuery) and q.context.relation is not None and not q.avoid:
+        if isinstance(q, SideQuery) and q.context.relation is not None and q.attempt == 1:
+            self.forced_avoid.append(q.avoid)
             return OracleReply(self.forced)
         return self.inner.query(q)
 
@@ -490,8 +494,9 @@ class ForcedFirstSideOracle:
 class TestSideEvalBudget:
     def test_failed_side_eval_consumes_attempt(self):
         # anchor spans the full region width, so "top" has no candidate
-        # cells; the oracle-forced first side has no feasible pose and the
-        # second side attempt succeeds.
+        # cells; the question tells the oracle not to answer it, but the
+        # oracle-forced first side is "top" anyway: it has no feasible
+        # pose, and the second side attempt succeeds.
         region = make_region(
             "r1", 3.0, 1.0, ("cabinet", 1.0, 1.0, "place_along_wall"),
             [("box", 0.5, 0.5, "place_beside", "same_as_anchor")],
@@ -500,6 +505,7 @@ class TestSideEvalBudget:
         oracle = ForcedFirstSideOracle(DeterministicOracle(seed=0))
         result = plan_region(region, config, oracle)
         assert not result.unsat and len(result.placements) == 2
+        assert [sorted(avoid) for avoid in oracle.forced_avoid] == [["bottom", "top"]]
         accepted = next(
             e for e in result.trace.events
             if e.kind is EventKind.ACCEPTED and e.object_id == "box_1"
@@ -839,6 +845,41 @@ class TestForcedSteps:
         assert pose == pose_from_starts(ctx, Side.TOP, 0, 4) == (0.25, 1.25, Yaw.DEG_0)
         assert _pose_keys(ctx, pose) == {("left", 0, 4), ("right", 0, 4),
                                          ("top", 4, 0), ("bottom", 4, 0)}
+
+
+class TestForcedFacing:
+    """The centred anchor's facing question is forward-checked: a facing
+    whose box does not fit the region is never offered, one that fits
+    alone is taken unasked, and with none the visit asks nothing."""
+
+    def test_no_fitting_facing_asks_nothing(self):
+        # 1.2 x 1.2 m either way round in a 1.0 m wide region
+        region = make_region("r1", 2.0, 1.0, ("table", 1.2, 1.2, "place_in_center"))
+        oracle = ScriptedOracle()
+        result = plan_region(region, SearchConfig(seed=0, **REFERENCE_CONFIG), oracle)
+        assert result.unsat and result.trace.oracle_calls == 0
+        assert [e.note for e in result.trace.events] == ["root budget exhausted (no anchor pose)"]
+
+    def test_the_last_fitting_facing_is_taken_unasked(self):
+        # the 1.4 x 0.9 table fits the 1.0 m wide region facing top or
+        # bottom only; the block fits nowhere, so every anchor visit fails
+        region = make_region("r1", 4.0, 1.0, ("table", 1.4, 0.9, "place_in_center"),
+                             [("block", 3.0, 3.0, "place_beside", None)])
+        avoided = []
+
+        class Logged(ScriptedOracle):
+            def query(self, q):
+                avoided.append(sorted(q.avoid))
+                return super().query(q)
+
+        oracle = Logged(sides=["top"])
+        result = plan_region(region, SearchConfig(seed=0, **REFERENCE_CONFIG), oracle)
+        assert oracle.exhausted() and result.unsat
+        assert avoided == [["left", "right"]]
+        assert [e.note for e in result.trace.events
+                if e.layer == 1 and e.kind is EventKind.ACCEPTED] == [
+            "anchor=top", "anchor=bottom forced=facing"]
+        assert result.trace.forced_steps == {"side": 1}
 
 
 class TestForwardCheck:
