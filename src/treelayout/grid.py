@@ -384,15 +384,16 @@ def orientation_from_rule(
     """Resolve an object's yaw from its orientation rule and the anchor pose.
 
     face/back use the cardinal direction nearest the object-to-anchor
-    vector; exact diagonal ties resolve toward the x axis.
+    vector; exact diagonal ties resolve toward the x axis.  The vector is
+    taken in units, so a tie is a tie and not a matter of float rounding.
     """
     if rule is OrientationRule.SAME_AS_ANCHOR:
         return anchor_yaw
     if rule is OrientationRule.OPPOSITE_ANCHOR:
         return anchor_yaw.opposite
-    vx = anchor_center[0] - object_center[0]
-    vy = anchor_center[1] - object_center[1]
-    if vx == 0.0 and vy == 0.0:
+    vx = units(anchor_center[0]) - units(object_center[0])
+    vy = units(anchor_center[1]) - units(object_center[1])
+    if vx == 0 and vy == 0:
         raise DegenerateDirection("object center coincides with anchor center")
     if abs(vx) >= abs(vy):
         face = Yaw.DEG_90 if vx > 0 else Yaw.DEG_270

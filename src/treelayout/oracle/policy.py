@@ -9,7 +9,8 @@ Scoring is defined in brute-force-checkable terms:
 * A run of grid columns/rows is feasible when some completion on the
   other axis yields a legal pose whose covered cells are all candidates.
   Runs are ranked by the distance of their center to the anchor along
-  their axis, ties toward the lower start index.
+  their axis (doubled and in units, so exact), ties toward the lower
+  start index.
 
 "Legal" means in bounds, overlap-free and relation satisfied, as the
 one legality engine decides it: ``_Lattice`` (in
@@ -200,9 +201,10 @@ def choose_run(
         return None
     m_cols, m_rows = object_spans(ctx, side)
     span, anchor = (m_cols, ctx.anchor.x) if axis == "cols" else (m_rows, ctx.anchor.y)
-    cell_size = ctx.grid.cell_size
+    cell, twice_anchor = units(ctx.grid.cell_size), 2 * units(anchor)
 
-    def key(start: int) -> tuple[float, int]:
-        return abs((start + span / 2.0) * cell_size - anchor), start
+    def key(start: int) -> tuple[int, int]:
+        # twice the distance, in units: a tie is exact
+        return abs((2 * start + span) * cell - twice_anchor), start
 
     return max(legal, key=key) if adversarial else min(legal, key=key)

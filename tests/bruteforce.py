@@ -151,8 +151,8 @@ def brute_orientation(rule: str, anchor_yaw: int, anchor_center, object_center) 
         return anchor_yaw
     if rule == "opposite_anchor":
         return (anchor_yaw + 180) % 360
-    vx = anchor_center[0] - object_center[0]
-    vy = anchor_center[1] - object_center[1]
+    vx = to_units(anchor_center[0]) - to_units(object_center[0])
+    vy = to_units(anchor_center[1]) - to_units(object_center[1])
     if abs(vx) >= abs(vy):
         face = 90 if vx > 0 else 270
     else:
@@ -350,11 +350,12 @@ class BruteRegion:
                 out.add((p0, s0) if horizontal else (s0, p0))
         return out
 
-    def run_distance(self, obj, side, axis, start) -> float:
+    def run_distance(self, obj, side, axis, start) -> int:
+        """Twice the distance of the run's centre to the anchor's, in units."""
         m_cols, m_rows = self.spans(obj, yaw_for_side(obj["orientation"], self.anchor_yaw, side))
         if axis == "cols":
-            return abs((start + m_cols / 2) * self.cell_m - self.anchor_center[0])
-        return abs((start + m_rows / 2) * self.cell_m - self.anchor_center[1])
+            return abs((2 * start + m_cols) * self.cell - 2 * to_units(self.anchor_center[0]))
+        return abs((2 * start + m_rows) * self.cell - 2 * to_units(self.anchor_center[1]))
 
     def live_pairs(self, obj, side, placed_rects, excluded) -> set[tuple[int, int]]:
         """The pairs of ``accepted_pairs`` on ``side`` whose key

@@ -16,7 +16,9 @@ these while the full-byte values move.  They were re-pinned with the
 dead options too: the det oracle draws its adversarial choices from the
 query fingerprint, which holds the avoided sides, so at ``p_adv`` > 0
 other choices are drawn, and it no longer names a side with no feasible
-pose.
+pose.  The 0.15 values moved once more when the det policy's run
+ranking and the face/back orientation rule began to compare in units,
+so that exact ties break by the documented rule.
 
 ``PLACEMENTS_P0`` pins the placements of the 0.25 slice at ``p_adv`` 0
 alone, where the det oracle names only the best legal option: a change
@@ -35,12 +37,12 @@ from digest_sweep import load_prompts, sweep_digest
 
 PINNED = {
     0.25: "864f8d4f6527fb1f2e3c79254f24b10f5503d4844d74e1cb42f519e553acc835",
-    0.15: "e068eb9d9d54b3be7b41e67f61a6c83b776f07b555533e09f28bc192f8726e49",
+    0.15: "9df2117acd5a2a455df712d2b9d290cc09a4cbd1afe7c7aeb9b85682c7a55563",
 }
 
 PLACEMENTS = {
     0.25: "ce751e434c652be0f22728b694a4142ee4469aadbafba66041adf027d37a667b",
-    0.15: "b99557c81dfac76a9cc86edd0567251d9ce092a3aea4a144d8684a30b62fc3e6",
+    0.15: "6a1f6df1b1d31e01b9a4a1ecca8ca898f57345b328262d0c444adfff25b991bd",
 }
 
 PLACEMENTS_P0 = "184c7f09cea54505ab7cb953d316256bbe5f0afae95aa6f0ba3130b176b2a801"

@@ -457,13 +457,22 @@ class TestOrientation:
         with pytest.raises(DegenerateDirection):
             orientation_from_rule(OrientationRule.FACE_ANCHOR, Yaw.DEG_0, (1, 1), (1, 1))
 
+    def test_exact_diagonal_tie_faces_along_x(self):
+        # the float differences are -0.9249999999999998 and -0.925, so a
+        # float comparison turned this tie toward y
+        assert orientation_from_rule(
+            OrientationRule.FACE_ANCHOR, Yaw.DEG_0, (2.325, 0.45), (3.25, 1.375)
+        ) is Yaw.DEG_270
+
     @given(
         st.floats(-3, 3), st.floats(-3, 3),
         st.floats(-3, 3), st.floats(-3, 3),
         st.sampled_from(list(Yaw)),
     )
     def test_face_back_differ_by_180(self, ax, ay, ox, oy, yaw):
-        if (ax, ay) == (ox, oy):
+        if (units(ax), units(ay)) == (units(ox), units(oy)):  # the same centre in units
+            with pytest.raises(DegenerateDirection):
+                orientation_from_rule(OrientationRule.FACE_ANCHOR, yaw, (ax, ay), (ox, oy))
             return
         face = orientation_from_rule(OrientationRule.FACE_ANCHOR, yaw, (ax, ay), (ox, oy))
         back = orientation_from_rule(OrientationRule.BACK_TO_ANCHOR, yaw, (ax, ay), (ox, oy))

@@ -338,6 +338,20 @@ class TestRunPolicy:
         }
         assert dist[chosen] == min(dist.values())
 
+    def test_exact_tie_goes_to_the_lower_start(self):
+        # 0.15 m cells, one-column runs: the runs at columns 0 and 1 are
+        # both 0.075 m from the anchor's x = 0.15, which the float
+        # distances gave as 0.075 and 0.07499999999999998
+        from treelayout.oracle.policy import object_spans
+
+        ctx = make_context(
+            region_length=3.0, region_width=2.0, cell=0.15, anchor_dims=Dim3(0.3, 0.3, 0.5),
+            anchor_pos=(0.15, 0.15), object_dims=Dim3(0.15, 0.15, 0.5),
+        )
+        assert object_spans(ctx, Side.RIGHT)[0] == 1
+        assert choose_run(ctx, Side.RIGHT, "cols", [1, 0], (), adversarial=False) == 0
+        assert choose_run(ctx, Side.RIGHT, "cols", [0, 1], (), adversarial=True) == 1
+
     def test_adversarial_farthest(self):
         ctx = make_context(
             region_length=3.0, region_width=2.0, cell=0.25,
