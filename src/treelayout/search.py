@@ -20,11 +20,13 @@ pair of run starts it comes from (``_Lattice.verdict``), which names why
 it refuses a pose; the det policy and the feasibility sets read the
 same lattices.  Each step is forward-checked against the context's
 feasibility sets: a side, or a whole object, with no pose that any
-parseable reply could make the search accept gets no question, and a
-step with one such answer takes it without one; only the side-eval, the
-oracle's veto, is always asked.  A failed local search consumes exactly
-one global attempt, and each global attempt is its own visit of the
-layer, so a retry asks new queries.
+parseable reply could make the search accept gets no question, a step
+with one such answer takes it without one, and an asked side question
+tells the oracle not to answer a dead side; only the side-eval, the
+oracle's veto, is always asked.  A centred anchor's facing is checked
+the same way, on whether its box fits the region.  A failed local
+search consumes exactly one global attempt, and each global attempt is
+its own visit of the layer, so a retry asks new queries.
 
 CoT mode degenerates every budget to 1 and never backtracks: an object
 that fails to place is skipped.  IO mode asks for the whole layout in
