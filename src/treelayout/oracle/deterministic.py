@@ -229,7 +229,7 @@ class DeterministicOracle(PlacementOracle):
     def _side_eval(self, q: SideEvalQuery) -> str:
         score = side_scores(q.context)[q.side]
         if score > 0:
-            return f"yes - {score} workable cells on the {q.side.value} side"
+            return f"yes - {score} workable positions on the {q.side.value} side"
         return f"no - no workable position on the {q.side.value} side"
 
     def _cells(self, q: CellsQuery, rng: random.Random) -> str:

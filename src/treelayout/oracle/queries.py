@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 from bisect import bisect_left, bisect_right
-from collections.abc import Collection, Mapping, Sequence
+from collections.abc import Collection, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import isqrt
@@ -82,9 +82,9 @@ class SpatialContext:
     parseable pair of run replies would make the search accept, so the
     search asks nothing about a side or an object with none, nor a
     question with one live answer (:meth:`live_starts`), and the
-    verdict on the completed pose (:meth:`_Lattice.verdict`); on cell
-    centres it gives the det policy's side scores.  So the oracle names
-    only positions the engine accepts.  ``candidates``, their flat masks,
+    verdict on the completed pose (:meth:`_Lattice.verdict`).  The det
+    policy reads only the feasibility sets, so the oracle names only
+    positions the engine accepts.  ``candidates``, their flat masks,
     the feasibility sets, the lattices, their invariants and the
     canonical text are derived from the fields on first use, so equality
     and hashing ignore them.
@@ -152,7 +152,7 @@ class SpatialContext:
             found = self._side_sets[side] = _SideSet(self, side)
         return found
 
-    def feasible(self, side: Side, within: Sequence[int] | None = None) -> list[int]:
+    def feasible(self, side: Side) -> list[int]:
         """The side's feasibility set: bit ``c0`` of entry ``r0`` when the
         column start ``c0`` and row start ``r0`` can be named by a
         parseable pair of run replies, and the object is legal at the pose
@@ -165,10 +165,9 @@ class SpatialContext:
         of the primary run.  These are exactly the poses the search could
         accept on this side, so the det policy's completions (whose every
         covered cell is a candidate) are a subset.  Each row is evaluated
-        once per context, on first use.  With ``within`` (one mask per
-        row start), only its pairs are evaluated and returned.
+        once per context, on first use.
         """
-        return self._side_set(side).rows(within)
+        return self._side_set(side).rows()
 
     def live_starts(self, side: Side, skip: Mapping[int, int], primary: int | None = None,
                     avoid: Collection[int] = (), limit: int = 2) -> list[int]:
@@ -263,8 +262,8 @@ class _Lattice:
     there: it lies in the region, overlaps no placed box and satisfies
     the relation to the anchor (if any).  The centres are those
     ``pose_from_starts`` gives runs (:meth:`SpatialContext.lattice`,
-    shared by the sides whose runs and extents agree) or the grid's cell
-    centres (the det policy's side scores), at most ``stride`` along x.
+    shared by the sides whose runs and extents agree), at most
+    ``stride`` along x.
 
     The bounds and overlap terms are index ranges on the sorted centres:
     a box ``(xc - hx, xc + hx)`` on x lies in the region when ``hx <= xc
@@ -458,30 +457,23 @@ class _SideSet:
         """The feasible column starts at row start ``r0``."""
         got = self.legal.get(r0)
         if got is None:
-            got = self.legal[r0] = self._legal_row(r0, self.full)
+            shift, full = r0 * self.stride, self.full
+            legal = [lattice.related(r0, open_ >> shift & full) for lattice, open_ in self.open]
+            got = legal[0]
+            if len(legal) == 2:
+                ctx, cell = self.ctx, self.ctx.grid.cell_size
+                for c0 in bit_indices(got ^ legal[1]):
+                    centre = (run_center(c0, self.m_cols, cell), run_center(r0, self.m_rows, cell))
+                    if final_yaw(ctx, self.side, centre).swaps_extents != self.swap0:
+                        got ^= 1 << c0
+            self.legal[r0] = got
         return got
 
-    def _legal_row(self, r0: int, within: int) -> int:
-        shift = r0 * self.stride
-        legal = [lattice.related(r0, open_ >> shift & within) for lattice, open_ in self.open]
-        got = legal[0]
-        if len(legal) == 2:
-            ctx, cell = self.ctx, self.ctx.grid.cell_size
-            for c0 in bit_indices(got ^ legal[1]):
-                centre = (run_center(c0, self.m_cols, cell), run_center(r0, self.m_rows, cell))
-                if final_yaw(ctx, self.side, centre).swaps_extents != self.swap0:
-                    got ^= 1 << c0
-        return got
-
-    def rows(self, within: Sequence[int] | None = None) -> list[int]:
-        """The feasible column starts per row start, or only those in
-        ``within`` (evaluated afresh, not kept)."""
-        count, stride, full = self.count, self.stride, self.full
-        if within is None:
-            return [self.row(r0) if self.any_open >> r0 * stride & full else 0
-                    for r0 in range(count)]
-        return [self._legal_row(r0, w) if w and self.any_open >> r0 * stride & w else 0
-                for r0, w in zip(range(count), within)]
+    def rows(self) -> list[int]:
+        """The feasible column starts per row start."""
+        stride, full = self.stride, self.full
+        return [self.row(r0) if self.any_open >> r0 * stride & full else 0
+                for r0 in range(self.count)]
 
     def starts(self, skip: Mapping[int, int], primary: int | None,
                avoid: Collection[int], limit: int) -> list[int]:

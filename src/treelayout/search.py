@@ -504,8 +504,8 @@ def _wall_proposals(region: RegionPlan, dims: Dim3) -> list[tuple[AnchorKey, flo
 
 
 def _corner_proposals(region: RegionPlan, dims: Dim3) -> list[tuple[AnchorKey, float, float, Yaw]]:
-    """Flush-to-two-walls poses, facing along the axis with more free depth
-    (the y axis on a tie)."""
+    """Flush-to-two-walls poses, corner by corner: first facing along the
+    axis with more free depth (the y axis on a tie), then along the other."""
     out = []
     for name, (sx, sy) in (
         ("bl", (1, 1)), ("br", (-1, 1)), ("tl", (1, -1)), ("tr", (-1, -1)),
@@ -514,11 +514,11 @@ def _corner_proposals(region: RegionPlan, dims: Dim3) -> list[tuple[AnchorKey, f
         yaw_x = Yaw.DEG_90 if sx > 0 else Yaw.DEG_270
         free_y = units(region.width) - units(extents(dims, yaw_y)[1])
         free_x = units(region.length) - units(extents(dims, yaw_x)[0])
-        yaw = yaw_y if free_y >= free_x else yaw_x
-        ex, ey = extents(dims, yaw)
-        cx = ex / 2.0 if sx > 0 else region.length - ex / 2.0
-        cy = ey / 2.0 if sy > 0 else region.width - ey / 2.0
-        out.append(((name, yaw.value), q4(cx), q4(cy), yaw))
+        for yaw in (yaw_y, yaw_x) if free_y >= free_x else (yaw_x, yaw_y):
+            ex, ey = extents(dims, yaw)
+            cx = ex / 2.0 if sx > 0 else region.length - ex / 2.0
+            cy = ey / 2.0 if sy > 0 else region.width - ey / 2.0
+            out.append(((name, yaw.value), q4(cx), q4(cy), yaw))
     return out
 
 
@@ -554,8 +554,10 @@ def place_anchor_visit(
                          f"anchor={key[0]}" + (" forced=facing" if forced else ""),
                          scope=state.scope, visit=visit_no, pose=(cx, cy, yaw))
             return placed
-        trace.record(1, spec.id, attempt, EventKind.REJECTED,
-                     f"anchor does not fit on {key[0]}", scope=state.scope, visit=visit_no)
+        note = (f"anchor does not fit on {key[0]}" if rule is AnchorRule.IN_CENTER
+                else f"anchor proposal {key[0]} does not fit")
+        trace.record(1, spec.id, attempt, EventKind.REJECTED, note,
+                     scope=state.scope, visit=visit_no)
         return None
 
     if rule in (AnchorRule.ALONG_WALL, AnchorRule.AT_CORNER):

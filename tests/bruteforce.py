@@ -254,17 +254,11 @@ class BruteRegion:
     # --- deterministic policy mirror
 
     def side_score(self, obj, side, placed_rects, anchor_rect) -> int:
-        cells = self.free_side_cells(placed_rects, anchor_rect, side)
+        """The pairs the engine accepts on ``side`` (the free cells there
+        for the anchor-facing question, which has no relation)."""
         if obj["relation"] is None:
-            return len(cells)
-        yaw0 = yaw_for_side(obj["orientation"], self.anchor_yaw, side)
-        n = 0
-        for idx in cells:
-            r, c = divmod(idx, self.cols)
-            cx, cy = (c + 0.5) * self.cell_m, (r + 0.5) * self.cell_m
-            if self.pose_legal(obj, side, cx, cy, yaw0, placed_rects):
-                n += 1
-        return n
+            return len(self.free_side_cells(placed_rects, anchor_rect, side))
+        return len(self.accepted_pairs(obj, side, placed_rects))
 
     def rect_cells_ok(self, cand: set[int], c0, mc, r0, mr) -> bool:
         if c0 < 0 or r0 < 0 or c0 + mc > self.cols or r0 + mr > self.rows:
@@ -470,12 +464,13 @@ class BruteRegion:
                 r_x = rect_at(obj["length"], obj["depth"], yaw_x, 0, 0)
                 free_y = to_units(self.width) - (r_y[3] - r_y[1])
                 free_x = to_units(self.length) - (r_x[2] - r_x[0])
-                yaw = yaw_y if free_y >= free_x else yaw_x
-                rect = rect_at(obj["length"], obj["depth"], yaw, 0, 0)
-                ex, ey = (rect[2] - rect[0]) / UNITS_PER_M, (rect[3] - rect[1]) / UNITS_PER_M
-                cx = ex / 2 if sx > 0 else self.length - ex / 2
-                cy = ey / 2 if sy > 0 else self.width - ey / 2
-                out.append(((name, yaw), round(cx, 4), round(cy, 4), yaw))
+                # the yaw with more free depth first, then the other one
+                for yaw in (yaw_y, yaw_x) if free_y >= free_x else (yaw_x, yaw_y):
+                    rect = rect_at(obj["length"], obj["depth"], yaw, 0, 0)
+                    ex, ey = (rect[2] - rect[0]) / UNITS_PER_M, (rect[3] - rect[1]) / UNITS_PER_M
+                    cx = ex / 2 if sx > 0 else self.length - ex / 2
+                    cy = ey / 2 if sy > 0 else self.width - ey / 2
+                    out.append(((name, yaw), round(cx, 4), round(cy, 4), yaw))
             return out
         # place_in_center: the facings whose box fits the region at the
         # centroid (the others are never offered), ranked by

@@ -19,6 +19,7 @@ Run from the repository root (pytest does not collect this file)::
     PYTHONPATH=src python tests/digest_sweep.py --placements
     PYTHONPATH=src python tests/digest_sweep.py --backtracks
     PYTHONPATH=src python tests/digest_sweep.py --calls
+    PYTHONPATH=src python tests/digest_sweep.py --modes tree --seeds 0 1 2 --p-adv 0 --unsat
 
 The defaults are the full check: 100 prompts x seeds 0-1 x tree/cot/io x
 ``p_adv`` 0/0.35/1.0, 1,800 generations, at ``SearchConfig``'s default
@@ -48,6 +49,9 @@ whose anchor box leaves the region (``anchor does not fit on
 <facing>``).  An asked question tells the oracle not to give either, so
 the det oracle gives none; a local search that goes on to place its
 object returns no notes, so its dead answers are not counted.
+``--unsat`` also prints the sweep's unsat regions, one line each, and
+how many supported sets were dropped because their top was unsat
+(``supported set dropped (unsat)``).
 """
 
 from __future__ import annotations
@@ -66,7 +70,7 @@ from pathlib import Path
 from treelayout import render, sceneio
 from treelayout.catalog import AssetCatalog
 from treelayout.grid import Side
-from treelayout.model import AnchorRule, EventKind, Scene, SearchConfig, SearchMode
+from treelayout.model import EventKind, Scene, SearchConfig, SearchMode
 from treelayout.oracle.base import PlacementOracle
 from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.queries import (
@@ -198,18 +202,15 @@ def placement_bytes(outcome: Scene | Exception) -> bytes:
 
 def dead_answers(scene: Scene) -> collections.Counter:
     """The dead-answer notes of the scene's REJECTED events, as ``side``
-    and ``facing`` counts.  An anchor that does not fit is a dead facing
-    only where the anchor is centred (a supporter top, or a region whose
-    rule is ``place_in_center``); elsewhere the engine proposed it."""
-    centred = {r.id for r in scene.plan.regions if r.anchor_rule is AnchorRule.IN_CENTER}
+    and ``facing`` counts.  (A wall or corner proposal that does not fit
+    is the engine's, and notes ``anchor proposal <key> does not fit``.)"""
     found: collections.Counter = collections.Counter()
     for e in scene.trace.events:
         if e.kind is EventKind.REJECTED:
             for reason in e.note.removeprefix("skipped: ").split("; "):
                 if DEAD_SIDE.fullmatch(reason):
                     found["side"] += 1
-                elif reason.startswith("anchor does not fit on ") and (
-                        e.scope in centred or e.scope.startswith("top:")):
+                elif reason.startswith("anchor does not fit on "):
                     found["facing"] += 1
     return found
 
@@ -221,7 +222,8 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                  backtracks: collections.Counter | None = None,
                  kinds: collections.Counter | None = None,
                  forced: collections.Counter | None = None,
-                 dead: collections.Counter | None = None) -> tuple[str, int]:
+                 dead: collections.Counter | None = None,
+                 unsat: list[tuple] | None = None) -> tuple[str, int]:
     """(hex digest, generation count) over every prompt x seed x mode x
     ``p_adv``; ``each(index, seed, mode, p_adv, digest)`` sees every
     generation's own digest.  ``overlap`` runs the det oracle behind
@@ -233,7 +235,9 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
     ``from_layer=`` backtracks by layer; ``kinds`` and ``forced``, when
     given, count the kept calls and the forced steps by query kind;
     ``dead``, when given, counts the traces' dead-answer notes under
-    ``side`` and ``facing``."""
+    ``side`` and ``facing``; ``unsat``, when given, gets ``(index, seed,
+    mode, p_adv, unsat region ids, dropped supported sets)`` per
+    generation with either."""
     catalog = AssetCatalog.default()
     total = hashlib.sha256()
     count = 0
@@ -253,6 +257,12 @@ def sweep_digest(prompts: list[str], seeds, modes, p_advs,
                             forced.update(outcome.trace.forced_steps)
                         if dead is not None and isinstance(outcome, Scene):
                             dead.update(dead_answers(outcome))
+                        if unsat is not None and isinstance(outcome, Scene):
+                            dropped = sum(e.note == "supported set dropped (unsat)"
+                                          for e in outcome.trace.events)
+                            if outcome.unsat_regions or dropped:
+                                unsat.append((p_idx, seed, mode, p_adv,
+                                              outcome.unsat_regions, dropped))
                         if backtracks is not None and isinstance(outcome, Scene):
                             backtracks.update(
                                 e.layer for e in outcome.trace.events
@@ -288,6 +298,8 @@ def main() -> None:
     parser.add_argument("--calls", action="store_true",
                         help="also print the kept calls and forced steps per query kind, "
                              "and the dead answers")
+    parser.add_argument("--unsat", action="store_true",
+                        help="also print the unsat regions and the dropped supported sets")
     args = parser.parse_args()
 
     each = print if args.each else None
@@ -296,9 +308,11 @@ def main() -> None:
     kinds = collections.Counter() if args.calls else None
     forced: collections.Counter = collections.Counter()
     dead: collections.Counter = collections.Counter()
+    unsat: list[tuple] = []
     digest, count = sweep_digest(load_prompts()[:args.prompts], args.seeds, args.modes,
                                  args.p_adv, args.cell_size, each, args.overlap, calls,
-                                 args.faults, args.placements, backtracks, kinds, forced, dead)
+                                 args.faults, args.placements, backtracks, kinds, forced, dead,
+                                 unsat)
     line = f"{digest}  {count} generations  calls={calls['kept']}"
     if args.overlap:
         line += f"  discarded_calls={calls['discarded']}"
@@ -310,6 +324,14 @@ def main() -> None:
         for kind in QUERY_KINDS:
             print(f"{kind:<12} calls={kinds[kind]:<7} forced={forced[kind]}")
         print(f"dead answers: side={dead['side']}  facing={dead['facing']}")
+    if args.unsat:
+        regions = dropped = 0
+        for p_idx, seed, mode, p_adv, region_ids, n_dropped in unsat:
+            for region in region_ids:
+                print(f"unsat: prompt {p_idx} seed {seed} {mode} p_adv {p_adv} {region}")
+            regions += len(region_ids)
+            dropped += n_dropped
+        print(f"unsat regions={regions}  supported set dropped (unsat)={dropped}")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,12 @@
 with its subproblems overlapped on threads.  A change
 meant to keep behaviour keeps these digests; a change that alters bytes
 on purpose updates them and says so in CHANGES.md.  The full-byte
-values were last re-pinned when an asked side or facing question began
-to tell the oracle not to answer the sides with no feasible pose and the
-facings that do not fit, which changed fingerprints, transcripts, trace
-notes and call counts on purpose.
+values were last re-pinned when the det side score became the size of
+the side's feasibility set (its side-eval reply now counts positions),
+a corner anchor began to offer its other yaw after its preferred one,
+and a wall or corner proposal that does not fit got a trace note of its
+own, which changed transcripts, trace notes, call counts and placements
+on purpose.
 
 ``PLACEMENTS`` pins only what the same generations placed (``scene.json``
 without its ``trace_summary``): a change that saves oracle calls keeps
@@ -18,17 +20,19 @@ query fingerprint, which holds the avoided sides, so at ``p_adv`` > 0
 other choices are drawn, and it no longer names a side with no feasible
 pose.  The 0.15 values moved once more when the det policy's run
 ranking and the face/back orientation rule began to compare in units,
-so that exact ties break by the documented rule.
+so that exact ties break by the documented rule.  Both moved again with
+the feasibility-set side scores and the corner anchors' other yaw.
 
 ``PLACEMENTS_P0`` pins the placements of the 0.25 slice at ``p_adv`` 0
 alone, where the det oracle names only the best legal option: a change
 that stops asking questions whose answer is forced moves no object there.
 
-``EXACT_CENTRES`` pins a slice at cell 0.2501 m, whose cell centres
-(and those of the 0.05002 m cells of its supporter tops) are not q4
-values: the det side scores test the exact centres, and rounding them
-as run centres are rounded changes these bytes, which the slices above
-do not show.
+``EXACT_CENTRES`` pins the bytes of a slice at cell 0.2501 m, whose
+cell centres (and those of the 0.05002 m cells of its supporter tops)
+are not q4 values.  No answer reads those exact centres (the det side
+scores count feasible pairs on run centres, as every other answer
+does), so it pins bytes only, on a grid that the slices above do not
+cover.
 """
 
 import pytest
@@ -36,18 +40,18 @@ import pytest
 from digest_sweep import load_prompts, sweep_digest
 
 PINNED = {
-    0.25: "864f8d4f6527fb1f2e3c79254f24b10f5503d4844d74e1cb42f519e553acc835",
-    0.15: "9df2117acd5a2a455df712d2b9d290cc09a4cbd1afe7c7aeb9b85682c7a55563",
+    0.25: "b83bf7c87417ebda1bc507668601eb9a157a4c7b0244af47e868a94c06003930",
+    0.15: "97d420318296310b5671aee051132e963806fc0239336c74b22cc3ca117ad1ee",
 }
 
 PLACEMENTS = {
-    0.25: "ce751e434c652be0f22728b694a4142ee4469aadbafba66041adf027d37a667b",
-    0.15: "6a1f6df1b1d31e01b9a4a1ecca8ca898f57345b328262d0c444adfff25b991bd",
+    0.25: "238b89ac2317aebb7e87b804aefddf6e910100db7f8593d5cd52664b9caf38f3",
+    0.15: "0bcc5673dbc644b218f7b8151b1c6fd151f5cd5996083ecf30843e104d3b063a",
 }
 
 PLACEMENTS_P0 = "184c7f09cea54505ab7cb953d316256bbe5f0afae95aa6f0ba3130b176b2a801"
 
-EXACT_CENTRES = "3e4656e7d9777f21ba33865575cc7e68a42ceb8ddb7b03e37ed2ef83dca5ce44"
+EXACT_CENTRES = "28c100e8a16108cf9c81233bbe30f725b892646a5500aada7c420372e0079da5"
 
 
 @pytest.mark.parametrize("cell_size", sorted(PINNED))

@@ -39,7 +39,8 @@ from treelayout.oracle.base import (
 from treelayout.oracle.deterministic import NO_LEGAL_OPTION, DeterministicOracle
 from treelayout.oracle.live import LiveConfig, LiveOracle
 from treelayout.oracle.policy import (
-    _context_table,
+    _completion,
+    _covered,
     choose_run,
     choose_side,
     feasible_primary_starts,
@@ -248,17 +249,24 @@ class TestSidePolicy:
             want = {side: br.side_score(obj, side.value, boxes, boxes[0]) for side in Side}
             assert side_scores(ctx) == want
 
+    def test_score_positive_exactly_when_side_is_live(self):
+        # The side-eval says yes to a side exactly when the search could
+        # place the object there.
+        rng = random.Random(7)
+        seen = {True: 0, False: 0}
+        for _ in range(400):
+            ctx = random_context(rng)
+            if ctx.relation is None:
+                continue
+            scores = side_scores(ctx)
+            for side in Side:
+                live = bool(ctx.live_starts(side, {}, limit=1))
+                assert (scores[side] > 0) == live, (ctx.canonical_text(), side, scores[side])
+                seen[live] += 1
+        assert min(seen.values()) > 0, seen
+
 
 class TestPolicyCache:
-    def test_equal_contexts_share_tables(self):
-        first, second = make_context(), make_context()
-        assert first == second and first is not second
-        _context_table.cache_clear()
-        answers = policy_answers(first)
-        misses = _context_table.cache_info().misses
-        assert policy_answers(second) == answers
-        assert _context_table.cache_info().misses == misses
-
     @pytest.mark.parametrize("variant", ["placed_box", "object_dims"])
     def test_differing_contexts_get_their_own_answers(self, variant):
         from dataclasses import replace
@@ -274,13 +282,10 @@ class TestPolicyCache:
         else:
             a = base
             b = replace(base, object_dims=Dim3(1.0, 0.5, 0.5))
-        cold = {}
-        for ctx in (a, b):
-            _context_table.cache_clear()
-            cold[id(ctx)] = policy_answers(ctx)
+        # each answer computed cold, on a fresh copy of its context
+        cold = {id(ctx): policy_answers(replace(ctx)) for ctx in (a, b)}
         assert cold[id(a)] != cold[id(b)]
         for order in ((a, b), (b, a)):
-            _context_table.cache_clear()
             for ctx in order:
                 assert policy_answers(ctx) == cold[id(ctx)]
             for ctx in order:
@@ -301,17 +306,13 @@ class TestPolicyCache:
         assert ctx == replace(ctx)
 
     def test_threads_sharing_tables_match_serial(self):
-        # More contexts than the cache holds, so threads race on eviction,
-        # table construction and the completion masks.
+        # Threads race on the contexts' side sets and their rows; the
+        # serial answers come from fresh copies of the contexts.
         from concurrent.futures import ThreadPoolExecutor
 
         rng = random.Random(4)
         contexts = [random_context(rng) for _ in range(6)]
-        serial = []
-        for ctx in contexts:
-            _context_table.cache_clear()
-            serial.append(policy_answers(ctx))
-        _context_table.cache_clear()
+        serial = [policy_answers(replace(ctx)) for ctx in contexts]
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -620,12 +621,12 @@ class TestRowMasks:
     """The det policy's bitmasks against per-pose legality and the
     brute-force covered test."""
 
-    def test_lattices_equal_rejection_at_cell_and_run_centres(self):
-        # The one legality engine on the lattice of cell centres (side
-        # scores) and on every lattice of run centres (feasibility sets),
-        # for both extent swaps: its masks bit for bit against its verdict
-        # at each pair (the search's final check) and the reference.
-        from treelayout.oracle.policy import _cell_lattice, object_spans, run_center
+    def test_lattices_equal_rejection_at_run_centres(self):
+        # The one legality engine on every lattice of run centres
+        # (feasibility sets), for both extent swaps: its masks bit for bit
+        # against its verdict at each pair (the search's final check) and
+        # the reference.
+        from treelayout.oracle.policy import object_spans, run_center
 
         rng = random.Random(2024)
         kinds, counts = set(), {True: 0, False: 0, "touching": 0}
@@ -636,11 +637,9 @@ class TestRowMasks:
             kinds.update({("relation", ctx.relation), ("rule", ctx.orientation_rule),
                           ("cell", s), ("blockers", len(ctx.placed_boxes) > 1),
                           ("on boundary", (ctx.region_length / s).is_integer())})
-            # (lattice, its x centres, its y centres, swap), centres in units:
-            # cell centres exact, run centres as pose_from_starts gives them
-            cells = (tuple(units((c + 0.5) * s) for c in range(grid.cols)),
-                     tuple(units((r + 0.5) * s) for r in range(grid.rows)))
-            lattices = [(_cell_lattice(ctx, swap), *cells, swap) for swap in (False, True)]
+            # (lattice, its x centres, its y centres, swap), centres in units
+            # as pose_from_starts gives them
+            lattices = []
             for m_cols, m_rows in {object_spans(ctx, side) for side in Side}:
                 runs = (tuple(units(run_center(c0, m_cols, s)) for c0 in range(grid.cols - m_cols + 1)),
                         tuple(units(run_center(r0, m_rows, s)) for r0 in range(grid.rows - m_rows + 1)))
@@ -690,11 +689,10 @@ class TestRowMasks:
             ctx = mask_context(rng)
             grid = ctx.grid
             br = brute_of(ctx)
-            table = _context_table(ctx)
             for side in Side:
                 cand = set(ctx.candidates[side])
                 m_cols, m_rows = object_spans(ctx, side)
-                covered = table.covered(side)
+                covered = _covered(ctx, side)
                 assert len(covered) == max(0, grid.rows - m_rows + 1)
                 for r0 in range(grid.rows):
                     for c0 in range(grid.cols):
@@ -810,10 +808,15 @@ class TestFeasibilitySets:
         rng = random.Random(77)
         for _ in range(40):
             ctx = mask_context(rng)
-            table = _context_table(ctx)
+            br, obj, boxes = brute_of(ctx), brute_obj(ctx), list(ctx.placed_boxes)
             for side in Side:
-                feasible = ctx.feasible(side)
-                assert table.completion(side) == [f & c for f, c in zip(feasible, table.covered(side))]
+                cand = set(ctx.candidates[side])
+                m_cols, m_rows = ctx.side_shapes[side][:2]
+                want = {(c0, r0) for c0, r0 in br.accepted_pairs(obj, side.value, boxes)
+                        if br.rect_cells_ok(cand, c0, m_cols, r0, m_rows)}
+                got = {(c0, r0) for r0, m in enumerate(_completion(ctx, side))
+                       for c0 in range(m.bit_length()) if m >> c0 & 1}
+                assert got == want, (ctx.canonical_text(), side)
 
     def test_candidate_masks_hold_the_candidate_cells(self):
         rng = random.Random(5)

@@ -274,17 +274,23 @@ class TestBacktracking:
 
     def test_repeated_corner_pose_not_revisited(self):
         # The bed is exactly as long as the region is wide, so the bl/tl and
-        # br/tr corners give the same poses; the block fits nowhere, so every
-        # anchor visit fails downstream.  A repeated pose would re-ask the
-        # same queries, which a recording oracle refuses.
+        # br/tr corners give the same poses at their preferred yaws; the
+        # block fits nowhere, so every anchor visit fails downstream.  With
+        # a budget that reaches the top corners, a repeated pose would
+        # re-ask the same queries, which a recording oracle refuses.
         region = make_region(
             "narrow", 3.0, 2.05, ("bed", 2.05, 1.65, "place_at_corner"),
             [("block", 1.4, 1.4, "place_beside", None)],
         )
-        config = SearchConfig(seed=0, **REFERENCE_CONFIG)
+        config = SearchConfig(seed=0, **{**REFERENCE_CONFIG, "k_global_anchor": 8})
         proposals = _corner_proposals(region, region.objects[0].dims)
         poses = [(cx, cy, yaw) for _key, cx, cy, yaw in proposals]
-        assert poses[0] == poses[2] and poses[1] == poses[3] and poses[0] != poses[1]
+        # each corner's preferred yaw, then its other one
+        assert [key for key, *_ in proposals] == [
+            ("bl", 90), ("bl", 0), ("br", 270), ("br", 0),
+            ("tl", 90), ("tl", 180), ("tr", 270), ("tr", 180)]
+        assert poses[0] == poses[4] and poses[2] == poses[6]
+        assert len(set(poses)) == 6
 
         result = plan_region(region, config, RecordingOracle(DeterministicOracle(seed=0)))
         assert result.unsat
@@ -292,7 +298,7 @@ class TestBacktracking:
             e.pose for e in result.trace.events
             if e.layer == 1 and e.kind is EventKind.ACCEPTED
         ]
-        assert anchors == [(0.825, 1.025, Yaw.DEG_90), (2.175, 1.025, Yaw.DEG_270)]
+        assert anchors == list(dict.fromkeys(poses))
         assert to_brute(region, config).search_feasible(
             config.k_global_anchor, config.k_global_other,
             config.k_local_side, config.k_local_axis,
@@ -880,6 +886,30 @@ class TestForcedFacing:
                 if e.layer == 1 and e.kind is EventKind.ACCEPTED] == [
             "anchor=top", "anchor=bottom forced=facing"]
         assert result.trace.forced_steps == {"side": 1}
+
+
+class TestAnchorNotes:
+    """An engine proposal that does not fit and an oracle's dead facing
+    write different rejection notes."""
+
+    def test_wall_proposal_that_does_not_fit(self):
+        # 1.2 m deep against the 1.0 m bottom and top walls; it fits the left
+        region = make_region("r1", 3.0, 1.0, ("cabinet", 0.9, 1.2, "place_along_wall"))
+        result = plan_region(region, SearchConfig(seed=0, **REFERENCE_CONFIG), ScriptedOracle())
+        assert not result.unsat and result.trace.oracle_calls == 0
+        assert [e.note for e in result.trace.events if e.kind is not EventKind.PROPOSED] == [
+            "anchor proposal bottom does not fit", "anchor proposal top does not fit",
+            "anchor=left"]
+
+    def test_dead_facing_reply(self):
+        # the 1.4 x 0.9 table fits the 1.0 m wide region facing top or
+        # bottom only; the oracle names left anyway, then top
+        region = make_region("r1", 4.0, 1.0, ("table", 1.4, 0.9, "place_in_center"))
+        oracle = ScriptedOracle(sides=["left", "top"])
+        result = plan_region(region, SearchConfig(seed=0, **REFERENCE_CONFIG), oracle)
+        assert oracle.exhausted() and not result.unsat
+        assert [e.note for e in result.trace.events if e.kind is not EventKind.PROPOSED] == [
+            "anchor does not fit on left", "anchor=top"]
 
 
 class TestForwardCheck:
