@@ -222,17 +222,25 @@ def rasterize(
     return OccupancyGrid(cols, rows, cell_size, tuple(codes))
 
 
-def candidate_cells(grid: OccupancyGrid, anchor_aabb: AABB) -> dict[Side, list[int]]:
-    """The free cells strictly on each side of the anchor's AABB, in
-    (row, col) order, from one pass over the grid.
+def candidate_cells(grid: OccupancyGrid, anchor_aabb: AABB) -> dict[Side, int]:
+    """The free cells strictly on each side of the anchor's AABB, as masks
+    laid out as ``grid.free_flat``.
 
     An anchor rectangle reaching past the grid extent is tolerated: the
     sides it spills over simply have no cells (this happens when probing
     facings for a centered anchor that only fits rotated).
     """
-    buckets = kernels.free_cells_on_side(grid.cols, grid.rows, units(grid.cell_size), grid.codes,
-                                         *anchor_aabb)
-    return dict(zip(Side, buckets))
+    masks = kernels.free_cells_on_side(grid.cols, grid.rows, grid.stride, units(grid.cell_size),
+                                       grid.free_flat, *anchor_aabb)
+    return dict(zip(Side, masks))
+
+
+def cells_of(grid: OccupancyGrid, mask: int) -> list[int]:
+    """The cells of a mask laid out as ``grid.free_flat``, as ascending
+    row-major indices."""
+    cols, stride, full = grid.cols, grid.stride, (1 << grid.cols) - 1
+    return [r * cols + c for r in range(grid.rows) if (row := mask >> r * stride & full)
+            for c in range(cols) if row >> c & 1]
 
 
 def assign_emojis(cells: list[int] | set[int], vocabulary: tuple[str, ...]) -> EmojiMap:

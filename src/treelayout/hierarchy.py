@@ -111,7 +111,10 @@ def parse_room_reply(text: str) -> tuple[str, float, float]:
     if not (m_type and m_len and m_wid):
         raise ParseError(f"room reply missing fields: {text!r}")
     room_type = m_type.group(1).strip().lower()
-    length, width = float(m_len.group(1)), float(m_wid.group(1))
+    try:
+        length, width = float(m_len.group(1)), float(m_wid.group(1))
+    except ValueError:
+        raise ParseError(f"room reply has a malformed number: {text!r}") from None
     if not room_type or length <= 0 or width <= 0:
         raise ParseError(f"room reply has invalid values: {text!r}")
     return room_type, q4(length), q4(width)
@@ -126,7 +129,10 @@ def parse_region_reply(text: str) -> list[tuple[str, float]]:
         m = _REGION_LINE_RE.match(line)
         if not m:
             continue
-        fraction = float(m.group(2))
+        try:
+            fraction = float(m.group(2))
+        except ValueError:
+            raise ParseError(f"malformed region fraction in {line!r}") from None
         if fraction <= 0:
             raise ParseError(f"non-positive region fraction in {line!r}")
         out.append((m.group(1).strip().lower(), fraction))

@@ -1,8 +1,7 @@
 """Grid-geometry kernels: the hot inner loops of the engine.
 
-Per-cell rasterization, free cells bucketed by side of an anchor (one
-pass for all four sides), and the overlap scan of one box against the
-placed boxes.
+Per-cell rasterization, the free cells on each side of an anchor as
+bit masks, and the overlap scan of one box against the placed boxes.
 
 Every coordinate is a whole number of length units (0.01 mm), so each
 test is an exact integer comparison.  Cells are indexed row-major:
@@ -11,14 +10,16 @@ test is an exact integer comparison.  Cells are indexed row-major:
 anchor-occupied.  Rectangles have positive extents, so two overlap with
 positive area exactly when their open x spans and their open y spans
 meet; rectangles sharing an edge do not overlap.
+
+A set of cells is also held as one integer, a mask laid out as
+``OccupancyGrid.free_flat``: bit ``r * stride + c`` for the cell at row
+``r`` and column ``c``, with ``stride`` bits per row, at least ``cols``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections.abc import Sequence
-from itertools import compress
-from operator import not_
+from functools import lru_cache
 
 
 def _cells_meeting(lo: int, hi: int, cell: int, n: int) -> range:
@@ -45,41 +46,40 @@ def rasterize_codes(
     return codes
 
 
+@lru_cache(maxsize=256)
+def row_repeat(rows: int, stride: int) -> int:
+    """Bit ``r * stride`` for each of ``rows`` rows: times a row mask, that
+    mask on every row of a flat grid integer."""
+    return sum(1 << r * stride for r in range(rows))
+
+
 def free_cells_on_side(
     cols: int,
     rows: int,
+    stride: int,
     cell: int,
-    codes: Sequence[int],
+    free_flat: int,
     ax0: int, ay0: int, ax1: int, ay1: int,
-) -> tuple[list[int], list[int], list[int], list[int]]:
-    """Indices of the free cells strictly on each side of the anchor
-    rectangle, bucketed (left, right, bottom, top), each in row-major order.
+) -> tuple[int, int, int, int]:
+    """Masks of the free cells strictly on each side of the anchor
+    rectangle, (left, right, bottom, top), given the free cells
+    ``free_flat`` of a grid laid out with ``stride`` bits per row.
 
     A cell is left when its max-x <= anchor min-x, that is its column is
     below ``ax0 // cell``; right when its min-x >= anchor max-x, its column
     at least ``ceil(ax1 / cell)``; likewise bottom/top on y, so flush cells
-    count.  One pass picks the free cells of the grid; each row's share
-    is then split by column with a search of the sorted indices.
+    count.  Each bound is clamped to the grid, so an anchor may reach past
+    it: a side it spills over has no cells.
     """
-    left, right, bottom, top = [], [], [], []
-    left_end, right_start = ax0 // cell, max(-(-ax1 // cell), 0)
-    bottom_end, top_start = ay0 // cell, -(-ay1 // cell)
-    free_cells = list(compress(range(rows * cols), map(not_, codes)))
-    start = 0
-    for r in range(rows):
-        base = r * cols
-        end = bisect_left(free_cells, base + cols, start)
-        free = free_cells[start:end]
-        start = end
-        if left_end > 0:
-            left += free[:bisect_left(free, base + left_end)]
-        if right_start < cols:
-            right += free[bisect_left(free, base + right_start):]
-        if r < bottom_end:
-            bottom += free
-        if r >= top_start:
-            top += free
-    return left, right, bottom, top
+    left, right = min(max(ax0 // cell, 0), cols), min(max(-(-ax1 // cell), 0), cols)
+    below, above = min(max(ay0 // cell, 0), rows), min(max(-(-ay1 // cell), 0), rows)
+    every_row = row_repeat(rows, stride)
+    return (
+        free_flat & ((1 << left) - 1) * every_row,
+        free_flat & ((1 << cols) - (1 << right)) * every_row,
+        free_flat & (1 << below * stride) - 1,
+        free_flat >> above * stride << above * stride,
+    )
 
 
 def first_overlap(

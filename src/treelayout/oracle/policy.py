@@ -22,7 +22,7 @@ The policy keeps no state of its own.  The context evaluates each
 side's feasible rows once, on first use, and the search's forward check
 reads the same rows.  A completion mask is those rows ANDed with the
 starts whose covered cells are all candidates, from shifted ANDs of the
-context's ``candidate_flat`` (laid out as the grid's ``free_flat``, bit
+context's ``candidates`` masks (laid out as the grid's ``free_flat``, bit
 ``r * stride + c``).
 
 ``pose_from_starts`` (in :mod:`treelayout.oracle.queries`) is the single
@@ -38,19 +38,11 @@ from operator import and_, or_
 
 from treelayout.grid import Side
 from treelayout.model import Yaw, units
-from treelayout.oracle.queries import (
-    SpatialContext,
-    bit_indices,
-    final_yaw,
-    object_spans,
-    pose_from_starts,
-    run_center,
-)
+from treelayout.oracle.queries import SpatialContext, bit_indices, object_spans
 
 __all__ = [
     "choose_run", "choose_side", "feasible_primary_starts", "feasible_secondary_starts",
-    "final_yaw", "object_spans", "pose_from_starts", "run_center", "side_preference",
-    "side_scores",
+    "object_spans", "side_preference", "side_scores",
 ]
 
 #: Fixed side preference for tie-breaking, led by the anchor-facing side.
@@ -68,7 +60,7 @@ def _covered(ctx: SpatialContext, side: Side) -> list[int]:
     starts lies in the grid and every cell it covers is a candidate."""
     grid = ctx.grid
     m_cols, m_rows = object_spans(ctx, side)
-    cand, stride = ctx.candidate_flat[side], grid.stride
+    cand, stride = ctx.candidates[side], grid.stride
     runs = reduce(and_, [cand >> k for k in range(m_cols)])
     block = reduce(and_, [runs >> j * stride for j in range(m_rows)])
     full = (1 << grid.cols) - 1
@@ -83,7 +75,7 @@ def _completion(ctx: SpatialContext, side: Side) -> list[int]:
 
 def side_scores(ctx: SpatialContext) -> dict[Side, int]:
     if ctx.relation is None:
-        return {side: len(cells) for side, cells in ctx.candidates.items()}
+        return {side: mask.bit_count() for side, mask in ctx.candidates.items()}
     return {side: sum(m.bit_count() for m in ctx.feasible(side)) for side in Side}
 
 

@@ -84,10 +84,9 @@ class SpatialContext:
     question with one live answer (:meth:`live_starts`), and the
     verdict on the completed pose (:meth:`_Lattice.verdict`).  The det
     policy reads only the feasibility sets, so the oracle names only
-    positions the engine accepts.  ``candidates``, their flat masks,
-    the feasibility sets, the lattices, their invariants and the
-    canonical text are derived from the fields on first use, so equality
-    and hashing ignore them.
+    positions the engine accepts.  ``candidates``, the feasibility sets,
+    the lattices, their invariants and the canonical text are derived
+    from the fields on first use, so equality and hashing ignore them.
     """
 
     scope: str
@@ -106,28 +105,11 @@ class SpatialContext:
     d_around: float
 
     @cached_property
-    def candidates(self) -> dict[Side, list[int]]:
-        """Free cells on each side of the anchor, in (row, col) order;
-        callers share the lists and must not mutate them."""
+    def candidates(self) -> dict[Side, int]:
+        """The free cells on each side of the anchor, one mask per side,
+        laid out as the grid's ``free_flat``: bit ``r * stride + c`` for
+        the cell at (r, c)."""
         return candidate_cells(self.grid, self._limits[2][0])
-
-    @cached_property
-    def candidate_flat(self) -> dict[Side, int]:
-        """``candidates`` as one integer per side, laid out as the grid's
-        ``free_flat``: bit ``r * stride + c`` for the cell at (r, c)."""
-        grid = self.grid
-        cols, rows, stride, cell = grid.cols, grid.rows, grid.stride, units(grid.cell_size)
-        ax0, ay0, ax1, ay1 = self._limits[2][0]
-        # the bounds of kernels.free_cells_on_side, clamped to the grid
-        left, right = min(max(ax0 // cell, 0), cols), min(max(-(-ax1 // cell), 0), cols)
-        below, above = min(max(ay0 // cell, 0), rows), min(max(-(-ay1 // cell), 0), rows)
-        free, every_row = grid.free_flat, _row_repeat(rows, stride)
-        return {
-            Side.LEFT: free & ((1 << left) - 1) * every_row,
-            Side.RIGHT: free & ((1 << cols) - (1 << right)) * every_row,
-            Side.BOTTOM: free & (1 << below * stride) - 1,
-            Side.TOP: free >> above * stride << above * stride,
-        }
 
     @cached_property
     def side_shapes(self) -> dict[Side, tuple[int, int, bool]]:
@@ -248,13 +230,6 @@ def _run_centres(cells: int, span: int, cell_size: float) -> tuple[int, ...]:
     return tuple(units(run_center(start, span, cell_size)) for start in range(cells - span + 1))
 
 
-@lru_cache(maxsize=256)
-def _row_repeat(rows: int, stride: int) -> int:
-    """Bit ``r * stride`` for each of ``rows`` rows: times a row mask, that
-    mask on every row of a flat grid integer."""
-    return sum(1 << r * stride for r in range(rows))
-
-
 class _Lattice:
     """The pairs (column index, row index) of a lattice of object centres
     in one context, given as ascending x and y centres in units, with the
@@ -314,7 +289,8 @@ class _Lattice:
         """The pairs with column start in ``[c0, c1)`` and row start in ``[r0, r1)``."""
         if c0 >= c1 or r0 >= r1:
             return 0
-        return ((1 << c1) - (1 << c0)) * _row_repeat(r1 - r0, self.stride) << r0 * self.stride
+        stride = self.stride
+        return ((1 << c1) - (1 << c0)) * kernels.row_repeat(r1 - r0, stride) << r0 * stride
 
     def _reach(self) -> tuple[int, int, int, int]:
         """Inclusive bounds ``(x0, x1, y0, y1)`` on a centre ``(xc, yc)``
@@ -420,10 +396,10 @@ class _SideSet:
         self.open: list[tuple[_Lattice, int]] = []
         self.any_open = 0
         self.count = max(rows - m_rows + 1, 0)  # row starts
-        cand = ctx.candidate_flat[side]
+        cand = ctx.candidates[side]
         if not self.count or m_cols > cols or not cand:
             return
-        every_row = _row_repeat(rows, stride)
+        every_row = kernels.row_repeat(rows, stride)
         if side.horizontal:  # columns first, then rows among the run's cells
             named, left = cand, rows
             while left > 1:  # fold every row onto row 0

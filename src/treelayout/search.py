@@ -48,12 +48,14 @@ from treelayout.grid import (
     SelectionError,
     Side,
     assign_emojis,
+    cells_of,
     contiguous_axis_run,
     load_vocabulary,
     parse_emoji_selection,
     rasterize,
     serialize_grid_prompt,
 )
+from treelayout.kernels import row_repeat
 from treelayout.model import (
     AnchorRule,
     Dim3,
@@ -175,15 +177,20 @@ def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
     )
 
 
-def _named_grid(state: GlobalState, grid: OccupancyGrid, cells: list[int]) -> tuple[EmojiMap, str]:
-    """Emoji names for ``cells`` and the grid prompt that shows them."""
-    emap = assign_emojis(cells, _vocabulary())
+def _named_grid(state: GlobalState, grid: OccupancyGrid, cells: int) -> tuple[EmojiMap, str]:
+    """Emoji names for the cells of the mask ``cells`` (laid out as
+    ``grid.free_flat``) and the grid prompt that shows them."""
+    emap = assign_emojis(cells_of(grid, cells) if cells else [], _vocabulary())
     return emap, serialize_grid_prompt(grid, emap, state.wall_sides)
 
 
+_WORD_RE = re.compile(r"[a-z]+")
+
+
 def _parse_side(text: str) -> Side | None:
-    lowered = text.lower()
-    found = [side for side in Side if side.value in lowered]
+    """The one side a reply names as a whole word, else None."""
+    words = set(_WORD_RE.findall(text.lower()))
+    found = [side for side in Side if side.value in words]
     return found[0] if len(found) == 1 else None
 
 
@@ -309,10 +316,10 @@ def _ask_eval(state: GlobalState, q: SideEvalQuery, after: Callable[[], CellsQue
 
 
 def _cells_query(state: GlobalState, ctx: SpatialContext, side: Side, axis: str,
-                 cells: list[int], count: int, round_no: int, primary_run: tuple[int, ...] = (),
+                 cells: int, count: int, round_no: int, primary_run: tuple[int, ...] = (),
                  avoid: tuple[int, ...] = ()) -> CellsQuery:
     """The run step's first question: ``count`` contiguous ``axis``
-    indices among ``cells``."""
+    indices among the cells of the mask ``cells``."""
     emap, grid_text = _named_grid(state, ctx.grid, cells)
     return CellsQuery(
         grid_prompt=grid_text, context=ctx, emap=emap, expected_count=count, axis=axis,
@@ -402,10 +409,10 @@ def local_place(
     trace = state.session.trace
     grid = ctx.grid
     live = cache(partial(_live, ctx, excluded=excluded))
-    order = sorted(Side, key=lambda sd: -len(ctx.candidates[sd]))
+    order = sorted(Side, key=lambda sd: -ctx.candidates[sd].bit_count())
     if not any(live(side) for side in order):
         return None, "no feasible pose"
-    _, grid_text = _named_grid(state, grid, [])
+    _, grid_text = _named_grid(state, grid, 0)
     notes: list[str] = []
     for side_attempt, side, raw in _ask_sides(state, ctx, grid_text, state.config.k_local_side,
                                               round_no, live=live, order=order):
@@ -418,17 +425,20 @@ def local_place(
         cand, skip = ctx.candidates[side], _skip(excluded, side)
         m_cols, m_rows = object_spans(ctx, side)
         if side.horizontal:
-            axes, spans, axis_of = ("cols", "rows"), (m_cols, m_rows), grid.col_of
+            axes, spans = ("cols", "rows"), (m_cols, m_rows)
         else:
-            axes, spans, axis_of = ("rows", "cols"), (m_rows, m_cols), grid.row_of
+            axes, spans = ("rows", "cols"), (m_rows, m_cols)
 
         def second(run_p: list[int]) -> CellsQuery:
-            p_start, p_end = run_p[0], run_p[-1]
+            p_start, p_end = run_p[0], run_p[-1] + 1
             pose_avoid = tuple(
                 sorted(s for (sd, p, s) in excluded if sd == side.value and p == p_start)
             )
-            cells = [c for c in cand if p_start <= axis_of(c) <= p_end]
-            return _cells_query(state, ctx, side, axes[1], cells, spans[1], round_no,
+            if side.horizontal:  # the run's columns on every row
+                band = ((1 << p_end) - (1 << p_start)) * row_repeat(grid.rows, grid.stride)
+            else:  # the run's rows
+                band = (1 << p_end * grid.stride) - (1 << p_start * grid.stride)
+            return _cells_query(state, ctx, side, axes[1], cand & band, spans[1], round_no,
                                 primary_run=(p_start,), avoid=pose_avoid)
 
         first = partial(_cells_query, state, ctx, side, axes[0], cand, spans[0], round_no)
@@ -585,7 +595,7 @@ def place_anchor_visit(
     cx, cy = q4(region.length / 2.0), q4(region.width / 2.0)
     probe = PlacedObject(spec.id, cx, cy, 0.0, Yaw.DEG_0, Parent.floor(region.id))
     ctx = _make_context(state, spec, None, probe)
-    _, grid_text = _named_grid(state, ctx.grid, [])
+    _, grid_text = _named_grid(state, ctx.grid, 0)
     faced = [Side(name) for name, _ in used]
     for attempt, side, raw in _ask_sides(state, ctx, grid_text, cfg.k_global_anchor, visit_no,
                                          faced, live=lambda sd: fits(cx, cy, sd.facing_yaw)):
@@ -795,6 +805,10 @@ def run_io_mode(
         m = _IO_LINE_RE.match(line)
         if not m:
             continue
+        try:
+            x, y, z = float(m.group(2)), float(m.group(3)), float(m.group(4))
+        except ValueError:  # a malformed number, such as "1.2."
+            continue
         parsed_any = True
         oid = m.group(1).lower()
         if oid not in region_of:
@@ -805,12 +819,7 @@ def run_io_mode(
         except ValueError:
             trace.record(0, oid, 0, EventKind.REJECTED, "bad yaw", scope="io")
             continue
-        placements.append(
-            PlacedObject(
-                oid, float(m.group(2)), float(m.group(3)), float(m.group(4)),
-                yaw, Parent.floor(region_of[oid]),
-            )
-        )
+        placements.append(PlacedObject(oid, x, y, z, yaw, Parent.floor(region_of[oid])))
     if not parsed_any:
         trace.record(0, "io", 0, EventKind.REJECTED, "parse failure: no placements", scope="io")
     scene = Scene(plan=plan, placements=tuple(placements), trace=trace)

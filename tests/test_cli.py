@@ -143,6 +143,26 @@ class TestRecordReplay:
         # divergence or incompleteness is fine; a crash or transport error is not
         assert r.exit_code in (0, 2, 3)
 
+    def test_malformed_number_in_room_reply_exit_3(self, tmp_path):
+        transcript = tmp_path / "transcript.jsonl"
+        run_cli([
+            "generate", "--oracle", "det", "--seed", "4", "--prompt", PROMPT,
+            "--out-dir", str(tmp_path / "rec"), "--transcript", str(transcript),
+        ])
+        lines = transcript.read_text().splitlines()
+        rooms = [i for i, line in enumerate(lines[1:], 1)
+                 if "room_type" in json.loads(line)["reply"]]
+        assert rooms
+        for i in rooms:
+            row = json.loads(lines[i])
+            row["reply"] = "room_type: bedroom\nlength: 4.5.\nwidth: 3"
+            lines[i] = json.dumps(row, sort_keys=True)
+        transcript.write_text("\n".join(lines) + "\n")
+        r = run_cli([
+            "replay", str(transcript), "--prompt", PROMPT, "--out-dir", str(tmp_path / "rep"),
+        ])
+        assert r.exit_code == 3, r.output
+
     @pytest.mark.parametrize("option, value", [("--seed", "4"), ("--p-adv", "0.35")])
     def test_det_oracle_options_are_usage_errors(self, tmp_path, option, value):
         """replay takes every reply from the transcript; it refuses the

@@ -39,7 +39,7 @@ from treelayout.model import (
     units,
 )
 from treelayout.oracle.deterministic import DeterministicOracle
-from treelayout.oracle.policy import run_center
+from treelayout.oracle.queries import run_center
 from treelayout.oracle.queries import SpatialContext
 
 M = 100_000  # units per meter

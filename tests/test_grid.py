@@ -28,6 +28,7 @@ from treelayout.grid import (
     WrongCount,
     assign_emojis,
     candidate_cells,
+    cells_of,
     contiguous_axis_run,
     load_vocabulary,
     orientation_from_rule,
@@ -172,13 +173,16 @@ class TestRasterize:
 
 
 def assert_sides_match_brute_force(grid: OccupancyGrid, anchor: AABB, got: dict) -> None:
-    """``got`` holds exactly the four sides, each equal to the brute-force scan."""
+    """``got`` holds exactly the four sides, each the mask, laid out as
+    ``grid.free_flat``, of the cells of the brute-force scan."""
     assert list(got) == list(Side)
     box = (anchor.x0, anchor.y0, anchor.x1, anchor.y1)
     for side in Side:
         want = brute_side_cells(grid.cols, grid.rows, units(grid.cell_size), list(grid.codes),
                                 side.value, box)
-        assert got[side] == want, side
+        assert cells_of(grid, got[side]) == want, side
+        assert got[side] == sum(1 << i // grid.cols * grid.stride + i % grid.cols
+                                for i in want), side
 
 
 class TestCandidateCells:
@@ -192,23 +196,24 @@ class TestCandidateCells:
         grid = self.grid_4x4()
         anchor = aabb_m(0.0, 0.0, 1.0, 2.0)  # cols 0-1, full height
         got = candidate_cells(grid, anchor)
-        assert got[Side.RIGHT] == [i for i in range(16) if i % 4 >= 2]
-        assert got[Side.LEFT] == got[Side.BOTTOM] == got[Side.TOP] == []
+        assert cells_of(grid, got[Side.RIGHT]) == [i for i in range(16) if i % 4 >= 2]
+        assert got[Side.LEFT] == got[Side.BOTTOM] == got[Side.TOP] == 0
         assert_sides_match_brute_force(grid, anchor, got)
 
     def test_empty_when_anchor_at_edge(self):
         grid = self.grid_4x4()
         anchor = aabb_m(0.0, 0.0, 2.0, 2.0)
         got = candidate_cells(grid, anchor)
-        assert all(cells == [] for cells in got.values())
+        assert all(mask == 0 for mask in got.values())
         assert_sides_match_brute_force(grid, anchor, got)
 
     def test_excludes_occupied(self):
         grid = self.grid_4x4(occupied=[3, 7])
         anchor = aabb_m(0.0, 0.0, 1.0, 2.0)
         got = candidate_cells(grid, anchor)
-        assert 3 not in got[Side.RIGHT] and 7 not in got[Side.RIGHT]
-        assert set(got[Side.RIGHT]) == {i for i in range(16) if i % 4 >= 2} - {3, 7}
+        right = cells_of(grid, got[Side.RIGHT])
+        assert 3 not in right and 7 not in right
+        assert set(right) == {i for i in range(16) if i % 4 >= 2} - {3, 7}
         assert_sides_match_brute_force(grid, anchor, got)
 
     def test_never_returns_occupied_property(self):
@@ -219,7 +224,7 @@ class TestCandidateCells:
             anchor = aabb_m(0.5, 0.5, 1.5, 1.0)
             got = candidate_cells(grid, anchor)
             for side in Side:
-                for idx in got[side]:
+                for idx in cells_of(grid, got[side]):
                     assert grid.codes[idx] == FREE
             assert_sides_match_brute_force(grid, anchor, got)
 
@@ -506,4 +511,4 @@ class TestCandidateCellsBlockerExample:
         anchor = aabb_m(0.0, 0.5, 1.0, 1.5)  # cols 0-1
         got = candidate_cells(grid, anchor)
         assert_sides_match_brute_force(grid, anchor, got)
-        assert all(idx not in got[Side.RIGHT] for idx in (10, 11, 16))
+        assert all(idx not in cells_of(grid, got[Side.RIGHT]) for idx in (10, 11, 16))

@@ -64,6 +64,15 @@ class TestParsers:
         got = parse_region_reply("rest region: 0.6\nwork region: 0.4")
         assert got == [("rest region", 0.6), ("work region", 0.4)]
 
+    @pytest.mark.parametrize("parse,text", [
+        (parse_room_reply, "room_type: bedroom\nlength: 4.5.\nwidth: 3"),
+        (parse_room_reply, "room_type: bedroom\nlength: 4\nwidth: ."),
+        (parse_region_reply, "sleeping: 0.6.\nwork: 0.4"),
+    ])
+    def test_malformed_number_is_a_parse_error(self, parse, text):
+        with pytest.raises(ParseError):
+            parse(text)
+
     def test_objects_reply(self):
         text = (
             "bed 2.0 x 1.6 x 0.5 | anchor | place_along_wall\n"
@@ -103,6 +112,11 @@ class TestRoomLevel:
 
     def test_oracle_failure_after_retries(self):
         session = make_session(ScriptedOracle(["not parseable"]))
+        with pytest.raises(OracleFailure):
+            build_room_level("a bedroom", session)
+
+    def test_malformed_number_ends_in_oracle_failure(self):
+        session = make_session(ScriptedOracle(["room_type: bedroom\nlength: 4.5.\nwidth: 3"]))
         with pytest.raises(OracleFailure):
             build_room_level("a bedroom", session)
 

@@ -9,6 +9,7 @@ lattice.
 import random
 
 from treelayout import kernels
+from treelayout.grid import OccupancyGrid, cells_of
 from bruteforce import brute_rasterize, brute_side_cells, rect_area_overlap
 
 
@@ -49,13 +50,30 @@ class TestAgainstBruteForce:
             cell = 50_000
             rects = [r + (1,) for r in random_rects(rng, rng.randint(0, 2), span=2.0)]
             codes = kernels.rasterize_codes(cols, rows, cell, rects)
-            anchor = random_rects(rng, 1, span=2.0)[0]
-            got = kernels.free_cells_on_side(cols, rows, cell, codes, *anchor)
-            want = tuple(
-                brute_side_cells(cols, rows, cell, codes, name, anchor)
-                for name in ("left", "right", "bottom", "top")
-            )
-            assert got == want
+            grid = OccupancyGrid(cols, rows, cell / M, tuple(codes))
+            x0, y0, x1, y1 = random_rects(rng, 1, span=2.0)[0]
+            # anchors reaching past each edge of the grid (some past both
+            # ends), and anchors wholly past each edge
+            out, size = random_length(rng, 0.01, 4.0), random_length(rng, 0.1, 6.0)
+            width, height = cols * cell, rows * cell
+            for anchor in (
+                (x0, y0, x1, y1),
+                (-out, y0, size - out, y1),
+                (width + out - size, y0, width + out, y1),
+                (x0, -out, x1, size - out),
+                (x0, height + out - size, x1, height + out),
+                (-out - size, y0, -out, y1),
+                (width + out, y0, width + out + size, y1),
+                (x0, -out - size, x1, -out),
+                (x0, height + out, x1, height + out + size),
+            ):
+                got = kernels.free_cells_on_side(cols, rows, grid.stride, cell, grid.free_flat,
+                                                 *anchor)
+                want = tuple(
+                    brute_side_cells(cols, rows, cell, codes, name, anchor)
+                    for name in ("left", "right", "bottom", "top")
+                )
+                assert tuple(cells_of(grid, mask) for mask in got) == want, anchor
 
     def test_first_overlap(self):
         rng = random.Random(17)

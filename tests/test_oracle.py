@@ -12,7 +12,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import ASK, BruteRegion, ForcedSteps, brute_side_cells
-from treelayout.grid import Side, rasterize, serialize_grid_prompt, assign_emojis, load_vocabulary
+from treelayout.grid import (
+    Side, assign_emojis, cells_of, load_vocabulary, rasterize, serialize_grid_prompt,
+)
 from treelayout.model import (
     AnchorRule,
     Dim3,
@@ -419,7 +421,7 @@ class TestRunPolicy:
     def test_policy_legality_equals_engine_acceptance(self):
         from treelayout.grid import candidate_cells
         from treelayout.model import effective_aabb
-        from treelayout.oracle.policy import object_spans, pose_from_starts
+        from treelayout.oracle.queries import object_spans, pose_from_starts
 
         rng = random.Random(57)
         checked = rejected = 0
@@ -429,11 +431,12 @@ class TestRunPolicy:
             a = ctx.anchor.aabb(ctx.anchor_dims)
             by_side = candidate_cells(grid, a)
             for side in Side:
-                assert by_side[side] == brute_side_cells(
+                cand = cells_of(grid, by_side[side])
+                assert cand == brute_side_cells(
                     grid.cols, grid.rows, units(grid.cell_size), list(grid.codes), side.value,
                     (a.x0, a.y0, a.x1, a.y1),
                 )
-                cand = set(by_side[side])
+                cand = set(cand)
                 m_cols, m_rows = object_spans(ctx, side)
                 reported = set()
                 for p0 in range(grid.cols if side.horizontal else grid.rows):
@@ -572,7 +575,7 @@ def mask_context(rng):
     boundaries, any relation (or the facing question) and any orientation
     rule, and up to three blockers, each placed flush against the box of
     some cell centre or run centre so that edges touch exactly."""
-    from treelayout.oracle.policy import run_center
+    from treelayout.oracle.queries import run_center
 
     cell = rng.choice([0.25, 0.05])
     if cell == 0.25:
@@ -626,7 +629,7 @@ class TestRowMasks:
         # (feasibility sets), for both extent swaps: its masks bit for bit
         # against its verdict at each pair (the search's final check) and
         # the reference.
-        from treelayout.oracle.policy import object_spans, run_center
+        from treelayout.oracle.queries import object_spans, run_center
 
         rng = random.Random(2024)
         kinds, counts = set(), {True: 0, False: 0, "touching": 0}
@@ -690,7 +693,7 @@ class TestRowMasks:
             grid = ctx.grid
             br = brute_of(ctx)
             for side in Side:
-                cand = set(ctx.candidates[side])
+                cand = set(cells_of(grid, ctx.candidates[side]))
                 m_cols, m_rows = object_spans(ctx, side)
                 covered = _covered(ctx, side)
                 assert len(covered) == max(0, grid.rows - m_rows + 1)
@@ -729,7 +732,7 @@ class TestFeasibilitySets:
         """At every nameable pair, the search's final check (the verdict
         at the pair the pose comes from) passes exactly on the
         feasibility set.  Returns the verdicts seen."""
-        from treelayout.oracle.policy import object_spans, pose_from_starts
+        from treelayout.oracle.queries import object_spans, pose_from_starts
 
         m_cols, m_rows = object_spans(ctx, side)
         feasible = self.pairs(ctx, side)
@@ -810,7 +813,7 @@ class TestFeasibilitySets:
             ctx = mask_context(rng)
             br, obj, boxes = brute_of(ctx), brute_obj(ctx), list(ctx.placed_boxes)
             for side in Side:
-                cand = set(ctx.candidates[side])
+                cand = set(cells_of(ctx.grid, ctx.candidates[side]))
                 m_cols, m_rows = ctx.side_shapes[side][:2]
                 want = {(c0, r0) for c0, r0 in br.accepted_pairs(obj, side.value, boxes)
                         if br.rect_cells_ok(cand, c0, m_cols, r0, m_rows)}
@@ -824,14 +827,18 @@ class TestFeasibilitySets:
             ctx = random_context(rng)
             grid = ctx.grid
             cols, stride = grid.cols, grid.stride
+            a = ctx.anchor.aabb(ctx.anchor_dims)
             for side in Side:
-                flat = ctx.candidate_flat[side]
+                flat = ctx.candidates[side]
                 assert flat >> grid.rows * stride == 0
                 assert all(flat >> r * stride >> cols & (1 << stride - cols) - 1 == 0
                            for r in range(grid.rows))
                 got = [r * cols + c for r in range(grid.rows) for c in range(cols)
                        if flat >> r * stride + c & 1]
-                assert got == ctx.candidates[side]
+                assert got == cells_of(grid, flat) == brute_side_cells(
+                    cols, grid.rows, units(grid.cell_size), list(grid.codes), side.value,
+                    (a.x0, a.y0, a.x1, a.y1),
+                )
 
 
 class StepOracle(PlacementOracle):
@@ -1141,7 +1148,7 @@ class TestDeterministicOracleReplies:
         oracle = DeterministicOracle(seed=0)
         side = Side.RIGHT
         anchor_box = ctx.anchor.aabb(ctx.anchor_dims)
-        cand = candidate_cells(ctx.grid, anchor_box)[side]
+        cand = cells_of(ctx.grid, candidate_cells(ctx.grid, anchor_box)[side])
         emap = assign_emojis(cand, VOCAB)
         m_cols, _ = object_spans(ctx, side)
         reply = oracle.query(

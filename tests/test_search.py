@@ -9,7 +9,7 @@ import pytest
 
 from bruteforce import BruteRegion
 from treelayout.evaluate import anchor_visits, search_stats
-from treelayout.grid import relation_satisfied
+from treelayout.grid import Side, relation_satisfied
 from treelayout.model import (
     AABB,
     AnchorRule,
@@ -34,6 +34,7 @@ from treelayout.oracle.deterministic import DeterministicOracle
 from treelayout.oracle.transcript import RecordingOracle
 from treelayout.search import (
     _corner_proposals,
+    _parse_side,
     layer_order,
     place_supported,
     plan_region,
@@ -476,6 +477,32 @@ class TestIoMode:
         scene = run_io_mode(plan, Garbage(), SearchConfig(seed=0, mode=SearchMode.IO))
         assert scene.placements == ()
         assert any("parse failure" in e.detail for e in scene.trace.events)
+
+    def test_malformed_number_skips_its_line(self):
+        from treelayout.oracle.base import PlacementOracle
+        from treelayout.oracle.queries import OracleReply
+
+        class Dotted(PlacementOracle):
+            def query(self, q):
+                return OracleReply("sofa_0: x=1.2. y=1.00 z=0.00 yaw=0\n"
+                                   "armchair_2: x=3.00 y=2.00 z=0.00 yaw=0")
+
+        plan = self.make_plan()
+        scene = run_io_mode(plan, Dotted(), SearchConfig(seed=0, mode=SearchMode.IO))
+        assert [p.spec_id for p in scene.placements] == ["armchair_2"]
+        assert not any("parse failure" in e.detail for e in scene.trace.events)
+
+
+@pytest.mark.parametrize("reply,side", [
+    ("right", Side.RIGHT),
+    ("Top.", Side.TOP),
+    ("right, next to the laptop", Side.RIGHT),
+    ("on the right side by the tabletop", Side.RIGHT),
+    ("the leftmost spot", None),
+    ("top left", None),
+])
+def test_side_reply_names_whole_words(reply, side):
+    assert _parse_side(reply) is side
 
 
 class ForcedFirstSideOracle:
