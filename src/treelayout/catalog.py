@@ -6,13 +6,13 @@ categories resolve to a shipped table of typical furniture dimensions.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
 from treelayout.model import Dim3, q4
+from treelayout.sceneio import parse_json
 
 
 class UnknownCategory(KeyError):
@@ -84,7 +84,9 @@ class AssetCatalog:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "AssetCatalog":
-        return cls._parse(json.loads(Path(path).read_text("utf-8")))
+        """Read a catalog file; a malformed document or entry raises
+        ``ValueError``, naming the entry."""
+        return cls._parse(parse_json(Path(path).read_text("utf-8")))
 
     @classmethod
     @lru_cache(maxsize=1)
@@ -92,17 +94,27 @@ class AssetCatalog:
         """The shipped catalog, parsed once per process and shared by
         every caller (the catalog is immutable)."""
         text = resources.files("treelayout.data").joinpath("catalog.json").read_text("utf-8")
-        return cls._parse(json.loads(text))
+        return cls._parse(parse_json(text))
 
     @classmethod
-    def _parse(cls, doc: dict) -> "AssetCatalog":
+    def _parse(cls, doc) -> "AssetCatalog":
+        rows = doc.get("entries") if isinstance(doc, dict) else None
+        if not isinstance(rows, dict):
+            raise ValueError("catalog must be a JSON object with an 'entries' object")
         entries = {}
-        for cat, row in doc["entries"].items():
-            entries[cat] = CatalogEntry(
-                category=cat,
-                dims=Dim3(*row["dims"]),
-                min_dims=Dim3(*row["min_dims"]),
-                max_dims=Dim3(*row["max_dims"]),
-                supportable=bool(row["supportable"]),
-            )
+        for cat, row in rows.items():
+            try:
+                if type(row["supportable"]) is not bool:  # bool("false") is True
+                    raise TypeError("field 'supportable' must be true or false")
+                entries[cat] = CatalogEntry(
+                    category=cat,
+                    dims=Dim3(*row["dims"]),
+                    min_dims=Dim3(*row["min_dims"]),
+                    max_dims=Dim3(*row["max_dims"]),
+                    supportable=row["supportable"],
+                )
+            except KeyError as exc:
+                raise ValueError(f"catalog entry {cat!r}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"catalog entry {cat!r}: {exc}") from None
         return cls(entries)

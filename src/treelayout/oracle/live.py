@@ -13,7 +13,6 @@ The HTTP client (``requests``, the ``live`` extra) is imported when a
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -25,6 +24,7 @@ from urllib.parse import urlsplit
 from treelayout.oracle.base import OracleFailure, PlacementOracle, Transport
 from treelayout.oracle.queries import OracleQuery, OracleReply
 from treelayout.oracle.templates import render_prompt_templates
+from treelayout.sceneio import parse_json
 
 DEFAULT_KEY_ENV = "TREELAYOUT_API_KEY"
 RETRY_JITTER_S = 1.0
@@ -44,7 +44,7 @@ class LiveConfig:
         """Read a config file; a document that is not a JSON object, or a
         field that is missing, of the wrong type or out of range, raises
         ``ValueError`` naming the field."""
-        doc = json.loads(Path(path).read_text("utf-8"))
+        doc = parse_json(Path(path).read_text("utf-8"))
         if not isinstance(doc, dict):
             raise ValueError("live config must be a JSON object")
         endpoint = doc.get("endpoint")

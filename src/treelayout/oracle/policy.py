@@ -18,12 +18,10 @@ brute-force-checkable terms (``BruteRegion.accepted_pairs`` in
   center to the anchor along their axis (doubled and in units, so
   exact), ties toward the lower start index.
 
-The policy keeps no state of its own.  The context evaluates each
-side's feasible rows once, on first use, and the search's forward check
-reads the same rows.  A completion mask is those rows ANDed with the
-starts whose covered cells are all candidates, from shifted ANDs of the
-context's ``candidates`` masks (laid out as the grid's ``free_flat``, bit
-``r * stride + c``).
+The policy keeps no state of its own.  Its runs are read by
+:meth:`SpatialContext.live_starts`, the reader the search's forward
+check uses too, skipping the pairs whose rectangle covers a cell that
+is not a candidate (shifted ANDs of the ``candidates`` masks).
 
 ``pose_from_starts`` (in :mod:`treelayout.oracle.queries`) is the single
 source of truth for turning a (side, column start, row start) triple
@@ -33,12 +31,13 @@ shared legality check, policy legality equals engine acceptance.
 
 from __future__ import annotations
 
+import sys
 from functools import reduce
-from operator import and_, or_
+from operator import and_
 
 from treelayout.grid import Side
 from treelayout.model import Yaw, units
-from treelayout.oracle.queries import SpatialContext, bit_indices, object_spans
+from treelayout.oracle.queries import SpatialContext, object_spans
 
 __all__ = [
     "choose_run", "choose_side", "feasible_primary_starts", "feasible_secondary_starts",
@@ -55,22 +54,16 @@ def side_preference(anchor_yaw: Yaw) -> list[Side]:
     return [front] + [s for s in _BASE_ORDER if s is not front]
 
 
-def _covered(ctx: SpatialContext, side: Side) -> list[int]:
-    """Bit ``c0`` of entry ``r0``: the object's rectangle at these
-    starts lies in the grid and every cell it covers is a candidate."""
+def _uncovered(ctx: SpatialContext, side: Side) -> dict[int, int]:
+    """Row start ``r0`` -> the column starts ``c0`` at which the object's
+    rectangle leaves the grid or covers a cell that is not a candidate."""
     grid = ctx.grid
     m_cols, m_rows = object_spans(ctx, side)
     cand, stride = ctx.candidates[side], grid.stride
     runs = reduce(and_, [cand >> k for k in range(m_cols)])
     block = reduce(and_, [runs >> j * stride for j in range(m_rows)])
     full = (1 << grid.cols) - 1
-    return [block >> r0 * stride & full for r0 in range(grid.rows - m_rows + 1)]
-
-
-def _completion(ctx: SpatialContext, side: Side) -> list[int]:
-    """Bit ``c0`` of entry ``r0``: covered, and in the side's feasibility
-    set (legal at the pose ``pose_from_starts`` gives)."""
-    return [f & c for f, c in zip(ctx.feasible(side), _covered(ctx, side))]
+    return {r0: full & ~(block >> r0 * stride) for r0 in range(grid.rows - m_rows + 1)}
 
 
 def side_scores(ctx: SpatialContext) -> dict[Side, int]:
@@ -96,19 +89,11 @@ def feasible_primary_starts(ctx: SpatialContext, side: Side) -> list[int]:
     The primary axis is columns for left/right sides and rows for
     top/bottom sides.
     """
-    done = _completion(ctx, side)
-    if side.horizontal:
-        return bit_indices(reduce(or_, done, 0))
-    return [r0 for r0, m in enumerate(done) if m]
+    return ctx.live_starts(side, _uncovered(ctx, side), limit=sys.maxsize)
 
 
 def feasible_secondary_starts(ctx: SpatialContext, side: Side, primary_start: int) -> list[int]:
-    done = _completion(ctx, side)
-    if side.horizontal:
-        if primary_start < 0:
-            return []
-        return [r0 for r0, m in enumerate(done) if m >> primary_start & 1]
-    return bit_indices(done[primary_start]) if 0 <= primary_start < len(done) else []
+    return ctx.live_starts(side, _uncovered(ctx, side), primary_start, limit=sys.maxsize)
 
 
 def choose_run(

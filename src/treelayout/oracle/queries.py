@@ -160,7 +160,10 @@ class SpatialContext:
         pairs with that primary start, less the starts in ``avoid``.  Rows
         are evaluated lowest first, only until ``limit`` distinct starts
         are found: ``limit=1`` asks whether any is left, and the default
-        whether the step is forced."""
+        whether the step is forced.  It is the one reader of the side sets'
+        run starts: the search's forward check skips the poses that failed
+        downstream, and the det policy's run choices the pairs whose
+        covered cells are not all candidates."""
         return self._side_set(side).starts(skip, primary, avoid, limit)
 
     @cached_property

@@ -19,7 +19,7 @@ from pathlib import Path
 from treelayout.oracle.base import CALL_PATH, FingerprintMiss, PlacementOracle
 from treelayout.oracle.queries import OracleQuery, OracleReply
 from treelayout.oracle.templates import template_version
-from treelayout.sceneio import write_text
+from treelayout.sceneio import parse_json, write_text
 
 
 @dataclass
@@ -47,7 +47,7 @@ class Transcript:
             if not line.strip():
                 continue
             try:
-                row = json.loads(line)
+                row = parse_json(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"transcript line {lineno}: not JSON ({exc.msg})") from None
             if not isinstance(row, dict):

@@ -38,6 +38,15 @@ from treelayout.model import (
 SCENE_FORMAT = "treelayout-scene-v1"
 
 
+def parse_json(text: str):
+    """``json.loads(text)``, but a ValueError, not a RecursionError, for
+    a document nested too deeply: every JSON file the CLI reads is read here."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply", text, 0) from None
+
+
 #: ``json.dumps`` of a string, without its dispatch: the same bytes.
 _string = json.encoder.encode_basestring_ascii
 _LITERALS = {True: "true", False: "false", None: "null"}
@@ -225,7 +234,7 @@ def _edge_from_doc(d: dict) -> Edge:
 def read_scene(path: str | Path) -> Scene:
     """The scene of a scene file.  ValueError for a file that is not a
     scene document, or that has a field missing or of the wrong type."""
-    doc = json.loads(Path(path).read_text("utf-8"))
+    doc = parse_json(Path(path).read_text("utf-8"))
     if type(doc) is not dict or doc.get("format") != SCENE_FORMAT:
         raise ValueError(f"not a {SCENE_FORMAT} file: {path}")
     regions = []
@@ -299,7 +308,7 @@ def read_trace(path: str | Path) -> list[TraceEvent]:
         if not line.strip():
             continue
         try:
-            d = json.loads(line)
+            d = parse_json(line)
             events.append(TraceEvent.from_detail(
                 _get(d, "layer", int), _get(d, "object_id", str), _get(d, "attempt_no", int),
                 EventKind(_get(d, "kind", str)), _get(d, "detail", str),

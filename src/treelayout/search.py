@@ -87,11 +87,13 @@ from treelayout.oracle.queries import (
     SideEvalQuery,
     SideQuery,
     SpatialContext,
+    bit_indices,
     object_spans,
     pose_from_starts,
 )
 
-PoseKey = tuple[str, int, int]
+#: Per side, the poses whose subtree failed, as ``live_starts`` skips them.
+Excluded = dict[Side, dict[int, int]]
 
 ALL_WALLS = frozenset(Side)
 
@@ -200,34 +202,32 @@ def _parse_yes(text: str) -> bool:
 
 
 def _ask_sides(state: GlobalState, ctx: SpatialContext, grid_text: str, budget: int,
-               round_no: int, avoid: Iterable[Side] = (),
-               live: Callable[[Side], bool] | None = None, order: Sequence[Side] = tuple(Side),
+               round_no: int, live: Callable[[Side], bool], avoid: Iterable[Side] = (),
+               order: Sequence[Side] = tuple(Side),
                ) -> Iterator[tuple[int, Side | None, str | None]]:
     """Side step: up to ``budget`` attempts, yielding ``(attempt, side,
     reply)`` per attempt, ``side`` None when the reply names no single
     side or a side already tried (``avoid`` holds those tried before).
 
-    ``live(side)``, if given, says whether some reply naming ``side``
-    could make the search accept a pose; the live sides outside those
-    tried are looked for in ``order``, up to two.  With one, the attempt
-    takes it without asking and yields the reply None; with none, the
-    step ends.  Otherwise the question's "Do not answer" names the sides
-    tried and the dead ones, so only an asked question tests every side;
-    a reply that names a dead side anyway is yielded as it is, for the
-    caller to spend the attempt on."""
+    ``live(side)`` says whether some reply naming ``side`` could make
+    the search accept a pose; the live sides outside those tried are
+    looked for in ``order``, up to two.  With one, the attempt takes it
+    without asking and yields the reply None; with none, the step ends.
+    Otherwise the question's "Do not answer" names the sides tried and
+    the dead ones, so only an asked question tests every side; a reply
+    that names a dead side anyway is yielded as it is, for the caller
+    to spend the attempt on."""
     tried = list(avoid)
     for attempt in range(1, budget + 1):
-        dead: list[Side] = []
-        if live is not None:
-            left = list(islice((sd for sd in order if sd not in tried and live(sd)), 2))
-            if len(left) < 2:
-                if not left:
-                    return
-                state.session.trace.forced_steps["side"] += 1
-                tried.append(left[0])
-                yield attempt, left[0], None
-                continue
-            dead = [sd for sd in order if sd not in tried and not live(sd)]
+        left = list(islice((sd for sd in order if sd not in tried and live(sd)), 2))
+        if len(left) < 2:
+            if not left:
+                return
+            state.session.trace.forced_steps["side"] += 1
+            tried.append(left[0])
+            yield attempt, left[0], None
+            continue
+        dead = [sd for sd in order if sd not in tried and not live(sd)]
         raw = state.session.ask(SideQuery(
             grid_prompt=grid_text, context=ctx, avoid=tuple(s.value for s in tried + dead),
             attempt=attempt, round_no=round_no,
@@ -240,39 +240,27 @@ def _ask_sides(state: GlobalState, ctx: SpatialContext, grid_text: str, budget: 
             yield attempt, side, raw
 
 
-def _skip(excluded: set[PoseKey], side: Side) -> dict[int, int]:
-    """The poses of ``excluded`` on ``side``, as row start -> mask of
-    column starts."""
-    skip: dict[int, int] = {}
-    for sd, p, s in excluded:
-        if sd == side.value:
-            c0, r0 = (p, s) if side.horizontal else (s, p)
-            skip[r0] = skip.get(r0, 0) | 1 << c0
-    return skip
-
-
-def _pose_keys(ctx: SpatialContext, pose: tuple[float, float, Yaw]) -> set[PoseKey]:
-    """The keys of every pair of runs that gives ``pose``: a cell beside
-    a corner of the anchor is a candidate on two sides (left of it and
+def _exclude(ctx: SpatialContext, pose: tuple[float, float, Yaw], excluded: Excluded) -> None:
+    """Exclude every pair of runs that gives ``pose``: a cell beside a
+    corner of the anchor is a candidate on two sides (left of it and
     below it, say), so one pose can come from two sides."""
     cx, cy, _ = pose
     grid = ctx.grid
-    keys: set[PoseKey] = set()
     for side in Side:
         m_cols, m_rows = object_spans(ctx, side)
         c0 = round(cx / grid.cell_size - m_cols / 2)
         r0 = round(cy / grid.cell_size - m_rows / 2)
         if (0 <= c0 <= grid.cols - m_cols and 0 <= r0 <= grid.rows - m_rows
                 and pose_from_starts(ctx, side, c0, r0) == pose):
-            keys.add((side.value, c0, r0) if side.horizontal else (side.value, r0, c0))
-    return keys
+            skip = excluded[side]
+            skip[r0] = skip.get(r0, 0) | 1 << c0
 
 
-def _live(ctx: SpatialContext, side: Side, excluded: set[PoseKey]) -> bool:
+def _live(ctx: SpatialContext, side: Side, excluded: Excluded) -> bool:
     """Forward check: whether the side's feasibility set holds a pose
     outside ``excluded``, that is, whether some parseable pair of run
     replies would make :func:`local_place` accept a pose there."""
-    return bool(ctx.live_starts(side, _skip(excluded, side), limit=1))
+    return bool(ctx.live_starts(side, excluded[side], limit=1))
 
 
 def _ask_eval(state: GlobalState, q: SideEvalQuery, after: Callable[[], CellsQuery] | None,
@@ -327,12 +315,12 @@ def _cells_query(state: GlobalState, ctx: SpatialContext, side: Side, axis: str,
     )
 
 
-def _ask_runs(state: GlobalState, tag: str, count: int, question: Callable[[], CellsQuery],
+def _ask_runs(state: GlobalState, tag: str, question: Callable[[], CellsQuery],
               live: Callable[[tuple[int, ...]], list[int]], notes: list[str],
               ahead: Speculation[tuple[CellsQuery, str]] | None = None,
-              ) -> Iterator[tuple[list[int], bool]]:
-    """Run step: up to the axis budget of attempts, yielding ``(run,
-    forced)`` for each novel run of ``count`` indices.
+              ) -> Iterator[tuple[int, bool]]:
+    """Run step: up to the axis budget of attempts, yielding ``(start,
+    forced)`` for each novel run, named by its start.
 
     ``live(tried)`` names up to two run starts outside ``tried`` that some
     reply could make the search accept a pose with: with one, the
@@ -353,7 +341,7 @@ def _ask_runs(state: GlobalState, tag: str, count: int, question: Callable[[], C
                 return
             state.session.trace.forced_steps["cells"] += 1
             tried.append(left[0])
-            yield list(range(left[0], left[0] + count)), True
+            yield left[0], True
             continue
         if first is None:
             if ahead is not None:
@@ -375,14 +363,14 @@ def _ask_runs(state: GlobalState, tag: str, count: int, question: Callable[[], C
             notes.append(f"{tag}: repeat run {run[0]}")
             continue
         tried.append(run[0])
-        yield run, False
+        yield run[0], False
 
 
 def local_place(
     spec: ObjectSpec,
     ctx: SpatialContext,
     state: GlobalState,
-    excluded: set[PoseKey],
+    excluded: Excluded,
     round_no: int,
     global_attempt: int,
     layer: int,
@@ -415,29 +403,28 @@ def local_place(
     _, grid_text = _named_grid(state, grid, 0)
     notes: list[str] = []
     for side_attempt, side, raw in _ask_sides(state, ctx, grid_text, state.config.k_local_side,
-                                              round_no, live=live, order=order):
+                                              round_no, live, order=order):
         if side is None:
             notes.append(f"side reply unusable: {raw[:40]!r}")
             continue
         if not live(side):
             notes.append(f"{side.value}: no feasible pose")
             continue
-        cand, skip = ctx.candidates[side], _skip(excluded, side)
+        cand, skip = ctx.candidates[side], excluded[side]
         m_cols, m_rows = object_spans(ctx, side)
         if side.horizontal:
             axes, spans = ("cols", "rows"), (m_cols, m_rows)
         else:
             axes, spans = ("rows", "cols"), (m_rows, m_cols)
 
-        def second(run_p: list[int]) -> CellsQuery:
-            p_start, p_end = run_p[0], run_p[-1] + 1
-            pose_avoid = tuple(
-                sorted(s for (sd, p, s) in excluded if sd == side.value and p == p_start)
-            )
-            if side.horizontal:  # the run's columns on every row
+        def second(p_start: int) -> CellsQuery:
+            p_end = p_start + spans[0]
+            if side.horizontal:  # the run's columns on every row; failed at row starts
                 band = ((1 << p_end) - (1 << p_start)) * row_repeat(grid.rows, grid.stride)
-            else:  # the run's rows
+                pose_avoid = tuple(sorted(r0 for r0, m in skip.items() if m >> p_start & 1))
+            else:  # the run's rows; failed at column starts
                 band = (1 << p_end * grid.stride) - (1 << p_start * grid.stride)
+                pose_avoid = tuple(bit_indices(skip.get(p_start, 0)))
             return _cells_query(state, ctx, side, axes[1], cand & band, spans[1], round_no,
                                 primary_run=(p_start,), avoid=pose_avoid)
 
@@ -445,8 +432,7 @@ def local_place(
         starts = cache(partial(ctx.live_starts, side, skip))  # (primary, tried) -> starts
         after: Callable[[], CellsQuery] | None = first
         if len(primaries := starts(None, ())) == 1:  # the first run is forced
-            run = list(range(primaries[0], primaries[0] + spans[0]))
-            after = None if len(starts(primaries[0], ())) == 1 else partial(second, run)
+            after = None if len(starts(primaries[0], ())) == 1 else partial(second, primaries[0])
         yes, ahead = _ask_eval(state, SideEvalQuery(
             grid_prompt=grid_text, context=ctx, side=side, attempt=side_attempt, round_no=round_no,
         ), after)
@@ -454,22 +440,20 @@ def local_place(
             notes.append(f"{side.value}: eval no")
             continue
         p_ahead, s_ahead = (ahead, None) if after is first else (None, ahead)
-        for run_p, p_forced in _ask_runs(state, f"{side.value}/{axes[0]}", spans[0], first,
-                                         partial(starts, None), notes, p_ahead):
-            p_start = run_p[0]
-            for run_s, s_forced in _ask_runs(state, f"{side.value}/{axes[1]}", spans[1],
-                                             partial(second, run_p), partial(starts, p_start),
-                                             notes, s_ahead):
-                s_start = run_s[0]
+        for p_start, p_forced in _ask_runs(state, f"{side.value}/{axes[0]}", first,
+                                           partial(starts, None), notes, p_ahead):
+            for s_start, s_forced in _ask_runs(state, f"{side.value}/{axes[1]}",
+                                               partial(second, p_start), partial(starts, p_start),
+                                               notes, s_ahead):
                 col_start, row_start = (p_start, s_start) if side.horizontal else (s_start, p_start)
                 pose = pose_from_starts(ctx, side, col_start, row_start)
-                key: PoseKey = (side.value, p_start, s_start)
                 trace.record(
                     layer, spec.id, global_attempt, EventKind.PROPOSED,
                     f"side={side.value} cols={col_start}+{m_cols} rows={row_start}+{m_rows}",
                     scope=state.scope, visit=round_no, pose=pose,
                 )
-                if key in excluded:
+                if skip.get(row_start, 0) >> col_start & 1:
+                    key = (side.value, p_start, s_start)
                     notes.append(f"{side.value}: pose {key} already failed downstream")
                     continue
                 reason = ctx.lattice(m_cols, m_rows, pose[2].swaps_extents).verdict(
@@ -598,7 +582,7 @@ def place_anchor_visit(
     _, grid_text = _named_grid(state, ctx.grid, 0)
     faced = [Side(name) for name, _ in used]
     for attempt, side, raw in _ask_sides(state, ctx, grid_text, cfg.k_global_anchor, visit_no,
-                                         faced, live=lambda sd: fits(cx, cy, sd.facing_yaw)):
+                                         lambda sd: fits(cx, cy, sd.facing_yaw), faced):
         if side is None:
             trace.record(1, spec.id, attempt, EventKind.REJECTED, "facing reply unusable",
                          scope=state.scope, visit=visit_no)
@@ -696,7 +680,7 @@ def _object_poses(state: GlobalState, i: int) -> Iterator[tuple[PlacedObject, in
     trace = state.session.trace
     skip = cfg.mode is SearchMode.COT
     ctx = _make_context(state, spec, state.region.edge_for(spec.id), state.placed[0])
-    excluded: set[PoseKey] = set()
+    excluded: Excluded = {side: {} for side in Side}
     round_no = 0
     while True:
         for attempt in range(1, cfg.k_global_other + 1):
@@ -717,7 +701,7 @@ def _object_poses(state: GlobalState, i: int) -> Iterator[tuple[PlacedObject, in
             scope=state.scope, visit=round_no, pose=thought.pose,
         )
         yield PlacedObject(spec.id, cx, cy, 0.0, yaw, Parent.floor(state.region.id)), round_no
-        excluded |= _pose_keys(ctx, thought.pose)
+        _exclude(ctx, thought.pose, excluded)
 
 
 # -- supported objects ----------------------------------------------------------

@@ -4,7 +4,10 @@ The "live" replies are deterministic-oracle answers wrapped in the kind
 of prose a hosted model produces, so the fixture exercises the tolerant
 reply parsers without needing network access.  Run from the repo root:
 
-    python tests/fixtures/make_fixture.py
+    PYTHONPATH=src python tests/fixtures/make_fixture.py
+
+``tests/test_oracle.py`` checks that :func:`record` still gives the
+committed files, so a change that moves them must rerun this script.
 """
 
 from pathlib import Path
@@ -21,9 +24,9 @@ from treelayout.oracle.queries import (
     SideEvalQuery,
     SideQuery,
 )
-from treelayout.oracle.transcript import RecordingOracle
+from treelayout.oracle.transcript import RecordingOracle, Transcript
 from treelayout.pipeline import generate_scene
-from treelayout.sceneio import write_scene
+from treelayout.sceneio import scene_to_text, write_text
 
 PROMPT = "A modern bedroom with a comfortable queen-sized bed"
 SEED = 11
@@ -48,19 +51,23 @@ class ChattyOracle(PlacementOracle):
         return OracleReply("Here is what I would put there:\n" + text + "\nThat should work nicely.")
 
 
-def main() -> None:
-    fixtures = Path(__file__).parent
+def record() -> tuple[Transcript, str]:
+    """The fixture's transcript and the text of its scene."""
     recorder = RecordingOracle(
         ChattyOracle(DeterministicOracle(seed=SEED)), model_id="chatty-fixture", seed=SEED
     )
-    config = SearchConfig(seed=SEED)
-    scene = generate_scene(PROMPT, config, recorder)
+    scene = generate_scene(PROMPT, SearchConfig(seed=SEED), recorder)
     recorder.transcript.metadata["prompt"] = PROMPT
     recorder.transcript.metadata["config_seed"] = SEED
-    recorder.transcript.dump(fixtures / "live_transcript.jsonl")
-    write_scene(scene, fixtures / "live_scene.json")
-    print(f"recorded {len(recorder.transcript.records)} oracle calls, "
-          f"{len(scene.placements)} placements")
+    return recorder.transcript, scene_to_text(scene)
+
+
+def main() -> None:
+    fixtures = Path(__file__).parent
+    transcript, scene_text = record()
+    transcript.dump(fixtures / "live_transcript.jsonl")
+    write_text(fixtures / "live_scene.json", scene_text)
+    print(f"recorded {len(transcript.records)} oracle calls")
 
 
 if __name__ == "__main__":

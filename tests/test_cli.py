@@ -82,6 +82,23 @@ class TestGenerate:
 
         assert run("a") == run("b")
 
+    @pytest.mark.parametrize("doc, names", [
+        ("[1]", "'entries' object"),
+        ('{"entries": 5}', "'entries' object"),
+        ('{"entries": {"bed": 3}}', "entry 'bed'"),
+        ('{"entries": {"bed": {"dims": "x"}}}', "entry 'bed'"),
+        ('{"entries": {"bed": {"dims": [2, 1.6, 0.5], "min_dims": [1, 1, 0.3], '
+         '"max_dims": [3, 2, 0.8], "supportable": "false"}}}', "entry 'bed'"),
+    ], ids=["top-level-list", "number-entries", "number-entry", "string-dims", "string-flag"])
+    def test_malformed_catalog_exit_4(self, tmp_path, doc, names):
+        catalog = tmp_path / "catalog.json"
+        catalog.write_text(doc, "utf-8")
+        r = run_cli(["generate", "--prompt", PROMPT, "--catalog", str(catalog),
+                     "--out-dir", str(tmp_path / "o")])
+        assert r.exit_code == 4, r.output
+        assert "cannot load catalog" in r.output and names in r.output
+        assert not (tmp_path / "o").exists()
+
 
 class TestRecordReplay:
     def test_record_then_replay_identical(self, tmp_path):
@@ -479,6 +496,43 @@ class TestUsageErrors:
     def test_usage_error_exit_4(self, tmp_path, args):
         result = run_cli(args + (["--out-dir", str(tmp_path)] if args[0] == "generate" else []))
         assert result.exit_code == 4, result.output
+
+
+class TestDeeplyNestedJson:
+    """A JSON file nested too deeply to decode is a read error (exit 4) on
+    every path that reads one, not a RecursionError."""
+
+    @pytest.mark.parametrize("path, message", [
+        ("render", "cannot read scene"),
+        ("render-step", "cannot read trace: trace line 1"),
+        ("replay", "cannot read transcript: transcript line 1"),
+        ("generate-replay", "cannot read transcript: transcript line 1"),
+        ("live-config", "cannot set up live oracle"),
+        ("catalog", "cannot load catalog"),
+    ], ids=["render", "render-step", "replay", "generate-replay", "live-config", "catalog"])
+    def test_nested_file_exit_4(self, tmp_path, monkeypatch, path, message):
+        monkeypatch.setenv("TREELAYOUT_API_KEY", "k-test")
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 10_000 + "\n", "utf-8")
+        out = tmp_path / "o"
+        if path == "render":
+            args = ["render", str(deep)]
+        elif path == "render-step":
+            run_cli(["generate", "--seed", "1", "--prompt", PROMPT, "--out-dir", str(out)])
+            args = ["render", str(out / "scene.json"), "--step", "0", "--trace", str(deep)]
+        elif path == "replay":
+            args = ["replay", str(deep), "--prompt", PROMPT]
+        elif path == "generate-replay":
+            args = ["generate", "--oracle", "replay", "--transcript", str(deep), "--prompt", PROMPT]
+        elif path == "live-config":
+            args = ["generate", "--oracle", "live", "--live-config", str(deep), "--prompt", PROMPT]
+        else:
+            args = ["generate", "--catalog", str(deep), "--prompt", PROMPT]
+        r = run_cli(args + ["-o" if path.startswith("render") else "--out-dir",
+                            str(tmp_path / "x")])
+        assert r.exit_code == 4, r.output
+        assert message in r.output and "nested too deeply" in r.output
+        assert not (tmp_path / "x").exists()
 
 
 class TestLiveConfig:

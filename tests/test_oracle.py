@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from bruteforce import ASK, BruteRegion, ForcedSteps, brute_side_cells
+from test_search import exclusion_masks
 from treelayout.grid import (
     Side, assign_emojis, cells_of, load_vocabulary, rasterize, serialize_grid_prompt,
 )
@@ -41,8 +42,7 @@ from treelayout.oracle.base import (
 from treelayout.oracle.deterministic import NO_LEGAL_OPTION, DeterministicOracle
 from treelayout.oracle.live import LiveConfig, LiveOracle
 from treelayout.oracle.policy import (
-    _completion,
-    _covered,
+    _uncovered,
     choose_run,
     choose_side,
     feasible_primary_starts,
@@ -695,11 +695,11 @@ class TestRowMasks:
             for side in Side:
                 cand = set(cells_of(grid, ctx.candidates[side]))
                 m_cols, m_rows = object_spans(ctx, side)
-                covered = _covered(ctx, side)
-                assert len(covered) == max(0, grid.rows - m_rows + 1)
+                uncovered = _uncovered(ctx, side)
+                assert list(uncovered) == list(range(grid.rows - m_rows + 1))
                 for r0 in range(grid.rows):
                     for c0 in range(grid.cols):
-                        bit = r0 < len(covered) and bool(covered[r0] >> c0 & 1)
+                        bit = r0 in uncovered and not uncovered[r0] >> c0 & 1
                         assert bit == br.rect_cells_ok(cand, c0, m_cols, r0, m_rows), (side, c0, r0)
 
 
@@ -762,8 +762,9 @@ class TestFeasibilitySets:
             self.assert_verdicts_match(ctx, side, br, obj)
             # excluded poses are keyed (side, primary start, secondary start)
             gone = {pair for pair in sorted(want) if rng.random() < excluded_share}
-            excluded = {(side.value, *(pair if side.horizontal else pair[::-1])) for pair in gone}
-            excluded.add((next(s for s in Side if s is not side).value, 0, 0))
+            excluded = exclusion_masks(
+                {(side.value, *(pair if side.horizontal else pair[::-1])) for pair in gone}
+                | {(next(s for s in Side if s is not side).value, 0, 0)})
             fresh = replace(ctx)  # the check first, with no set built yet
             assert _live(fresh, side, excluded) == bool(want - gone), side
             assert _live(ctx, side, excluded) == bool(want - gone), side
@@ -817,8 +818,11 @@ class TestFeasibilitySets:
                 m_cols, m_rows = ctx.side_shapes[side][:2]
                 want = {(c0, r0) for c0, r0 in br.accepted_pairs(obj, side.value, boxes)
                         if br.rect_cells_ok(cand, c0, m_cols, r0, m_rows)}
-                got = {(c0, r0) for r0, m in enumerate(_completion(ctx, side))
-                       for c0 in range(m.bit_length()) if m >> c0 & 1}
+                got = set()
+                for p0 in feasible_primary_starts(ctx, side):
+                    seconds = feasible_secondary_starts(ctx, side, p0)
+                    assert seconds, (ctx.canonical_text(), side, p0)
+                    got |= {(p0, s0) if side.horizontal else (s0, p0) for s0 in seconds}
                 assert got == want, (ctx.canonical_text(), side)
 
     def test_candidate_masks_hold_the_candidate_cells(self):
@@ -882,13 +886,14 @@ class StepOracle(PlacementOracle):
             for i in range(start, start + q.expected_count)))
 
 
-def mirror_local_search(steps: ForcedSteps, log, k_side: int, k_axis: int, axes):
+def mirror_local_search(steps: ForcedSteps, log, k_side: int, k_axis: int, axes, excluded):
     """Replay a :class:`StepOracle` log through the forced-step mirror.
 
     A step with one live answer must have no question in the log, and
     the search must go on with that answer; a step with more must have
-    one, avoiding the answers tried (and a side question the sides with
-    no live answer too); a step with none ends.  Returns the
+    one, avoiding the answers tried (a side question the sides with no
+    live answer too, and a second run question the ``excluded`` keys'
+    secondary starts at its primary start); a step with none ends.  Returns the
     thought the search must return, as (side, primary start, secondary
     start, forced steps) or None, and the count of forced steps."""
     log = list(log)
@@ -897,11 +902,11 @@ def mirror_local_search(steps: ForcedSteps, log, k_side: int, k_axis: int, axes)
         assert log and log[0][0] == kind, (kind, log[:1])
         return log.pop(0)[1:]
 
-    def step(answer, forced, name, kind, primary_run, tried):
+    def step(answer, forced, name, kind, primary_run, tried, failed=frozenset()):
         """The step's answer (None: none usable), from the mirror or the log."""
         if answer is ASK:
             run, avoid, answer = take(kind)
-            assert run == primary_run and avoid >= set(tried)
+            assert run == primary_run and avoid == set(tried) | failed, (avoid, tried, failed)
         else:
             forced.append(name)
         return answer
@@ -941,7 +946,8 @@ def mirror_local_search(steps: ForcedSteps, log, k_side: int, k_axis: int, axes)
                 if s is None:
                     break
                 s_forced: list[str] = []
-                s = step(s, s_forced, axes[side][1], "cells", (p,), tried_s)
+                failed = {s0 for sd, p0, s0 in excluded if sd == side and p0 == p}
+                s = step(s, s_forced, axes[side][1], "cells", (p,), tried_s, failed)
                 count += len(s_forced)
                 if s is None:
                     continue
@@ -979,11 +985,11 @@ class TestForcedSteps:
                             session=OracleSession(oracle, SearchTrace()), scope=ctx.scope,
                             wall_sides=frozenset(), cell_size=ctx.grid.cell_size)
         spec = ObjectSpec(ctx.object_id, "obj", ctx.object_dims)
-        thought, _ = local_place(spec, ctx, state, excluded, 1, 1, 2)
+        thought, _ = local_place(spec, ctx, state, exclusion_masks(excluded), 1, 1, 2)
         axes = {side.value: ("cols", "rows") if side.horizontal else ("rows", "cols")
                 for side in Side}
         want, forced = mirror_local_search(steps, oracle.log, config.k_local_side,
-                                           config.k_local_axis, axes)
+                                           config.k_local_axis, axes, excluded)
         assert sum(state.session.trace.forced_steps.values()) == forced
         if want is None:
             assert thought is None
@@ -1056,7 +1062,7 @@ class TestDeadOptionsAvoided:
                             session=OracleSession(oracle, SearchTrace()), scope=ctx.scope,
                             wall_sides=frozenset(), cell_size=ctx.grid.cell_size)
         spec = ObjectSpec(ctx.object_id, "obj", ctx.object_dims)
-        thought, notes = local_place(spec, ctx, state, excluded, 1, 1, 2)
+        thought, notes = local_place(spec, ctx, state, exclusion_masks(excluded), 1, 1, 2)
         for avoid, tried in oracle.log:
             assert avoid == tried | dead, (avoid, tried, dead)
         # a reply that names a dead side anyway spends its attempt (the
@@ -1696,3 +1702,22 @@ class TestLiveEndToEnd:
         golden = (fixtures / "live_scene.json").read_text("utf-8")
         assert scene_to_text(scene) == golden
         assert served == Counter(replies.keys())
+
+    def test_fixture_matches_its_generator(self, tmp_path):
+        """The committed live fixture is what ``make_fixture.record`` gives
+        now, but for the recording time; a change that moves it reruns
+        ``tests/fixtures/make_fixture.py``."""
+        import re
+        from pathlib import Path
+
+        from fixtures.make_fixture import record
+
+        def masked(text):
+            return re.sub(r'"recorded_at": "[^"]*"', '"recorded_at": ""', text, count=1)
+
+        fixtures = Path(__file__).parent / "fixtures"
+        transcript, scene_text = record()
+        transcript.dump(tmp_path / "transcript.jsonl")
+        assert masked((tmp_path / "transcript.jsonl").read_text("utf-8")) == masked(
+            (fixtures / "live_transcript.jsonl").read_text("utf-8"))
+        assert scene_text == (fixtures / "live_scene.json").read_text("utf-8")

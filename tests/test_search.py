@@ -64,6 +64,18 @@ def make_region(
     )
 
 
+def exclusion_masks(keys) -> dict[Side, dict[int, int]]:
+    """Excluded poses keyed ``(side, primary start, secondary start)``, as
+    the brute-force referee keys them, in the search's format: per side,
+    row start -> mask of column starts."""
+    masks: dict[Side, dict[int, int]] = {side: {} for side in Side}
+    for name, p0, s0 in keys:
+        side = Side(name)
+        c0, r0 = (p0, s0) if side.horizontal else (s0, p0)
+        masks[side][r0] = masks[side].get(r0, 0) | 1 << c0
+    return masks
+
+
 def to_brute(region: RegionPlan, config: SearchConfig) -> BruteRegion:
     objs = []
     for spec in layer_order(region):
@@ -719,7 +731,7 @@ class TestRejectionNotes:
                        region.spec("lamp_2").dims)
         spec = region.spec(obj)
         ctx = _make_context(state, spec, region.edge_for(spec.id), anchor)
-        thought, notes = local_place(spec, ctx, state, set(excluded), 1, 1, 2)
+        thought, notes = local_place(spec, ctx, state, exclusion_masks(excluded), 1, 1, 2)
         assert oracle.exhausted()
         assert thought is None
         return notes
@@ -837,7 +849,7 @@ class TestForcedSteps:
         state.push(anchor, region.spec("cabinet_0").dims)
         spec = region.spec("panel_1")
         ctx = _make_context(state, spec, region.edge_for(spec.id), anchor)
-        result = local_place(spec, ctx, state, set(), 1, 1, 2)
+        result = local_place(spec, ctx, state, exclusion_masks(()), 1, 1, 2)
         assert oracle.exhausted()
         return result, state.session.trace
 
@@ -860,9 +872,8 @@ class TestForcedSteps:
         # left and on the top side: the lamp at cols 0-1, rows 4-5 is one
         # pose with a key on each, and a failed pose is excluded by both
         # (and by keys on the other sides, which name no candidate there)
-        from treelayout.grid import Side
         from treelayout.oracle.queries import pose_from_starts
-        from treelayout.search import GlobalState, _make_context, _pose_keys
+        from treelayout.search import GlobalState, _exclude, _make_context
 
         region = make_region("r1", 4.0, 3.0, ("sofa", 2.0, 0.9, "place_along_wall"),
                              [("lamp", 0.5, 0.5, "place_around", None)])
@@ -876,8 +887,10 @@ class TestForcedSteps:
         ctx = _make_context(state, spec, region.edge_for(spec.id), anchor)
         pose = pose_from_starts(ctx, Side.LEFT, 0, 4)
         assert pose == pose_from_starts(ctx, Side.TOP, 0, 4) == (0.25, 1.25, Yaw.DEG_0)
-        assert _pose_keys(ctx, pose) == {("left", 0, 4), ("right", 0, 4),
-                                         ("top", 4, 0), ("bottom", 4, 0)}
+        excluded = exclusion_masks(())
+        _exclude(ctx, pose, excluded)
+        assert excluded == exclusion_masks({("left", 0, 4), ("right", 0, 4),
+                                            ("top", 4, 0), ("bottom", 4, 0)})
 
 
 class TestForcedFacing:
