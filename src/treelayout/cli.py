@@ -43,8 +43,8 @@ def _fail_config(message: str) -> None:
     sys.exit(EXIT_CONFIG)
 
 
-def _build_config(mode: str, seed: int, cell_size: float, k_anchor: int, k_other: int,
-                  k_side: int, k_axis: int, p_adv: float) -> SearchConfig:
+def _build_config(mode: str, cell_size: float, k_anchor: int, k_other: int, k_side: int,
+                  k_axis: int) -> SearchConfig:
     try:
         return SearchConfig(
             k_global_anchor=k_anchor,
@@ -53,8 +53,6 @@ def _build_config(mode: str, seed: int, cell_size: float, k_anchor: int, k_other
             k_local_axis=k_axis,
             mode=SearchMode(mode),
             cell_size=cell_size,
-            seed=seed,
-            p_adv=p_adv,
         )
     except ValueError as exc:
         _fail_config(str(exc))
@@ -63,7 +61,10 @@ def _build_config(mode: str, seed: int, cell_size: float, k_anchor: int, k_other
 def _build_oracle(kind: str, seed: int, p_adv: float, catalog: AssetCatalog,
                   transcript: str | None, live_config: str | None) -> PlacementOracle:
     if kind == "det":
-        return DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog)
+        try:
+            return DeterministicOracle(seed=seed, p_adv=p_adv, catalog=catalog)
+        except ValueError as exc:
+            _fail_config(str(exc))
     if kind == "live":
         if not live_config:
             _fail_config("--live-config is required with --oracle live")
@@ -205,7 +206,7 @@ def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
             option = "--" + name.replace("_", "-")
             raise click.UsageError(f"{option} is not an option of --oracle {oracle_kind}")
     text = _read_prompt(prompt, prompt_file)
-    config = _build_config(mode, seed, cell_size, k_anchor, k_other, k_side, k_axis, p_adv)
+    config = _build_config(mode, cell_size, k_anchor, k_other, k_side, k_axis)
     catalog = _load_catalog(catalog_path)
     oracle = _build_oracle(oracle_kind, seed, p_adv, catalog, transcript, live_config)
     recording = None
@@ -215,7 +216,7 @@ def generate(prompt, prompt_file, oracle_kind, transcript, live_config, out_dir,
     scene, out = _solve_and_write(text, config, oracle, catalog, out_dir)
     if recording is not None:
         recording.transcript.dump(transcript)
-    metrics = validity_metrics(scene, config)
+    metrics = validity_metrics(scene)
     discarded = scene.trace.discarded_calls
     click.echo(
         f"wrote {out / 'scene.json'} ({len(scene.placements)} placements, "
@@ -251,6 +252,8 @@ def ablate(prompts_file, seeds, modes, out_dir,
     except ValueError:
         _fail_config(f"bad seed list {seeds!r}")
     mode_list = [m.strip() for m in modes.split(",") if m.strip()]
+    if not mode_list:
+        _fail_config("mode list is empty")
     for m in mode_list:
         if m not in ("io", "cot", "tree"):
             _fail_config(f"unknown mode {m!r}")
@@ -263,8 +266,8 @@ def ablate(prompts_file, seeds, modes, out_dir,
             run_id = p_idx * 1_000_000 + s
             cell_scenes = {}
             for m in mode_list:
-                config = _build_config(m, s, cell_size, k_anchor, k_other, k_side, k_axis, p_adv)
-                oracle = DeterministicOracle(seed=s, p_adv=p_adv, catalog=catalog)
+                config = _build_config(m, cell_size, k_anchor, k_other, k_side, k_axis)
+                oracle = _build_oracle("det", s, p_adv, catalog, None, None)
                 try:
                     cell_scenes[m] = generate_scene(prompt, config, oracle, catalog)
                 except (OracleFailure, VocabularyExhausted, InvalidPlan,
@@ -336,7 +339,7 @@ def replay(transcript_file, prompt, prompt_file, out_dir,
     The replies come from the transcript, so the det oracle's --seed and
     --p-adv are not options here."""
     text = _read_prompt(prompt, prompt_file)
-    config = _build_config(mode, 0, cell_size, k_anchor, k_other, k_side, k_axis, 0.0)
+    config = _build_config(mode, cell_size, k_anchor, k_other, k_side, k_axis)
     catalog = _load_catalog(catalog_path)
     oracle = _build_oracle("replay", 0, 0.0, catalog, transcript_file, None)
     scene, out = _solve_and_write(text, config, oracle, catalog, out_dir)

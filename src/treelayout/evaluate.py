@@ -43,8 +43,9 @@ def validity_metrics(scene: Scene, config: SearchConfig | None = None) -> Validi
     means a floor footprint escaping the room or a supported footprint
     escaping its supporter top face (or sitting at the wrong height).
     Every test is exact: boxes are in units, heights are q4 values.
+    ``config`` is accepted and unread: the relation thresholds are
+    ``grid``'s constants.
     """
-    cfg = config if config is not None else SearchConfig()
     specs = scene.spec_index()
     room = AABB(0, 0, units(scene.plan.length), units(scene.plan.width))
     by_id = {p.spec_id: p for p in scene.placements}
@@ -78,7 +79,7 @@ def validity_metrics(scene: Scene, config: SearchConfig | None = None) -> Validi
                 anchored_edges.append((local_anchor(sub.objects).id, sub.edges))
     relation_violations = sum(
         not relation_satisfied(edge.relation, boxes[edge.object_id], by_id[anchor_id],
-                               specs[anchor_id].dims, cfg.d_front, cfg.d_beside, cfg.d_around)
+                               specs[anchor_id].dims)
         for anchor_id, edges in anchored_edges if anchor_id in by_id
         for edge in edges if edge.object_id in by_id
     )
@@ -155,7 +156,6 @@ class AblationRow:
 
 def ablation_report(
     scenes_per_mode: dict[str, list[tuple[int, Scene]]],
-    config: SearchConfig | None = None,
     required_modes: tuple[str, ...] = ("io", "cot", "tree"),
 ) -> list[AblationRow]:
     """Mode-by-mode means over identical seed sets, rows ordered IO, CoT, Tree."""
@@ -170,7 +170,7 @@ def ablation_report(
             raise MismatchedSeeds(f"seed set of {mode} differs from {expected[0]}")
     out: list[AblationRow] = []
     for mode in expected:
-        metrics = [validity_metrics(scene, config) for _, scene in scenes_per_mode[mode]]
+        metrics = [validity_metrics(scene) for _, scene in scenes_per_mode[mode]]
         ratios = [m.placed_ratio for m in metrics]
         out.append(
             AblationRow(

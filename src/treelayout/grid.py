@@ -346,23 +346,24 @@ def contiguous_axis_run(grid: OccupancyGrid, cells: list[int], axis: str) -> lis
     return indices
 
 
+# The relation thresholds in meters: the front and beside edge gaps, and
+# the around centre distance.
+D_FRONT = 1.5
+D_BESIDE = 0.5
+D_AROUND = 2.0
+
+
 def relation_satisfied(
-    rel: SpatialRelation,
-    candidate_aabb: AABB,
-    anchor: PlacedObject,
-    anchor_dims: Dim3,
-    d_front: float = 1.5,
-    d_beside: float = 0.5,
-    d_around: float = 2.0,
+    rel: SpatialRelation, candidate_aabb: AABB, anchor: PlacedObject, anchor_dims: Dim3
 ) -> bool:
-    """Geometric reading of the three anchor relations (thresholds in meters).
+    """Geometric reading of the three anchor relations.
 
     front: candidate center in the open half-plane the anchor faces, its
     offset across the facing axis within half the anchor's facing edge,
-    and edge gap at most ``d_front``.  beside: candidate center more
+    and edge gap at most ``D_FRONT``.  beside: candidate center more
     sideways than forward/backward of the anchor center (left or right
-    half-plane) with edge gap at most ``d_beside``.  around: center
-    distance at most ``d_around``.  The test is exact in units: centre
+    half-plane) with edge gap at most ``D_BESIDE``.  around: center
+    distance at most ``D_AROUND``.  The test is exact in units: centre
     offsets are doubled (``x0 + x1 - 2 * anchor_x``) and distances compared
     squared, so every term compares integers and the verdict is the same
     in the region frame and the room frame.
@@ -374,12 +375,12 @@ def relation_satisfied(
     gap2 = max(x0 - ax1, ax0 - x1, 0) ** 2 + max(y0 - ay1, ay0 - y1, 0) ** 2
     along, across = dx * fx + dy * fy, abs(dx * fy - dy * fx)
     if rel is SpatialRelation.PLACE_AROUND:
-        return dx * dx + dy * dy <= (2 * units(d_around)) ** 2
+        return dx * dx + dy * dy <= (2 * units(D_AROUND)) ** 2
     if rel is SpatialRelation.PLACE_FRONT:
         facing_edge = ax1 - ax0 if fy != 0 else ay1 - ay0
-        return along > 0 and across <= facing_edge and gap2 <= units(d_front) ** 2
+        return along > 0 and across <= facing_edge and gap2 <= units(D_FRONT) ** 2
     if rel is SpatialRelation.PLACE_BESIDE:
-        return across >= abs(along) and across > 0 and gap2 <= units(d_beside) ** 2
+        return across >= abs(along) and across > 0 and gap2 <= units(D_BESIDE) ** 2
     raise ValueError(f"unknown relation {rel}")
 
 

@@ -112,12 +112,12 @@ def parse_room_reply(text: str) -> tuple[str, float, float]:
         raise ParseError(f"room reply missing fields: {text!r}")
     room_type = m_type.group(1).strip().lower()
     try:
-        length, width = float(m_len.group(1)), float(m_wid.group(1))
+        length, width = q4(m_len.group(1)), q4(m_wid.group(1))
     except ValueError:
         raise ParseError(f"room reply has a malformed number: {text!r}") from None
     if not room_type or length <= 0 or width <= 0:
         raise ParseError(f"room reply has invalid values: {text!r}")
-    return room_type, q4(length), q4(width)
+    return room_type, length, width
 
 
 _REGION_LINE_RE = re.compile(r"^\s*([a-z][a-z_ ]*?)\s*[:=]\s*([0-9.]+)\s*$", re.IGNORECASE)

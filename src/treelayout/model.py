@@ -325,9 +325,8 @@ class SearchConfig:
 
     Default budgets: 3 attempts for anchor objects,
     1 for others, 2 for the side step, 1 for the axis steps.  CoT mode
-    forces every budget to 1.  The relation thresholds are edge-to-edge
-    clearances used by the relation predicates, read to the unit.  The
-    cell size is a multiple of 0.1 mm (so a fifth of it is whole units).
+    forces every budget to 1.  The cell size is a multiple of 0.1 mm (so
+    a fifth of it is whole units).
     """
 
     k_global_anchor: int = 3
@@ -336,11 +335,8 @@ class SearchConfig:
     k_local_axis: int = 1
     mode: SearchMode = SearchMode.TREE
     cell_size: float = 0.25
-    seed: int = 0
+    seed: int = 0  # unread, like p_adv: the det oracle takes its own
     p_adv: float = 0.0
-    d_front: float = 1.5
-    d_beside: float = 0.5
-    d_around: float = 2.0
 
     def __post_init__(self) -> None:
         for name in ("k_global_anchor", "k_global_other", "k_local_side", "k_local_axis"):
@@ -349,8 +345,6 @@ class SearchConfig:
         if not (0 < self.cell_size < math.inf and q4(self.cell_size) == self.cell_size):
             raise ValueError(f"SearchConfig.cell_size must be a positive multiple of 0.1 mm, "
                              f"got {self.cell_size}")
-        if not 0.0 <= self.p_adv <= 1.0:
-            raise ValueError("SearchConfig.p_adv must be in [0, 1]")
         if self.mode is SearchMode.COT:
             for name in ("k_global_anchor", "k_global_other", "k_local_side", "k_local_axis"):
                 object.__setattr__(self, name, 1)

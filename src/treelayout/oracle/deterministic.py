@@ -67,6 +67,8 @@ class DeterministicOracle(PlacementOracle):
     templates: dict | None = None
 
     def __post_init__(self) -> None:
+        if not 0.0 <= self.p_adv <= 1.0:
+            raise ValueError(f"p_adv must be in [0, 1], got {self.p_adv}")
         if self.catalog is None:
             self.catalog = AssetCatalog.default()
         if self.templates is None:

@@ -20,6 +20,9 @@ from math import isqrt
 
 from treelayout import kernels
 from treelayout.grid import (
+    D_AROUND,
+    D_BESIDE,
+    D_FRONT,
     DegenerateDirection,
     EmojiMap,
     OccupancyGrid,
@@ -100,9 +103,6 @@ class SpatialContext:
     object_dims: Dim3
     relation: SpatialRelation | None
     orientation_rule: OrientationRule | None
-    d_front: float
-    d_beside: float
-    d_around: float
 
     @cached_property
     def candidates(self) -> dict[Side, int]:
@@ -173,7 +173,7 @@ class SpatialContext:
         front, beside and around thresholds."""
         anchor_args = (
             self.anchor.aabb(self.anchor_dims), units(self.anchor.x), units(self.anchor.y),
-            self.anchor.yaw.facing, units(self.d_front), units(self.d_beside), units(self.d_around),
+            self.anchor.yaw.facing, units(D_FRONT), units(D_BESIDE), units(D_AROUND),
         )
         return units(self.region_length), units(self.region_width), anchor_args
 
@@ -222,7 +222,7 @@ class SpatialContext:
             f"anchor={self.anchor.x:.4f},{self.anchor.y:.4f},{self.anchor.yaw.value}\n"
             f"anchor_dims={self.anchor_dims.length:.4f}x{self.anchor_dims.depth:.4f}\n"
             f"dims={d.length:.4f}x{d.depth:.4f}\nrelation={rel}\norientation={rule}\n"
-            f"thresholds={self.d_front:.4f},{self.d_beside:.4f},{self.d_around:.4f}\n"
+            f"thresholds={D_FRONT:.4f},{D_BESIDE:.4f},{D_AROUND:.4f}\n"
             f"boxes={boxes}"
         )
 
@@ -299,15 +299,15 @@ class _Lattice:
         """Inclusive bounds ``(x0, x1, y0, y1)`` on a centre ``(xc, yc)``
         that every box satisfying the relation meets, read off the terms
         of ``grid.relation_satisfied`` one axis at a time: the centre
-        offset ``2 * |xc - ax|`` is at most ``2 * d_around`` (around) or the
+        offset ``2 * |xc - ax|`` is at most ``2 * D_AROUND`` (around) or the
         anchor's facing edge across the facing axis (front, which also
         wants the centre ahead of the anchor's); the edge gap on each
         axis is at most the gap allowed (front, beside)."""
         ctx, hx, hy = self.ctx, self.hx, self.hy
-        (ax0, ay0, ax1, ay1), ax, ay, (fx, fy), d_front, d_beside, d_around = ctx._limits[2]
+        (ax0, ay0, ax1, ay1), ax, ay, (fx, fy), front, beside, around = ctx._limits[2]
         if ctx.relation is SpatialRelation.PLACE_AROUND:
-            return ax - d_around, ax + d_around, ay - d_around, ay + d_around
-        d = d_front if ctx.relation is SpatialRelation.PLACE_FRONT else d_beside
+            return ax - around, ax + around, ay - around, ay + around
+        d = front if ctx.relation is SpatialRelation.PLACE_FRONT else beside
         x0, x1, y0, y1 = ax0 - hx - d, ax1 + hx + d, ay0 - hy - d, ay1 + hy + d
         if ctx.relation is SpatialRelation.PLACE_FRONT:
             if fy:  # across: |2 (xc - ax)| <= the x edge; ahead: (yc - ay) * fy > 0
@@ -342,14 +342,14 @@ class _Lattice:
         a facing along y (two intervals), or ``0 < |dx| <= |dy|`` with
         ``dy`` nonzero beside one along x."""
         ctx, hx, hy, yc = self.ctx, self.hx, self.hy, self.ys[r0]
-        (ax0, ay0, ax1, ay1), ax, ay, (fx, fy), d_front, d_beside, d_around = ctx._limits[2]
+        (ax0, ay0, ax1, ay1), ax, ay, (fx, fy), front, beside, around = ctx._limits[2]
         oy = abs(yc - ay)  # |dy| / 2
         if ctx.relation is SpatialRelation.PLACE_AROUND:
-            room = d_around * d_around - oy * oy
+            room = around * around - oy * oy
             return self._cols(ax - isqrt(room), ax + isqrt(room)) if room >= 0 else 0
         y0, y1 = yc - hy, yc + hy
         gy = y0 - ay1 if y0 > ay1 else ay0 - y1 if y1 < ay0 else 0
-        d = d_front if ctx.relation is SpatialRelation.PLACE_FRONT else d_beside
+        d = front if ctx.relation is SpatialRelation.PLACE_FRONT else beside
         room = d * d - gy * gy
         if room < 0:
             return 0

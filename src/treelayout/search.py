@@ -160,7 +160,6 @@ def layer_order(region: RegionPlan) -> list[ObjectSpec]:
 def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
                   anchor: PlacedObject) -> SpatialContext:
     """The context of a local step for ``spec`` among the objects placed now."""
-    cfg = state.config
     return SpatialContext(
         scope=state.scope,
         object_id=spec.id,
@@ -173,9 +172,6 @@ def _make_context(state: GlobalState, spec: ObjectSpec, edge: Edge | None,
         object_dims=spec.dims,
         relation=edge.relation if edge else None,
         orientation_rule=edge.orientation_rule if edge else None,
-        d_front=cfg.d_front,
-        d_beside=cfg.d_beside,
-        d_around=cfg.d_around,
     )
 
 
@@ -190,9 +186,10 @@ _WORD_RE = re.compile(r"[a-z]+")
 
 
 def _parse_side(text: str) -> Side | None:
-    """The one side a reply names as a whole word, else None."""
-    words = set(_WORD_RE.findall(text.lower()))
-    found = [side for side in Side if side.value in words]
+    """The one side a reply names as a whole word not right after "not", else None."""
+    words = _WORD_RE.findall(text.lower())
+    named = {word for before, word in zip(["", *words], words) if before != "not"}
+    found = [side for side in Side if side.value in named]
     return found[0] if len(found) == 1 else None
 
 

@@ -46,6 +46,14 @@ class TestGenerate:
         result = run_cli(["generate", "--out-dir", str(tmp_path)])
         assert result.exit_code == 4
 
+    def test_p_adv_out_of_range_exit_4(self, tmp_path):
+        result = run_cli([
+            "generate", "--p-adv", "1.5", "--prompt", PROMPT, "--out-dir", str(tmp_path / "o"),
+        ])
+        assert result.exit_code == 4, result.output
+        assert "p_adv must be in [0, 1]" in result.output
+        assert not (tmp_path / "o").exists()
+
     def test_cot_mode_no_backtracks(self, tmp_path):
         out = tmp_path / "o"
         result = run_cli([
@@ -160,7 +168,9 @@ class TestRecordReplay:
         # divergence or incompleteness is fine; a crash or transport error is not
         assert r.exit_code in (0, 2, 3)
 
-    def test_malformed_number_in_room_reply_exit_3(self, tmp_path):
+    @staticmethod
+    def replay_with_room_reply(tmp_path, reply):
+        """Record a det run, replace its room replies with ``reply`` and replay it."""
         transcript = tmp_path / "transcript.jsonl"
         run_cli([
             "generate", "--oracle", "det", "--seed", "4", "--prompt", PROMPT,
@@ -172,13 +182,21 @@ class TestRecordReplay:
         assert rooms
         for i in rooms:
             row = json.loads(lines[i])
-            row["reply"] = "room_type: bedroom\nlength: 4.5.\nwidth: 3"
+            row["reply"] = reply
             lines[i] = json.dumps(row, sort_keys=True)
         transcript.write_text("\n".join(lines) + "\n")
-        r = run_cli([
+        return run_cli([
             "replay", str(transcript), "--prompt", PROMPT, "--out-dir", str(tmp_path / "rep"),
         ])
+
+    def test_malformed_number_in_room_reply_exit_3(self, tmp_path):
+        r = self.replay_with_room_reply(tmp_path, "room_type: bedroom\nlength: 4.5.\nwidth: 3")
         assert r.exit_code == 3, r.output
+
+    def test_room_size_rounding_to_zero_exit_3(self, tmp_path):
+        r = self.replay_with_room_reply(tmp_path, "room_type: bedroom\nlength: 0.00001\nwidth: 3")
+        assert r.exit_code == 3, r.output
+        assert "attempt=2" in r.output  # the recorded reply was refused, not planned
 
     @pytest.mark.parametrize("option, value", [("--seed", "4"), ("--p-adv", "0.35")])
     def test_det_oracle_options_are_usage_errors(self, tmp_path, option, value):
@@ -369,6 +387,19 @@ class TestAblate:
         prompts.write_text("\n")
         r = run_cli(["ablate", "--prompts", str(prompts), "--out-dir", str(tmp_path)])
         assert r.exit_code == 4
+
+    @pytest.mark.parametrize("args, message", [
+        (["--modes", ","], "mode list is empty"),
+        (["--p-adv", "-0.1"], "p_adv must be in [0, 1]"),
+    ], ids=["empty-modes", "p-adv-out-of-range"])
+    def test_bad_sweep_exit_4(self, tmp_path, args, message):
+        prompts = tmp_path / "prompts.txt"
+        prompts.write_text("A snug living room with a rustic coffee table\n")
+        r = run_cli(["ablate", "--prompts", str(prompts), "--seeds", "0", *args,
+                     "--out-dir", str(tmp_path / "o")])
+        assert r.exit_code == 4, r.output
+        assert message in r.output
+        assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("option, value", [("--seed", "3"), ("--mode", "cot")])
     def test_single_run_options_are_usage_errors(self, tmp_path, option, value):

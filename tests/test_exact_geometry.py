@@ -98,8 +98,7 @@ class TestRelations:
         def verdicts(rel, tx, ty):
             anchor = PlacedObject("a", (ax + tx) / M, (ay + ty) / M, 0.0, yaw, Parent.floor("r"))
             assert anchor.aabb(dims) == shifted(anchor_box, tx, ty)
-            return [relation_satisfied(rel, AABB(x0 + tx, y0 + ty, x1 + tx, y1 + ty), anchor, dims,
-                                       1.5, 0.5, 2.0)
+            return [relation_satisfied(rel, AABB(x0 + tx, y0 + ty, x1 + tx, y1 + ty), anchor, dims)
                     for y0, y1 in yspans for x0, x1 in xspans]
 
         for rel in SpatialRelation:
@@ -142,7 +141,6 @@ def random_context(rng) -> SpatialContext:
         anchor=placed[0], anchor_dims=anchor_dims,
         object_dims=Dim3(rng.choice([0.4, 0.5, 1.0]) * scale, rng.choice([0.4, 0.5]) * scale, 0.5),
         relation=relation, orientation_rule=rng.choice(list(OrientationRule)) if relation else None,
-        d_front=1.5, d_beside=0.5, d_around=2.0,
     )
 
 
@@ -206,7 +204,7 @@ def region_local(scene: Scene, plan: RoomPlan):
         offset += units(region.length)
 
 
-def verdicts(region: RegionPlan, placed: list[PlacedObject], x0: int, cfg: SearchConfig):
+def verdicts(region: RegionPlan, placed: list[PlacedObject], x0: int):
     """(bounds, relation) verdict per object of one region whose near wall is at ``x0``."""
     bounds = AABB(x0, 0, x0 + units(region.length), units(region.width))
     by_id = {p.spec_id: p for p in placed}
@@ -218,8 +216,7 @@ def verdicts(region: RegionPlan, placed: list[PlacedObject], x0: int, cfg: Searc
         related = None
         if edge is not None and anchor is not None:
             related = relation_satisfied(edge.relation, box, anchor,
-                                         region.spec(region.anchor_id).dims,
-                                         cfg.d_front, cfg.d_beside, cfg.d_around)
+                                         region.spec(region.anchor_id).dims)
         out[p.spec_id] = (bounds.contains(box), related)
     return out
 
@@ -243,14 +240,14 @@ class TestComposedScenes:
                 continue
             for region, offset, local in region_local(scene, scene.plan):
                 room = [p for p in scene.placements if p.spec_id in {q.spec_id for q in local}]
-                assert verdicts(region, local, 0, cfg) == verdicts(region, room, offset, cfg)
+                assert verdicts(region, local, 0) == verdicts(region, room, offset)
                 checked += len(local)
         assert checked > 0
 
     def test_validity_metrics_survive_translating_every_region(self):
         rng = random.Random(8)
         for cfg, scene in generated_scenes():
-            before = validity_metrics(scene, cfg)
+            before = validity_metrics(scene)
             tx = 10 * rng.randint(1, 10**7)  # a leading empty region up to 100 m long
             pad = RegionPlan(id="pad", function="pad", length=tx / M, width=scene.plan.width,
                              objects=(), anchor_id="", anchor_rule=AnchorRule.ALONG_WALL,
@@ -259,7 +256,7 @@ class TestComposedScenes:
                            regions=(pad, *scene.plan.regions))
             shifted_scene = replace(scene, plan=plan,
                                     placements=tuple(moved(p, tx, 0) for p in scene.placements))
-            after = validity_metrics(shifted_scene, cfg)
+            after = validity_metrics(shifted_scene)
             assert (after.overlap_pairs, after.relation_violations, after.placed_ratio) == (
                 before.overlap_pairs, before.relation_violations, before.placed_ratio)
             specs = scene.spec_index()

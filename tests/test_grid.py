@@ -16,6 +16,9 @@ from treelayout.grid import (
     OCCUPIED,
     OCCUPIED_MARKER,
     WALL_MARKER,
+    D_AROUND,
+    D_BESIDE,
+    D_FRONT,
     DegenerateDirection,
     EmojiMap,
     EmptyResponse,
@@ -396,13 +399,27 @@ class TestRelations:
         cand = effective_aabb(Dim3(0.5, 0.5, 0.5), Yaw.DEG_0, (2.0, 0.2))
         assert not relation_satisfied(SpatialRelation.PLACE_FRONT, cand, anchor, dims)
 
-    def test_around_threshold_derived(self):
-        # brute-force distance check at d_around = 1.5
+    @pytest.mark.parametrize("rel, limit", [
+        (SpatialRelation.PLACE_FRONT, D_FRONT),
+        (SpatialRelation.PLACE_BESIDE, D_BESIDE),
+        (SpatialRelation.PLACE_AROUND, D_AROUND),
+    ])
+    def test_threshold_holds_to_the_unit(self, rel, limit):
+        # a 0.5 m box ahead of the anchor (which faces +y), to its right,
+        # or centred on its axis: an edge gap (around: a centre distance)
+        # of exactly the constant holds, and one unit (0.01 mm) more fails
         anchor, dims = self.anchor()
-        near = effective_aabb(Dim3(0.2, 0.2, 0.2), Yaw.DEG_0, (2.0 + 1.4, 1.0))
-        far = effective_aabb(Dim3(0.2, 0.2, 0.2), Yaw.DEG_0, (2.0 + 1.6, 1.0))
-        assert relation_satisfied(SpatialRelation.PLACE_AROUND, near, anchor, dims, d_around=1.5)
-        assert not relation_satisfied(SpatialRelation.PLACE_AROUND, far, anchor, dims, d_around=1.5)
+        a, ax, ay, half = anchor.aabb(dims), units(anchor.x), units(anchor.y), units(0.25)
+
+        def box(d):
+            if rel is SpatialRelation.PLACE_FRONT:
+                return AABB(ax - half, a.y1 + d, ax + half, a.y1 + d + 2 * half)
+            if rel is SpatialRelation.PLACE_BESIDE:
+                return AABB(a.x1 + d, ay - half, a.x1 + d + 2 * half, ay + half)
+            return AABB(ax + d - half, ay - half, ax + d + half, ay + half)
+
+        assert relation_satisfied(rel, box(units(limit)), anchor, dims)
+        assert not relation_satisfied(rel, box(units(limit) + 1), anchor, dims)
 
     @given(
         st.floats(0.5, 4.0), st.floats(0.5, 4.0),

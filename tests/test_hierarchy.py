@@ -73,6 +73,14 @@ class TestParsers:
         with pytest.raises(ParseError):
             parse(text)
 
+    @pytest.mark.parametrize("text", [
+        "room_type: bedroom\nlength: 0.00001\nwidth: 3",
+        "room_type: bedroom\nlength: 4\nwidth: 0.00004",
+    ])
+    def test_room_size_rounding_to_zero_is_a_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_room_reply(text)
+
     def test_objects_reply(self):
         text = (
             "bed 2.0 x 1.6 x 0.5 | anchor | place_along_wall\n"

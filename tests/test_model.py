@@ -158,8 +158,6 @@ class TestSearchConfig:
             SearchConfig(cell_size=0.12345)  # not a multiple of 0.1 mm
         with pytest.raises(ValueError):
             SearchConfig(cell_size=math.inf)
-        with pytest.raises(ValueError):
-            SearchConfig(p_adv=1.5)
 
 
 class TestValidatePlanMore:

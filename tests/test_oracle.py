@@ -14,7 +14,8 @@ from hypothesis import example, given, settings, strategies as st
 from bruteforce import ASK, BruteRegion, ForcedSteps, brute_side_cells
 from test_search import exclusion_masks
 from treelayout.grid import (
-    Side, assign_emojis, cells_of, load_vocabulary, rasterize, serialize_grid_prompt,
+    D_AROUND, D_BESIDE, D_FRONT, Side, assign_emojis, cells_of, load_vocabulary, rasterize,
+    serialize_grid_prompt,
 )
 from treelayout.model import (
     AnchorRule,
@@ -103,7 +104,6 @@ def make_context(
         grid=grid, placed_boxes=tuple(boxes),
         anchor=anchor, anchor_dims=anchor_dims, object_dims=object_dims,
         relation=relation, orientation_rule=orientation,
-        d_front=1.5, d_beside=0.5, d_around=2.0,
     )
 
 
@@ -111,7 +111,7 @@ def brute_of(ctx, anchor_rule="place_along_wall", objects=None):
     br = BruteRegion(
         ctx.region_length, ctx.region_width, ctx.grid.cell_size, anchor_rule,
         objects if objects is not None else [],
-        thresholds=(ctx.d_front, ctx.d_beside, ctx.d_around),
+        thresholds=(D_FRONT, D_BESIDE, D_AROUND),
     )
     br.anchor_center = (ctx.anchor.x, ctx.anchor.y)
     br.anchor_yaw = ctx.anchor.yaw.value
@@ -552,13 +552,13 @@ def reference_legal(ctx, x0, y0, x1, y1):
         perp = dx * fy - dy * fx
         gap2 = max(x0 - a.x1, a.x0 - x1, 0) ** 2 + max(y0 - a.y1, a.y0 - y1, 0) ** 2
         if rel is SpatialRelation.PLACE_AROUND:
-            ok = dx * dx + dy * dy <= units(ctx.d_around) ** 2
+            ok = dx * dx + dy * dy <= units(D_AROUND) ** 2
         elif rel is SpatialRelation.PLACE_FRONT:
             facing_edge = a.x1 - a.x0 if fy != 0 else a.y1 - a.y0
             ok = (along > 0 and abs(perp) <= Fraction(facing_edge, 2)
-                  and gap2 <= units(ctx.d_front) ** 2)
+                  and gap2 <= units(D_FRONT) ** 2)
         else:
-            ok = abs(perp) >= abs(along) and perp != 0 and gap2 <= units(ctx.d_beside) ** 2
+            ok = abs(perp) >= abs(along) and perp != 0 and gap2 <= units(D_BESIDE) ** 2
         if not ok:
             return False
     for bx0, by0, bx1, by1 in ctx.placed_boxes:
@@ -798,8 +798,7 @@ class TestFeasibilitySets:
                     hx, hy = ctx.half_extents(swap)
                     full = (1 << len(lattice.xs)) - 1
                     want = [sum(relation_satisfied(ctx.relation, AABB(x - hx, y - hy, x + hx, y + hy),
-                                                   ctx.anchor, ctx.anchor_dims, ctx.d_front,
-                                                   ctx.d_beside, ctx.d_around) << c0
+                                                   ctx.anchor, ctx.anchor_dims) << c0
                                 for c0, x in enumerate(lattice.xs))
                             for y in lattice.ys]
                     got = [lattice.related(r0, full) for r0 in range(len(lattice.ys))]
@@ -1125,6 +1124,11 @@ class TestDeadOptionsAvoided:
 
 
 class TestDeterministicOracleReplies:
+    @pytest.mark.parametrize("p_adv", [-0.1, 1.5, float("nan")])
+    def test_p_adv_out_of_range(self, p_adv):
+        with pytest.raises(ValueError, match="p_adv"):
+            DeterministicOracle(p_adv=p_adv)
+
     def test_side_reply_and_eval(self):
         ctx = make_context()
         oracle = DeterministicOracle(seed=0)

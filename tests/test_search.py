@@ -9,7 +9,7 @@ import pytest
 
 from bruteforce import BruteRegion
 from treelayout.evaluate import anchor_visits, search_stats
-from treelayout.grid import Side, relation_satisfied
+from treelayout.grid import D_AROUND, D_BESIDE, D_FRONT, Side, relation_satisfied
 from treelayout.model import (
     AABB,
     AnchorRule,
@@ -93,11 +93,11 @@ def to_brute(region: RegionPlan, config: SearchConfig) -> BruteRegion:
         )
     return BruteRegion(
         region.length, region.width, config.cell_size, region.anchor_rule.value, objs,
-        thresholds=(config.d_front, config.d_beside, config.d_around),
+        thresholds=(D_FRONT, D_BESIDE, D_AROUND),
     )
 
 
-def assert_sound(region: RegionPlan, placements, config: SearchConfig):
+def assert_sound(region: RegionPlan, placements):
     bounds = AABB(0, 0, units(region.length), units(region.width))
     boxes = {}
     for p in placements:
@@ -113,9 +113,7 @@ def assert_sound(region: RegionPlan, placements, config: SearchConfig):
         if edge.object_id not in boxes:
             continue
         assert relation_satisfied(
-            edge.relation, boxes[edge.object_id], anchor,
-            region.spec(region.anchor_id).dims,
-            config.d_front, config.d_beside, config.d_around,
+            edge.relation, boxes[edge.object_id], anchor, region.spec(region.anchor_id).dims
         ), f"relation violated for {edge.object_id}"
 
 
@@ -187,7 +185,7 @@ class TestSoundness:
             if result.unsat:
                 continue
             solved += 1
-            assert_sound(region, result.placements, config)
+            assert_sound(region, result.placements)
         assert solved >= 30  # most random instances are satisfiable
 
     def test_determinism_same_seed_same_trace(self):
@@ -261,7 +259,7 @@ class TestBacktracking:
         assert not tree_result.unsat
         assert len(tree_result.placements) == 2
         assert tree_result.trace.count(EventKind.BACKTRACK) >= 1
-        assert_sound(region, tree_result.placements, config)
+        assert_sound(region, tree_result.placements)
 
         # CoT gets one more, smaller object after the chair: the chair's
         # failure is skipped and the search goes on to the lamp.
@@ -385,7 +383,7 @@ class TestBoundedCompleteness:
             assert (not result.unsat) == expected, f"trial {trial}"
             if expected:
                 feasible_count += 1
-                assert_sound(region, result.placements, config)
+                assert_sound(region, result.placements)
         assert 5 <= feasible_count < 50  # both verdicts exercised
 
 
@@ -512,6 +510,10 @@ class TestIoMode:
     ("on the right side by the tabletop", Side.RIGHT),
     ("the leftmost spot", None),
     ("top left", None),
+    ("left or right", None),
+    ("not left", None),
+    ("left, not right", Side.LEFT),
+    ("not top, but bottom", Side.BOTTOM),
 ])
 def test_side_reply_names_whole_words(reply, side):
     assert _parse_side(reply) is side
@@ -593,8 +595,7 @@ class TestFinalCheck:
         reason = lattice.verdict(col_start, row_start)
         legal = (AABB(0, 0, units(4.0), units(3.0)).contains(box)
                  and not any(box.overlaps(AABB(*b)) for b in ctx.placed_boxes)
-                 and relation_satisfied(ctx.relation, box, ctx.anchor, ctx.anchor_dims,
-                                        ctx.d_front, ctx.d_beside, ctx.d_around))
+                 and relation_satisfied(ctx.relation, box, ctx.anchor, ctx.anchor_dims))
         assert (reason is None) == legal
         return pose, reason
 
